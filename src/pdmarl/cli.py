@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigError, ExperimentConfig, build_env,
-                     build_train_config, build_utilities, derived_seed,
-                     load_config, serialize_config)
+                     build_train_config, build_utilities, check_policy_size,
+                     derived_seed, load_config, serialize_config)
 from .policy import save_policy
 from .primal_dual import NumericAbort, train
 
@@ -68,9 +68,10 @@ def final_quarter_means(history):
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Train once and write metrics.csv, timings.csv, policy.csv and
     manifest.json into ``out_dir``. Returns the manifest mapping."""
+    cmdp = build_env(cfg)
+    check_policy_size(cfg, cmdp)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cmdp = build_env(cfg)
     objectives, constraints = build_utilities(cfg, cmdp)
     train_cfg = build_train_config(cfg)
 

@@ -9,6 +9,7 @@ import numpy as np
 import yaml
 
 from .model import FactoredCMDP
+from .policy import table_shapes
 from .envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                    wireless_grid)
 from .utilities import GeneralUtility, ENTROPY, L2_ACTION, CONSTRAINT, OBJECTIVE
@@ -217,6 +218,15 @@ def build_env(cfg: ExperimentConfig) -> FactoredCMDP:
     if "q" in env:
         env["q"] = tuple(env["q"])
     return wireless_grid(WirelessGridSpec(gamma=gamma, **env))
+
+
+def check_policy_size(cfg: ExperimentConfig, cmdp: FactoredCMDP):
+    """Reject a kappa whose policy tables on this env exceed the cap."""
+    try:
+        table_shapes(cmdp.graph, cmdp.local_state_sizes,
+                     cmdp.local_action_sizes, cfg["kappa"])
+    except ValueError as exc:
+        raise ConfigError(f"kappa {cfg['kappa']} is too large: {exc}") from exc
 
 
 def build_utilities(cfg: ExperimentConfig, cmdp: FactoredCMDP):

@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .graph import khop_neighborhood
 from .model import (FactoredCMDP, LocalReward, global_transition_matrix,
-                    DEFAULT_ENUMERATION_CAP)
+                    DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded)
 from .policy import KHopPolicy
 from .utilities import ShadowReward
 from . import indexing
@@ -27,7 +27,6 @@ class TDConfig:
     steps: int
     h: float
     k1: float
-    k0: int = 1  # mixing horizon, diagnostic only
 
     def __post_init__(self):
         if self.steps < 1 or self.h <= 0 or self.k1 < 1:
@@ -56,14 +55,11 @@ class TruncatedQTable:
     action_sizes: tuple
     table: np.ndarray  # (n_nbhd_states, n_nbhd_actions)
 
-    def cell(self, s, a):
-        """Table entry at global state/action tuples."""
-        si = indexing.encode([s[j] for j in self.nbhd], self.state_sizes)
-        ai = indexing.encode([a[j] for j in self.nbhd], self.action_sizes)
-        return float(self.table[si, ai])
-
-    def inf_norm(self):
-        return float(np.max(np.abs(self.table)))
+    def at(self, S, A):
+        """Table values at integer global state/action arrays (..., n)."""
+        nbhd = list(self.nbhd)
+        return self.table[S[..., nbhd] @ indexing.radix_weights(self.state_sizes),
+                          A[..., nbhd] @ indexing.radix_weights(self.action_sizes)]
 
 
 def _reward_lookup(cmdp, reward):
@@ -224,13 +220,13 @@ def lift_neighborhood_reward(cmdp: FactoredCMDP, reward: LocalReward,
                              cap=DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """Expand a neighborhood reward to the flat global pair vector."""
     cmdp.check_enumeration_cap(cap)
-    states = indexing.enumerate_tuples(cmdp.local_state_sizes)
-    actions = indexing.enumerate_tuples(cmdp.local_action_sizes)
-    out = np.empty(len(states) * len(actions))
-    for si, s in enumerate(states):
-        for ai, a in enumerate(actions):
-            out[si * len(actions) + ai] = reward.value(s, a)
-    return out
+    if reward.table is None:
+        raise EnumerationCapExceeded(
+            f"reward of agent {reward.agent} is not tabulated")
+    rows = reward.row_indices(
+        indexing.decode_table(cmdp.local_state_sizes)[:, None, :],
+        indexing.decode_table(cmdp.local_action_sizes)[None, :, :])
+    return reward.table[rows].ravel()
 
 
 def full_q(cmdp: FactoredCMDP, policy: KHopPolicy, rewards,
@@ -240,40 +236,41 @@ def full_q(cmdp: FactoredCMDP, policy: KHopPolicy, rewards,
     ``rewards`` is a flat (|S||A|,) vector or an (|S||A|, m) matrix; the
     output has the same shape.
     """
-    cmdp.check_enumeration_cap(cap)
     P = global_transition_matrix(cmdp, policy, cap=cap)
     r = np.asarray(rewards, dtype=float)
     return scipy.linalg.solve(np.eye(P.shape[0]) - cmdp.gamma * P.T, r)
 
 
-def exact_truncated_q(cmdp: FactoredCMDP, policy: KHopPolicy, reward_flat,
-                      agent: int, kappa: int, anchor=None,
-                      cap=DEFAULT_ENUMERATION_CAP) -> TruncatedQTable:
-    """Truncate the exact Q-function of one agent to its k-hop neighborhood.
+def truncate_q(cmdp: FactoredCMDP, q, agent: int, kappa: int,
+               anchor=None) -> TruncatedQTable:
+    """Restrict a flat (|S||A|,) Q-function to one agent's k-hop neighborhood.
 
     Coordinates of agents outside the neighborhood are frozen at ``anchor``
     (a global (state tuple, action tuple) pair; all-zeros by default).
     """
-    q = full_q(cmdp, policy, reward_flat, cap=cap)
     n = cmdp.n_agents
-    if anchor is None:
-        anchor = (tuple([0] * n), tuple([0] * n))
-    anchor_s, anchor_a = anchor
+    ss, aa = cmdp.local_state_sizes, cmdp.local_action_sizes
+    anchor_s, anchor_a = anchor or ((0,) * n, (0,) * n)
+    if not all(0 <= v < m for v, m in zip((*anchor_s, *anchor_a), ss + aa)):
+        raise ValueError(f"anchor {anchor} out of range")
     nbhd = khop_neighborhood(cmdp.graph, agent, kappa)
-    s_sizes = tuple(cmdp.local_state_sizes[j] for j in nbhd)
-    a_sizes = tuple(cmdp.local_action_sizes[j] for j in nbhd)
-    A = cmdp.n_actions
-    table = np.empty((indexing.space_size(s_sizes), indexing.space_size(a_sizes)))
-    for si, s_nb in enumerate(indexing.enumerate_tuples(s_sizes)):
-        s = list(anchor_s)
-        for j, v in zip(nbhd, s_nb):
-            s[j] = v
-        s_idx = indexing.encode(s, cmdp.local_state_sizes)
-        for ai, a_nb in enumerate(indexing.enumerate_tuples(a_sizes)):
-            a = list(anchor_a)
-            for j, v in zip(nbhd, a_nb):
-                a[j] = v
-            table[si, ai] = q[s_idx * A + indexing.encode(a, cmdp.local_action_sizes)]
+    s_sizes = tuple(ss[j] for j in nbhd)
+    a_sizes = tuple(aa[j] for j in nbhd)
+    s_nb = indexing.decode_table(s_sizes)[:, None, :]
+    a_nb = indexing.decode_table(a_sizes)[None, :, :]
+    # one index per global axis: the neighborhood varies, the rest is fixed
+    at = {j: p for p, j in enumerate(nbhd)}
+    idx = ([s_nb[..., at[j]] if j in at else anchor_s[j] for j in range(n)]
+           + [a_nb[..., at[j]] if j in at else anchor_a[j] for j in range(n)])
     return TruncatedQTable(agent=agent, kappa=kappa, nbhd=nbhd,
                            state_sizes=s_sizes, action_sizes=a_sizes,
-                           table=table)
+                           table=np.asarray(q).reshape(ss + aa)[tuple(idx)])
+
+
+def exact_truncated_q(cmdp: FactoredCMDP, policy: KHopPolicy, reward_flat,
+                      agent: int, kappa: int, anchor=None,
+                      cap=DEFAULT_ENUMERATION_CAP) -> TruncatedQTable:
+    """Truncate the exact Q-function of one agent to its k-hop neighborhood
+    (see ``truncate_q``)."""
+    return truncate_q(cmdp, full_q(cmdp, policy, reward_flat, cap=cap),
+                      agent, kappa, anchor=anchor)

@@ -56,13 +56,6 @@ class DependenceGraph:
         self._check_agent(j)
         return self._dist[i][j]
 
-    @property
-    def diameter(self):
-        """Largest finite pairwise distance."""
-        return max(
-            d for row in self._dist for d in row if d < UNREACHABLE
-        )
-
     def neighbors(self, i):
         self._check_agent(i)
         return tuple(j for j in range(self.n) if self._dist[i][j] == 1)

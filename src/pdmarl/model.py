@@ -38,14 +38,26 @@ def _check_deps(deps, n, what):
     return deps
 
 
-@dataclass(frozen=True)
-class TransitionKernel:
-    """Distribution over one agent's next local state.
+class DependencyRows:
+    """Row lookup shared by tables over dependency cells.
 
-    ``table[row]`` is the distribution over S_agent for the dependency cell
-    ``row`` obtained by mixed-radix encoding (states of state_deps, then
-    actions of action_deps, each in ascending agent order).
+    A cell lists the states of ``state_deps`` then the actions of
+    ``action_deps``, each in ascending agent order, encoded with
+    ``dep_sizes`` as radices.
     """
+
+    def row_indices(self, S, A):
+        """Rows at integer state/action arrays (..., n); S and A broadcast."""
+        w = indexing.radix_weights(self.dep_sizes)
+        ns = len(self.state_deps)
+        return (np.asarray(S)[..., list(self.state_deps)] @ w[:ns]
+                + np.asarray(A)[..., list(self.action_deps)] @ w[ns:])
+
+
+@dataclass(frozen=True)
+class TransitionKernel(DependencyRows):
+    """Distribution over one agent's next local state: ``table[row]`` is the
+    distribution over S_agent at dependency cell ``row``."""
 
     agent: int
     state_deps: tuple
@@ -83,57 +95,38 @@ class TransitionKernel:
                 f"kernel dependency space of agent {agent} has {n_cells} cells"
             )
         si = state_sizes[agent]
+        ns = len(state_deps)
         table = np.zeros((n_cells, si))
-        fill_lo_s = [0] * n
-        fill_lo_a = [0] * n
-        fill_hi_s = [m - 1 for m in state_sizes]
-        fill_hi_a = [m - 1 for m in action_sizes]
-        for row, cell in enumerate(indexing.enumerate_tuples(dep_sizes)):
-            for fill_s, fill_a, check in ((fill_lo_s, fill_lo_a, False),
-                                          (fill_hi_s, fill_hi_a, True)):
-                s = list(fill_s)
-                a = list(fill_a)
-                for pos, j in enumerate(state_deps):
-                    s[j] = cell[pos]
-                for pos, j in enumerate(action_deps):
-                    a[j] = cell[len(state_deps) + pos]
+        fills = (([0] * n, [0] * n),
+                 ([m - 1 for m in state_sizes], [m - 1 for m in action_sizes]))
+        for row, cell in enumerate(np.ndindex(*dep_sizes)):
+            for k, (s, a) in enumerate(fills):
+                s, a = list(s), list(a)
+                for j, v in zip(state_deps, cell[:ns]):
+                    s[j] = v
+                for j, v in zip(action_deps, cell[ns:]):
+                    a[j] = v
                 dist = np.asarray(fn(tuple(s), tuple(a)), dtype=float)
                 if dist.shape != (si,):
                     raise ValueError(
                         f"kernel of agent {agent} returned shape {dist.shape}, "
                         f"expected ({si},)"
                     )
-                if check:
-                    if not np.array_equal(dist, table[row]):
-                        raise ValueError(
-                            f"kernel of agent {agent} reads outside its declared "
-                            f"dependency neighborhood"
-                        )
-                else:
+                if k == 0:
                     table[row] = dist
+                elif not np.array_equal(dist, table[row]):
+                    raise ValueError(
+                        f"kernel of agent {agent} reads outside its declared "
+                        f"dependency neighborhood"
+                    )
         return cls(agent, state_deps, action_deps, dep_sizes, table)
 
-    def row_index(self, s, a):
-        cell = tuple(s[j] for j in self.state_deps) + tuple(
-            a[j] for j in self.action_deps
-        )
-        return indexing.encode(cell, self.dep_sizes)
-
-    def row_indices(self, S, A):
-        """Vectorized row lookup; S, A are integer arrays (..., n)."""
-        cols = [S[..., j] for j in self.state_deps] + [A[..., j] for j in self.action_deps]
-        w = indexing.radix_weights(self.dep_sizes)
-        idx = np.zeros(S.shape[:-1], dtype=np.int64)
-        for c, wk in zip(cols, w):
-            idx += c * wk
-        return idx
-
     def distribution(self, s, a):
-        return self.table[self.row_index(s, a)]
+        return self.table[self.row_indices(s, a)]
 
 
 @dataclass(frozen=True)
-class LocalReward:
+class LocalReward(DependencyRows):
     """Local reward reading a declared neighborhood (s_{N_i}, a_{N_i}).
 
     A dense table over the dependency cells is kept when the dependency space
@@ -161,18 +154,17 @@ class LocalReward:
         if n_cells <= DEP_TABLE_CAP:
             table = np.array(
                 [fn(cell[: len(state_deps)], cell[len(state_deps):])
-                 for cell in indexing.enumerate_tuples(dep_sizes)],
+                 for cell in np.ndindex(*dep_sizes)],
                 dtype=float,
             )
         return cls(agent, state_deps, action_deps, dep_sizes, fn, table)
 
     def value(self, s, a):
         """Reward at global state/action tuples."""
-        cell_s = tuple(s[j] for j in self.state_deps)
-        cell_a = tuple(a[j] for j in self.action_deps)
         if self.table is not None:
-            return float(self.table[indexing.encode(cell_s + cell_a, self.dep_sizes)])
-        return float(self.fn(cell_s, cell_a))
+            return float(self.table[self.row_indices(s, a)])
+        return float(self.fn(tuple(s[j] for j in self.state_deps),
+                             tuple(a[j] for j in self.action_deps)))
 
     @property
     def max_abs(self):
@@ -236,10 +228,8 @@ class FactoredCMDP:
 
     def initial_state_distribution(self):
         """Flat distribution over global states (product of local ones)."""
-        rho = np.ones(1)
-        for dist in self.initial_dist:
-            rho = np.kron(rho, np.asarray(dist))
-        return rho
+        return indexing.row_kron([np.asarray(d, dtype=float)
+                                  for d in self.initial_dist])
 
     def _validate_pair(self, s, a):
         if len(s) != self.n_agents or len(a) != self.n_agents:
@@ -276,32 +266,22 @@ def step(cmdp: FactoredCMDP, s, a, rng) -> tuple:
     return tuple(out)
 
 
-def transition_distribution(cmdp: FactoredCMDP, s, a) -> np.ndarray:
-    """Distribution over global next states: product of the local kernels."""
-    dist = np.ones(1)
-    for kern in cmdp.kernels:
-        dist = np.kron(dist, kern.distribution(s, a))
-    return dist
-
-
 def global_transition_matrix(cmdp: FactoredCMDP, policy,
                              cap=DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """State-action pair transition matrix under a policy.
 
     Entry ((s', a'), (s, a)) equals P(s' | s, a) * pi(a' | s'); columns are
     probability distributions. Pair indices are s_index * |A| + a_index.
+    Built C-ordered over ((s, a), (s', a')) and returned as its transpose.
     """
     cmdp.check_enumeration_cap(cap)
     S, A = cmdp.n_states, cmdp.n_actions
-    pi = policy.joint_action_probabilities()  # (S, A)
-    P = np.zeros((S * A, S * A))
-    states = indexing.enumerate_tuples(cmdp.local_state_sizes)
-    actions = indexing.enumerate_tuples(cmdp.local_action_sizes)
-    for si, s in enumerate(states):
-        for ai, a in enumerate(actions):
-            nxt = transition_distribution(cmdp, s, a)  # (S,)
-            P[:, si * A + ai] = (nxt[:, None] * pi).ravel()
-    return P
+    s_dec = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
+    a_dec = indexing.decode_table(cmdp.local_action_sizes)[None, :, :]
+    nxt = indexing.row_kron([kern.table[kern.row_indices(s_dec, a_dec)]
+                             for kern in cmdp.kernels])  # (S, A, S')
+    pi = policy.joint_action_probabilities()  # (S', A')
+    return (nxt[:, :, :, None] * pi).reshape(S * A, S * A).T
 
 
 def compute_decay_matrix(cmdp: FactoredCMDP, chi: float,
@@ -317,32 +297,11 @@ def compute_decay_matrix(cmdp: FactoredCMDP, chi: float,
     n = cmdp.n_agents
     M = np.zeros((n, n))
     for i, kern in enumerate(cmdp.kernels):
-        deps = set(kern.state_deps) | set(kern.action_deps)
-        for j in deps:
-            j_positions = [p for p, dep in enumerate(kern.state_deps) if dep == j]
-            j_positions += [
-                len(kern.state_deps) + p
-                for p, dep in enumerate(kern.action_deps) if dep == j
-            ]
-            other_positions = [p for p in range(len(kern.dep_sizes))
-                               if p not in j_positions]
-            j_sizes = [kern.dep_sizes[p] for p in j_positions]
-            other_sizes = [kern.dep_sizes[p] for p in other_positions]
-            j_combos = indexing.enumerate_tuples(j_sizes)
-            best = 0.0
-            for others in indexing.enumerate_tuples(other_sizes):
-                rows = []
-                for combo in j_combos:
-                    cell = [0] * len(kern.dep_sizes)
-                    for p, v in zip(other_positions, others):
-                        cell[p] = v
-                    for p, v in zip(j_positions, combo):
-                        cell[p] = v
-                    rows.append(kern.table[indexing.encode(cell, kern.dep_sizes)])
-                for p in range(len(rows)):
-                    for q in range(p + 1, len(rows)):
-                        best = max(best, float(np.abs(rows[p] - rows[q]).sum()))
-            M[i, j] = best
+        deps = kern.state_deps + kern.action_deps
+        for j in set(deps):
+            M[i, j] = indexing.max_pairwise_l1(
+                kern.table, kern.dep_sizes,
+                [p for p, dep in enumerate(deps) if dep == j])
 
     dist = np.array([[cmdp.graph.distance(i, j) for j in range(n)] for i in range(n)],
                     dtype=float)

@@ -3,7 +3,6 @@ solution, and marginalizations."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +90,6 @@ def estimate_local_occupancy(batch: TrajectoryBatch, agent: int,
 def exact_global_occupancy(cmdp: FactoredCMDP, policy,
                            cap=DEFAULT_ENUMERATION_CAP) -> GlobalOccupancy:
     """Solve (I - gamma * P_pi) lambda = rho_pi for the occupancy vector."""
-    cmdp.check_enumeration_cap(cap)
     P = global_transition_matrix(cmdp, policy, cap=cap)
     rho = cmdp.initial_state_distribution()
     pi = policy.joint_action_probabilities()
@@ -132,14 +130,3 @@ def empirical_mass(gamma: float, horizon: int) -> float:
     """Total mass contributed by one horizon-H trajectory."""
     return float(np.sum(gamma ** np.arange(horizon)))
 
-
-def occupancies_to_csv(occs, path):
-    """Debug dump: rows (agent, s_i, a_i, value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["agent", "state", "action", "value"])
-        for occ in occs:
-            S, A = occ.table.shape
-            for s in range(S):
-                for a in range(A):
-                    writer.writerow([occ.agent, s, a, repr(float(occ.table[s, a]))])

@@ -13,6 +13,22 @@ from . import indexing
 MAX_TABLE_ENTRIES = 10**6
 
 
+def table_shapes(graph, state_sizes, action_sizes, kappa) -> list:
+    """Shape (n_nbhd_states, A_i) of each agent's theta table at radius
+    kappa; raises ValueError above MAX_TABLE_ENTRIES entries."""
+    shapes = []
+    for i in range(graph.n):
+        nbhd = khop_neighborhood(graph, i, kappa)
+        shape = (indexing.space_size([state_sizes[j] for j in nbhd]),
+                 action_sizes[i])
+        if shape[0] * shape[1] > MAX_TABLE_ENTRIES:
+            raise ValueError(
+                f"policy table of agent {i} would have {shape[0] * shape[1]} "
+                f"entries, above the cap of {MAX_TABLE_ENTRIES}")
+        shapes.append(shape)
+    return shapes
+
+
 def _softmax_rows(theta):
     z = theta - theta.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -49,18 +65,10 @@ class KHopPolicy:
 
     @classmethod
     def zeros(cls, graph, state_sizes, action_sizes, kappa, theta_bound=50.0):
-        tables = []
-        for i in range(graph.n):
-            nbhd = khop_neighborhood(graph, i, kappa)
-            rows = indexing.space_size([state_sizes[j] for j in nbhd])
-            if rows * action_sizes[i] > MAX_TABLE_ENTRIES:
-                raise ValueError(
-                    f"policy table of agent {i} would have "
-                    f"{rows * action_sizes[i]} entries"
-                )
-            tables.append(np.zeros((rows, action_sizes[i])))
+        tables = tuple(np.zeros(shape) for shape in
+                       table_shapes(graph, state_sizes, action_sizes, kappa))
         return cls(graph, tuple(state_sizes), tuple(action_sizes), kappa,
-                   float(theta_bound), tuple(tables))
+                   float(theta_bound), tables)
 
     @classmethod
     def random(cls, graph, state_sizes, action_sizes, kappa, rng,
@@ -92,6 +100,11 @@ class KHopPolicy:
 
     def encode_nbhd_state(self, i, s_nbhd):
         return indexing.encode(s_nbhd, self.nbhd_state_sizes(i))
+
+    def nbhd_rows(self, i, S):
+        """Table rows of agent i at integer global-state arrays (..., n)."""
+        return (S[..., list(self.neighborhood(i))]
+                @ indexing.radix_weights(self.nbhd_state_sizes(i)))
 
     def nbhd_state_from_global(self, i, s):
         return tuple(s[j] for j in self.neighborhood(i))
@@ -136,17 +149,9 @@ class KHopPolicy:
 
     def joint_action_probabilities(self) -> np.ndarray:
         """Matrix pi(a | s) over global states/actions (enumeration only)."""
-        S = indexing.space_size(self.state_sizes)
-        A = indexing.space_size(self.action_sizes)
-        tables = [self.prob_table(i) for i in range(self.graph.n)]
-        out = np.empty((S, A))
-        for si, s in enumerate(indexing.enumerate_tuples(self.state_sizes)):
-            row = np.ones(1)
-            for i in range(self.graph.n):
-                enc = self.encode_nbhd_state(i, self.nbhd_state_from_global(i, s))
-                row = np.kron(row, tables[i][enc])
-            out[si] = row
-        return out
+        s_dec = indexing.decode_table(self.state_sizes)
+        return indexing.row_kron([self.prob_table(i)[self.nbhd_rows(i, s_dec)]
+                                  for i in range(self.graph.n)])
 
     # -- updates -----------------------------------------------------------
 
@@ -166,17 +171,16 @@ def induced_khop_policy(policy: KHopPolicy, kappa: int, anchor_state) -> KHopPol
         raise ValueError("induced policy must have a smaller or equal radius")
     new = KHopPolicy.zeros(policy.graph, policy.state_sizes, policy.action_sizes,
                            kappa, policy.theta_bound)
+    anchor = np.asarray(anchor_state, dtype=np.int64)
+    if np.any(anchor < 0) or np.any(anchor >= policy.state_sizes):
+        raise ValueError(f"anchor state {tuple(anchor_state)} out of range")
     tables = []
     for i in range(policy.graph.n):
-        old_nbhd = policy.neighborhood(i)
-        new_nbhd = new.neighborhood(i)
-        new_sizes = new.nbhd_state_sizes(i)
-        tab = np.empty_like(new.theta[i])
-        for row, s_new in enumerate(indexing.enumerate_tuples(new_sizes)):
-            lookup = dict(zip(new_nbhd, s_new))
-            s_old = tuple(lookup.get(j, anchor_state[j]) for j in old_nbhd)
-            tab[row] = policy.theta[i][policy.encode_nbhd_state(i, s_old)]
-        tables.append(tab)
+        # the new neighborhood enumerated, every other agent at the anchor
+        s = np.tile(anchor, (new.n_nbhd_states(i), 1))
+        s[:, list(new.neighborhood(i))] = indexing.decode_table(
+            new.nbhd_state_sizes(i))
+        tables.append(policy.theta[i][policy.nbhd_rows(i, s)])
     return new.with_theta(tables)
 
 
@@ -185,19 +189,10 @@ def policy_state_sensitivity(policy: KHopPolicy, kappa: int) -> float:
     distance-``kappa`` ball vary (brute force over neighborhood states)."""
     worst = 0.0
     for i in range(policy.graph.n):
-        nbhd = policy.neighborhood(i)
         inner = set(khop_neighborhood(policy.graph, i, kappa))
-        sizes = policy.nbhd_state_sizes(i)
-        probs = policy.prob_table(i)
-        groups = {}
-        for row, s in enumerate(indexing.enumerate_tuples(sizes)):
-            key = tuple(v for j, v in zip(nbhd, s) if j in inner)
-            groups.setdefault(key, []).append(row)
-        for rows in groups.values():
-            for p in range(len(rows)):
-                for q in range(p + 1, len(rows)):
-                    diff = float(np.abs(probs[rows[p]] - probs[rows[q]]).sum())
-                    worst = max(worst, diff)
+        outer = [p for p, j in enumerate(policy.neighborhood(i)) if j not in inner]
+        worst = max(worst, indexing.max_pairwise_l1(
+            policy.prob_table(i), policy.nbhd_state_sizes(i), outer))
     return worst
 
 

@@ -18,8 +18,7 @@ from .occupancy import (estimate_local_occupancy, exact_global_occupancy,
                         marginalize)
 from .utilities import GeneralUtility, shadow_reward, utility_value
 from .critic import (TDConfig, default_td_config, td_evaluate, full_q,
-                     exact_truncated_q, lift_local_reward,
-                     lift_neighborhood_reward)
+                     truncate_q, lift_local_reward, lift_neighborhood_reward)
 from . import indexing
 
 
@@ -54,14 +53,17 @@ def dual_update(g_tilde, eta_mu, mu_bar, n) -> DualVariable:
 
 # -- sampled truncated policy gradient --------------------------------------
 
-def _q_cell_encoders(qtab, batch):
-    """Encoded (state, action) cell indices along the batch, shape (B, H)."""
-    sw = indexing.radix_weights(qtab.state_sizes)
-    aw = indexing.radix_weights(qtab.action_sizes)
-    nbhd = list(qtab.nbhd)
-    s_enc = batch.states[:, :, nbhd] @ sw
-    a_enc = batch.actions[:, :, nbhd] @ aw
-    return s_enc, a_enc
+def _score_sum(policy, i, rows, acts, weights):
+    """sum_k weights_k * score_i(rows_k, acts_k) as a theta_i-shaped table.
+
+    Entry [e, b] is the weight on row e with action b minus the softmax share
+    pi_i(b | e) of row e's total weight.
+    """
+    A_i = policy.action_sizes[i]
+    n_rows = policy.n_nbhd_states(i)
+    flat = np.bincount(rows * A_i + acts, weights=weights, minlength=n_rows * A_i)
+    row_tot = np.bincount(rows, weights=weights, minlength=n_rows)
+    return flat.reshape(n_rows, A_i) - policy.prob_table(i) * row_tot[:, None]
 
 
 def truncated_pg_estimate(batch: TrajectoryBatch, policy: KHopPolicy,
@@ -77,24 +79,17 @@ def truncated_pg_estimate(batch: TrajectoryBatch, policy: KHopPolicy,
 
     v = np.empty((n, B, H))
     for j in range(n):
-        sf, af = _q_cell_encoders(q_f[j], batch)
-        v[j] = q_f[j].table[sf, af] + mu.mu[j] * q_g[j].table[sf, af]
+        v[j] = (q_f[j].at(batch.states, batch.actions)
+                + mu.mu[j] * q_g[j].at(batch.states, batch.actions))
     discounts = gamma ** np.arange(H)
 
     grads = []
     for i in range(n):
         hood = list(khop_neighborhood(policy.graph, i, kappa))
         w = discounts[None, :] * v[hood].sum(axis=0) / n  # (B, H)
-        pw = indexing.radix_weights(policy.nbhd_state_sizes(i))
-        rows = batch.states[:, :, list(policy.neighborhood(i))] @ pw  # (B, H)
-        acts = batch.actions[:, :, i]
-        A_i = policy.action_sizes[i]
-        n_rows = policy.n_nbhd_states(i)
-        flat = np.bincount((rows * A_i + acts).ravel(), weights=w.ravel(),
-                           minlength=n_rows * A_i)
-        row_tot = np.bincount(rows.ravel(), weights=w.ravel(), minlength=n_rows)
-        grad = flat.reshape(n_rows, A_i) - policy.prob_table(i) * row_tot[:, None]
-        grads.append(grad / B)
+        rows = policy.nbhd_rows(i, batch.states)  # (B, H)
+        grads.append(_score_sum(policy, i, rows.ravel(),
+                                batch.actions[:, :, i].ravel(), w.ravel()) / B)
     return grads
 
 
@@ -116,46 +111,27 @@ def _global_shadow_rewards(cmdp, policy, objectives, constraints,
                            cap=DEFAULT_ENUMERATION_CAP):
     """Exact occupancy plus lifted shadow-reward columns (f then g)."""
     occ = exact_global_occupancy(cmdp, policy, cap=cap)
-    n = cmdp.n_agents
-    locals_ = [marginalize(occ, i) for i in range(n)]
-    cols_f, cols_g, g_vals = [], [], []
-    for i in range(n):
+    cols_f, cols_g = [], []
+    for i in range(cmdp.n_agents):
+        local = marginalize(occ, i)
         if objectives is None:
             cols_f.append(lift_neighborhood_reward(cmdp, cmdp.rewards[i], cap=cap))
         else:
             cols_f.append(lift_local_reward(
-                cmdp, i, shadow_reward(objectives[i], locals_[i])))
+                cmdp, i, shadow_reward(objectives[i], local)))
         cols_g.append(lift_local_reward(
-            cmdp, i, shadow_reward(constraints[i], locals_[i])))
-        g_vals.append(utility_value(constraints[i], locals_[i]))
-    return occ, locals_, np.column_stack(cols_f), np.column_stack(cols_g), \
-        np.array(g_vals)
+            cmdp, i, shadow_reward(constraints[i], local)))
+    return occ, np.column_stack(cols_f), np.column_stack(cols_g)
 
 
 def _score_accumulate(cmdp, policy, weights_by_agent):
-    """Turn per-pair weights W_i(s, a) into theta-shaped gradients.
-
-    grad_i[e, b] = sum over pairs with row e and a_i = b of W_i minus the
-    softmax-weighted row total, which is exactly sum W_i * score_i.
-    """
-    n = cmdp.n_agents
-    A = cmdp.n_actions
+    """Turn per-pair weights W_i(s, a) into theta-shaped gradients."""
     s_dec = indexing.decode_table(cmdp.local_state_sizes)
     a_dec = indexing.decode_table(cmdp.local_action_sizes)
-    grads = []
-    for i in range(n):
-        pw = indexing.radix_weights(policy.nbhd_state_sizes(i))
-        rows_s = s_dec[:, list(policy.neighborhood(i))] @ pw  # (S,)
-        rows = np.repeat(rows_s, A)
-        acts = np.tile(a_dec[:, i], cmdp.n_states)
-        A_i = policy.action_sizes[i]
-        n_rows = policy.n_nbhd_states(i)
-        W = weights_by_agent[i]
-        flat = np.bincount(rows * A_i + acts, weights=W, minlength=n_rows * A_i)
-        row_tot = np.bincount(rows, weights=W, minlength=n_rows)
-        grads.append(flat.reshape(n_rows, A_i)
-                     - policy.prob_table(i) * row_tot[:, None])
-    return grads
+    return [_score_sum(policy, i,
+                       np.repeat(policy.nbhd_rows(i, s_dec), cmdp.n_actions),
+                       np.tile(a_dec[:, i], cmdp.n_states), W)
+            for i, W in enumerate(weights_by_agent)]
 
 
 def exact_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
@@ -167,15 +143,14 @@ def exact_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
     Q-functions solved exactly, and the expectation over the discounted
     visitation measure taken as a weighted sum over all pairs.
     """
-    cmdp.check_enumeration_cap(cap)
     mu = np.asarray(mu, dtype=float)
-    occ, _, rf, rg, _ = _global_shadow_rewards(cmdp, policy, objectives,
-                                               constraints, cap=cap)
-    qf = full_q(cmdp, policy, rf, cap=cap)
-    qg = full_q(cmdp, policy, rg, cap=cap)
-    q_tot = (qf.sum(axis=1) + qg @ mu) / cmdp.n_agents
+    occ, rf, rg = _global_shadow_rewards(cmdp, policy, objectives,
+                                         constraints, cap=cap)
+    n = cmdp.n_agents
+    q = full_q(cmdp, policy, np.hstack([rf, rg]), cap=cap)
+    q_tot = (q[:, :n].sum(axis=1) + q[:, n:] @ mu) / n
     W = occ.table * q_tot
-    return _score_accumulate(cmdp, policy, [W] * cmdp.n_agents)
+    return _score_accumulate(cmdp, policy, [W] * n)
 
 
 def exact_dual_gradient(cmdp: FactoredCMDP, policy: KHopPolicy, constraints,
@@ -196,26 +171,19 @@ def exact_truncated_pg(cmdp: FactoredCMDP, policy: KHopPolicy,
     truncated at the anchor pair and the utility sum restricted to each
     agent's kappa-hop neighborhood.
     """
-    cmdp.check_enumeration_cap(cap)
     mu = np.asarray(mu, dtype=float)
     n = cmdp.n_agents
-    occ, _, rf, rg, _ = _global_shadow_rewards(cmdp, policy, objectives,
-                                               constraints, cap=cap)
-    s_dec = indexing.decode_table(cmdp.local_state_sizes)
-    a_dec = indexing.decode_table(cmdp.local_action_sizes)
-    S, A = cmdp.n_states, cmdp.n_actions
+    occ, rf, rg = _global_shadow_rewards(cmdp, policy, objectives,
+                                         constraints, cap=cap)
+    q = full_q(cmdp, policy, np.hstack([rf, rg]), cap=cap)
+    s_dec = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
+    a_dec = indexing.decode_table(cmdp.local_action_sizes)[None, :, :]
 
-    v = np.empty((n, S * A))
+    v = np.empty((n, cmdp.n_pairs))
     for j in range(n):
-        qf_t = exact_truncated_q(cmdp, policy, rf[:, j], j, kappa,
-                                 anchor=anchor, cap=cap)
-        qg_t = exact_truncated_q(cmdp, policy, rg[:, j], j, kappa,
-                                 anchor=anchor, cap=cap)
-        nbhd = list(qf_t.nbhd)
-        se = s_dec[:, nbhd] @ indexing.radix_weights(qf_t.state_sizes)
-        ae = a_dec[:, nbhd] @ indexing.radix_weights(qf_t.action_sizes)
-        cells = np.repeat(se, A), np.tile(ae, S)
-        v[j] = qf_t.table[cells] + mu[j] * qg_t.table[cells]
+        qf_t = truncate_q(cmdp, q[:, j], j, kappa, anchor=anchor)
+        qg_t = truncate_q(cmdp, q[:, n + j], j, kappa, anchor=anchor)
+        v[j] = (qf_t.at(s_dec, a_dec) + mu[j] * qg_t.at(s_dec, a_dec)).ravel()
 
     weights = []
     for i in range(n):
@@ -375,15 +343,7 @@ def batch_discounted_return(cmdp: FactoredCMDP, batch: TrajectoryBatch) -> float
     for rew in cmdp.rewards:
         if rew.table is None:
             raise ValueError("env reward is not tabulated")
-        cols_s = batch.states[:, :, list(rew.state_deps)]
-        cols_a = batch.actions[:, :, list(rew.action_deps)]
-        w = indexing.radix_weights(rew.dep_sizes)
-        ns = len(rew.state_deps)
-        rows = np.zeros(batch.states.shape[:2], dtype=np.int64)
-        if ns:
-            rows += cols_s @ w[:ns]
-        if len(rew.action_deps):
-            rows += cols_a @ w[ns:]
+        rows = rew.row_indices(batch.states, batch.actions)
         total += float((rew.table[rows] @ discounts).mean())
     return total / n
 

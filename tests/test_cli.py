@@ -240,6 +240,16 @@ class TestSweep:
         sub = load_config(tmp_path / "threshold_0.4" / "config.yaml")
         assert sub["constraint"]["threshold"] == 0.4
 
+    def test_parallel_sweep_matches_serial(self, tmp_path):
+        cfg = base_cfg(iterations=3)
+        run_sweep(cfg, "kappa", ["0", "1"], tmp_path / "serial")
+        run_sweep(cfg, "kappa", ["0", "1"], tmp_path / "parallel",
+                  parallel=True)
+        for name in ("summary.csv", "kappa_0/metrics.csv",
+                     "kappa_1/metrics.csv"):
+            assert ((tmp_path / "serial" / name).read_bytes()
+                    == (tmp_path / "parallel" / name).read_bytes())
+
     def test_empty_values_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             run_sweep(base_cfg(), "kappa", [], tmp_path)
@@ -269,6 +279,19 @@ class TestMainEntryPoint:
                                         "schema_version: 9"))
         assert main(["run", "--config", cfg_path]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_policy_table_over_cap_exit_one(self, tmp_path, capsys):
+        # kappa 1 on the side-3 grid gives agent 4 a 4^9-row policy table
+        cfg_path = self.write_config(tmp_path, BASE_YAML.replace(
+            "  name: synthetic_line\n  n: 3",
+            "  name: wireless_grid\n  side: 3\n  deadline: 2"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        for part in ("agent 4", "1310720 entries", "cap of 1000000"):
+            assert part in err
+        assert not out.exists()
 
     def test_missing_file_exit_one(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 1

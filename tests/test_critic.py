@@ -210,17 +210,15 @@ class TestRewardLifting:
         m = chain(2)
         table = np.array([[0.0, 1.0], [2.0, 3.0]])
         flat = lift_local_reward(m, 1, table)
-        states = indexing.enumerate_tuples(m.local_state_sizes)
-        actions = indexing.enumerate_tuples(m.local_action_sizes)
+        states = np.ndindex(*m.local_state_sizes)
         for si, s in enumerate(states):
-            for ai, a in enumerate(actions):
+            for ai, a in enumerate(np.ndindex(*m.local_action_sizes)):
                 assert flat[si * 4 + ai] == table[s[1], a[1]]
 
     def test_lift_neighborhood_reward_matches_value(self):
         m = chain(3)
         flat = lift_neighborhood_reward(m, m.rewards[0])
-        states = indexing.enumerate_tuples(m.local_state_sizes)
-        actions = indexing.enumerate_tuples(m.local_action_sizes)
+        states = np.ndindex(*m.local_state_sizes)
         for si, s in enumerate(states):
-            for ai, a in enumerate(actions):
+            for ai, a in enumerate(np.ndindex(*m.local_action_sizes)):
                 assert flat[si * 8 + ai] == m.rewards[0].value(s, a)

@@ -4,10 +4,10 @@ import pytest
 from pdmarl.graph import DependenceGraph, khop_neighborhood, line_graph
 from pdmarl.model import (FactoredCMDP, TransitionKernel, LocalReward,
                           EnumerationCapExceeded, compute_decay_matrix,
-                          global_transition_matrix, step,
-                          transition_distribution)
+                          global_transition_matrix, step)
 from pdmarl.policy import KHopPolicy
-from pdmarl.envs import SyntheticLineSpec, synthetic_line
+from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
+                         wireless_grid)
 
 
 def chain(n, gamma=0.9):
@@ -103,9 +103,13 @@ class TestKernels:
 
     def test_product_transition_is_distribution(self):
         m = chain(3)
+        P = global_transition_matrix(m, uniform_policy(m))
         for s in [(0, 0, 0), (1, 0, 1), (1, 1, 1)]:
             for a in [(0, 0, 0), (1, 1, 0)]:
-                dist = transition_distribution(m, s, a)
+                col = np.ravel_multi_index(s, (2, 2, 2)) * 8 \
+                    + np.ravel_multi_index(a, (2, 2, 2))
+                # summing out a' leaves the distribution over next states
+                dist = P[:, col].reshape(8, 8).sum(axis=1)
                 assert abs(dist.sum() - 1.0) < 1e-10
                 assert np.all(dist >= 0)
 
@@ -202,6 +206,38 @@ class TestGlobalTransitionMatrix:
             pol = KHopPolicy.random(g, ss, aa, 1, rng, scale=0.3)
             P = global_transition_matrix(m, pol)
             np.testing.assert_allclose(P.sum(axis=0), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("m", [
+        chain(3), wireless_grid(WirelessGridSpec(side=2, deadline=1, gamma=0.9))
+    ], ids=["line3", "wireless2"])
+    def test_entries_match_products_of_factor_tables(self, m):
+        # reference straight from the raw tables: prod_i kernel_i(s'_i | s, a)
+        # times prod_i pi_i(a'_i | s'), rows encoded with ravel_multi_index
+        rng = np.random.default_rng(np.random.SeedSequence(13))
+        ss, aa = m.local_state_sizes, m.local_action_sizes
+        pol = KHopPolicy.random(m.graph, ss, aa, 1, rng, scale=0.5)
+        P = global_transition_matrix(m, pol)
+        nonzero = 0
+        for _ in range(300):
+            s, a, s2, a2 = (tuple(int(rng.integers(k)) for k in sizes)
+                            for sizes in (ss, aa, ss, aa))
+            want = 1.0
+            for i, kern in enumerate(m.kernels):
+                cell = ([s[j] for j in kern.state_deps]
+                        + [a[j] for j in kern.action_deps])
+                row = np.ravel_multi_index(cell, kern.dep_sizes)
+                want *= kern.table[row][s2[i]]
+            for i in range(m.n_agents):
+                row = np.ravel_multi_index([s2[j] for j in pol.neighborhood(i)],
+                                           pol.nbhd_state_sizes(i))
+                want *= pol.prob_table(i)[row][a2[i]]
+            out = (np.ravel_multi_index(s2, ss) * m.n_actions
+                   + np.ravel_multi_index(a2, aa))
+            col = (np.ravel_multi_index(s, ss) * m.n_actions
+                   + np.ravel_multi_index(a, aa))
+            assert P[out, col] == pytest.approx(want, rel=1e-12, abs=0.0)
+            nonzero += want > 0
+        assert nonzero >= 30
 
     def test_enumeration_cap(self):
         m = chain(7)  # 4^7 = 16384 pairs > 4096

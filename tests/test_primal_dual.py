@@ -141,7 +141,7 @@ class TestTruncatedPGEstimate:
         exact = flat(exact_lagrangian_gradient(m, pol, None, cons, mu_vec))
 
         from pdmarl.primal_dual import _global_shadow_rewards
-        _, _, rf, rg, _ = _global_shadow_rewards(m, pol, None, cons)
+        _, rf, rg = _global_shadow_rewards(m, pol, None, cons)
         q_f = [exact_truncated_q(m, pol, rf[:, j], j, 1) for j in range(2)]
         q_g = [exact_truncated_q(m, pol, rg[:, j], j, 1) for j in range(2)]
 
@@ -167,6 +167,25 @@ class TestExactOracles:
         a = flat(exact_truncated_pg(m, pol, None, cons, mu, kappa=2))
         b = flat(exact_lagrangian_gradient(m, pol, None, cons, mu))
         np.testing.assert_allclose(a, b, atol=1e-10)
+
+    def test_one_stacked_q_solve_per_gradient(self, monkeypatch):
+        import pdmarl.critic
+        import pdmarl.occupancy
+        builds = []
+        for module in (pdmarl.critic, pdmarl.occupancy):
+            def counted(*args, _build=module.global_transition_matrix,
+                        **kwargs):
+                builds.append(1)
+                return _build(*args, **kwargs)
+            monkeypatch.setattr(module, "global_transition_matrix", counted)
+        m = chain(4)
+        cons = entropy_constraints(m, 0.2)
+        # P_pi is built once for the occupancy and once for all 2n Q columns
+        exact_truncated_pg(m, uniform_policy(m), None, cons, np.ones(4),
+                           kappa=1)
+        assert len(builds) == 2
+        exact_lagrangian_gradient(m, uniform_policy(m), None, cons, np.ones(4))
+        assert len(builds) == 4
 
     def test_zero_shadow_rewards_zero_gradient(self):
         m = chain(2)
