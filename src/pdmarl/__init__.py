@@ -5,9 +5,9 @@ __version__ = "0.1.0"
 
 from .graph import DependenceGraph, khop_neighborhood, line_graph
 from .model import (FactoredCMDP, TransitionKernel, LocalReward, DecayProfile,
-                    EnumerationCapExceeded, compute_decay_matrix, step)
+                    EnumerationCapExceeded, compute_decay_matrix)
 from .policy import KHopPolicy, induced_khop_policy, save_policy, load_policy
-from .sampling import TrajectoryBatch, sample_trajectories
+from .sampling import Simulator, TrajectoryBatch, sample_trajectories
 from .occupancy import (LocalOccupancy, GlobalOccupancy,
                         estimate_local_occupancy, exact_global_occupancy,
                         marginalize, state_marginal)

@@ -22,7 +22,7 @@ from .config import (ConfigError, ExperimentConfig, build_env,
                      build_train_config, build_utilities, check_policy_size,
                      derived_seed, load_config, serialize_config)
 from .policy import save_policy
-from .primal_dual import NumericAbort, train
+from .primal_dual import PHASES, NumericAbort, train
 
 SWEEP_AXES = ("kappa", "eta_mu", "threshold")
 
@@ -83,8 +83,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     _write_csv(metrics_path, _metrics_rows(state.history, cmdp.n_agents))
     # timing varies run to run, so it lives outside the deterministic CSV
     _write_csv(out / "timings.csv",
-               [["t", "elapsed_ms"]] + [[str(r.t), repr(r.elapsed_ms)]
-                                        for r in state.history])
+               [["t", "elapsed_ms"] + [f"{p}_ms" for p in PHASES]]
+               + [[str(r.t), repr(r.elapsed_ms)]
+                  + [repr(r.phase_ms[p]) for p in PHASES]
+                  for r in state.history])
     policy_path = out / "policy.csv"
     save_policy(state.policy, policy_path)
 

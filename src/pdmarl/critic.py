@@ -16,6 +16,7 @@ from .graph import khop_neighborhood
 from .model import (FactoredCMDP, LocalReward, global_transition_matrix,
                     DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded)
 from .policy import KHopPolicy
+from .sampling import Simulator
 from .utilities import ShadowReward
 from . import indexing
 
@@ -55,23 +56,28 @@ class TruncatedQTable:
     action_sizes: tuple
     table: np.ndarray  # (n_nbhd_states, n_nbhd_actions)
 
+    def cells(self, S, A):
+        """(row, column) index arrays at integer global state/action arrays
+        (..., n)."""
+        nbhd = list(self.nbhd)
+        return (S[..., nbhd] @ indexing.radix_weights(self.state_sizes),
+                A[..., nbhd] @ indexing.radix_weights(self.action_sizes))
+
     def at(self, S, A):
         """Table values at integer global state/action arrays (..., n)."""
-        nbhd = list(self.nbhd)
-        return self.table[S[..., nbhd] @ indexing.radix_weights(self.state_sizes),
-                          A[..., nbhd] @ indexing.radix_weights(self.action_sizes)]
+        return self.table[self.cells(S, A)]
 
 
-def _reward_lookup(cmdp, reward):
-    """Build a fast (state_list, action_list) -> float evaluator."""
+def _reward_series(reward, agent, S, A) -> np.ndarray:
+    """One agent's rewards along a trajectory of states/actions (T, n)."""
     if isinstance(reward, ShadowReward):
         reward = reward.table
     if isinstance(reward, np.ndarray):
-        return None, reward  # local (S_i, A_i) table, indexed by own pair
+        return reward[S[:, agent], A[:, agent]]  # local (S_i, A_i) table
     if isinstance(reward, LocalReward):
         if reward.table is None:
             raise ValueError("reward dependency space too large for TD lookup")
-        return reward, None
+        return reward.table[reward.row_indices(S, A)]
     raise TypeError(f"unsupported reward type {type(reward)!r}")
 
 
@@ -83,6 +89,10 @@ def td_evaluate(cmdp: FactoredCMDP, policy: KHopPolicy, rewards, kappa: int,
     transitions, and at step k updates only the cell visited at step k-1 with
     step size h/(k-1+k1). Tables are zero-initialized.
 
+    One ``Simulator`` rollout gives all K+1 states and actions; the Q cells
+    and rewards along it are encoded with array ops, and only the scalar
+    recursion runs step by step, over a dict of the visited cells.
+
     ``rewards`` lists one reward per agent: either a local (S_i, A_i) array /
     ShadowReward, or a LocalReward over a declared neighborhood.
     """
@@ -90,121 +100,37 @@ def td_evaluate(cmdp: FactoredCMDP, policy: KHopPolicy, rewards, kappa: int,
     if len(rewards) != n:
         raise ValueError("need one reward per agent")
     K = cfg.steps
-
-    # Per-agent precomputation, everything as plain Python lists: the loop is
-    # scalar work and list indexing is much faster than numpy scalars here.
-    pol_nbhd = [list(policy.neighborhood(i)) for i in range(n)]
-    pol_w = [list(indexing.radix_weights(policy.nbhd_state_sizes(i)))
-             for i in range(n)]
-    act_cdf = [np.cumsum(policy.prob_table(i), axis=1).tolist() for i in range(n)]
-
-    kern_idx = []
-    kern_cdf = []
-    for kern in cmdp.kernels:
-        w = list(indexing.radix_weights(kern.dep_sizes))
-        ns = len(kern.state_deps)
-        kern_idx.append((list(kern.state_deps), w[:ns],
-                         list(kern.action_deps), w[ns:]))
-        kern_cdf.append(np.cumsum(kern.table, axis=1).tolist())
-
-    q_nbhd = [list(khop_neighborhood(cmdp.graph, i, kappa)) for i in range(n)]
-    qs_sizes = [[cmdp.local_state_sizes[j] for j in q_nbhd[i]] for i in range(n)]
-    qa_sizes = [[cmdp.local_action_sizes[j] for j in q_nbhd[i]] for i in range(n)]
-    qs_w = [list(indexing.radix_weights(sz)) for sz in qs_sizes]
-    qa_w = [list(indexing.radix_weights(sz)) for sz in qa_sizes]
-    q_tabs = [[[0.0] * indexing.space_size(qa_sizes[i])
-               for _ in range(indexing.space_size(qs_sizes[i]))]
-              for i in range(n)]
-
-    rew = []
-    for r in rewards:
-        obj, tab = _reward_lookup(cmdp, r)
-        if obj is None:
-            rew.append(("local", tab.tolist(), None, None, None))
-        else:
-            w = list(indexing.radix_weights(obj.dep_sizes))
-            ns = len(obj.state_deps)
-            rew.append(("dep", obj.table.tolist(), list(obj.state_deps),
-                        w[:ns], (list(obj.action_deps), w[ns:])))
-
     u_init = rng.random(n)
     u_act = rng.random((K + 1, n))
     u_trans = rng.random((K, n))
-    gamma = cmdp.gamma
-    h, k1 = cfg.h, cfg.k1
 
     # uniform global initial state (product of per-agent uniforms)
-    s = [min(int(u_init[i] * cmdp.local_state_sizes[i]),
-             cmdp.local_state_sizes[i] - 1) for i in range(n)]
+    sizes = np.array(cmdp.local_state_sizes)
+    s0 = np.minimum((u_init * sizes).astype(np.int64), sizes - 1)
+    S, A = Simulator(cmdp, policy).rollout(s0, u_act, u_trans)
 
-    def pick(cdf_row, u):
-        for idx, c in enumerate(cdf_row):
-            if u < c:
-                return idx
-        return len(cdf_row) - 1
-
-    def act(s_cur, u_row):
-        a = []
-        for i in range(n):
-            row = 0
-            for j, w in zip(pol_nbhd[i], pol_w[i]):
-                row += s_cur[j] * w
-            a.append(pick(act_cdf[i][row], u_row[i]))
-        return a
-
-    def reward_at(i, s_cur, a_cur):
-        kind, tab, sdeps, sw, arest = rew[i]
-        if kind == "local":
-            return tab[s_cur[i]][a_cur[i]]
-        adeps, aw = arest
-        row = 0
-        for j, w in zip(sdeps, sw):
-            row += s_cur[j] * w
-        for j, w in zip(adeps, aw):
-            row += a_cur[j] * w
-        return tab[row]
-
-    def q_cell(i, s_cur, a_cur):
-        si = 0
-        for j, w in zip(q_nbhd[i], qs_w[i]):
-            si += s_cur[j] * w
-        ai = 0
-        for j, w in zip(q_nbhd[i], qa_w[i]):
-            ai += a_cur[j] * w
-        return si, ai
-
-    a = act(s, u_act[0])
-    prev_cells = [q_cell(i, s, a) for i in range(n)]
-    prev_rewards = [reward_at(i, s, a) for i in range(n)]
-    for k in range(1, K + 1):
-        s_next = []
-        for i in range(n):
-            sdeps, sw, adeps, aw = kern_idx[i]
-            row = 0
-            for j, w in zip(sdeps, sw):
-                row += s[j] * w
-            for j, w in zip(adeps, aw):
-                row += a[j] * w
-            s_next.append(pick(kern_cdf[i][row], u_trans[k - 1, i]))
-        a_next = act(s_next, u_act[k])
-        eta = h / (k - 1 + k1)
-        for i in range(n):
-            si, ai = prev_cells[i]
-            ni, nai = q_cell(i, s_next, a_next)
-            qi = q_tabs[i]
-            td_err = prev_rewards[i] + gamma * qi[ni][nai] - qi[si][ai]
-            qi[si][ai] += eta * td_err
-            prev_cells[i] = (ni, nai)
-            prev_rewards[i] = reward_at(i, s_next, a_next)
-        s, a = s_next, a_next
-
-    return [
-        TruncatedQTable(agent=i, kappa=kappa, nbhd=tuple(q_nbhd[i]),
-                        state_sizes=tuple(qs_sizes[i]),
-                        action_sizes=tuple(qa_sizes[i]),
-                        table=np.array(q_tabs[i]))
-        for i in range(n)
-    ]
+    gamma = cmdp.gamma
+    etas = [cfg.step_size(k) for k in range(K)]
+    out = []
+    for i, reward in enumerate(rewards):
+        nbhd = khop_neighborhood(cmdp.graph, i, kappa)
+        s_sizes = tuple(cmdp.local_state_sizes[j] for j in nbhd)
+        a_sizes = tuple(cmdp.local_action_sizes[j] for j in nbhd)
+        q_tab = TruncatedQTable(
+            agent=i, kappa=kappa, nbhd=nbhd, state_sizes=s_sizes,
+            action_sizes=a_sizes, table=np.zeros((indexing.space_size(s_sizes),
+                                                  indexing.space_size(a_sizes))))
+        cells = np.ravel_multi_index(q_tab.cells(S, A), q_tab.table.shape).tolist()
+        r = _reward_series(reward, i, S, A).tolist()
+        # the scalar recursion, over the visited cells only
+        q = {}
+        for k in range(K):
+            qc = q.get(cells[k], 0.0)
+            q[cells[k]] = qc + etas[k] * (r[k] + gamma * q.get(cells[k + 1], 0.0)
+                                          - qc)
+        q_tab.table.flat[list(q)] = list(q.values())
+        out.append(q_tab)
+    return out
 
 
 def lift_local_reward(cmdp: FactoredCMDP, agent: int, table) -> np.ndarray:

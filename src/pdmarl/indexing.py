@@ -8,7 +8,9 @@ Encoding is one dot product with ``radix_weights``: integer arrays of cells
 ``(..., k) @ radix_weights(sizes)``. That product is the row lookup of kernels
 and rewards (``model.DependencyRows.row_indices``), of policy tables
 (``KHopPolicy.nbhd_rows``) and of truncated-Q tables
-(``TruncatedQTable.at``). ``encode`` is its scalar, range-checked form.
+(``TruncatedQTable.cells``); ``sampling.Simulator`` stacks the same
+weights as columns of n x n matrices to look up every agent's row in one
+product. ``encode`` is its scalar, range-checked form.
 ``decode_table`` is the inverse over a whole space; the exact oracles build
 P_pi, pi(a|s) and the lifted rewards by broadcasting over it, and
 ``row_kron`` multiplies per-agent factors in the same digit order.

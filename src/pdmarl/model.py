@@ -231,15 +231,6 @@ class FactoredCMDP:
         return indexing.row_kron([np.asarray(d, dtype=float)
                                   for d in self.initial_dist])
 
-    def _validate_pair(self, s, a):
-        if len(s) != self.n_agents or len(a) != self.n_agents:
-            raise ValueError("state/action tuple length does not match agent count")
-        for i, (si, ai) in enumerate(zip(s, a)):
-            if not (0 <= si < self.local_state_sizes[i]):
-                raise ValueError(f"state {si} of agent {i} out of range")
-            if not (0 <= ai < self.local_action_sizes[i]):
-                raise ValueError(f"action {ai} of agent {i} out of range")
-
 
 @dataclass(frozen=True)
 class DecayProfile:
@@ -250,20 +241,6 @@ class DecayProfile:
     chi: float
     phi0: float
     contraction_ok: bool  # whether chi < 2 / gamma
-
-
-def step(cmdp: FactoredCMDP, s, a, rng) -> tuple:
-    """One factored transition: each next local state sampled independently.
-
-    Inverse-CDF sampling in fixed state order; deterministic given rng state.
-    """
-    cmdp._validate_pair(s, a)
-    u = rng.random(cmdp.n_agents)
-    out = []
-    for i, kern in enumerate(cmdp.kernels):
-        cdf = np.cumsum(kern.distribution(s, a))
-        out.append(int(np.searchsorted(cdf, u[i], side="right").clip(0, len(cdf) - 1)))
-    return tuple(out)
 
 
 def global_transition_matrix(cmdp: FactoredCMDP, policy,

@@ -133,12 +133,6 @@ class KHopPolicy:
         out[row, a_i] += 1.0
         return out
 
-    def sample_action(self, i, s_nbhd, rng) -> int:
-        """Inverse-CDF sample in fixed action order."""
-        cdf = np.cumsum(self.action_probabilities(i, s_nbhd))
-        u = rng.random()
-        return int(np.searchsorted(cdf, u, side="right").clip(0, len(cdf) - 1))
-
     def log_joint_probability(self, s, a) -> float:
         """Log probability of the global action under policy factorization."""
         total = 0.0

@@ -320,6 +320,25 @@ class IterationRecord:
     Y: float = None
     E: float = None
     elapsed_ms: float = 0.0
+    phase_ms: dict = field(default_factory=dict)  # PHASES -> wall-clock ms
+
+
+# Parts of one iteration timed by ``train``, in the order they run.
+PHASES = ("sample", "occupancy", "td_f", "td_g", "grad", "oracle")
+
+
+class _PhaseClock:
+    """Wall-clock ms per phase: each ``lap`` charges the time since the
+    previous lap to one phase."""
+
+    def __init__(self):
+        self.ms = dict.fromkeys(PHASES, 0.0)
+        self.started = self.last = time.perf_counter()
+
+    def lap(self, phase):
+        now = time.perf_counter()
+        self.ms[phase] += (now - self.last) * 1e3
+        self.last = now
 
 
 @dataclass
@@ -383,9 +402,10 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
             oracles_feasible = False
 
     for t in range(cfg.iterations):
-        started = time.perf_counter()
+        clock = _PhaseClock()
         batch = sample_trajectories(cmdp, policy, cfg.batch_size, cfg.horizon,
                                     _rng(seed, 1, t))
+        clock.lap("sample")
         lam = [estimate_local_occupancy(batch, i, cmdp.gamma, cfg.horizon,
                                         cmdp.local_state_sizes[i],
                                         cmdp.local_action_sizes[i])
@@ -403,9 +423,12 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
 
         if not np.all(np.isfinite(g_tilde)):
             raise NumericAbort(t, "constraint values")
+        clock.lap("occupancy")
 
         q_f = td_evaluate(cmdp, policy, r_f, cfg.kappa, td_cfg, _rng(seed, 2, t))
+        clock.lap("td_f")
         q_g = td_evaluate(cmdp, policy, r_g, cfg.kappa, td_cfg, _rng(seed, 3, t))
+        clock.lap("td_g")
         mu = dual_update(g_tilde, cfg.steps.dual_step(t), cfg.mu_bar, n)
         grads = truncated_pg_estimate(batch, policy, q_f, q_g, mu,
                                       cfg.kappa, cmdp.gamma)
@@ -417,6 +440,7 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
             violation=float(np.sum(np.maximum(0.0, -g_tilde))),
             mu=tuple(float(x) for x in mu.mu),
         )
+        clock.lap("grad")
         if oracles_feasible and t % cfg.oracle_every == 0:
             exact_g = exact_lagrangian_gradient(
                 cmdp, policy, objectives, constraints, mu.mu,
@@ -428,8 +452,11 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
             record.X, record.Y, record.E = fosp_metrics(
                 grad_flat, grad_mu, theta_flat, mu.mu,
                 cfg.theta_bar, cfg.mu_bar)
+        clock.lap("oracle")
         policy = policy_ascent(policy, grads, cfg.steps.eta_theta)
-        record.elapsed_ms = (time.perf_counter() - started) * 1e3
+        clock.lap("grad")
+        record.phase_ms = clock.ms
+        record.elapsed_ms = (time.perf_counter() - clock.started) * 1e3
         state.history.append(record)
         state.policy = policy
         state.mu = mu

@@ -177,7 +177,12 @@ class TestRunArtifacts:
                             "violation", "mu_0", "mu_1", "mu_2",
                             "X", "Y", "E"])
         timings = read_csv(out / "timings.csv")
-        assert timings[0] == ["t", "elapsed_ms"] and len(timings) == 9
+        assert timings[0] == ["t", "elapsed_ms", "sample_ms", "occupancy_ms",
+                              "td_f_ms", "td_g_ms", "grad_ms", "oracle_ms"]
+        assert len(timings) == 9
+        for row in timings[1:]:
+            elapsed, *phases = map(float, row[1:])
+            assert min(phases) >= 0.0 and sum(phases) <= elapsed
         pol = load_policy(out / "policy.csv")
         assert pol.kappa == 1
         with open(out / "manifest.json") as fh:

@@ -4,8 +4,9 @@ import pytest
 from pdmarl.graph import DependenceGraph, khop_neighborhood, line_graph
 from pdmarl.model import (FactoredCMDP, TransitionKernel, LocalReward,
                           EnumerationCapExceeded, compute_decay_matrix,
-                          global_transition_matrix, step)
+                          global_transition_matrix)
 from pdmarl.policy import KHopPolicy
+from pdmarl.sampling import Simulator, sample_trajectories
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
 
@@ -115,29 +116,35 @@ class TestKernels:
 
     def test_deterministic_kernel_step(self):
         m = chain(2)
+        sim = Simulator(m, uniform_policy(m))
         rng = np.random.default_rng(0)
         # agent 1 copies its action, agent 0 copies s_1
         for _ in range(20):
-            assert step(m, (0, 1), (0, 1), rng) == (1, 1)
-            assert step(m, (1, 1), (1, 0), rng) == (1, 0)
+            assert sim.transition(np.array([0, 1]), np.array([0, 1]),
+                                  rng.random(2)).tolist() == [1, 1]
+            assert sim.transition(np.array([1, 1]), np.array([1, 0]),
+                                  rng.random(2)).tolist() == [1, 0]
 
     def test_step_deterministic_given_stream(self):
         m = chain(4)
+        sim = Simulator(m, uniform_policy(m))
         out = []
         for _ in range(2):
             rng = np.random.default_rng(np.random.SeedSequence(42))
-            s = (0, 0, 0, 0)
+            s = np.zeros(4, dtype=np.int64)
             seq = []
             for _ in range(30):
-                s = step(m, s, (1, 1, 1, 1), rng)
-                seq.append(s)
+                s = sim.transition(s, np.ones(4, dtype=np.int64), rng.random(4))
+                seq.append(s.tolist())
             out.append(seq)
         assert out[0] == out[1]
 
     def test_malformed_pair_rejected(self):
         m = chain(2)
         with pytest.raises(ValueError):
-            step(m, (0, 5), (0, 0), np.random.default_rng(0))
+            sample_trajectories(m, uniform_policy(m), 1, 1,
+                                np.random.default_rng(0),
+                                initial_states=[(0, 5)])
 
 
 class TestGlobalTransitionMatrix:

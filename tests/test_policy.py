@@ -4,6 +4,7 @@ import pytest
 from pdmarl.graph import line_graph
 from pdmarl.policy import (KHopPolicy, induced_khop_policy, load_policy,
                            policy_state_sensitivity, save_policy)
+from pdmarl.sampling import InverseCdf
 
 
 def random_policy(n=3, kappa=1, seed=0, scale=1.0, sizes=2, asizes=2):
@@ -108,18 +109,24 @@ class TestScore:
         np.testing.assert_allclose(sc, fd, atol=1e-6)
 
 
+def sample_actions(pol, s, u):
+    """Joint actions at global state s, one draw per row of uniforms u."""
+    rows = [pol.nbhd_rows(i, np.asarray(s)) for i in range(pol.graph.n)]
+    cdf = InverseCdf([pol.prob_table(i) for i in range(pol.graph.n)])
+    return cdf.draw(np.broadcast_to(rows, u.shape), u)
+
+
 class TestSampling:
     def test_point_mass_policy(self):
         pol = KHopPolicy.zeros(line_graph(1), (1,), (3,), 0)
         pol = pol.with_theta([np.array([[-50.0, 50.0, -50.0]])])
         rng = np.random.default_rng(0)
-        assert all(pol.sample_action(0, (0,), rng) == 1 for _ in range(50))
+        assert np.all(sample_actions(pol, (0,), rng.random((50, 1))) == 1)
 
     def test_uniform_frequencies(self):
         pol = KHopPolicy.zeros(line_graph(1), (1,), (4,), 0)
         rng = np.random.default_rng(np.random.SeedSequence(19))
-        draws = np.array([pol.sample_action(0, (0,), rng)
-                          for _ in range(100_000)])
+        draws = sample_actions(pol, (0,), rng.random((100_000, 1)))[:, 0]
         freqs = np.bincount(draws, minlength=4) / len(draws)
         np.testing.assert_allclose(freqs, 0.25, atol=0.01)
 
@@ -128,8 +135,8 @@ class TestSampling:
         seqs = []
         for _ in range(2):
             rng = np.random.default_rng(np.random.SeedSequence(77))
-            seqs.append([pol.sample_action(0, (0, 1), rng)
-                         for _ in range(200)])
+            seqs.append(sample_actions(pol, (0, 1),
+                                       rng.random((200, 2)))[:, 0].tolist())
         assert seqs[0] == seqs[1]
 
 
