@@ -8,7 +8,7 @@ from .model import (FactoredCMDP, TransitionKernel, LocalReward, DecayProfile,
                     EnumerationCapExceeded, compute_decay_matrix)
 from .policy import KHopPolicy, induced_khop_policy, save_policy, load_policy
 from .sampling import Simulator, TrajectoryBatch, sample_trajectories
-from .occupancy import (LocalOccupancy, GlobalOccupancy,
+from .occupancy import (LocalOccupancy, GlobalOccupancy, ExactSolve,
                         estimate_local_occupancy, exact_global_occupancy,
                         marginalize, state_marginal)
 from .utilities import (GeneralUtility, ShadowReward, utility_value,

@@ -96,6 +96,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         "config": cfg.raw,
         "seed": cfg.seed,
         "iterations_completed": state.iteration,
+        "oracle": state.oracle,
         "final_return": final_return,
         "final_violation": final_violation,
         "metrics_sha256": _file_hash(metrics_path),
@@ -166,7 +167,7 @@ def _verify_checks():
     from .policy import KHopPolicy
     from .occupancy import exact_global_occupancy, flow_balance_residual
     from .utilities import GeneralUtility, ENTROPY, CONSTRAINT
-    from .critic import default_td_config, td_evaluate, TDConfig
+    from .critic import default_td_config, td_evaluate
     from .primal_dual import (exact_lagrangian_gradient, fd_lagrangian_gradient,
                               max_linear_over_box_ball)
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .graph import khop_neighborhood
-from .model import (FactoredCMDP, LocalReward, global_transition_matrix,
-                    DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded)
+from .model import (FactoredCMDP, LocalReward, DEFAULT_ENUMERATION_CAP,
+                    EnumerationCapExceeded)
+from .occupancy import ExactSolve
 from .policy import KHopPolicy
 from .sampling import Simulator
 from .utilities import ShadowReward
@@ -157,14 +157,12 @@ def lift_neighborhood_reward(cmdp: FactoredCMDP, reward: LocalReward,
 
 def full_q(cmdp: FactoredCMDP, policy: KHopPolicy, rewards,
            cap=DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """Exact Q-function(s): solves Q = r + gamma * P_pi^T Q by linear solve.
+    """Exact Q-function(s) solving Q = r + gamma * P_pi^T Q.
 
     ``rewards`` is a flat (|S||A|,) vector or an (|S||A|, m) matrix; the
-    output has the same shape.
+    output has the same shape (see ``ExactSolve.q``).
     """
-    P = global_transition_matrix(cmdp, policy, cap=cap)
-    r = np.asarray(rewards, dtype=float)
-    return scipy.linalg.solve(np.eye(P.shape[0]) - cmdp.gamma * P.T, r)
+    return ExactSolve(cmdp, policy, cap=cap).q(rewards)
 
 
 def truncate_q(cmdp: FactoredCMDP, q, agent: int, kappa: int,

@@ -243,6 +243,16 @@ class DecayProfile:
     contraction_ok: bool  # whether chi < 2 / gamma
 
 
+def next_state_kernel(cmdp: FactoredCMDP,
+                      cap=DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """Global next-state distributions P(s' | s, a) as an (S, A, S') array."""
+    cmdp.check_enumeration_cap(cap)
+    s_dec = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
+    a_dec = indexing.decode_table(cmdp.local_action_sizes)[None, :, :]
+    return indexing.row_kron([kern.table[kern.row_indices(s_dec, a_dec)]
+                              for kern in cmdp.kernels])
+
+
 def global_transition_matrix(cmdp: FactoredCMDP, policy,
                              cap=DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """State-action pair transition matrix under a policy.
@@ -250,13 +260,11 @@ def global_transition_matrix(cmdp: FactoredCMDP, policy,
     Entry ((s', a'), (s, a)) equals P(s' | s, a) * pi(a' | s'); columns are
     probability distributions. Pair indices are s_index * |A| + a_index.
     Built C-ordered over ((s, a), (s', a')) and returned as its transpose.
+    The exact oracles solve on the state chain instead
+    (``occupancy.ExactSolve``); this pair-level matrix is their reference.
     """
-    cmdp.check_enumeration_cap(cap)
     S, A = cmdp.n_states, cmdp.n_actions
-    s_dec = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
-    a_dec = indexing.decode_table(cmdp.local_action_sizes)[None, :, :]
-    nxt = indexing.row_kron([kern.table[kern.row_indices(s_dec, a_dec)]
-                             for kern in cmdp.kernels])  # (S, A, S')
+    nxt = next_state_kernel(cmdp, cap=cap)  # (S, A, S')
     pi = policy.joint_action_probabilities()  # (S', A')
     return (nxt[:, :, :, None] * pi).reshape(S * A, S * A).T
 

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import FactoredCMDP, global_transition_matrix, DEFAULT_ENUMERATION_CAP
+from .model import (FactoredCMDP, DEFAULT_ENUMERATION_CAP,
+                    global_transition_matrix, next_state_kernel)
 from .sampling import TrajectoryBatch
 
 EXACT_INFINITE = "exact-infinite"
@@ -87,18 +88,46 @@ def estimate_local_occupancy(batch: TrajectoryBatch, agent: int,
                           mass_convention=EMPIRICAL_H)
 
 
+class ExactSolve:
+    """One policy's global state chain, factored once for every exact oracle.
+
+    With M_pi(s, s') = sum_a pi(a|s) P(s'|s, a), the occupancy of a
+    stationary policy is lambda(s, a) = d(s) pi(a|s) where
+    (I - gamma M_pi)^T d = rho, and the Q-function of rewards R(s, a) is
+    Q = R + gamma * sum_s' P(s'|s, a) V(s') where (I - gamma M_pi) V = r_pi,
+    r_pi(s) = sum_a pi(a|s) R(s, a). One LU of the |S| x |S| matrix
+    I - gamma M_pi serves both, instead of solves over all |S||A| pairs.
+    """
+
+    def __init__(self, cmdp: FactoredCMDP, policy,
+                 cap=DEFAULT_ENUMERATION_CAP):
+        self.cmdp, self.cap = cmdp, cap
+        self.nxt = next_state_kernel(cmdp, cap=cap)  # (S, A, S')
+        self.pi = policy.joint_action_probabilities()  # (S, A)
+        M = np.einsum("sa,sat->st", self.pi, self.nxt)
+        self.lu = scipy.linalg.lu_factor(np.eye(len(M)) - cmdp.gamma * M)
+        d = scipy.linalg.lu_solve(self.lu, cmdp.initial_state_distribution(),
+                                  trans=1)
+        lam = np.maximum(d[:, None] * self.pi, 0.0)  # clip solver noise
+        self.occupancy = GlobalOccupancy(
+            table=lam.ravel(), state_sizes=tuple(cmdp.local_state_sizes),
+            action_sizes=tuple(cmdp.local_action_sizes))
+
+    def q(self, rewards) -> np.ndarray:
+        """Exact Q-function(s) of a flat (|S||A|,) reward vector or an
+        (|S||A|, m) matrix of reward columns; same shape out."""
+        S, A, _ = self.nxt.shape
+        R = np.asarray(rewards, dtype=float)
+        r_pi = np.einsum("sa,sa...->s...", self.pi,
+                         R.reshape((S, A) + R.shape[1:]))
+        V = scipy.linalg.lu_solve(self.lu, r_pi)
+        return R + self.cmdp.gamma * (self.nxt.reshape(S * A, S) @ V)
+
+
 def exact_global_occupancy(cmdp: FactoredCMDP, policy,
                            cap=DEFAULT_ENUMERATION_CAP) -> GlobalOccupancy:
-    """Solve (I - gamma * P_pi) lambda = rho_pi for the occupancy vector."""
-    P = global_transition_matrix(cmdp, policy, cap=cap)
-    rho = cmdp.initial_state_distribution()
-    pi = policy.joint_action_probabilities()
-    rho_pi = (rho[:, None] * pi).ravel()
-    lam = scipy.linalg.solve(np.eye(len(rho_pi)) - cmdp.gamma * P, rho_pi)
-    lam = np.maximum(lam, 0.0)  # clip solver noise at the boundary
-    return GlobalOccupancy(table=lam,
-                           state_sizes=tuple(cmdp.local_state_sizes),
-                           action_sizes=tuple(cmdp.local_action_sizes))
+    """Occupancy vector solving lambda = rho_pi + gamma * P_pi lambda."""
+    return ExactSolve(cmdp, policy, cap=cap).occupancy
 
 
 def flow_balance_residual(cmdp: FactoredCMDP, policy, occ: GlobalOccupancy,

@@ -10,15 +10,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import khop_neighborhood
-from .model import (FactoredCMDP, LocalReward, DEFAULT_ENUMERATION_CAP,
-                    EnumerationCapExceeded)
+from .model import FactoredCMDP, DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded
 from .policy import KHopPolicy
 from .sampling import TrajectoryBatch, sample_trajectories
-from .occupancy import (estimate_local_occupancy, exact_global_occupancy,
-                        marginalize)
-from .utilities import GeneralUtility, shadow_reward, utility_value
-from .critic import (TDConfig, default_td_config, td_evaluate, full_q,
-                     truncate_q, lift_local_reward, lift_neighborhood_reward)
+from .occupancy import ExactSolve, estimate_local_occupancy, marginalize
+from .utilities import shadow_reward, utility_value
+from .critic import (TDConfig, default_td_config, td_evaluate, truncate_q,
+                     lift_local_reward, lift_neighborhood_reward)
 from . import indexing
 
 
@@ -107,15 +105,15 @@ def policy_ascent(policy: KHopPolicy, grads, eta_theta: float) -> KHopPolicy:
 
 # -- exact oracles -----------------------------------------------------------
 
-def _global_shadow_rewards(cmdp, policy, objectives, constraints,
-                           cap=DEFAULT_ENUMERATION_CAP):
+def _global_shadow_rewards(solve: ExactSolve, objectives, constraints):
     """Exact occupancy plus lifted shadow-reward columns (f then g)."""
-    occ = exact_global_occupancy(cmdp, policy, cap=cap)
+    cmdp, occ = solve.cmdp, solve.occupancy
     cols_f, cols_g = [], []
     for i in range(cmdp.n_agents):
         local = marginalize(occ, i)
         if objectives is None:
-            cols_f.append(lift_neighborhood_reward(cmdp, cmdp.rewards[i], cap=cap))
+            cols_f.append(lift_neighborhood_reward(cmdp, cmdp.rewards[i],
+                                                   cap=solve.cap))
         else:
             cols_f.append(lift_local_reward(
                 cmdp, i, shadow_reward(objectives[i], local)))
@@ -136,26 +134,29 @@ def _score_accumulate(cmdp, policy, weights_by_agent):
 
 def exact_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
                               objectives, constraints, mu,
-                              cap=DEFAULT_ENUMERATION_CAP) -> list:
+                              cap=DEFAULT_ENUMERATION_CAP,
+                              solve: ExactSolve = None) -> list:
     """Exact policy gradient of the Lagrangian by full enumeration.
 
     Shadow rewards are evaluated at the exact local occupancies, their
     Q-functions solved exactly, and the expectation over the discounted
-    visitation measure taken as a weighted sum over all pairs.
+    visitation measure taken as a weighted sum over all pairs. ``solve`` is
+    this policy's ``ExactSolve`` when the caller already has one.
     """
     mu = np.asarray(mu, dtype=float)
-    occ, rf, rg = _global_shadow_rewards(cmdp, policy, objectives,
-                                         constraints, cap=cap)
+    solve = solve or ExactSolve(cmdp, policy, cap=cap)
+    occ, rf, rg = _global_shadow_rewards(solve, objectives, constraints)
     n = cmdp.n_agents
-    q = full_q(cmdp, policy, np.hstack([rf, rg]), cap=cap)
+    q = solve.q(np.hstack([rf, rg]))
     q_tot = (q[:, :n].sum(axis=1) + q[:, n:] @ mu) / n
     W = occ.table * q_tot
     return _score_accumulate(cmdp, policy, [W] * n)
 
 
 def exact_dual_gradient(cmdp: FactoredCMDP, policy: KHopPolicy, constraints,
-                        cap=DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    occ = exact_global_occupancy(cmdp, policy, cap=cap)
+                        cap=DEFAULT_ENUMERATION_CAP,
+                        solve: ExactSolve = None) -> np.ndarray:
+    occ = (solve or ExactSolve(cmdp, policy, cap=cap)).occupancy
     n = cmdp.n_agents
     return np.array([
         utility_value(constraints[i], marginalize(occ, i)) for i in range(n)
@@ -173,9 +174,9 @@ def exact_truncated_pg(cmdp: FactoredCMDP, policy: KHopPolicy,
     """
     mu = np.asarray(mu, dtype=float)
     n = cmdp.n_agents
-    occ, rf, rg = _global_shadow_rewards(cmdp, policy, objectives,
-                                         constraints, cap=cap)
-    q = full_q(cmdp, policy, np.hstack([rf, rg]), cap=cap)
+    solve = ExactSolve(cmdp, policy, cap=cap)
+    occ, rf, rg = _global_shadow_rewards(solve, objectives, constraints)
+    q = solve.q(np.hstack([rf, rg]))
     s_dec = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
     a_dec = indexing.decode_table(cmdp.local_action_sizes)[None, :, :]
 
@@ -196,7 +197,7 @@ def lagrangian_value(cmdp: FactoredCMDP, policy: KHopPolicy,
                      objectives, constraints, mu,
                      cap=DEFAULT_ENUMERATION_CAP) -> float:
     """Exact Lagrangian through exact occupancies (finite-difference target)."""
-    occ = exact_global_occupancy(cmdp, policy, cap=cap)
+    occ = ExactSolve(cmdp, policy, cap=cap).occupancy
     n = cmdp.n_agents
     mu = np.asarray(mu, dtype=float)
     total = 0.0
@@ -347,6 +348,8 @@ class TrainState:
     mu: DualVariable
     iteration: int
     history: list = field(default_factory=list)
+    # "off", "every N", or "skipped: <why the instance cannot be enumerated>"
+    oracle: str = "off"
 
 
 def _rng(seed, purpose, t):
@@ -392,14 +395,15 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
     else:
         policy = initial_policy
     mu = DualVariable(mu=np.zeros(n), mu_bar=cfg.mu_bar)
-    state = TrainState(policy=policy, mu=mu, iteration=0)
-
-    oracles_feasible = cfg.oracle_every > 0
-    if oracles_feasible:
+    oracle = "off"
+    if cfg.oracle_every > 0:
         try:
             cmdp.check_enumeration_cap(cfg.enumeration_cap)
-        except EnumerationCapExceeded:
-            oracles_feasible = False
+            oracle = f"every {cfg.oracle_every}"
+        except EnumerationCapExceeded as exc:
+            oracle = f"skipped: {exc}"
+    oracles_feasible = oracle.startswith("every")
+    state = TrainState(policy=policy, mu=mu, iteration=0, oracle=oracle)
 
     for t in range(cfg.iterations):
         clock = _PhaseClock()
@@ -442,11 +446,11 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
         )
         clock.lap("grad")
         if oracles_feasible and t % cfg.oracle_every == 0:
+            solve = ExactSolve(cmdp, policy, cap=cfg.enumeration_cap)
             exact_g = exact_lagrangian_gradient(
-                cmdp, policy, objectives, constraints, mu.mu,
-                cap=cfg.enumeration_cap)
+                cmdp, policy, objectives, constraints, mu.mu, solve=solve)
             grad_mu = exact_dual_gradient(cmdp, policy, constraints,
-                                          cap=cfg.enumeration_cap)
+                                          solve=solve)
             theta_flat = np.concatenate([t_.ravel() for t_ in policy.theta])
             grad_flat = np.concatenate([g.ravel() for g in exact_g])
             record.X, record.Y, record.E = fosp_metrics(

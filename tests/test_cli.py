@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdmarl
 from pdmarl.config import (ConfigError, build_env, build_train_config,
                            build_utilities, derived_seed, load_config,
                            parse_config, parse_config_dict, serialize_config)
@@ -189,7 +194,20 @@ class TestRunArtifacts:
             on_disk = json.load(fh)
         assert on_disk == manifest
         assert manifest["iterations_completed"] == 8
+        assert manifest["oracle"] == "off"
         assert load_config(out / "config.yaml").raw == cfg.raw
+
+    @pytest.mark.parametrize("n, status", [
+        (10, "skipped: |S||A| = 1048576 exceeds the enumeration cap 4096"),
+        (4, "every 1"),
+    ])
+    def test_manifest_says_why_oracle_columns_are_blank(self, tmp_path, n,
+                                                        status):
+        cfg = base_cfg(iterations=1, oracle_every=1,
+                       env={"name": "synthetic_line", "n": n})
+        assert run_experiment(cfg, tmp_path)["oracle"] == status
+        assert json.loads((tmp_path / "manifest.json").read_text())[
+            "oracle"] == status
 
     def test_zero_iterations_header_only(self, tmp_path):
         manifest = run_experiment(base_cfg(iterations=0), tmp_path)
@@ -325,3 +343,25 @@ class TestMainEntryPoint:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 7 and "FAIL" not in out
+
+
+class TestBlasThreads:
+    def test_metrics_identical_with_one_and_two_blas_threads(self, tmp_path):
+        # the exact-oracle columns X, Y, E are filled on every iteration
+        (tmp_path / "config.yaml").write_text(BASE_YAML.replace(
+            "n: 3", "n: 4").replace("iterations: 8", "iterations: 2\n"
+                                     "oracle_every: 1"))
+        src = str(Path(pdmarl.__file__).resolve().parents[1])
+        metrics = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "pdmarl.cli", "run",
+                            "--config", str(tmp_path / "config.yaml"),
+                            "--out", str(out)], env=env, check=True,
+                           capture_output=True)
+            metrics.append((out / "metrics.csv").read_bytes())
+        assert read_csv(tmp_path / "threads_1" / "metrics.csv")[1][-1] != ""
+        assert metrics[0] == metrics[1]

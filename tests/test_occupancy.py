@@ -6,11 +6,13 @@ from pdmarl.model import (FactoredCMDP, TransitionKernel, LocalReward,
                           global_transition_matrix)
 from pdmarl.policy import KHopPolicy
 from pdmarl.sampling import TrajectoryBatch, sample_trajectories
-from pdmarl.occupancy import (EMPIRICAL_H, LocalOccupancy,
+from pdmarl.occupancy import (EMPIRICAL_H, ExactSolve, LocalOccupancy,
                               empirical_mass, estimate_local_occupancy,
                               exact_global_occupancy, flow_balance_residual,
                               marginalize, state_marginal)
-from pdmarl.envs import SyntheticLineSpec, synthetic_line
+from pdmarl.critic import full_q, lift_neighborhood_reward
+from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
+                         wireless_grid)
 
 
 def chain(n, gamma=0.9):
@@ -209,3 +211,50 @@ class TestConvergence:
             emp = estimate_local_occupancy(batch, 0, 0.9, H, 2, 2)
             errs.append(float(np.abs(emp.table - exact).sum()))
         assert errs[0] > errs[1] > errs[2]
+
+
+def pair_level_reference(cmdp, policy, rewards):
+    """Occupancy and Q by dense solves over all (s, a) pairs."""
+    P = global_transition_matrix(cmdp, policy)
+    eye = np.eye(cmdp.n_pairs)
+    rho_pi = (cmdp.initial_state_distribution()[:, None]
+              * policy.joint_action_probabilities()).ravel()
+    lam = np.maximum(np.linalg.solve(eye - cmdp.gamma * P, rho_pi), 0.0)
+    return lam, np.linalg.solve(eye - cmdp.gamma * P.T, rewards)
+
+
+class TestStateChainSolve:
+    """The |S| x |S| state-chain solve against the |S||A| pair-level one."""
+
+    @pytest.mark.parametrize("env, kappa, theta", [
+        ("line4", 1, "random"), ("line4", 2, "random"),
+        ("line4", 1, "boundary"), ("line4", 2, "boundary"),
+        ("wireless2", 1, "random"), ("wireless2", 1, "boundary"),
+    ])
+    def test_matches_pair_level_solve(self, env, kappa, theta):
+        if env == "line4":
+            m = synthetic_line(SyntheticLineSpec(n=4, gamma=0.99))
+        else:
+            m = wireless_grid(WirelessGridSpec(side=2, deadline=1, gamma=0.95))
+        rng = np.random.default_rng(np.random.SeedSequence(kappa))
+        pol = KHopPolicy.random(m.graph, m.local_state_sizes,
+                                m.local_action_sizes, kappa, rng, scale=1.0)
+        if theta == "boundary":
+            # logits at +-theta_bar: action probabilities near e^-100
+            pol = pol.with_theta([pol.theta_bound * np.sign(t)
+                                  for t in pol.theta])
+            assert pol.joint_action_probabilities().min() < 1e-40
+        rewards = np.column_stack(
+            [lift_neighborhood_reward(m, r) for r in m.rewards]
+            + [rng.normal(size=m.n_pairs)])
+        lam_ref, q_ref = pair_level_reference(m, pol, rewards)
+
+        def close(new, ref):
+            return np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        solve = ExactSolve(m, pol)
+        assert close(solve.occupancy.table, lam_ref)
+        assert close(exact_global_occupancy(m, pol).table, lam_ref)
+        assert close(solve.q(rewards), q_ref)
+        assert close(full_q(m, pol, rewards), q_ref)
+        assert close(full_q(m, pol, rewards[:, -1]), q_ref[:, -1])

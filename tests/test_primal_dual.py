@@ -5,7 +5,7 @@ from pdmarl.graph import DependenceGraph, line_graph
 from pdmarl.model import FactoredCMDP, TransitionKernel, LocalReward
 from pdmarl.policy import KHopPolicy
 from pdmarl.sampling import TrajectoryBatch, sample_trajectories
-from pdmarl.critic import (TruncatedQTable, exact_truncated_q,
+from pdmarl.critic import (TDConfig, TruncatedQTable, exact_truncated_q,
                            lift_neighborhood_reward)
 from pdmarl.utilities import ENTROPY, LINEAR, GeneralUtility
 from pdmarl.primal_dual import (DualVariable, StepSizes, TrainConfig,
@@ -140,8 +140,9 @@ class TestTruncatedPGEstimate:
         mu = DualVariable(mu=mu_vec, mu_bar=10.0)
         exact = flat(exact_lagrangian_gradient(m, pol, None, cons, mu_vec))
 
+        from pdmarl.occupancy import ExactSolve
         from pdmarl.primal_dual import _global_shadow_rewards
-        _, rf, rg = _global_shadow_rewards(m, pol, None, cons)
+        _, rf, rg = _global_shadow_rewards(ExactSolve(m, pol), None, cons)
         q_f = [exact_truncated_q(m, pol, rf[:, j], j, 1) for j in range(2)]
         q_g = [exact_truncated_q(m, pol, rg[:, j], j, 1) for j in range(2)]
 
@@ -168,24 +169,39 @@ class TestExactOracles:
         b = flat(exact_lagrangian_gradient(m, pol, None, cons, mu))
         np.testing.assert_allclose(a, b, atol=1e-10)
 
+    @staticmethod
+    def count_factorizations(monkeypatch):
+        import scipy.linalg
+        calls = []
+
+        def counted(*args, _factor=scipy.linalg.lu_factor, **kwargs):
+            calls.append(1)
+            return _factor(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+        return calls
+
     def test_one_stacked_q_solve_per_gradient(self, monkeypatch):
-        import pdmarl.critic
-        import pdmarl.occupancy
-        builds = []
-        for module in (pdmarl.critic, pdmarl.occupancy):
-            def counted(*args, _build=module.global_transition_matrix,
-                        **kwargs):
-                builds.append(1)
-                return _build(*args, **kwargs)
-            monkeypatch.setattr(module, "global_transition_matrix", counted)
+        factored = self.count_factorizations(monkeypatch)
         m = chain(4)
         cons = entropy_constraints(m, 0.2)
-        # P_pi is built once for the occupancy and once for all 2n Q columns
+        # one LU of the state chain serves the occupancy and all 2n Q columns
         exact_truncated_pg(m, uniform_policy(m), None, cons, np.ones(4),
                            kappa=1)
-        assert len(builds) == 2
+        assert len(factored) == 1
         exact_lagrangian_gradient(m, uniform_policy(m), None, cons, np.ones(4))
-        assert len(builds) == 4
+        assert len(factored) == 2
+
+    def test_one_factorization_per_oracle_firing(self, monkeypatch):
+        factored = self.count_factorizations(monkeypatch)
+        m = chain(4)
+        cfg = TrainConfig(kappa=1, iterations=1, horizon=20, batch_size=2,
+                          steps=StepSizes(eta_theta=0.05, eta_mu=10.0),
+                          td=TDConfig(steps=50, h=20.0, k1=40.0),
+                          oracle_every=1)
+        state = train(m, None, entropy_constraints(m, 0.2), cfg, seed=0)
+        # the Lagrangian and the dual gradient share one context
+        assert len(factored) == 1
+        assert state.history[0].E is not None
 
     def test_zero_shadow_rewards_zero_gradient(self):
         m = chain(2)
@@ -380,6 +396,18 @@ class TestTrain:
                 assert r.E == pytest.approx(r.X ** 2 + r.Y ** 2)
             else:
                 assert r.X is None
+
+    @pytest.mark.parametrize("n, every, status", [
+        (10, 1, "skipped: |S||A| = 1048576 exceeds the enumeration cap 4096"),
+        (4, 1, "every 1"),
+        (3, 0, "off"),
+    ])
+    def test_oracle_status_on_state(self, n, every, status):
+        m, cons = small_train_setup(n=n)
+        state = train(m, None, cons,
+                      self.cfg(iterations=1, oracle_every=every), seed=0)
+        assert state.oracle == status
+        assert (state.history[0].X is not None) == (status == "every 1")
 
     def test_initial_policy_respected(self):
         m, cons = small_train_setup(n=2)
