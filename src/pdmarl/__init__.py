@@ -11,9 +11,8 @@ from .sampling import Simulator, TrajectoryBatch, sample_trajectories
 from .occupancy import (LocalOccupancy, GlobalOccupancy, ExactSolve,
                         estimate_local_occupancy, exact_global_occupancy,
                         marginalize, state_marginal)
-from .utilities import (GeneralUtility, ShadowReward, utility_value,
-                        shadow_reward, LINEAR, ENTROPY, L2_ACTION,
-                        OBJECTIVE, CONSTRAINT)
+from .utilities import (GeneralUtility, utility_value, shadow_reward,
+                        LINEAR, ENTROPY, L2_ACTION, OBJECTIVE, CONSTRAINT)
 from .critic import TDConfig, TruncatedQTable, default_td_config, td_evaluate
 from .primal_dual import (DualVariable, StepSizes, TrainConfig, TrainState,
                           NumericAbort, dual_update, truncated_pg_estimate,

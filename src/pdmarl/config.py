@@ -187,7 +187,35 @@ def parse_config_dict(data) -> ExperimentConfig:
             raise ConfigError("td.h and td.k1 must be given together")
         norm["td"] = td
 
+    # build_env and build_train_config make these again; here a bad value
+    # fails as a ConfigError, before any output exists
+    for block_name, build in (("env", _env_spec), ("td", _td_config)):
+        try:
+            build(norm)
+        except ValueError as exc:
+            raise ConfigError(f"invalid {block_name}: {exc}") from exc
     return ExperimentConfig(raw=norm)
+
+
+def _env_spec(norm):
+    """The SyntheticLineSpec or WirelessGridSpec of a normalized config."""
+    fields = {k: v for k, v in norm["env"].items() if k != "name"}
+    if norm["env"]["name"] == "synthetic_line":
+        return SyntheticLineSpec(gamma=norm["gamma"], **fields)
+    for key in ("p", "q"):
+        if key in fields:
+            fields[key] = tuple(fields[key])
+    return WirelessGridSpec(gamma=norm["gamma"], **fields)
+
+
+def _td_config(norm):
+    """The TDConfig of a normalized config; None leaves it to the trainer."""
+    td = norm.get("td")
+    if td is None:
+        return None
+    if "h" in td:
+        return TDConfig(steps=td.get("steps", 500), h=td["h"], k1=td["k1"])
+    return default_td_config(norm["gamma"], steps=td.get("steps", 500))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -208,16 +236,10 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def build_env(cfg: ExperimentConfig) -> FactoredCMDP:
-    env = dict(cfg["env"])
-    name = env.pop("name")
-    gamma = cfg["gamma"]
-    if name == "synthetic_line":
-        return synthetic_line(SyntheticLineSpec(gamma=gamma, **env))
-    if "p" in env:
-        env["p"] = tuple(env["p"])
-    if "q" in env:
-        env["q"] = tuple(env["q"])
-    return wireless_grid(WirelessGridSpec(gamma=gamma, **env))
+    spec = _env_spec(cfg.raw)
+    if isinstance(spec, SyntheticLineSpec):
+        return synthetic_line(spec)
+    return wireless_grid(spec)
 
 
 def check_policy_size(cfg: ExperimentConfig, cmdp: FactoredCMDP):
@@ -246,21 +268,13 @@ def build_utilities(cfg: ExperimentConfig, cmdp: FactoredCMDP):
 
 
 def build_train_config(cfg: ExperimentConfig) -> TrainConfig:
-    td = None
-    if "td" in cfg.raw:
-        block = cfg["td"]
-        if "h" in block:
-            td = TDConfig(steps=block.get("steps", 500), h=block["h"],
-                          k1=block["k1"])
-        else:
-            td = default_td_config(cfg["gamma"], steps=block.get("steps", 500))
     return TrainConfig(
         kappa=cfg["kappa"], iterations=cfg["iterations"],
         horizon=cfg["horizon"], batch_size=cfg["batch_size"],
         steps=StepSizes(eta_theta=cfg["eta_theta"], eta_mu=cfg["eta_mu"],
                         schedule=cfg["eta_mu_schedule"]),
-        mu_bar=cfg["mu_bar"], theta_bar=cfg["theta_bar"], td=td,
-        oracle_every=cfg["oracle_every"])
+        mu_bar=cfg["mu_bar"], theta_bar=cfg["theta_bar"],
+        td=_td_config(cfg.raw), oracle_every=cfg["oracle_every"])
 
 
 def derived_seed(base_seed: int, index: int) -> int:

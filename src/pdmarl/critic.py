@@ -17,7 +17,6 @@ from .model import (FactoredCMDP, LocalReward, DEFAULT_ENUMERATION_CAP,
 from .occupancy import ExactSolve
 from .policy import KHopPolicy
 from .sampling import Simulator
-from .utilities import ShadowReward
 from . import indexing
 
 
@@ -31,7 +30,8 @@ class TDConfig:
 
     def __post_init__(self):
         if self.steps < 1 or self.h <= 0 or self.k1 < 1:
-            raise ValueError("need steps >= 1, h > 0, k1 >= 1")
+            raise ValueError(f"need steps >= 1, h > 0, k1 >= 1; got steps "
+                             f"{self.steps}, h {self.h}, k1 {self.k1}")
 
     def step_size(self, k):
         return self.h / (k + self.k1)
@@ -59,9 +59,8 @@ class TruncatedQTable:
     def cells(self, S, A):
         """(row, column) index arrays at integer global state/action arrays
         (..., n)."""
-        nbhd = list(self.nbhd)
-        return (S[..., nbhd] @ indexing.radix_weights(self.state_sizes),
-                A[..., nbhd] @ indexing.radix_weights(self.action_sizes))
+        return (indexing.encode(S, self.nbhd, self.state_sizes),
+                indexing.encode(A, self.nbhd, self.action_sizes))
 
     def at(self, S, A):
         """Table values at integer global state/action arrays (..., n)."""
@@ -70,8 +69,6 @@ class TruncatedQTable:
 
 def _reward_series(reward, agent, S, A) -> np.ndarray:
     """One agent's rewards along a trajectory of states/actions (T, n)."""
-    if isinstance(reward, ShadowReward):
-        reward = reward.table
     if isinstance(reward, np.ndarray):
         return reward[S[:, agent], A[:, agent]]  # local (S_i, A_i) table
     if isinstance(reward, LocalReward):
@@ -93,8 +90,8 @@ def td_evaluate(cmdp: FactoredCMDP, policy: KHopPolicy, rewards, kappa: int,
     and rewards along it are encoded with array ops, and only the scalar
     recursion runs step by step, over a dict of the visited cells.
 
-    ``rewards`` lists one reward per agent: either a local (S_i, A_i) array /
-    ShadowReward, or a LocalReward over a declared neighborhood.
+    ``rewards`` lists one reward per agent: either a local (S_i, A_i) array
+    (a shadow reward), or a LocalReward over a declared neighborhood.
     """
     n = cmdp.n_agents
     if len(rewards) != n:
@@ -135,8 +132,6 @@ def td_evaluate(cmdp: FactoredCMDP, policy: KHopPolicy, rewards, kappa: int,
 
 def lift_local_reward(cmdp: FactoredCMDP, agent: int, table) -> np.ndarray:
     """Expand a (S_i, A_i) reward table to the flat global pair vector."""
-    if isinstance(table, ShadowReward):
-        table = table.table
     s_dec = indexing.decode_table(cmdp.local_state_sizes)[:, agent]
     a_dec = indexing.decode_table(cmdp.local_action_sizes)[:, agent]
     return np.asarray(table)[s_dec[:, None], a_dec[None, :]].ravel()

@@ -4,16 +4,16 @@ Tuples are encoded in ascending agent order with the first (lowest-index)
 agent most significant, i.e. the same convention as numpy's C-order
 ravel_multi_index. This encoding is part of the on-disk checkpoint format.
 
-Encoding is one dot product with ``radix_weights``: integer arrays of cells
-``(..., k) @ radix_weights(sizes)``. That product is the row lookup of kernels
-and rewards (``model.DependencyRows.row_indices``), of policy tables
+``encode`` is the one encoder: it maps integer arrays of global states or
+actions ``(..., n)`` to the rows of the cells read at ``positions``, as one
+product with ``radix_weights``. It is the row lookup of kernels and rewards
+(``model.DependencyRows.row_indices``), of policy tables
 (``KHopPolicy.nbhd_rows``) and of truncated-Q tables
 (``TruncatedQTable.cells``); ``sampling.Simulator`` stacks the same
 weights as columns of n x n matrices to look up every agent's row in one
-product. ``encode`` is its scalar, range-checked form.
-``decode_table`` is the inverse over a whole space; the exact oracles build
-P_pi, pi(a|s) and the lifted rewards by broadcasting over it, and
-``row_kron`` multiplies per-agent factors in the same digit order.
+product. ``decode_table`` is the inverse over a whole space; the exact
+oracles build P_pi, pi(a|s) and the lifted rewards by broadcasting over it,
+and ``row_kron`` multiplies per-agent factors in the same digit order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 
 def radix_weights(sizes) -> np.ndarray:
-    """Per-position multipliers such that encode(v) = v . weights."""
+    """Per-position multipliers: the row of cell v is v . weights."""
     sizes = np.asarray(sizes, dtype=np.int64)
     w = np.ones(len(sizes), dtype=np.int64)
     for k in range(len(sizes) - 2, -1, -1):
@@ -32,13 +32,10 @@ def radix_weights(sizes) -> np.ndarray:
     return w
 
 
-def encode(values, sizes) -> int:
-    idx = 0
-    for v, m in zip(values, sizes):
-        if not (0 <= v < m):
-            raise ValueError(f"value {v} out of range [0, {m})")
-        idx = idx * m + v
-    return idx
+def encode(X, positions, sizes) -> np.ndarray:
+    """Rows of the cells ``X[..., positions]`` of integer arrays (..., n),
+    with ``sizes`` the radices of those positions."""
+    return np.asarray(X)[..., list(positions)] @ radix_weights(sizes)
 
 
 def space_size(sizes) -> int:

@@ -48,10 +48,11 @@ class DependencyRows:
 
     def row_indices(self, S, A):
         """Rows at integer state/action arrays (..., n); S and A broadcast."""
-        w = indexing.radix_weights(self.dep_sizes)
         ns = len(self.state_deps)
-        return (np.asarray(S)[..., list(self.state_deps)] @ w[:ns]
-                + np.asarray(A)[..., list(self.action_deps)] @ w[ns:])
+        a_sizes = self.dep_sizes[ns:]
+        return (indexing.encode(S, self.state_deps, self.dep_sizes[:ns])
+                * indexing.space_size(a_sizes)
+                + indexing.encode(A, self.action_deps, a_sizes))
 
 
 @dataclass(frozen=True)
@@ -121,9 +122,6 @@ class TransitionKernel(DependencyRows):
                     )
         return cls(agent, state_deps, action_deps, dep_sizes, table)
 
-    def distribution(self, s, a):
-        return self.table[self.row_indices(s, a)]
-
 
 @dataclass(frozen=True)
 class LocalReward(DependencyRows):
@@ -158,13 +156,6 @@ class LocalReward(DependencyRows):
                 dtype=float,
             )
         return cls(agent, state_deps, action_deps, dep_sizes, fn, table)
-
-    def value(self, s, a):
-        """Reward at global state/action tuples."""
-        if self.table is not None:
-            return float(self.table[self.row_indices(s, a)])
-        return float(self.fn(tuple(s[j] for j in self.state_deps),
-                             tuple(a[j] for j in self.action_deps)))
 
     @property
     def max_abs(self):

@@ -12,25 +12,19 @@ from .model import (FactoredCMDP, DEFAULT_ENUMERATION_CAP,
                     global_transition_matrix, next_state_kernel)
 from .sampling import TrajectoryBatch
 
-EXACT_INFINITE = "exact-infinite"
-EMPIRICAL_H = "empirical-H"
-
 
 @dataclass(frozen=True)
 class LocalOccupancy:
     """Discounted state-action visitation weights of one agent.
 
-    ``mass_convention`` records the total-mass semantics: an exact solve sums
-    to 1/(1-gamma), a horizon-H empirical estimate to (1-gamma^H)/(1-gamma).
+    An exact solve sums to 1/(1-gamma), a horizon-H empirical estimate to
+    (1-gamma^H)/(1-gamma).
     """
 
     agent: int
     table: np.ndarray  # (S_i, A_i)
-    mass_convention: str
 
     def __post_init__(self):
-        if self.mass_convention not in (EXACT_INFINITE, EMPIRICAL_H):
-            raise ValueError(f"unknown mass convention {self.mass_convention!r}")
         if np.any(self.table < 0):
             raise ValueError("occupancy entries must be nonnegative")
 
@@ -56,12 +50,6 @@ class GlobalOccupancy:
         return self.table.reshape(tuple(self.state_sizes) + tuple(self.action_sizes))
 
 
-@dataclass(frozen=True)
-class StateMarginal:
-    agent: int
-    probs: np.ndarray
-
-
 def estimate_local_occupancy(batch: TrajectoryBatch, agent: int,
                              gamma: float, horizon: int,
                              state_size: int, action_size: int) -> LocalOccupancy:
@@ -84,8 +72,7 @@ def estimate_local_occupancy(batch: TrajectoryBatch, agent: int,
         np.add.at(table, flat[b], discounts)
     table /= batch.batch_size
     return LocalOccupancy(agent=agent,
-                          table=table.reshape(state_size, action_size),
-                          mass_convention=EMPIRICAL_H)
+                          table=table.reshape(state_size, action_size))
 
 
 class ExactSolve:
@@ -145,17 +132,10 @@ def marginalize(occ: GlobalOccupancy, agent: int) -> LocalOccupancy:
     n = len(occ.state_sizes)
     shaped = occ.reshaped()
     axes = tuple(k for k in range(2 * n) if k not in (agent, n + agent))
-    return LocalOccupancy(agent=agent, table=shaped.sum(axis=axes),
-                          mass_convention=EXACT_INFINITE)
+    return LocalOccupancy(agent=agent, table=shaped.sum(axis=axes))
 
 
-def state_marginal(occ: LocalOccupancy, gamma: float) -> StateMarginal:
+def state_marginal(occ: LocalOccupancy, gamma: float) -> np.ndarray:
     """d_i(s) = (1 - gamma) * sum_a lambda_i(s, a)."""
-    return StateMarginal(agent=occ.agent,
-                         probs=(1.0 - gamma) * occ.table.sum(axis=1))
-
-
-def empirical_mass(gamma: float, horizon: int) -> float:
-    """Total mass contributed by one horizon-H trajectory."""
-    return float(np.sum(gamma ** np.arange(horizon)))
+    return (1.0 - gamma) * occ.table.sum(axis=1)
 

@@ -81,6 +81,8 @@ class KHopPolicy:
         return base.with_theta(tables)
 
     def with_theta(self, tables):
+        """Policy with the given tables clamped to the parameter box (the
+        Euclidean projection onto it)."""
         clipped = tuple(np.clip(np.asarray(t, dtype=float),
                                 -self.theta_bound, self.theta_bound)
                         for t in tables)
@@ -98,60 +100,22 @@ class KHopPolicy:
     def n_nbhd_states(self, i):
         return indexing.space_size(self.nbhd_state_sizes(i))
 
-    def encode_nbhd_state(self, i, s_nbhd):
-        return indexing.encode(s_nbhd, self.nbhd_state_sizes(i))
-
     def nbhd_rows(self, i, S):
         """Table rows of agent i at integer global-state arrays (..., n)."""
-        return (S[..., list(self.neighborhood(i))]
-                @ indexing.radix_weights(self.nbhd_state_sizes(i)))
-
-    def nbhd_state_from_global(self, i, s):
-        return tuple(s[j] for j in self.neighborhood(i))
+        return indexing.encode(S, self.neighborhood(i),
+                               self.nbhd_state_sizes(i))
 
     # -- distributions -----------------------------------------------------
-
-    def action_probabilities(self, i, s_nbhd) -> np.ndarray:
-        """Softmax over actions for one neighborhood state (stable form)."""
-        row = self.theta[i][self.encode_nbhd_state(i, s_nbhd)]
-        return _softmax_rows(row)
 
     def prob_table(self, i) -> np.ndarray:
         """All action distributions of agent i, shape (n_nbhd_states, A_i)."""
         return _softmax_rows(self.theta[i])
-
-    def score(self, i, s_nbhd, a_i) -> np.ndarray:
-        """Gradient of log pi_i(a_i | s_nbhd) w.r.t. the theta_i table.
-
-        Nonzero only in the row of s_nbhd: entry b is 1{b == a_i} - pi(b).
-        """
-        if not (0 <= a_i < self.action_sizes[i]):
-            raise ValueError(f"action {a_i} out of range for agent {i}")
-        out = np.zeros_like(self.theta[i])
-        row = self.encode_nbhd_state(i, s_nbhd)
-        out[row] = -self.action_probabilities(i, s_nbhd)
-        out[row, a_i] += 1.0
-        return out
-
-    def log_joint_probability(self, s, a) -> float:
-        """Log probability of the global action under policy factorization."""
-        total = 0.0
-        for i in range(self.graph.n):
-            probs = self.action_probabilities(i, self.nbhd_state_from_global(i, s))
-            total += float(np.log(probs[a[i]]))
-        return total
 
     def joint_action_probabilities(self) -> np.ndarray:
         """Matrix pi(a | s) over global states/actions (enumeration only)."""
         s_dec = indexing.decode_table(self.state_sizes)
         return indexing.row_kron([self.prob_table(i)[self.nbhd_rows(i, s_dec)]
                                   for i in range(self.graph.n)])
-
-    # -- updates -----------------------------------------------------------
-
-    def project_params(self, proposed) -> "KHopPolicy":
-        """Euclidean projection onto the parameter box (coordinatewise clamp)."""
-        return self.with_theta(proposed)
 
 
 def induced_khop_policy(policy: KHopPolicy, kappa: int, anchor_state) -> KHopPolicy:

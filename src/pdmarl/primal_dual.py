@@ -100,7 +100,7 @@ def policy_ascent(policy: KHopPolicy, grads, eta_theta: float) -> KHopPolicy:
         if g.shape != t.shape:
             raise ValueError(f"gradient shape {g.shape} does not match {t.shape}")
         new.append(t + eta_theta * g)
-    return policy.project_params(new)
+    return policy.with_theta(new)
 
 
 # -- exact oracles -----------------------------------------------------------
@@ -307,7 +307,8 @@ class TrainConfig:
         if self.iterations < 0 or self.horizon < 1 or self.batch_size < 1:
             raise ValueError("invalid iteration/horizon/batch configuration")
         if self.kappa < 0 or self.mu_bar <= 0 or self.theta_bar <= 0:
-            raise ValueError("kappa, mu_bar and theta_bar must be positive")
+            raise ValueError("kappa must be nonnegative, mu_bar and theta_bar "
+                             "positive")
 
 
 @dataclass

@@ -49,17 +49,6 @@ class GeneralUtility:
         return replace(self, role=CONSTRAINT, threshold=float(threshold))
 
 
-@dataclass(frozen=True)
-class ShadowReward:
-    """Gradient of a utility w.r.t. the local occupancy table."""
-
-    table: np.ndarray  # (S_i, A_i)
-
-    @property
-    def inf_norm(self):
-        return float(np.max(np.abs(self.table)))
-
-
 def _raw_value(u: GeneralUtility, occ: LocalOccupancy) -> float:
     if np.any(np.isnan(occ.table)):
         raise ValueError("occupancy table contains NaN")
@@ -70,7 +59,7 @@ def _raw_value(u: GeneralUtility, occ: LocalOccupancy) -> float:
                 f"shape {occ.table.shape}")
         return float(np.sum(u.reward * occ.table))
     if u.kind == ENTROPY:
-        d = state_marginal(occ, u.gamma).probs
+        d = state_marginal(occ, u.gamma)
         safe = np.maximum(d, ENTROPY_FLOOR)
         return float(-np.sum(np.where(d > 0, d * np.log(safe), 0.0)))
     # L2_ACTION: (1-gamma)^2 / 2 * ||m||_2^2 with m(a) = sum_s lambda(s, a)
@@ -85,23 +74,23 @@ def utility_value(u: GeneralUtility, occ: LocalOccupancy) -> float:
     return raw - u.threshold if u.role == CONSTRAINT else raw
 
 
-def shadow_reward(u: GeneralUtility, occ: LocalOccupancy) -> ShadowReward:
-    """Analytic gradient of the utility w.r.t. the occupancy table."""
+def shadow_reward(u: GeneralUtility, occ: LocalOccupancy) -> np.ndarray:
+    """Analytic gradient of the utility w.r.t. the occupancy table, an
+    (S_i, A_i) array."""
     if u.kind == LINEAR:
-        return ShadowReward(table=np.array(u.reward, dtype=float))
+        return np.array(u.reward, dtype=float)
     if u.kind == ENTROPY:
-        d = state_marginal(occ, u.gamma).probs
+        d = state_marginal(occ, u.gamma)
         grad_d = -(np.log(np.maximum(d, ENTROPY_FLOOR)) + 1.0)
-        table = (1.0 - u.gamma) * np.repeat(
+        return (1.0 - u.gamma) * np.repeat(
             grad_d[:, None], occ.table.shape[1], axis=1)
-        return ShadowReward(table=table)
     m = occ.table.sum(axis=0)
-    table = (1.0 - u.gamma) ** 2 * np.repeat(
+    return (1.0 - u.gamma) ** 2 * np.repeat(
         m[None, :], occ.table.shape[0], axis=0)
-    return ShadowReward(table=table)
 
 
-def fd_gradient(u: GeneralUtility, occ: LocalOccupancy, h: float = 1e-6) -> ShadowReward:
+def fd_gradient(u: GeneralUtility, occ: LocalOccupancy,
+                h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient oracle, one coordinate at a time.
 
     Linear and l2 utilities extend smoothly to negative entries so plain
@@ -123,10 +112,9 @@ def fd_gradient(u: GeneralUtility, occ: LocalOccupancy, h: float = 1e-6) -> Shad
         else:
             minus[idx] -= h
         lo = base[idx] - minus[idx]
-        occ_p = _Perturbed(occ.agent, plus, occ.mass_convention)
-        occ_m = _Perturbed(occ.agent, minus, occ.mass_convention)
-        grad[idx] = (_raw_value(u, occ_p) - _raw_value(u, occ_m)) / (h + lo)
-    return ShadowReward(table=grad)
+        grad[idx] = (_raw_value(u, _Perturbed(plus))
+                     - _raw_value(u, _Perturbed(minus))) / (h + lo)
+    return grad
 
 
 @dataclass(frozen=True)
@@ -134,6 +122,4 @@ class _Perturbed:
     """Occupancy stand-in that skips the nonnegativity check; only the
     finite-difference oracle may dip below zero."""
 
-    agent: int
     table: np.ndarray
-    mass_convention: str

@@ -316,6 +316,25 @@ class TestMainEntryPoint:
             assert part in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, reason", [
+        ("td:\n  steps: 100", "td:\n  steps: 0", "steps >= 1"),
+        ("td:\n  steps: 100", "td:\n  h: -1.0\n  k1: 1.0", "h > 0"),
+        ("  n: 3", "  n: 1", "at least 2 agents"),
+        ("  name: synthetic_line\n  n: 3",
+         "  name: wireless_grid\n  side: 1\n  deadline: 1", "side >= 2"),
+        ("  name: synthetic_line\n  n: 3",
+         "  name: wireless_grid\n  side: 2\n  deadline: 1\n  p: [0.5]",
+         "p must have 4 entries"),
+    ], ids=["td_steps_0", "td_h_negative", "line_n_1", "grid_side_1",
+            "grid_p_short"])
+    def test_bad_env_or_td_exit_one(self, tmp_path, capsys, old, new, reason):
+        cfg_path = self.write_config(tmp_path, BASE_YAML.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and reason in err
+        assert not out.exists()
+
     def test_missing_file_exit_one(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 1
         assert "config error" in capsys.readouterr().err

@@ -42,6 +42,11 @@ def env_reward_columns(cmdp):
                             for r in cmdp.rewards])
 
 
+def lookup(f, s, a):
+    """Entry of a kernel or reward table at global state/action tuples."""
+    return f.table[f.row_indices(np.array(s), np.array(a))]
+
+
 class TestTDConfig:
     def test_default_schedule_constants(self):
         cfg = default_td_config(0.99)
@@ -221,4 +226,4 @@ class TestRewardLifting:
         states = np.ndindex(*m.local_state_sizes)
         for si, s in enumerate(states):
             for ai, a in enumerate(np.ndindex(*m.local_action_sizes)):
-                assert flat[si * 8 + ai] == m.rewards[0].value(s, a)
+                assert flat[si * 8 + ai] == lookup(m.rewards[0], s, a)

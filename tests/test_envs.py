@@ -11,6 +11,11 @@ from pdmarl.policy import KHopPolicy
 from pdmarl.sampling import sample_trajectories
 
 
+def lookup(f, s, a):
+    """Entry of a kernel or reward table at global state/action tuples."""
+    return f.table[f.row_indices(np.array(s), np.array(a))]
+
+
 def mean_return(cmdp, policy):
     occ = exact_global_occupancy(cmdp, policy)
     vals = [lift_neighborhood_reward(cmdp, r) @ occ.table
@@ -36,15 +41,15 @@ class TestSyntheticLine:
         m = synthetic_line(SyntheticLineSpec(n=5, gamma=0.9))
         s_on = (1,) * 5
         a = (0,) * 5
-        assert m.rewards[0].value(s_on, a) == 1.0
-        assert m.rewards[4].value(s_on, a) == 0.1
-        assert m.rewards[2].value((1, 1, 0, 1, 1), a) == 0.0
+        assert lookup(m.rewards[0], s_on, a) == 1.0
+        assert lookup(m.rewards[4], s_on, a) == 0.1
+        assert lookup(m.rewards[2], (1, 1, 0, 1, 1), a) == 0.0
 
     def test_custom_reward_levels(self):
         m = synthetic_line(SyntheticLineSpec(n=2, gamma=0.5, reward_head=3.0,
                                              reward_rest=0.7))
-        assert m.rewards[0].value((1, 0), (0, 0)) == 3.0
-        assert m.rewards[1].value((0, 1), (0, 0)) == 0.7
+        assert lookup(m.rewards[0], (1, 0), (0, 0)) == 3.0
+        assert lookup(m.rewards[1], (0, 1), (0, 0)) == 0.7
 
     def test_head_copies_right_neighbor(self):
         m = synthetic_line(SyntheticLineSpec(n=3, gamma=0.9))
@@ -127,25 +132,25 @@ class TestWirelessGrid:
         m = wireless_grid(spec)
         s = (1, 1, 0, 0)
         both = (1, 1, 0, 0)
-        assert m.rewards[0].value(s, both) == 0.0
-        assert m.rewards[1].value(s, both) == 0.0
+        assert lookup(m.rewards[0], s, both) == 0.0
+        assert lookup(m.rewards[1], s, both) == 0.0
         solo = (1, 0, 0, 0)
-        assert m.rewards[0].value(s, solo) == pytest.approx(0.7)
+        assert lookup(m.rewards[0], s, solo) == pytest.approx(0.7)
 
     def test_empty_queue_or_idle_earns_nothing(self):
         spec = WirelessGridSpec(side=2, deadline=1, gamma=0.9,
                                 p=(0.5,) * 4, q=(0.7,))
         m = wireless_grid(spec)
-        assert m.rewards[0].value((0, 0, 0, 0), (1, 0, 0, 0)) == 0.0
-        assert m.rewards[0].value((1, 0, 0, 0), (0, 0, 0, 0)) == 0.0
+        assert lookup(m.rewards[0], (0, 0, 0, 0), (1, 0, 0, 0)) == 0.0
+        assert lookup(m.rewards[0], (1, 0, 0, 0), (0, 0, 0, 0)) == 0.0
 
     def test_empty_transmitters_do_not_collide(self):
         spec = WirelessGridSpec(side=2, deadline=1, gamma=0.9,
                                 p=(0.5,) * 4, q=(0.7,))
         m = wireless_grid(spec)
         # user 1 transmits from an empty queue: user 0 still succeeds
-        assert m.rewards[0].value((1, 0, 0, 0),
-                                  (1, 1, 1, 1)) == pytest.approx(0.7)
+        assert lookup(m.rewards[0], (1, 0, 0, 0),
+                      (1, 1, 1, 1)) == pytest.approx(0.7)
 
     def test_total_reward_bounded_by_points_exhaustive(self):
         spec = WirelessGridSpec(side=2, deadline=1, gamma=0.9,
@@ -154,7 +159,7 @@ class TestWirelessGrid:
         cap = spec.n_points * 0.7
         for s in itertools.product(range(2), repeat=4):
             for a in itertools.product(range(2), repeat=4):
-                total = sum(r.value(s, a) for r in m.rewards)
+                total = sum(lookup(r, s, a) for r in m.rewards)
                 assert total <= cap + 1e-12
 
     def test_queue_transition_arithmetic(self):

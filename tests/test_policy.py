@@ -4,6 +4,7 @@ import pytest
 from pdmarl.graph import line_graph
 from pdmarl.policy import (KHopPolicy, induced_khop_policy, load_policy,
                            policy_state_sensitivity, save_policy)
+from pdmarl.primal_dual import _score_sum
 from pdmarl.sampling import InverseCdf
 
 
@@ -14,22 +15,38 @@ def random_policy(n=3, kappa=1, seed=0, scale=1.0, sizes=2, asizes=2):
                              scale=scale)
 
 
+def nbhd_row(pol, i, s_nbhd):
+    """Reference table row of a neighborhood state, by C-order raveling."""
+    return np.ravel_multi_index(s_nbhd, pol.nbhd_state_sizes(i))
+
+
+def probs_at(pol, i, s_nbhd):
+    return pol.prob_table(i)[nbhd_row(pol, i, s_nbhd)]
+
+
+def score(pol, i, s_nbhd, a):
+    """Gradient of log pi_i(a | s_nbhd) w.r.t. theta_i: one unit-weight
+    sample through the trainer's score sum."""
+    return _score_sum(pol, i, np.array([nbhd_row(pol, i, s_nbhd)]),
+                      np.array([a]), np.array([1.0]))
+
+
 class TestDistributions:
     def test_zero_logits_uniform(self):
         pol = KHopPolicy.zeros(line_graph(2), (2, 2), (2, 2), 1)
-        np.testing.assert_allclose(pol.action_probabilities(0, (0, 0)),
+        np.testing.assert_allclose(probs_at(pol, 0, (0, 0)),
                                    [0.5, 0.5])
 
     def test_softmax_arithmetic(self):
         pol = KHopPolicy.zeros(line_graph(1), (1,), (2,), 0)
         pol = pol.with_theta([np.array([[np.log(3.0), 0.0]])])
-        np.testing.assert_allclose(pol.action_probabilities(0, (0,)),
+        np.testing.assert_allclose(probs_at(pol, 0, (0,)),
                                    [0.75, 0.25], rtol=1e-12)
 
     def test_extreme_logits_no_overflow(self):
         pol = KHopPolicy.zeros(line_graph(1), (1,), (2,), 0)
         pol = pol.with_theta([np.array([[50.0, -50.0]])])
-        probs = pol.action_probabilities(0, (0,))
+        probs = probs_at(pol, 0, (0,))
         assert np.all(np.isfinite(probs))
         assert probs[0] == pytest.approx(1.0)
 
@@ -40,42 +57,33 @@ class TestDistributions:
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(probs > 0)
 
-    def test_factorization_of_joint_log_prob(self):
-        pol = random_policy(n=3, kappa=1, seed=2)
-        s, a = (1, 0, 1), (0, 1, 1)
-        expected = sum(
-            np.log(pol.action_probabilities(
-                i, pol.nbhd_state_from_global(i, s))[a[i]])
-            for i in range(3))
-        assert pol.log_joint_probability(s, a) == pytest.approx(expected)
-
     def test_joint_table_consistent_with_factors(self):
         pol = random_policy(n=2, kappa=1, seed=7)
         joint = pol.joint_action_probabilities()
         np.testing.assert_allclose(joint.sum(axis=1), 1.0, atol=1e-12)
         # spot-check one entry: s = (1, 0), a = (0, 1)
-        want = (pol.action_probabilities(0, (1, 0))[0]
-                * pol.action_probabilities(1, (1, 0))[1])
+        want = (probs_at(pol, 0, (1, 0))[0]
+                * probs_at(pol, 1, (1, 0))[1])
         assert joint[2, 1] == pytest.approx(want)
 
 
 class TestScore:
     def test_uniform_score_by_hand(self):
         pol = KHopPolicy.zeros(line_graph(1), (2,), (2,), 0)
-        sc = pol.score(0, (0,), 0)
+        sc = score(pol, 0, (0,), 0)
         np.testing.assert_allclose(sc[0], [0.5, -0.5])
         assert np.linalg.norm(sc) == pytest.approx(np.sqrt(0.5))
 
     def test_near_deterministic_score_vanishes(self):
         pol = KHopPolicy.zeros(line_graph(1), (1,), (2,), 0)
         pol = pol.with_theta([np.array([[30.0, -30.0]])])
-        sc = pol.score(0, (0,), 0)
+        sc = score(pol, 0, (0,), 0)
         assert np.linalg.norm(sc) < 1e-10
 
     def test_score_block_sparsity(self):
         pol = random_policy(n=2, kappa=1, seed=3)
-        sc = pol.score(0, (1, 1), 0)
-        row = pol.encode_nbhd_state(0, (1, 1))
+        sc = score(pol, 0, (1, 1), 0)
+        row = nbhd_row(pol, 0, (1, 1))
         mask = np.zeros(sc.shape[0], dtype=bool)
         mask[row] = True
         assert np.all(sc[~mask] == 0.0)
@@ -95,7 +103,7 @@ class TestScore:
     def test_score_matches_log_prob_finite_differences(self):
         pol = random_policy(n=2, kappa=1, seed=13)
         i, s_nbhd, a = 0, (1, 0), 1
-        sc = pol.score(i, s_nbhd, a)
+        sc = score(pol, i, s_nbhd, a)
         h = 1e-6
         fd = np.zeros_like(sc)
         for idx in np.ndindex(sc.shape):
@@ -103,7 +111,7 @@ class TestScore:
                 theta = [t.copy() for t in pol.theta]
                 theta[i][idx] += sign * h
                 p = pol.with_theta(theta)
-                logp = np.log(p.action_probabilities(i, s_nbhd)[a])
+                logp = np.log(probs_at(p, i, s_nbhd)[a])
                 fd[idx] += sign * logp
         fd /= 2 * h
         np.testing.assert_allclose(sc, fd, atol=1e-6)
@@ -143,13 +151,13 @@ class TestSampling:
 class TestProjection:
     def test_interior_unchanged(self):
         pol = random_policy(seed=4, scale=0.1)
-        same = pol.project_params([t.copy() for t in pol.theta])
+        same = pol.with_theta([t.copy() for t in pol.theta])
         for a, b in zip(pol.theta, same.theta):
             np.testing.assert_array_equal(a, b)
 
     def test_clamps_both_sides(self):
         pol = KHopPolicy.zeros(line_graph(1), (1,), (2,), 0)
-        out = pol.project_params([np.array([[73.0, -73.0]])])
+        out = pol.with_theta([np.array([[73.0, -73.0]])])
         np.testing.assert_array_equal(out.theta[0], [[50.0, -50.0]])
 
     def test_box_invariant_after_random_init(self):
@@ -168,8 +176,8 @@ class TestInducedPolicy:
         for s0 in range(2):
             for s1 in range(2):
                 np.testing.assert_allclose(
-                    ind.action_probabilities(0, (s0, s1)),
-                    pol.action_probabilities(0, (s0, s1, 0)))
+                    probs_at(ind, 0, (s0, s1)),
+                    probs_at(pol, 0, (s0, s1, 0)))
 
     def test_induced_full_radius_is_identity(self):
         pol = random_policy(n=3, kappa=2, seed=22)

@@ -5,11 +5,10 @@ from pdmarl.graph import DependenceGraph, line_graph
 from pdmarl.model import FactoredCMDP, TransitionKernel, LocalReward
 from pdmarl.policy import KHopPolicy
 from pdmarl.sampling import TrajectoryBatch, sample_trajectories
-from pdmarl.critic import (TDConfig, TruncatedQTable, exact_truncated_q,
-                           lift_neighborhood_reward)
+from pdmarl.critic import TDConfig, TruncatedQTable, exact_truncated_q
 from pdmarl.utilities import ENTROPY, LINEAR, GeneralUtility
 from pdmarl.primal_dual import (DualVariable, StepSizes, TrainConfig,
-                                dual_update, exact_dual_gradient,
+                                _score_sum, dual_update, exact_dual_gradient,
                                 exact_lagrangian_gradient, exact_truncated_pg,
                                 fd_lagrangian_gradient, fosp_metrics,
                                 max_linear_over_box_ball, policy_ascent,
@@ -110,7 +109,8 @@ class TestTruncatedPGEstimate:
                                 actions=np.array([[[a]]]))
         grads = truncated_pg_estimate(batch, pol, [qf], [qg], mu, 0, m.gamma)
         weight = qf.table[s, a] + 2.0 * qg.table[s, a]
-        expected = weight * pol.score(0, (s,), a)
+        expected = weight * _score_sum(pol, 0, np.array([s]), np.array([a]),
+                                       np.array([1.0]))
         np.testing.assert_allclose(grads[0], expected, atol=1e-12)
 
     def test_far_agents_do_not_enter(self):

@@ -15,7 +15,6 @@ from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
 from pdmarl.policy import KHopPolicy
 from pdmarl.sampling import InverseCdf, Simulator, sample_trajectories
-from pdmarl.utilities import ShadowReward
 
 
 def rng_for(seed, purpose=0):
@@ -38,7 +37,7 @@ def rewards_of(cmdp, kind, seed):
     if kind == "env":
         return list(cmdp.rewards)
     rng = rng_for(seed, 9)
-    return [ShadowReward(table=rng.normal(size=(s, a)))
+    return [rng.normal(size=(s, a))
             for s, a in zip(cmdp.local_state_sizes, cmdp.local_action_sizes)]
 
 

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from pdmarl.occupancy import EMPIRICAL_H, EXACT_INFINITE, LocalOccupancy
+from pdmarl.occupancy import LocalOccupancy
 from pdmarl.utilities import (CONSTRAINT, ENTROPY, ENTROPY_FLOOR, L2_ACTION,
                               LINEAR, GeneralUtility, fd_gradient,
                               shadow_reward, utility_value)
 
 
-def occ(table, convention=EMPIRICAL_H):
-    return LocalOccupancy(0, np.asarray(table, dtype=float), convention)
+def occ(table):
+    return LocalOccupancy(0, np.asarray(table, dtype=float))
 
 
 class TestValues:
@@ -20,7 +20,7 @@ class TestValues:
     def test_linear_all_ones_gives_mass(self):
         u = GeneralUtility(kind=LINEAR, reward=np.ones((2, 2)))
         table = np.full((2, 2), 2.5)  # mass 10 = 1/(1-0.9)
-        assert utility_value(u, occ(table, EXACT_INFINITE)) == pytest.approx(10.0)
+        assert utility_value(u, occ(table)) == pytest.approx(10.0)
 
     def test_entropy_uniform_two_states(self):
         u = GeneralUtility(kind=ENTROPY, gamma=0.0)
@@ -55,7 +55,7 @@ class TestValues:
 
     def test_nan_occupancy_rejected(self):
         u = GeneralUtility(kind=LINEAR, reward=np.ones((1, 1)))
-        bad = LocalOccupancy(0, np.array([[0.0]]), EMPIRICAL_H)
+        bad = LocalOccupancy(0, np.array([[0.0]]))
         bad.table[0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             utility_value(u, bad)
@@ -74,33 +74,33 @@ class TestShadowRewards:
         r = np.array([[1.0, -2.0], [0.5, 0.0]])
         u = GeneralUtility(kind=LINEAR, reward=r)
         np.testing.assert_array_equal(
-            shadow_reward(u, occ(np.ones((2, 2)))).table, r)
+            shadow_reward(u, occ(np.ones((2, 2)))), r)
 
     def test_entropy_uniform_analytic(self):
         u = GeneralUtility(kind=ENTROPY, gamma=0.0)
         sr = shadow_reward(u, occ([[0.5], [0.5]]))
-        np.testing.assert_allclose(sr.table, -(np.log(0.5) + 1.0))
+        np.testing.assert_allclose(sr, -(np.log(0.5) + 1.0))
 
     def test_entropy_floor_keeps_gradient_finite(self):
         u = GeneralUtility(kind=ENTROPY, gamma=0.99)
         sr = shadow_reward(u, occ([[1.0, 0.0], [0.0, 0.0]]))
         bound = (1.0 - 0.99) * (abs(np.log(ENTROPY_FLOOR)) + 1.0)
-        assert np.all(np.isfinite(sr.table))
-        assert sr.inf_norm <= bound + 1e-12
+        assert np.all(np.isfinite(sr))
+        assert np.max(np.abs(sr)) <= bound + 1e-12
 
     def test_l2_shadow_is_action_marginal(self):
         u = GeneralUtility(kind=L2_ACTION, gamma=0.5)
         table = np.array([[0.4, 0.1], [0.2, 0.3]])
         sr = shadow_reward(u, occ(table))
         m = table.sum(axis=0)
-        np.testing.assert_allclose(sr.table, 0.25 * m[None, :].repeat(2, 0))
+        np.testing.assert_allclose(sr, 0.25 * m[None, :].repeat(2, 0))
 
     def test_threshold_does_not_shift_gradient(self):
         base = GeneralUtility(kind=ENTROPY, gamma=0.2)
         con = base.as_constraint(1.5)
         table = occ([[0.3, 0.1], [0.2, 0.4]])
-        np.testing.assert_array_equal(shadow_reward(base, table).table,
-                                      shadow_reward(con, table).table)
+        np.testing.assert_array_equal(shadow_reward(base, table),
+                                      shadow_reward(con, table))
 
 
 class TestFiniteDifferenceOracle:
@@ -109,14 +109,14 @@ class TestFiniteDifferenceOracle:
         u = GeneralUtility(kind=LINEAR, reward=r)
         for h in (1e-4, 1e-6):
             fd = fd_gradient(u, occ(np.full((2, 2), 0.4)), h=h)
-            np.testing.assert_allclose(fd.table, r, atol=1e-10)
+            np.testing.assert_allclose(fd, r, atol=1e-10)
 
     def test_entropy_matches_analytic_on_uniform(self):
         u = GeneralUtility(kind=ENTROPY, gamma=0.0)
         table = occ([[0.25, 0.25], [0.25, 0.25]])
         fd = fd_gradient(u, table, h=1e-6)
         sr = shadow_reward(u, table)
-        np.testing.assert_allclose(fd.table, sr.table, rtol=1e-5)
+        np.testing.assert_allclose(fd, sr, rtol=1e-5)
 
     def test_l2_matches_analytic_on_point_mass(self):
         u = GeneralUtility(kind=L2_ACTION, gamma=0.0)
@@ -124,7 +124,7 @@ class TestFiniteDifferenceOracle:
         table[0, 1] = 1.0
         fd = fd_gradient(u, occ(table), h=1e-6)
         sr = shadow_reward(u, occ(table))
-        np.testing.assert_allclose(fd.table, sr.table, atol=1e-8)
+        np.testing.assert_allclose(fd, sr, atol=1e-8)
 
     def test_all_families_on_random_occupancies(self):
         rng = np.random.default_rng(np.random.SeedSequence(31))
@@ -137,8 +137,8 @@ class TestFiniteDifferenceOracle:
             u = fams[trial % 3]
             sr = shadow_reward(u, occ(table))
             fd = fd_gradient(u, occ(table), h=1e-6)
-            num = np.abs(sr.table - fd.table).max()
-            den = max(np.abs(fd.table).max(), 1e-12)
+            num = np.abs(sr - fd).max()
+            den = max(np.abs(fd).max(), 1e-12)
             assert num / den < 1e-5
 
     def test_positive_step_required(self):
