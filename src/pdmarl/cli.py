@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigError, ExperimentConfig, build_env,
-                     build_train_config, build_utilities, check_policy_size,
+                     build_train_config, build_utilities, check_table_sizes,
                      derived_seed, load_config, serialize_config)
 from .policy import save_policy
 from .primal_dual import PHASES, NumericAbort, train
@@ -69,7 +69,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Train once and write metrics.csv, timings.csv, policy.csv and
     manifest.json into ``out_dir``. Returns the manifest mapping."""
     cmdp = build_env(cfg)
-    check_policy_size(cfg, cmdp)
+    check_table_sizes(cfg, cmdp)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     objectives, constraints = build_utilities(cfg, cmdp)

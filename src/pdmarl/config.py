@@ -13,7 +13,7 @@ from .policy import table_shapes
 from .envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                    wireless_grid)
 from .utilities import GeneralUtility, ENTROPY, L2_ACTION, CONSTRAINT, OBJECTIVE
-from .critic import TDConfig, default_td_config
+from .critic import TDConfig, default_td_config, q_table_layout
 from .primal_dual import TrainConfig, StepSizes
 
 SCHEMA_VERSION = 1
@@ -242,11 +242,14 @@ def build_env(cfg: ExperimentConfig) -> FactoredCMDP:
     return wireless_grid(spec)
 
 
-def check_policy_size(cfg: ExperimentConfig, cmdp: FactoredCMDP):
-    """Reject a kappa whose policy tables on this env exceed the cap."""
+def check_table_sizes(cfg: ExperimentConfig, cmdp: FactoredCMDP):
+    """Reject a kappa whose policy or truncated-Q tables on this env exceed
+    their caps."""
     try:
         table_shapes(cmdp.graph, cmdp.local_state_sizes,
                      cmdp.local_action_sizes, cfg["kappa"])
+        for i in range(cmdp.n_agents):
+            q_table_layout(cmdp, i, cfg["kappa"])
     except ValueError as exc:
         raise ConfigError(f"kappa {cfg['kappa']} is too large: {exc}") from exc
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import khop_neighborhood
-from .model import (FactoredCMDP, LocalReward, DEFAULT_ENUMERATION_CAP,
-                    EnumerationCapExceeded)
+from .model import FactoredCMDP, LocalReward
 from .occupancy import ExactSolve
 from .policy import KHopPolicy
 from .sampling import Simulator
@@ -67,15 +66,22 @@ class TruncatedQTable:
         return self.table[self.cells(S, A)]
 
 
-def _reward_series(reward, agent, S, A) -> np.ndarray:
-    """One agent's rewards along a trajectory of states/actions (T, n)."""
-    if isinstance(reward, np.ndarray):
-        return reward[S[:, agent], A[:, agent]]  # local (S_i, A_i) table
-    if isinstance(reward, LocalReward):
-        if reward.table is None:
-            raise ValueError("reward dependency space too large for TD lookup")
-        return reward.table[reward.row_indices(S, A)]
-    raise TypeError(f"unsupported reward type {type(reward)!r}")
+# Largest truncated-Q table of one agent, in cells of 8 bytes.
+MAX_Q_CELLS = 10**7
+
+
+def q_table_layout(cmdp: FactoredCMDP, agent: int, kappa: int):
+    """Neighborhood and its state and action sizes of one agent's truncated-Q
+    table at radius kappa; raises ValueError above MAX_Q_CELLS cells."""
+    nbhd = khop_neighborhood(cmdp.graph, agent, kappa)
+    s_sizes = tuple(cmdp.local_state_sizes[j] for j in nbhd)
+    a_sizes = tuple(cmdp.local_action_sizes[j] for j in nbhd)
+    cells = indexing.space_size(s_sizes + a_sizes)
+    if cells > MAX_Q_CELLS:
+        raise ValueError(
+            f"truncated Q table of agent {agent} would have {cells} cells, "
+            f"above the cap of {MAX_Q_CELLS}")
+    return nbhd, s_sizes, a_sizes
 
 
 def td_evaluate(cmdp: FactoredCMDP, policy: KHopPolicy, rewards, kappa: int,
@@ -110,15 +116,14 @@ def td_evaluate(cmdp: FactoredCMDP, policy: KHopPolicy, rewards, kappa: int,
     etas = [cfg.step_size(k) for k in range(K)]
     out = []
     for i, reward in enumerate(rewards):
-        nbhd = khop_neighborhood(cmdp.graph, i, kappa)
-        s_sizes = tuple(cmdp.local_state_sizes[j] for j in nbhd)
-        a_sizes = tuple(cmdp.local_action_sizes[j] for j in nbhd)
+        nbhd, s_sizes, a_sizes = q_table_layout(cmdp, i, kappa)
         q_tab = TruncatedQTable(
             agent=i, kappa=kappa, nbhd=nbhd, state_sizes=s_sizes,
             action_sizes=a_sizes, table=np.zeros((indexing.space_size(s_sizes),
                                                   indexing.space_size(a_sizes))))
         cells = np.ravel_multi_index(q_tab.cells(S, A), q_tab.table.shape).tolist()
-        r = _reward_series(reward, i, S, A).tolist()
+        r = (reward.values(S, A) if isinstance(reward, LocalReward)
+             else reward[S[:, i], A[:, i]]).tolist()
         # the scalar recursion, over the visited cells only
         q = {}
         for k in range(K):
@@ -137,27 +142,22 @@ def lift_local_reward(cmdp: FactoredCMDP, agent: int, table) -> np.ndarray:
     return np.asarray(table)[s_dec[:, None], a_dec[None, :]].ravel()
 
 
-def lift_neighborhood_reward(cmdp: FactoredCMDP, reward: LocalReward,
-                             cap=DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def lift_neighborhood_reward(cmdp: FactoredCMDP,
+                             reward: LocalReward) -> np.ndarray:
     """Expand a neighborhood reward to the flat global pair vector."""
-    cmdp.check_enumeration_cap(cap)
-    if reward.table is None:
-        raise EnumerationCapExceeded(
-            f"reward of agent {reward.agent} is not tabulated")
-    rows = reward.row_indices(
+    cmdp.check_enumeration_cap()
+    return reward.values(
         indexing.decode_table(cmdp.local_state_sizes)[:, None, :],
-        indexing.decode_table(cmdp.local_action_sizes)[None, :, :])
-    return reward.table[rows].ravel()
+        indexing.decode_table(cmdp.local_action_sizes)[None, :, :]).ravel()
 
 
-def full_q(cmdp: FactoredCMDP, policy: KHopPolicy, rewards,
-           cap=DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def full_q(cmdp: FactoredCMDP, policy: KHopPolicy, rewards) -> np.ndarray:
     """Exact Q-function(s) solving Q = r + gamma * P_pi^T Q.
 
     ``rewards`` is a flat (|S||A|,) vector or an (|S||A|, m) matrix; the
     output has the same shape (see ``ExactSolve.q``).
     """
-    return ExactSolve(cmdp, policy, cap=cap).q(rewards)
+    return ExactSolve(cmdp, policy).q(rewards)
 
 
 def truncate_q(cmdp: FactoredCMDP, q, agent: int, kappa: int,
@@ -172,9 +172,7 @@ def truncate_q(cmdp: FactoredCMDP, q, agent: int, kappa: int,
     anchor_s, anchor_a = anchor or ((0,) * n, (0,) * n)
     if not all(0 <= v < m for v, m in zip((*anchor_s, *anchor_a), ss + aa)):
         raise ValueError(f"anchor {anchor} out of range")
-    nbhd = khop_neighborhood(cmdp.graph, agent, kappa)
-    s_sizes = tuple(ss[j] for j in nbhd)
-    a_sizes = tuple(aa[j] for j in nbhd)
+    nbhd, s_sizes, a_sizes = q_table_layout(cmdp, agent, kappa)
     s_nb = indexing.decode_table(s_sizes)[:, None, :]
     a_nb = indexing.decode_table(a_sizes)[None, :, :]
     # one index per global axis: the neighborhood varies, the rest is fixed
@@ -187,9 +185,8 @@ def truncate_q(cmdp: FactoredCMDP, q, agent: int, kappa: int,
 
 
 def exact_truncated_q(cmdp: FactoredCMDP, policy: KHopPolicy, reward_flat,
-                      agent: int, kappa: int, anchor=None,
-                      cap=DEFAULT_ENUMERATION_CAP) -> TruncatedQTable:
+                      agent: int, kappa: int, anchor=None) -> TruncatedQTable:
     """Truncate the exact Q-function of one agent to its k-hop neighborhood
     (see ``truncate_q``)."""
-    return truncate_q(cmdp, full_q(cmdp, policy, reward_flat, cap=cap),
+    return truncate_q(cmdp, full_q(cmdp, policy, reward_flat),
                       agent, kappa, anchor=anchor)

@@ -3,6 +3,7 @@ coupling, and a grid of wireless users contending for shared access points."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ def synthetic_line(spec: SyntheticLineSpec) -> FactoredCMDP:
     for i in range(n):
         r1 = spec.reward_head if i == 0 else spec.reward_rest
         rewards.append(LocalReward.from_function(
-            lambda cs, ca, r1=r1: r1 if cs[0] == 1 else 0.0,
+            lambda S, A, r1=r1: np.where(S[..., 0] == 1, r1, 0.0),
             i, (i,), (), state_sizes, action_sizes))
 
     initial = tuple(np.array([1.0, 0.0]) for _ in range(n))
@@ -102,8 +103,9 @@ class WirelessGridSpec:
             if vals is not None:
                 if len(vals) != m:
                     raise ValueError(f"{name} must have {m} entries")
-                if not all(0.0 < v < 1.0 for v in vals):
-                    raise ValueError(f"{name} entries must lie in (0, 1)")
+                if not all(isinstance(v, numbers.Real) and 0.0 < v < 1.0
+                           for v in vals):
+                    raise ValueError(f"{name} entries must be numbers in (0, 1)")
 
     @property
     def n_users(self):
@@ -193,23 +195,24 @@ def wireless_grid(spec: WirelessGridSpec) -> FactoredCMDP:
         for i in range(n)
     )
 
-    def reward_fn(cell_s, cell_a, i, deps):
-        pos = {j: k for k, j in enumerate(deps)}
-        if cell_a[pos[i]] == 0 or cell_s[pos[i]] == 0:
-            return 0.0
-        y = access[i][cell_a[pos[i]] - 1]
-        for j in deps:
-            if j == i or cell_s[pos[j]] == 0 or cell_a[pos[j]] == 0:
-                continue
-            if access[j][cell_a[pos[j]] - 1] == y:
-                return 0.0  # collision at the shared point
-        return float(q[y])
+    # point[j, a]: the access point of user j's action a, -1 for idle
+    point = np.full((n, max(action_sizes)), -1)
+    for j in range(n):
+        point[j, 1: action_sizes[j]] = access[j]
+
+    def reward_fn(S, A, deps, k):
+        """User deps[k] earns q_y unless another transmitting user of deps
+        picked the same point y; idling or an empty queue earns nothing."""
+        y = point[deps, A]
+        sending = (S > 0) & (y >= 0)
+        clash = (sending & (y == y[..., k, None])).sum(axis=-1) > 1
+        return np.where(sending[..., k] & ~clash, q[y[..., k]], 0.0)
 
     rewards = []
     for i in range(n):
         deps = tuple(sorted({i} | set(graph.neighbors(i))))
         rewards.append(LocalReward.from_function(
-            lambda cs, ca, i=i, deps=deps: reward_fn(cs, ca, i, deps),
+            lambda S, A, deps=deps, k=deps.index(i): reward_fn(S, A, deps, k),
             i, deps, deps, state_sizes, action_sizes))
 
     initial = []

@@ -6,8 +6,8 @@ ravel_multi_index. This encoding is part of the on-disk checkpoint format.
 
 ``encode`` is the one encoder: it maps integer arrays of global states or
 actions ``(..., n)`` to the rows of the cells read at ``positions``, as one
-product with ``radix_weights``. It is the row lookup of kernels and rewards
-(``model.DependencyRows.row_indices``), of policy tables
+product with ``radix_weights``. It is the row lookup of kernel tables
+(``model.TransitionKernel.row_indices``), of policy tables
 (``KHopPolicy.nbhd_rows``) and of truncated-Q tables
 (``TruncatedQTable.cells``); ``sampling.Simulator`` stacks the same
 weights as columns of n x n matrices to look up every agent's row in one

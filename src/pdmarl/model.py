@@ -1,10 +1,11 @@
 """Networked constrained MDP with factored transitions.
 
 The global transition decomposes into per-agent kernels, each reading only a
-declared subset of agents' states/actions. Kernels and local rewards are
-tabulated over their dependency coordinates at construction time, which makes
-sampling cheap and lets the transition-sensitivity matrix be computed exactly
-by brute force on small instances.
+declared subset of agents' states/actions. Kernels are tabulated over their
+dependency coordinates at construction time, which makes sampling cheap and
+lets the transition-sensitivity matrix be computed exactly by brute force on
+small instances. Local rewards are array functions of their dependency
+coordinates, evaluated wherever they are read.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from . import indexing
 
 DEFAULT_ENUMERATION_CAP = 4096
 
-# Dependency spaces larger than this cannot be tabulated; such rewards stay
-# callable-only and exact (enumeration) operations on them are unavailable.
+# Largest kernel dependency space that ``TransitionKernel.from_function``
+# tabulates; the simulator draws next states from the kernel tables.
 DEP_TABLE_CAP = 200_000
 
 
@@ -38,27 +39,15 @@ def _check_deps(deps, n, what):
     return deps
 
 
-class DependencyRows:
-    """Row lookup shared by tables over dependency cells.
+@dataclass(frozen=True)
+class TransitionKernel:
+    """Distribution over one agent's next local state: ``table[row]`` is the
+    distribution over S_agent at dependency cell ``row``.
 
     A cell lists the states of ``state_deps`` then the actions of
     ``action_deps``, each in ascending agent order, encoded with
     ``dep_sizes`` as radices.
     """
-
-    def row_indices(self, S, A):
-        """Rows at integer state/action arrays (..., n); S and A broadcast."""
-        ns = len(self.state_deps)
-        a_sizes = self.dep_sizes[ns:]
-        return (indexing.encode(S, self.state_deps, self.dep_sizes[:ns])
-                * indexing.space_size(a_sizes)
-                + indexing.encode(A, self.action_deps, a_sizes))
-
-
-@dataclass(frozen=True)
-class TransitionKernel(DependencyRows):
-    """Distribution over one agent's next local state: ``table[row]`` is the
-    distribution over S_agent at dependency cell ``row``."""
 
     agent: int
     state_deps: tuple
@@ -122,13 +111,23 @@ class TransitionKernel(DependencyRows):
                     )
         return cls(agent, state_deps, action_deps, dep_sizes, table)
 
+    def row_indices(self, S, A):
+        """Rows at integer state/action arrays (..., n); S and A broadcast."""
+        ns = len(self.state_deps)
+        a_sizes = self.dep_sizes[ns:]
+        return (indexing.encode(S, self.state_deps, self.dep_sizes[:ns])
+                * indexing.space_size(a_sizes)
+                + indexing.encode(A, self.action_deps, a_sizes))
+
 
 @dataclass(frozen=True)
-class LocalReward(DependencyRows):
+class LocalReward:
     """Local reward reading a declared neighborhood (s_{N_i}, a_{N_i}).
 
-    A dense table over the dependency cells is kept when the dependency space
-    is small; otherwise the reward stays callable-only.
+    ``fn(S_deps, A_deps)`` receives the integer arrays ``S[..., state_deps]``
+    and ``A[..., action_deps]`` and returns their rewards; it sees no other
+    agent, so the reward is local by construction. A scalar return is a
+    constant reward.
     """
 
     agent: int
@@ -136,7 +135,6 @@ class LocalReward(DependencyRows):
     action_deps: tuple
     dep_sizes: tuple
     fn: object = field(compare=False)
-    table: np.ndarray = None
 
     @classmethod
     def from_function(cls, fn, agent, state_deps, action_deps,
@@ -147,23 +145,20 @@ class LocalReward(DependencyRows):
         dep_sizes = tuple(state_sizes[j] for j in state_deps) + tuple(
             action_sizes[j] for j in action_deps
         )
-        n_cells = indexing.space_size(dep_sizes)
-        table = None
-        if n_cells <= DEP_TABLE_CAP:
-            table = np.array(
-                [fn(cell[: len(state_deps)], cell[len(state_deps):])
-                 for cell in np.ndindex(*dep_sizes)],
-                dtype=float,
-            )
-        return cls(agent, state_deps, action_deps, dep_sizes, fn, table)
+        return cls(agent, state_deps, action_deps, dep_sizes, fn)
+
+    def values(self, S, A) -> np.ndarray:
+        """Rewards at integer state/action arrays (..., n); S and A broadcast."""
+        S, A = np.asarray(S), np.asarray(A)
+        r = self.fn(S[..., list(self.state_deps)], A[..., list(self.action_deps)])
+        return np.broadcast_to(np.asarray(r, dtype=float),
+                               np.broadcast_shapes(S.shape[:-1], A.shape[:-1]))
 
     @property
     def max_abs(self):
-        if self.table is None:
-            raise EnumerationCapExceeded(
-                f"reward of agent {self.agent} is not tabulated"
-            )
-        return float(np.max(np.abs(self.table)))
+        cells = indexing.decode_table(self.dep_sizes)
+        ns = len(self.state_deps)
+        return float(np.max(np.abs(self.fn(cells[:, :ns], cells[:, ns:]))))
 
 
 @dataclass(frozen=True)
@@ -211,10 +206,11 @@ class FactoredCMDP:
     def n_pairs(self):
         return self.n_states * self.n_actions
 
-    def check_enumeration_cap(self, cap=DEFAULT_ENUMERATION_CAP):
-        if self.n_pairs > cap:
+    def check_enumeration_cap(self):
+        if self.n_pairs > DEFAULT_ENUMERATION_CAP:
             raise EnumerationCapExceeded(
-                f"|S||A| = {self.n_pairs} exceeds the enumeration cap {cap}"
+                f"|S||A| = {self.n_pairs} exceeds the enumeration cap "
+                f"{DEFAULT_ENUMERATION_CAP}"
             )
 
     def initial_state_distribution(self):
@@ -234,18 +230,16 @@ class DecayProfile:
     contraction_ok: bool  # whether chi < 2 / gamma
 
 
-def next_state_kernel(cmdp: FactoredCMDP,
-                      cap=DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def next_state_kernel(cmdp: FactoredCMDP) -> np.ndarray:
     """Global next-state distributions P(s' | s, a) as an (S, A, S') array."""
-    cmdp.check_enumeration_cap(cap)
+    cmdp.check_enumeration_cap()
     s_dec = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
     a_dec = indexing.decode_table(cmdp.local_action_sizes)[None, :, :]
     return indexing.row_kron([kern.table[kern.row_indices(s_dec, a_dec)]
                               for kern in cmdp.kernels])
 
 
-def global_transition_matrix(cmdp: FactoredCMDP, policy,
-                             cap=DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def global_transition_matrix(cmdp: FactoredCMDP, policy) -> np.ndarray:
     """State-action pair transition matrix under a policy.
 
     Entry ((s', a'), (s, a)) equals P(s' | s, a) * pi(a' | s'); columns are
@@ -255,7 +249,7 @@ def global_transition_matrix(cmdp: FactoredCMDP, policy,
     (``occupancy.ExactSolve``); this pair-level matrix is their reference.
     """
     S, A = cmdp.n_states, cmdp.n_actions
-    nxt = next_state_kernel(cmdp, cap=cap)  # (S, A, S')
+    nxt = next_state_kernel(cmdp)  # (S, A, S')
     pi = policy.joint_action_probabilities()  # (S', A')
     return (nxt[:, :, :, None] * pi).reshape(S * A, S * A).T
 

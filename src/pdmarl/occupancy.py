@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import (FactoredCMDP, DEFAULT_ENUMERATION_CAP,
-                    global_transition_matrix, next_state_kernel)
+from .model import FactoredCMDP, global_transition_matrix, next_state_kernel
 from .sampling import TrajectoryBatch
 
 
@@ -86,10 +85,9 @@ class ExactSolve:
     I - gamma M_pi serves both, instead of solves over all |S||A| pairs.
     """
 
-    def __init__(self, cmdp: FactoredCMDP, policy,
-                 cap=DEFAULT_ENUMERATION_CAP):
-        self.cmdp, self.cap = cmdp, cap
-        self.nxt = next_state_kernel(cmdp, cap=cap)  # (S, A, S')
+    def __init__(self, cmdp: FactoredCMDP, policy):
+        self.cmdp = cmdp
+        self.nxt = next_state_kernel(cmdp)  # (S, A, S')
         self.pi = policy.joint_action_probabilities()  # (S, A)
         M = np.einsum("sa,sat->st", self.pi, self.nxt)
         self.lu = scipy.linalg.lu_factor(np.eye(len(M)) - cmdp.gamma * M)
@@ -111,16 +109,15 @@ class ExactSolve:
         return R + self.cmdp.gamma * (self.nxt.reshape(S * A, S) @ V)
 
 
-def exact_global_occupancy(cmdp: FactoredCMDP, policy,
-                           cap=DEFAULT_ENUMERATION_CAP) -> GlobalOccupancy:
+def exact_global_occupancy(cmdp: FactoredCMDP, policy) -> GlobalOccupancy:
     """Occupancy vector solving lambda = rho_pi + gamma * P_pi lambda."""
-    return ExactSolve(cmdp, policy, cap=cap).occupancy
+    return ExactSolve(cmdp, policy).occupancy
 
 
-def flow_balance_residual(cmdp: FactoredCMDP, policy, occ: GlobalOccupancy,
-                          cap=DEFAULT_ENUMERATION_CAP) -> float:
+def flow_balance_residual(cmdp: FactoredCMDP, policy,
+                          occ: GlobalOccupancy) -> float:
     """Max-norm residual of lambda = rho_pi + gamma * P_pi lambda."""
-    P = global_transition_matrix(cmdp, policy, cap=cap)
+    P = global_transition_matrix(cmdp, policy)
     rho = cmdp.initial_state_distribution()
     pi = policy.joint_action_probabilities()
     rho_pi = (rho[:, None] * pi).ravel()

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import khop_neighborhood
-from .model import FactoredCMDP, DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded
+from .model import FactoredCMDP, EnumerationCapExceeded
 from .policy import KHopPolicy
 from .sampling import TrajectoryBatch, sample_trajectories
 from .occupancy import ExactSolve, estimate_local_occupancy, marginalize
@@ -112,8 +112,7 @@ def _global_shadow_rewards(solve: ExactSolve, objectives, constraints):
     for i in range(cmdp.n_agents):
         local = marginalize(occ, i)
         if objectives is None:
-            cols_f.append(lift_neighborhood_reward(cmdp, cmdp.rewards[i],
-                                                   cap=solve.cap))
+            cols_f.append(lift_neighborhood_reward(cmdp, cmdp.rewards[i]))
         else:
             cols_f.append(lift_local_reward(
                 cmdp, i, shadow_reward(objectives[i], local)))
@@ -134,7 +133,6 @@ def _score_accumulate(cmdp, policy, weights_by_agent):
 
 def exact_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
                               objectives, constraints, mu,
-                              cap=DEFAULT_ENUMERATION_CAP,
                               solve: ExactSolve = None) -> list:
     """Exact policy gradient of the Lagrangian by full enumeration.
 
@@ -144,7 +142,7 @@ def exact_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
     this policy's ``ExactSolve`` when the caller already has one.
     """
     mu = np.asarray(mu, dtype=float)
-    solve = solve or ExactSolve(cmdp, policy, cap=cap)
+    solve = solve or ExactSolve(cmdp, policy)
     occ, rf, rg = _global_shadow_rewards(solve, objectives, constraints)
     n = cmdp.n_agents
     q = solve.q(np.hstack([rf, rg]))
@@ -154,9 +152,8 @@ def exact_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
 
 
 def exact_dual_gradient(cmdp: FactoredCMDP, policy: KHopPolicy, constraints,
-                        cap=DEFAULT_ENUMERATION_CAP,
                         solve: ExactSolve = None) -> np.ndarray:
-    occ = (solve or ExactSolve(cmdp, policy, cap=cap)).occupancy
+    occ = (solve or ExactSolve(cmdp, policy)).occupancy
     n = cmdp.n_agents
     return np.array([
         utility_value(constraints[i], marginalize(occ, i)) for i in range(n)
@@ -164,8 +161,8 @@ def exact_dual_gradient(cmdp: FactoredCMDP, policy: KHopPolicy, constraints,
 
 
 def exact_truncated_pg(cmdp: FactoredCMDP, policy: KHopPolicy,
-                       objectives, constraints, mu, kappa: int, anchor=None,
-                       cap=DEFAULT_ENUMERATION_CAP) -> list:
+                       objectives, constraints, mu, kappa: int,
+                       anchor=None) -> list:
     """Exact value of the kappa-truncated policy gradient estimator.
 
     Same enumeration as ``exact_lagrangian_gradient`` but with Q-functions
@@ -174,7 +171,7 @@ def exact_truncated_pg(cmdp: FactoredCMDP, policy: KHopPolicy,
     """
     mu = np.asarray(mu, dtype=float)
     n = cmdp.n_agents
-    solve = ExactSolve(cmdp, policy, cap=cap)
+    solve = ExactSolve(cmdp, policy)
     occ, rf, rg = _global_shadow_rewards(solve, objectives, constraints)
     q = solve.q(np.hstack([rf, rg]))
     s_dec = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
@@ -194,17 +191,16 @@ def exact_truncated_pg(cmdp: FactoredCMDP, policy: KHopPolicy,
 
 
 def lagrangian_value(cmdp: FactoredCMDP, policy: KHopPolicy,
-                     objectives, constraints, mu,
-                     cap=DEFAULT_ENUMERATION_CAP) -> float:
+                     objectives, constraints, mu) -> float:
     """Exact Lagrangian through exact occupancies (finite-difference target)."""
-    occ = ExactSolve(cmdp, policy, cap=cap).occupancy
+    occ = ExactSolve(cmdp, policy).occupancy
     n = cmdp.n_agents
     mu = np.asarray(mu, dtype=float)
     total = 0.0
     for i in range(n):
         loc = marginalize(occ, i)
         if objectives is None:
-            f_i = float(lift_neighborhood_reward(cmdp, cmdp.rewards[i], cap=cap)
+            f_i = float(lift_neighborhood_reward(cmdp, cmdp.rewards[i])
                         @ occ.table)
         else:
             f_i = utility_value(objectives[i], loc)
@@ -213,8 +209,8 @@ def lagrangian_value(cmdp: FactoredCMDP, policy: KHopPolicy,
 
 
 def fd_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
-                           objectives, constraints, mu, h: float = 1e-5,
-                           cap=DEFAULT_ENUMERATION_CAP) -> list:
+                           objectives, constraints, mu,
+                           h: float = 1e-5) -> list:
     """Central finite differences of the Lagrangian over every theta entry."""
     grads = []
     for i, tab in enumerate(policy.theta):
@@ -224,7 +220,7 @@ def fd_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
                 theta = [t.copy() for t in policy.theta]
                 theta[i][idx] += sign * h
                 val = lagrangian_value(cmdp, policy.with_theta(theta),
-                                       objectives, constraints, mu, cap=cap)
+                                       objectives, constraints, mu)
                 g[idx] += sign * val
         grads.append(g / (2.0 * h))
     return grads
@@ -301,7 +297,6 @@ class TrainConfig:
     theta_bar: float = 50.0
     td: TDConfig = None  # derived from gamma when omitted
     oracle_every: int = 0
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
         if self.iterations < 0 or self.horizon < 1 or self.batch_size < 1:
@@ -364,10 +359,8 @@ def batch_discounted_return(cmdp: FactoredCMDP, batch: TrajectoryBatch) -> float
     discounts = cmdp.gamma ** np.arange(batch.horizon)
     total = 0.0
     for rew in cmdp.rewards:
-        if rew.table is None:
-            raise ValueError("env reward is not tabulated")
-        rows = rew.row_indices(batch.states, batch.actions)
-        total += float((rew.table[rows] @ discounts).mean())
+        total += float((rew.values(batch.states, batch.actions)
+                        @ discounts).mean())
     return total / n
 
 
@@ -399,7 +392,7 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
     oracle = "off"
     if cfg.oracle_every > 0:
         try:
-            cmdp.check_enumeration_cap(cfg.enumeration_cap)
+            cmdp.check_enumeration_cap()
             oracle = f"every {cfg.oracle_every}"
         except EnumerationCapExceeded as exc:
             oracle = f"skipped: {exc}"
@@ -447,7 +440,7 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
         )
         clock.lap("grad")
         if oracles_feasible and t % cfg.oracle_every == 0:
-            solve = ExactSolve(cmdp, policy, cap=cfg.enumeration_cap)
+            solve = ExactSolve(cmdp, policy)
             exact_g = exact_lagrangian_gradient(
                 cmdp, policy, objectives, constraints, mu.mu, solve=solve)
             grad_mu = exact_dual_gradient(cmdp, policy, constraints,

@@ -325,8 +325,17 @@ class TestMainEntryPoint:
         ("  name: synthetic_line\n  n: 3",
          "  name: wireless_grid\n  side: 2\n  deadline: 1\n  p: [0.5]",
          "p must have 4 entries"),
+        ("  name: synthetic_line\n  n: 3",
+         "  name: wireless_grid\n  side: 2\n  deadline: 1\n"
+         "  p: [0.5, 0.5, 0.5, x]",
+         "p entries must be numbers in (0, 1)"),
+        # kappa 1 on the side-4 grid gives agent 5 a 2^9 x 101250-cell Q table
+        ("  name: synthetic_line\n  n: 3",
+         "  name: wireless_grid\n  side: 4\n  deadline: 1",
+         "Q table of agent 5 would have 51840000 cells, above the cap of "
+         "10000000"),
     ], ids=["td_steps_0", "td_h_negative", "line_n_1", "grid_side_1",
-            "grid_p_short"])
+            "grid_p_short", "grid_p_not_number", "grid_q_table_over_cap"])
     def test_bad_env_or_td_exit_one(self, tmp_path, capsys, old, new, reason):
         cfg_path = self.write_config(tmp_path, BASE_YAML.replace(old, new))
         out = tmp_path / "out"
@@ -362,6 +371,51 @@ class TestMainEntryPoint:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 7 and "FAIL" not in out
+
+
+# SHA-256 of (metrics.csv, policy.csv) for wireless_grid side 2 with the env
+# reward as the objective, recorded when the rewards were dense tables.
+WIRELESS_ENV_REWARD_SHA = {
+    "deadline2": (
+        "a80a246c2dd7cbd224af4bf250b06339d9a192e540d165bda209883bd2f7db55",
+        "010447df9c09f7366d0ad0c5fcc4804ce32aa295971b199bb870551e26d0b249"),
+    "deadline1_oracle2": (
+        "2e2b1c4bdfc6f76f2bfa09ba3335f5a2ade8c140357cc89534c7619208b5ff18",
+        "3c4408a252f8dfeb52f435b1fc69704e74c234615524978d3dff52e359e8e170"),
+}
+
+
+class TestWirelessEnvReward:
+    def grid_yaml(self, env, extra=""):
+        return BASE_YAML.replace(
+            "  name: synthetic_line\n  n: 3",
+            "  name: wireless_grid\n" + env).replace(
+            "iterations: 8", "iterations: 4" + extra)
+
+    @pytest.mark.parametrize("case, env, extra", [
+        ("deadline2", "  side: 2\n  deadline: 2", ""),
+        ("deadline1_oracle2", "  side: 2\n  deadline: 1",
+         "\noracle_every: 2"),
+    ])
+    def test_side2_bytes(self, tmp_path, case, env, extra):
+        manifest = run_experiment(parse_config(self.grid_yaml(env, extra)),
+                                  tmp_path)
+        assert ((manifest["metrics_sha256"], manifest["policy_sha256"])
+                == WIRELESS_ENV_REWARD_SHA[case])
+
+    @pytest.mark.parametrize("env, kappa", [
+        ("  side: 3\n  deadline: 1", 1), ("  side: 4\n  deadline: 2", 0),
+    ], ids=["side3_deadline1_kappa1", "side4_deadline2_kappa0"])
+    def test_larger_grids_run(self, tmp_path, env, kappa):
+        path = tmp_path / "config.yaml"
+        path.write_text(self.grid_yaml(env).replace(
+            "iterations: 4", "iterations: 2").replace(
+            "kappa: 1", f"kappa: {kappa}"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        rows = read_csv(out / "metrics.csv")
+        assert len(rows) == 3
+        assert all(np.isfinite(float(row[1])) for row in rows[1:])
 
 
 class TestBlasThreads:

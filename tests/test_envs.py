@@ -3,17 +3,32 @@ import itertools
 import numpy as np
 import pytest
 
+from pdmarl import indexing
 from pdmarl.critic import lift_neighborhood_reward
-from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
-                         wireless_grid)
+from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, _grid_access,
+                         synthetic_line, wireless_grid)
 from pdmarl.occupancy import exact_global_occupancy
 from pdmarl.policy import KHopPolicy
 from pdmarl.sampling import sample_trajectories
 
 
 def lookup(f, s, a):
-    """Entry of a kernel or reward table at global state/action tuples."""
-    return f.table[f.row_indices(np.array(s), np.array(a))]
+    """A reward at global state/action tuples."""
+    return f.values(np.array(s), np.array(a))
+
+
+def reference_wireless_reward(cell_s, cell_a, i, deps, access, q):
+    """The wireless reward of user i, one dependency cell at a time."""
+    pos = {j: k for k, j in enumerate(deps)}
+    if cell_a[pos[i]] == 0 or cell_s[pos[i]] == 0:
+        return 0.0
+    y = access[i][cell_a[pos[i]] - 1]
+    for j in deps:
+        if j == i or cell_s[pos[j]] == 0 or cell_a[pos[j]] == 0:
+            continue
+        if access[j][cell_a[pos[j]] - 1] == y:
+            return 0.0  # collision at the shared point
+    return float(q[y])
 
 
 def mean_return(cmdp, policy):
@@ -215,6 +230,34 @@ class TestWirelessGrid:
             WirelessGridSpec(side=2, deadline=1, gamma=0.9, p=(0.5,) * 3)
         with pytest.raises(ValueError):
             WirelessGridSpec(side=2, deadline=1, gamma=0.9, q=(1.2,))
+
+    @pytest.mark.parametrize("side, deadline, n_random", [
+        (2, 2, None), (3, 1, 10_000)], ids=["side2_all_cells", "side3_random"])
+    def test_reward_matches_per_cell_reference(self, side, deadline, n_random):
+        # at side 3 this includes the center user, whose 2^9 * 6480 cells
+        # were never tabulated
+        spec = WirelessGridSpec(side=side, deadline=deadline, gamma=0.9)
+        m = wireless_grid(spec)
+        _, q = spec.probabilities()
+        access = _grid_access(side)
+        rng = np.random.default_rng(np.random.SeedSequence(side))
+        for rew in m.rewards:
+            deps, k = list(rew.state_deps), len(rew.state_deps)
+            if n_random is None:
+                cells = indexing.decode_table(rew.dep_sizes)
+            else:
+                cells = rng.integers(0, rew.dep_sizes,
+                                     size=(n_random, len(rew.dep_sizes)))
+            S = rng.integers(0, m.local_state_sizes,
+                             size=(len(cells), m.n_agents))
+            A = rng.integers(0, m.local_action_sizes,
+                             size=(len(cells), m.n_agents))
+            S[:, deps], A[:, deps] = cells[:, :k], cells[:, k:]
+            want = [reference_wireless_reward(c[:k], c[k:], rew.agent, deps,
+                                              access, q)
+                    for c in cells.tolist()]
+            np.testing.assert_array_equal(rew.values(S, A), want)
+            assert np.count_nonzero(want) > 0
 
     def test_rollout_runs_and_stays_in_bounds(self):
         m = wireless_grid(WirelessGridSpec(side=3, deadline=2, gamma=0.95))

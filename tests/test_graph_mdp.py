@@ -21,7 +21,7 @@ def uniform_policy(cmdp, kappa=1):
 
 
 def lookup(f, s, a):
-    """Entry of a kernel or reward table at global state/action tuples."""
+    """Row of a kernel table at global state/action tuples."""
     return f.table[f.row_indices(np.array(s), np.array(a))]
 
 

@@ -27,15 +27,15 @@ def test_encode_matches_ravel_multi_index(seed):
 
 @pytest.mark.parametrize("env", ["line4", "grid2"])
 def test_dependency_rows_on_broadcast_grids(env):
-    """Kernel and reward rows at (S, 1, n) states and (1, A, n) actions, the
-    shapes the exact oracles use, against C-order raveling of the cells."""
+    """Kernel rows at (S, 1, n) states and (1, A, n) actions, the shapes the
+    exact oracles use, against C-order raveling of the cells."""
     if env == "line4":
         cmdp = synthetic_line(SyntheticLineSpec(n=4, gamma=0.9))
     else:
         cmdp = wireless_grid(WirelessGridSpec(side=2, deadline=2, gamma=0.9))
     S = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
     A = indexing.decode_table(cmdp.local_action_sizes)[None, :, :]
-    for f in cmdp.kernels + cmdp.rewards:
+    for f in cmdp.kernels:
         cells = ([np.broadcast_to(S[..., j], (len(S), A.shape[1]))
                   for j in f.state_deps]
                  + [np.broadcast_to(A[..., j], (len(S), A.shape[1]))

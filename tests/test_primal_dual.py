@@ -5,7 +5,8 @@ from pdmarl.graph import DependenceGraph, line_graph
 from pdmarl.model import FactoredCMDP, TransitionKernel, LocalReward
 from pdmarl.policy import KHopPolicy
 from pdmarl.sampling import TrajectoryBatch, sample_trajectories
-from pdmarl.critic import TDConfig, TruncatedQTable, exact_truncated_q
+from pdmarl.critic import (TDConfig, TruncatedQTable, exact_truncated_q,
+                           lift_neighborhood_reward)
 from pdmarl.utilities import ENTROPY, LINEAR, GeneralUtility
 from pdmarl.primal_dual import (DualVariable, StepSizes, TrainConfig,
                                 _score_sum, dual_update, exact_dual_gradient,
@@ -35,8 +36,8 @@ def two_state_single_agent(gamma=0.9):
     kern = TransitionKernel.from_function(
         lambda s, a: (0.7, 0.3) if a[0] == 0 else (0.2, 0.8),
         0, (0,), (0,), (2,), (2,))
-    rew = LocalReward.from_function(lambda cs, ca: float(cs[0]), 0, (0,), (),
-                                    (2,), (2,))
+    rew = LocalReward.from_function(lambda cs, ca: cs[..., 0].astype(float),
+                                    0, (0,), (), (2,), (2,))
     return FactoredCMDP(graph=g, local_state_sizes=(2,),
                         local_action_sizes=(2,), kernels=(kern,),
                         rewards=(rew,),
@@ -92,6 +93,12 @@ class TestTruncatedPGEstimate:
         grads = truncated_pg_estimate(batch, pol, q, q, mu, 1, m.gamma)
         for g in grads:
             np.testing.assert_array_equal(g, 0.0)
+
+    def test_two_state_reward_is_the_state(self):
+        # pairs (s, a) in the order (0,0), (0,1), (1,0), (1,1)
+        m = two_state_single_agent()
+        np.testing.assert_array_equal(
+            lift_neighborhood_reward(m, m.rewards[0]), [0.0, 0.0, 1.0, 1.0])
 
     def test_single_step_by_hand(self):
         m = two_state_single_agent()
