@@ -67,7 +67,12 @@ def final_quarter_means(history):
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Train once and write metrics.csv, timings.csv, policy.csv and
-    manifest.json into ``out_dir``. Returns the manifest mapping."""
+    manifest.json into ``out_dir``. Returns the manifest mapping.
+
+    On a ``NumericAbort`` the same artifacts are written for the iterations
+    completed before it, with manifest ``status`` "numeric_abort", and the
+    abort is raised again.
+    """
     cmdp = build_env(cfg)
     check_table_sizes(cfg, cmdp)
     out = Path(out_dir)
@@ -76,11 +81,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     train_cfg = build_train_config(cfg)
 
     started = time.time()
-    state = train(cmdp, objectives, constraints, train_cfg, cfg.seed)
-    wall_clock_s = time.time() - started
+    try:
+        state = train(cmdp, objectives, constraints, train_cfg, cfg.seed)
+    except NumericAbort as exc:
+        _write_artifacts(cfg, out, exc.state, time.time() - started,
+                         {"status": "numeric_abort",
+                          "abort_iteration": exc.iteration,
+                          "abort_reason": str(exc)})
+        raise
+    return _write_artifacts(cfg, out, state, time.time() - started,
+                            {"status": "ok"})
 
+
+def _write_artifacts(cfg, out, state, wall_clock_s, status) -> dict:
     metrics_path = out / "metrics.csv"
-    _write_csv(metrics_path, _metrics_rows(state.history, cmdp.n_agents))
+    _write_csv(metrics_path, _metrics_rows(state.history, state.policy.graph.n))
     # timing varies run to run, so it lives outside the deterministic CSV
     _write_csv(out / "timings.csv",
                [["t", "elapsed_ms"] + [f"{p}_ms" for p in PHASES]]
@@ -95,6 +110,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         "version": __version__,
         "config": cfg.raw,
         "seed": cfg.seed,
+        **status,
         "iterations_completed": state.iteration,
         "oracle": state.oracle,
         "final_return": final_return,

@@ -1,8 +1,11 @@
 """Truncated shadow Q-function evaluation.
 
-``td_evaluate`` runs the asynchronous single-trajectory TD subroutine; the
-exact oracles (``full_q``, ``exact_truncated_q``) solve the Bellman linear
-system on enumerable instances.
+``td_evaluate`` runs the asynchronous single-trajectory TD subroutine: the
+uniforms of ``td_draws``, one ``Simulator`` rollout and the fit ``td_fit``
+(``train`` stacks both critics' trajectories into its one rollout per
+iteration and calls ``td_fit`` on them); the exact oracles (``full_q``,
+``exact_truncated_q``) solve the Bellman linear system on enumerable
+instances.
 """
 
 from __future__ import annotations
@@ -84,34 +87,37 @@ def q_table_layout(cmdp: FactoredCMDP, agent: int, kappa: int):
     return nbhd, s_sizes, a_sizes
 
 
-def td_evaluate(cmdp: FactoredCMDP, policy: KHopPolicy, rewards, kappa: int,
-                cfg: TDConfig, rng) -> list:
-    """Single-trajectory asynchronous TD evaluation of truncated Q-functions.
+def td_draws(cmdp: FactoredCMDP, cfg: TDConfig, rng):
+    """Initial state and uniforms of one TD trajectory, as a one-row
+    ``Simulator.rollout`` group: the per-agent uniforms of a uniform global
+    initial state, then cfg.steps + 1 action and cfg.steps transition
+    uniforms."""
+    n, K = cmdp.n_agents, cfg.steps
+    u_init = rng.random(n)
+    u_act = rng.random((K + 1, n))
+    u_trans = rng.random((K, n))
+    # uniform global initial state (product of per-agent uniforms)
+    sizes = np.array(cmdp.local_state_sizes)
+    s0 = np.minimum((u_init * sizes).astype(np.int64), sizes - 1)
+    return s0[None], u_act[:, None], u_trans[:, None]
 
-    Starts from a uniform global state, follows the policy for ``cfg.steps``
-    transitions, and at step k updates only the cell visited at step k-1 with
-    step size h/(k-1+k1). Tables are zero-initialized.
 
-    One ``Simulator`` rollout gives all K+1 states and actions; the Q cells
-    and rewards along it are encoded with array ops, and only the scalar
-    recursion runs step by step, over a dict of the visited cells.
+def td_fit(cmdp: FactoredCMDP, rewards, kappa: int, cfg: TDConfig,
+           S, A) -> list:
+    """Asynchronous TD evaluation of truncated Q-functions along one
+    trajectory of cfg.steps + 1 global states S and actions A, (K+1, n).
+
+    At step k only the cell visited at step k-1 is updated, with step size
+    h/(k-1+k1); tables are zero-initialized. The Q cells and rewards along
+    the trajectory are encoded with array ops, and only the scalar recursion
+    runs step by step, over a dict of the visited cells.
 
     ``rewards`` lists one reward per agent: either a local (S_i, A_i) array
     (a shadow reward), or a LocalReward over a declared neighborhood.
     """
-    n = cmdp.n_agents
-    if len(rewards) != n:
+    if len(rewards) != cmdp.n_agents:
         raise ValueError("need one reward per agent")
     K = cfg.steps
-    u_init = rng.random(n)
-    u_act = rng.random((K + 1, n))
-    u_trans = rng.random((K, n))
-
-    # uniform global initial state (product of per-agent uniforms)
-    sizes = np.array(cmdp.local_state_sizes)
-    s0 = np.minimum((u_init * sizes).astype(np.int64), sizes - 1)
-    S, A = Simulator(cmdp, policy).rollout(s0, u_act, u_trans)
-
     gamma = cmdp.gamma
     etas = [cfg.step_size(k) for k in range(K)]
     out = []
@@ -133,6 +139,15 @@ def td_evaluate(cmdp: FactoredCMDP, policy: KHopPolicy, rewards, kappa: int,
         q_tab.table.flat[list(q)] = list(q.values())
         out.append(q_tab)
     return out
+
+
+def td_evaluate(cmdp: FactoredCMDP, policy: KHopPolicy, rewards, kappa: int,
+                cfg: TDConfig, rng) -> list:
+    """Single-trajectory TD evaluation: ``td_fit`` along the rollout of
+    ``td_draws``, starting from a uniform global state and following the
+    policy for cfg.steps transitions."""
+    [(S, A)] = Simulator(cmdp, policy).rollout([td_draws(cmdp, cfg, rng)])
+    return td_fit(cmdp, rewards, kappa, cfg, S[0], A[0])
 
 
 def lift_local_reward(cmdp: FactoredCMDP, agent: int, table) -> np.ndarray:

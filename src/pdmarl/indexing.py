@@ -10,8 +10,8 @@ product with ``radix_weights``. It is the row lookup of kernel tables
 (``model.TransitionKernel.row_indices``), of policy tables
 (``KHopPolicy.nbhd_rows``) and of truncated-Q tables
 (``TruncatedQTable.cells``); ``sampling.Simulator`` stacks the same
-weights as columns of n x n matrices to look up every agent's row in one
-product. ``decode_table`` is the inverse over a whole space; the exact
+weights as columns of (2n+1) x n matrices to look up every agent's row in
+one product. ``decode_table`` is the inverse over a whole space; the exact
 oracles build P_pi, pi(a|s) and the lifted rewards by broadcasting over it,
 and ``row_kron`` multiplies per-agent factors in the same digit order.
 """

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -213,6 +214,19 @@ class FactoredCMDP:
                 f"{DEFAULT_ENUMERATION_CAP}"
             )
 
+    @cached_property
+    def next_state_kernel(self) -> np.ndarray:
+        """Global next-state distributions P(s' | s, a) as a read-only
+        (S, A, S') array, tabulated on first use and kept: it depends on the
+        model only, and every exact oracle reads it."""
+        self.check_enumeration_cap()
+        s_dec = indexing.decode_table(self.local_state_sizes)[:, None, :]
+        a_dec = indexing.decode_table(self.local_action_sizes)[None, :, :]
+        nxt = indexing.row_kron([kern.table[kern.row_indices(s_dec, a_dec)]
+                                 for kern in self.kernels])
+        nxt.flags.writeable = False
+        return nxt
+
     def initial_state_distribution(self):
         """Flat distribution over global states (product of local ones)."""
         return indexing.row_kron([np.asarray(d, dtype=float)
@@ -230,15 +244,6 @@ class DecayProfile:
     contraction_ok: bool  # whether chi < 2 / gamma
 
 
-def next_state_kernel(cmdp: FactoredCMDP) -> np.ndarray:
-    """Global next-state distributions P(s' | s, a) as an (S, A, S') array."""
-    cmdp.check_enumeration_cap()
-    s_dec = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
-    a_dec = indexing.decode_table(cmdp.local_action_sizes)[None, :, :]
-    return indexing.row_kron([kern.table[kern.row_indices(s_dec, a_dec)]
-                              for kern in cmdp.kernels])
-
-
 def global_transition_matrix(cmdp: FactoredCMDP, policy) -> np.ndarray:
     """State-action pair transition matrix under a policy.
 
@@ -249,7 +254,7 @@ def global_transition_matrix(cmdp: FactoredCMDP, policy) -> np.ndarray:
     (``occupancy.ExactSolve``); this pair-level matrix is their reference.
     """
     S, A = cmdp.n_states, cmdp.n_actions
-    nxt = next_state_kernel(cmdp)  # (S, A, S')
+    nxt = cmdp.next_state_kernel  # (S, A, S')
     pi = policy.joint_action_probabilities()  # (S', A')
     return (nxt[:, :, :, None] * pi).reshape(S * A, S * A).T
 

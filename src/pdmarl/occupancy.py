@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import FactoredCMDP, global_transition_matrix, next_state_kernel
+from .model import FactoredCMDP, global_transition_matrix
 from .sampling import TrajectoryBatch
 
 
@@ -87,7 +87,7 @@ class ExactSolve:
 
     def __init__(self, cmdp: FactoredCMDP, policy):
         self.cmdp = cmdp
-        self.nxt = next_state_kernel(cmdp)  # (S, A, S')
+        self.nxt = cmdp.next_state_kernel  # (S, A, S')
         self.pi = policy.joint_action_probabilities()  # (S, A)
         M = np.einsum("sa,sat->st", self.pi, self.nxt)
         self.lu = scipy.linalg.lu_factor(np.eye(len(M)) - cmdp.gamma * M)

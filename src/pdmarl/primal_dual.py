@@ -12,20 +12,22 @@ import numpy as np
 from .graph import khop_neighborhood
 from .model import FactoredCMDP, EnumerationCapExceeded
 from .policy import KHopPolicy
-from .sampling import TrajectoryBatch, sample_trajectories
+from .sampling import Simulator, TrajectoryBatch, trajectory_draws
 from .occupancy import ExactSolve, estimate_local_occupancy, marginalize
 from .utilities import shadow_reward, utility_value
-from .critic import (TDConfig, default_td_config, td_evaluate, truncate_q,
-                     lift_local_reward, lift_neighborhood_reward)
+from .critic import (TDConfig, default_td_config, td_draws, td_fit,
+                     truncate_q, lift_local_reward, lift_neighborhood_reward)
 from . import indexing
 
 
 class NumericAbort(RuntimeError):
-    """Raised when a NaN appears during training; carries the iteration."""
+    """Raised when a NaN appears during training; carries the iteration and
+    the ``TrainState`` of the iterations completed before it."""
 
-    def __init__(self, iteration, what):
+    def __init__(self, iteration, what, state=None):
         super().__init__(f"NaN in {what} at iteration {iteration}")
         self.iteration = iteration
+        self.state = state
 
 
 @dataclass(frozen=True)
@@ -401,8 +403,14 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
 
     for t in range(cfg.iterations):
         clock = _PhaseClock()
-        batch = sample_trajectories(cmdp, policy, cfg.batch_size, cfg.horizon,
-                                    _rng(seed, 1, t))
+        # one rollout: the sampling batch and both TD trajectories
+        sim = Simulator(cmdp, policy)
+        (states, actions), (S_f, A_f), (S_g, A_g) = sim.rollout([
+            trajectory_draws(cmdp, cfg.batch_size, cfg.horizon,
+                             _rng(seed, 1, t)),
+            td_draws(cmdp, td_cfg, _rng(seed, 2, t)),
+            td_draws(cmdp, td_cfg, _rng(seed, 3, t))])
+        batch = TrajectoryBatch(states=states, actions=actions)
         clock.lap("sample")
         lam = [estimate_local_occupancy(batch, i, cmdp.gamma, cfg.horizon,
                                         cmdp.local_state_sizes[i],
@@ -420,19 +428,19 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
                 [utility_value(objectives[i], lam[i]) for i in range(n)]))
 
         if not np.all(np.isfinite(g_tilde)):
-            raise NumericAbort(t, "constraint values")
+            raise NumericAbort(t, "constraint values", state)
         clock.lap("occupancy")
 
-        q_f = td_evaluate(cmdp, policy, r_f, cfg.kappa, td_cfg, _rng(seed, 2, t))
+        q_f = td_fit(cmdp, r_f, cfg.kappa, td_cfg, S_f[0], A_f[0])
         clock.lap("td_f")
-        q_g = td_evaluate(cmdp, policy, r_g, cfg.kappa, td_cfg, _rng(seed, 3, t))
+        q_g = td_fit(cmdp, r_g, cfg.kappa, td_cfg, S_g[0], A_g[0])
         clock.lap("td_g")
         mu = dual_update(g_tilde, cfg.steps.dual_step(t), cfg.mu_bar, n)
         grads = truncated_pg_estimate(batch, policy, q_f, q_g, mu,
                                       cfg.kappa, cmdp.gamma)
         for g in grads:
             if not np.all(np.isfinite(g)):
-                raise NumericAbort(t, "policy gradient")
+                raise NumericAbort(t, "policy gradient", state)
         record = IterationRecord(
             t=t, objective=objective_val, g_tilde=tuple(float(x) for x in g_tilde),
             violation=float(np.sum(np.maximum(0.0, -g_tilde))),

@@ -1,9 +1,13 @@
 """Trajectory generation under a k-hop policy, all agents stepped at once.
 
-``Simulator`` is the one inverse-CDF sampler of the package: per step it
-finds every agent's table row with one integer product ``rows = s @ W`` and
-draws every agent's action (or next state) with one gather from stacked CDF
-tables. ``sample_trajectories`` and ``critic.td_evaluate`` both roll it out.
+``Simulator`` is the one inverse-CDF sampler of the package: per half-step
+it finds every agent's table row with one integer product ``rows = x @ W``
+over the rows ``x = [s | a | 1]`` and draws every agent's action (or next
+state) with one gather from stacked CDF tables. ``Simulator.rollout`` runs
+row groups of different lengths in lockstep: ``train`` rolls out its
+sampling batch and both TD trajectories at once, and ``sample_trajectories``
+and ``critic.td_evaluate`` roll out one group each, with the same draws
+(``trajectory_draws``, ``critic.td_draws``).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ class InverseCdf:
     ``u[..., i] < cumsum(tables[i][rows[..., i]])[c]``, else the last index
     (also when a row's cumsum ends below 1.0). The cumsums without their last
     column are stacked into one array, padded with 2.0 so that padding is
-    never counted.
+    never counted; agent i's rows start at ``offsets[i]``.
     """
 
     def __init__(self, tables):
@@ -60,65 +64,107 @@ class InverseCdf:
 
     def draw(self, rows, u):
         """Draws at integer rows and uniforms u of shape (..., n)."""
-        return (u[..., None] >= self.cdf[rows + self.offsets]).sum(axis=-1)
+        return self.draw_stacked(rows + self.offsets, u[..., None])
+
+    def draw_stacked(self, rows, u):
+        """Draws at rows of the stacked table (``offsets`` already added),
+        with uniforms u of shape (..., n, 1)."""
+        return (u >= self.cdf.take(rows, axis=0)).sum(axis=-1)
+
+
+# Uniform that drives the steps of a row group past its own length: every
+# row of a rollout advances in lockstep, and those steps are dropped.
+PAD_U = 0.5
 
 
 class Simulator:
     """Actions and transitions of every agent of ``cmdp`` under ``policy``.
 
-    Row lookups are products with n x n radix-weight matrices: column i of
-    ``policy_w`` encodes agent i's policy neighborhood, columns i of
-    ``state_w``/``action_w`` encode kernel i's dependency cell.
+    A row of the rollout is one integer vector ``x = [s | a | 1]`` of length
+    2n+1. Each half-step looks up every agent's stacked CDF row with one
+    product ``x @ W``: column i of ``act_w`` encodes agent i's policy
+    neighborhood, column i of ``trans_w`` kernel i's state and action
+    dependency cell, and the last row of each holds the ``InverseCdf``
+    offsets.
     """
 
     def __init__(self, cmdp: FactoredCMDP, policy: KHopPolicy):
-        n = cmdp.n_agents
+        n = self.n = cmdp.n_agents
         self.policy_cdf = InverseCdf([policy.prob_table(i) for i in range(n)])
         self.kernel_cdf = InverseCdf([kern.table for kern in cmdp.kernels])
-        self.policy_w, self.state_w, self.action_w = (
-            np.zeros((n, n), dtype=np.int64) for _ in range(3))
+        self.act_w, self.trans_w = (np.zeros((2 * n + 1, n), dtype=np.int64)
+                                    for _ in range(2))
         for i in range(n):
-            self.policy_w[list(policy.neighborhood(i)), i] = \
+            self.act_w[list(policy.neighborhood(i)), i] = \
                 indexing.radix_weights(policy.nbhd_state_sizes(i))
         for i, kern in enumerate(cmdp.kernels):
             w = indexing.radix_weights(kern.dep_sizes)
             ns = len(kern.state_deps)
-            self.state_w[list(kern.state_deps), i] = w[:ns]
-            self.action_w[list(kern.action_deps), i] = w[ns:]
+            self.trans_w[list(kern.state_deps), i] = w[:ns]
+            self.trans_w[[n + j for j in kern.action_deps], i] = w[ns:]
+        self.act_w[-1] = self.policy_cdf.offsets
+        self.trans_w[-1] = self.kernel_cdf.offsets
+
+    def _x(self, s, a):
+        """Rollout rows [s | a | 1] of states s (..., n) and actions a."""
+        s = np.asarray(s)
+        return np.concatenate([s, np.broadcast_to(a, s.shape),
+                               np.ones(s.shape[:-1] + (1,), dtype=np.int64)],
+                              axis=-1)
 
     def act(self, s, u):
         """Joint actions at integer states s and uniforms u, both (..., n)."""
-        return self.policy_cdf.draw(s @ self.policy_w, u)
+        return self.policy_cdf.draw_stacked(self._x(s, 0) @ self.act_w,
+                                            u[..., None])
 
     def transition(self, s, a, u):
         """Next states after states s and actions a, with uniforms u."""
-        return self.kernel_cdf.draw(s @ self.state_w + a @ self.action_w, u)
+        return self.kernel_cdf.draw_stacked(self._x(s, a) @ self.trans_w,
+                                            u[..., None])
 
-    def rollout(self, s, u_act, u_trans):
-        """States and actions of ``len(u_act)`` steps from states s.
+    def rollout(self, groups):
+        """One lockstep rollout of row groups of different lengths.
 
-        Step k draws its actions with ``u_act[k]``; the states of step k+1
-        are drawn with ``u_trans[k]``. Outputs have shape (T,) + s.shape.
+        Each group is ``(s, u_act, u_trans)``: R_i initial states (R_i, n),
+        action uniforms (T_i, R_i, n) and at least T_i - 1 transition
+        uniforms (., R_i, n). Step k draws the actions with ``u_act[k]``;
+        the states of step k+1 are drawn with ``u_trans[k]``. Returns one
+        ``(states, actions)`` pair per group, each row's trajectory: shape
+        (R_i, T_i, n). All groups run for the longest T_i steps; a shorter
+        group's extra steps use ``PAD_U`` and are cut off, so each pair
+        equals the rollout of its group alone.
         """
-        states = np.empty((len(u_act),) + s.shape, dtype=np.int64)
-        actions = np.empty_like(states)
-        for k in range(len(u_act)):
+        n = self.n
+        lengths = [len(u_act) for _, u_act, _ in groups]
+        T = max(lengths)
+        starts = np.cumsum([0] + [len(s) for s, _, _ in groups])
+        u_act = np.full((T, starts[-1], n, 1), PAD_U)
+        u_trans = np.full((T - 1, starts[-1], n, 1), PAD_U)
+        x = np.zeros((T, starts[-1], 2 * n + 1), dtype=np.int64)
+        x[..., -1] = 1
+        for (s, ua, ut), r0, r1, t in zip(groups, starts, starts[1:], lengths):
+            x[0, r0:r1, :n] = s
+            u_act[:t, r0:r1, :, 0] = ua
+            u_trans[:t - 1, r0:r1, :, 0] = ut[:t - 1]
+        act, trans = self.policy_cdf.draw_stacked, self.kernel_cdf.draw_stacked
+        for k in range(T):
             if k:
-                s = self.transition(s, a, u_trans[k - 1])
-            a = self.act(s, u_act[k])
-            states[k], actions[k] = s, a
-        return states, actions
+                x[k, :, :n] = trans(x[k - 1] @ self.trans_w, u_trans[k - 1])
+            x[k, :, n:2 * n] = act(x[k] @ self.act_w, u_act[k])
+        # copies: views would keep the (T, R, 2n+1) buffer alive for the
+        # rest of the iteration, which pinned the freed TD Q tables in the
+        # heap (measured: +23 MB peak RSS on the side-3 wireless grid)
+        by_row = x[..., :2 * n].swapaxes(0, 1)
+        return [(np.ascontiguousarray(by_row[r0:r1, :t, :n]),
+                 np.ascontiguousarray(by_row[r0:r1, :t, n:]))
+                for r0, r1, t in zip(starts, starts[1:], lengths)]
 
 
-def sample_trajectories(cmdp: FactoredCMDP, policy: KHopPolicy,
-                        batch_size: int, horizon: int, rng,
-                        initial_states=None) -> TrajectoryBatch:
-    """Simulate ``batch_size`` trajectories of ``horizon`` steps.
-
-    All trajectories advance in lockstep; actions and transitions use
-    inverse-CDF draws in fixed order so the output is a deterministic
-    function of the rng state.
-    """
+def trajectory_draws(cmdp: FactoredCMDP, batch_size: int, horizon: int, rng,
+                     initial_states=None):
+    """Initial states and uniforms of ``sample_trajectories``, as one
+    ``Simulator.rollout`` group: initial states (unless given), then action
+    uniforms, then transition uniforms, each (horizon, batch_size, n)."""
     if batch_size < 1 or horizon < 1:
         raise ValueError("batch_size and horizon must be positive")
     n = cmdp.n_agents
@@ -133,9 +179,20 @@ def sample_trajectories(cmdp: FactoredCMDP, policy: KHopPolicy,
             raise ValueError("initial_states must have shape (B, n)")
         if np.any(s < 0) or np.any(s >= np.array(cmdp.local_state_sizes)):
             raise ValueError("initial_states out of range")
-
     u_act = rng.random((horizon, B, n))
     u_trans = rng.random((horizon, B, n))
-    states, actions = Simulator(cmdp, policy).rollout(s, u_act, u_trans)
-    return TrajectoryBatch(states=np.ascontiguousarray(states.swapaxes(0, 1)),
-                           actions=np.ascontiguousarray(actions.swapaxes(0, 1)))
+    return s, u_act, u_trans
+
+
+def sample_trajectories(cmdp: FactoredCMDP, policy: KHopPolicy,
+                        batch_size: int, horizon: int, rng,
+                        initial_states=None) -> TrajectoryBatch:
+    """Simulate ``batch_size`` trajectories of ``horizon`` steps.
+
+    All trajectories advance in lockstep; actions and transitions use
+    inverse-CDF draws in fixed order so the output is a deterministic
+    function of the rng state.
+    """
+    [(states, actions)] = Simulator(cmdp, policy).rollout([trajectory_draws(
+        cmdp, batch_size, horizon, rng, initial_states)])
+    return TrajectoryBatch(states=states, actions=actions)

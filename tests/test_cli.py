@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pdmarl
+from pdmarl import primal_dual
 from pdmarl.config import (ConfigError, build_env, build_train_config,
                            build_utilities, derived_seed, load_config,
                            parse_config, parse_config_dict, serialize_config)
@@ -195,6 +196,7 @@ class TestRunArtifacts:
         assert on_disk == manifest
         assert manifest["iterations_completed"] == 8
         assert manifest["oracle"] == "off"
+        assert manifest["status"] == "ok"
         assert load_config(out / "config.yaml").raw == cfg.raw
 
     @pytest.mark.parametrize("n, status", [
@@ -343,6 +345,41 @@ class TestMainEntryPoint:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and reason in err
         assert not out.exists()
+
+    def test_numeric_abort_writes_partial_artifacts(self, tmp_path, capsys,
+                                                    monkeypatch):
+        cfg_path = self.write_config(tmp_path)
+        assert main(["run", "--config", cfg_path,
+                     "--out", str(tmp_path / "full")]) == 0
+        # a NaN policy gradient at iteration 3 of 8
+        estimate = primal_dual.truncated_pg_estimate
+
+        def nan_at_three(batch, policy, q_f, q_g, mu, kappa, gamma):
+            grads = estimate(batch, policy, q_f, q_g, mu, kappa, gamma)
+            if len(calls) == 3:
+                grads[0] = np.full_like(grads[0], np.nan)
+            calls.append(1)
+            return grads
+
+        calls = []
+        monkeypatch.setattr(primal_dual, "truncated_pg_estimate", nan_at_three)
+        out = tmp_path / "aborted"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+        assert "numeric abort: NaN in policy gradient at iteration 3" in \
+            capsys.readouterr().err
+        # the completed iterations, as in the full run
+        full_rows = read_csv(tmp_path / "full" / "metrics.csv")
+        assert read_csv(out / "metrics.csv") == full_rows[:1 + 3]
+        assert len(read_csv(out / "timings.csv")) == 1 + 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "numeric_abort"
+        assert manifest["abort_iteration"] == 3
+        assert manifest["iterations_completed"] == 3
+        assert manifest["abort_reason"] == \
+            "NaN in policy gradient at iteration 3"
+        assert load_policy(out / "policy.csv").kappa == 1
+        full = json.loads((tmp_path / "full" / "manifest.json").read_text())
+        assert full["status"] == "ok" and "abort_iteration" not in full
 
     def test_missing_file_exit_one(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 1

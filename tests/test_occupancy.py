@@ -257,3 +257,24 @@ class TestStateChainSolve:
         assert close(solve.q(rewards), q_ref)
         assert close(full_q(m, pol, rewards), q_ref)
         assert close(full_q(m, pol, rewards[:, -1]), q_ref[:, -1])
+
+    def test_next_state_kernel_tabulated_once_per_model(self, monkeypatch):
+        m = chain(4)
+        lookups = []
+        row_indices = TransitionKernel.row_indices
+
+        def counted(self, S, A):
+            lookups.append(self.agent)
+            return row_indices(self, S, A)
+
+        monkeypatch.setattr(TransitionKernel, "row_indices", counted)
+        rng = np.random.default_rng(np.random.SeedSequence(3))
+        first, second = (ExactSolve(m, KHopPolicy.random(
+            m.graph, m.local_state_sizes, m.local_action_sizes, 1, rng))
+            for _ in range(2))
+        assert lookups == [0, 1, 2, 3]  # one tabulation, read by both
+        assert second.nxt is first.nxt is m.next_state_kernel
+        assert not m.next_state_kernel.flags.writeable
+        # the pair-level reference reads the same array
+        global_transition_matrix(m, uniform_policy(m))
+        assert lookups == [0, 1, 2, 3]

@@ -2,7 +2,9 @@
 
 The golden SHA-256 values were recorded from the per-agent Python loops that
 the array simulator replaced; any change to the draw order, the inverse-CDF
-rule or the TD float expression order shows up here.
+rule or the TD float expression order shows up here. ``train`` rolls its
+sampling batch and both TD trajectories out together; the last tests check
+that each part equals the separate call with the same generator.
 """
 
 import hashlib
@@ -10,11 +12,14 @@ import hashlib
 import numpy as np
 import pytest
 
+from pdmarl import primal_dual, sampling
 from pdmarl.critic import TDConfig, td_evaluate
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
 from pdmarl.policy import KHopPolicy
+from pdmarl.primal_dual import StepSizes, TrainConfig, _rng, train
 from pdmarl.sampling import InverseCdf, Simulator, sample_trajectories
+from pdmarl.utilities import ENTROPY, GeneralUtility
 
 
 def rng_for(seed, purpose=0):
@@ -157,3 +162,112 @@ def test_batch_rows_step_like_single_rows():
     for b in range(3):
         assert np.array_equal(sim.act(s[b], u_act[b]), a[b])
         assert np.array_equal(sim.transition(s[b], a[b], u_trans[b]), s_next[b])
+
+    # the fused rollout steps exactly like act and transition
+    [(states, actions)] = sim.rollout([(s, np.stack([u_act, u_trans]),
+                                        u_trans[None])])
+    assert np.array_equal(states[:, 1], s_next)
+    assert np.array_equal(actions[:, 0], a)
+    assert np.array_equal(actions[:, 1], sim.act(s_next, u_trans))
+
+
+# -- one stacked rollout per training iteration -------------------------------
+
+def train_setup(env, kappa, horizon, steps):
+    """A 2-iteration training of ``build(env, kappa, 0)``'s model: env-reward
+    objective on the line, entropy objective on the grid."""
+    cmdp, _ = build(env, kappa, 0)
+    base = GeneralUtility(kind=ENTROPY, gamma=cmdp.gamma)
+    objectives = None if env == "line4" else [base] * cmdp.n_agents
+    constraints = [base.as_constraint(0.25)] * cmdp.n_agents
+    cfg = TrainConfig(kappa=kappa, iterations=2, horizon=horizon, batch_size=3,
+                      steps=StepSizes(eta_theta=0.05, eta_mu=10.0),
+                      td=TDConfig(steps=steps, h=20.0, k1=40.0))
+    return cmdp, objectives, constraints, cfg
+
+
+def recorded_train(monkeypatch, cmdp, objectives, constraints, cfg, seed):
+    """Per iteration: the policy, the batch and, per critic, the rewards and
+    the Q tables that ``train`` computed."""
+    calls, fits = [], []
+    fit, estimate = primal_dual.td_fit, primal_dual.truncated_pg_estimate
+
+    def recording_fit(cmdp_, rewards, *args):
+        tables = fit(cmdp_, rewards, *args)
+        fits.append((rewards, tables))
+        return tables
+
+    def recording_estimate(batch, policy, q_f, q_g, *args):
+        calls.append((policy, batch, fits[-2], fits[-1]))
+        return estimate(batch, policy, q_f, q_g, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(primal_dual, "td_fit", recording_fit)
+        patch.setattr(primal_dual, "truncated_pg_estimate", recording_estimate)
+        state = train(cmdp, objectives, constraints, cfg, seed)
+    return state, calls
+
+
+def metrics(state):
+    """What ``train`` reports, without the wall-clock fields."""
+    return ([(r.t, r.objective, r.g_tilde, r.violation, r.mu)
+             for r in state.history],
+            [t.tobytes() for t in state.policy.theta])
+
+
+# (env, kappa, horizon, TD steps): the TD rows outlast the sampling rows in
+# the first three, the sampling rows outlast the TD rows in the last
+STACKED = [("line4", 1, 20, 30), ("line4", 2, 20, 30), ("wireless2", 1, 20, 30),
+           ("line4", 1, 40, 10)]
+
+
+@pytest.mark.parametrize("env,kappa,horizon,steps", STACKED)
+def test_stacked_rollout_is_the_separate_calls(monkeypatch, env, kappa,
+                                               horizon, steps):
+    cmdp, objectives, constraints, cfg = train_setup(env, kappa, horizon, steps)
+    seed = 5
+    state, calls = recorded_train(monkeypatch, cmdp, objectives, constraints,
+                                  cfg, seed)
+    assert len(calls) == 2
+    for t, (policy, batch, (r_f, q_f), (r_g, q_g)) in enumerate(calls):
+        alone = sample_trajectories(cmdp, policy, cfg.batch_size, horizon,
+                                    _rng(seed, 1, t))
+        assert np.array_equal(batch.states, alone.states)
+        assert np.array_equal(batch.actions, alone.actions)
+        for purpose, rewards, tables in ((2, r_f, q_f), (3, r_g, q_g)):
+            alone = td_evaluate(cmdp, policy, rewards, kappa, cfg.td,
+                                _rng(seed, purpose, t))
+            for q, q_alone in zip(tables, alone):
+                assert np.array_equal(q.table, q_alone.table)
+
+    # the uniforms that pad the shorter rows leave every kept output alone
+    for pad in (0.0, 0.999):
+        monkeypatch.setattr(sampling, "PAD_U", pad)
+        padded_state, padded = recorded_train(monkeypatch, cmdp, objectives,
+                                              constraints, cfg, seed)
+        assert metrics(padded_state) == metrics(state)
+        for (_, batch, (_, q_f), (_, q_g)), (_, b, (_, p_f), (_, p_g)) in zip(
+                calls, padded):
+            assert np.array_equal(batch.states, b.states)
+            assert np.array_equal(batch.actions, b.actions)
+            for q, p in zip(q_f + q_g, p_f + p_g):
+                assert np.array_equal(q.table, p.table)
+
+
+def test_one_simulator_and_one_rollout_per_iteration(monkeypatch):
+    cmdp, objectives, constraints, cfg = train_setup("line4", 1, 20, 30)
+    counts = {"build": 0, "rollout": 0}
+    init, rollout = Simulator.__init__, Simulator.rollout
+
+    def counted_init(self, *args):
+        counts["build"] += 1
+        init(self, *args)
+
+    def counted_rollout(self, groups):
+        counts["rollout"] += 1
+        return rollout(self, groups)
+
+    monkeypatch.setattr(Simulator, "__init__", counted_init)
+    monkeypatch.setattr(Simulator, "rollout", counted_rollout)
+    train(cmdp, objectives, constraints, cfg, seed=0)
+    assert counts == {"build": 2, "rollout": 2}
