@@ -243,15 +243,21 @@ def build_env(cfg: ExperimentConfig) -> FactoredCMDP:
 
 
 def check_table_sizes(cfg: ExperimentConfig, cmdp: FactoredCMDP):
-    """Reject a kappa whose policy or truncated-Q tables on this env exceed
-    their caps."""
+    """Reject a kappa whose policy tables, or the truncated-Q cells one TD
+    fit stores, on this env exceed their caps."""
+    kappa = cfg["kappa"]
+    steps = (_td_config(cfg.raw) or default_td_config(cfg["gamma"])).steps
     try:
         table_shapes(cmdp.graph, cmdp.local_state_sizes,
-                     cmdp.local_action_sizes, cfg["kappa"])
-        for i in range(cmdp.n_agents):
-            q_table_layout(cmdp, i, cfg["kappa"])
+                     cmdp.local_action_sizes, kappa)
     except ValueError as exc:
-        raise ConfigError(f"kappa {cfg['kappa']} is too large: {exc}") from exc
+        raise ConfigError(f"kappa {kappa} is too large: {exc}") from exc
+    try:
+        for i in range(cmdp.n_agents):
+            q_table_layout(cmdp, i, kappa, steps)
+    except ValueError as exc:
+        raise ConfigError(f"kappa {kappa} with {steps} TD steps is too "
+                          f"large: {exc}") from exc
 
 
 def build_utilities(cfg: ExperimentConfig, cmdp: FactoredCMDP):

@@ -47,43 +47,80 @@ def default_td_config(gamma: float, steps: int = 500,
     return TDConfig(steps=steps, h=float(h), k1=float(2 * h))
 
 
+def q_cells(S, A, nbhd, state_sizes, action_sizes) -> np.ndarray:
+    """Flat cell ids (the neighborhood state's encode times the neighborhood
+    action-space size plus the action's encode) at integer global
+    state/action arrays (..., n)."""
+    return (indexing.encode(S, nbhd, state_sizes)
+            * indexing.space_size(action_sizes)
+            + indexing.encode(A, nbhd, action_sizes))
+
+
 @dataclass(frozen=True)
 class TruncatedQTable:
-    """Q values on the k-hop neighborhood cell (s_nbhd, a_nbhd) of one agent."""
+    """Q values on the k-hop neighborhood cells (s_nbhd, a_nbhd) of one
+    agent, stored sparsely: the sorted flat cell ids ``keys`` (see
+    ``q_cells``) and their ``values``. A cell not stored reads 0.0, as in
+    a zero-initialized table."""
 
     agent: int
     kappa: int
     nbhd: tuple
     state_sizes: tuple  # sizes of the neighborhood agents' state spaces
     action_sizes: tuple
-    table: np.ndarray  # (n_nbhd_states, n_nbhd_actions)
+    keys: np.ndarray  # (m,) int64 cell ids, m >= 1, strictly increasing
+    values: np.ndarray  # (m,) float64
 
     def cells(self, S, A):
-        """(row, column) index arrays at integer global state/action arrays
-        (..., n)."""
-        return (indexing.encode(S, self.nbhd, self.state_sizes),
-                indexing.encode(A, self.nbhd, self.action_sizes))
+        """Flat cell ids at integer global state/action arrays (..., n)."""
+        return q_cells(S, A, self.nbhd, self.state_sizes, self.action_sizes)
+
+    def read(self, cells):
+        """Values at flat cell ids; 0.0 where a cell is not stored."""
+        pos = np.searchsorted(self.keys, cells)
+        return np.where(self.keys.take(pos, mode="clip") == cells,
+                        self.values.take(pos, mode="clip"), 0.0)
 
     def at(self, S, A):
-        """Table values at integer global state/action arrays (..., n)."""
-        return self.table[self.cells(S, A)]
+        """Values at integer global state/action arrays (..., n)."""
+        return self.read(self.cells(S, A))
+
+    @property
+    def table(self) -> np.ndarray:
+        """The dense (n_nbhd_states, n_nbhd_actions) array, zero where no
+        cell is stored. Materialized on each access: for tests and checks."""
+        out = np.zeros((indexing.space_size(self.state_sizes),
+                        indexing.space_size(self.action_sizes)))
+        out.flat[self.keys] = self.values
+        return out
 
 
-# Largest truncated-Q table of one agent, in cells of 8 bytes.
+# Most cells one truncated-Q table may store (an 8-byte key and value each).
 MAX_Q_CELLS = 10**7
 
 
-def q_table_layout(cmdp: FactoredCMDP, agent: int, kappa: int):
+def q_table_layout(cmdp: FactoredCMDP, agent: int, kappa: int, steps=None):
     """Neighborhood and its state and action sizes of one agent's truncated-Q
-    table at radius kappa; raises ValueError above MAX_Q_CELLS cells."""
+    table at radius kappa.
+
+    A TD fit of ``steps`` steps stores at most min(dense cells, steps + 1)
+    cells; ``steps=None`` is a table that stores every cell. Raises
+    ValueError above MAX_Q_CELLS stored cells, or when a flat cell id would
+    not fit in int64.
+    """
     nbhd = khop_neighborhood(cmdp.graph, agent, kappa)
     s_sizes = tuple(cmdp.local_state_sizes[j] for j in nbhd)
     a_sizes = tuple(cmdp.local_action_sizes[j] for j in nbhd)
-    cells = indexing.space_size(s_sizes + a_sizes)
-    if cells > MAX_Q_CELLS:
+    dense = indexing.space_size(s_sizes + a_sizes)
+    if dense - 1 > np.iinfo(np.int64).max:
         raise ValueError(
-            f"truncated Q table of agent {agent} would have {cells} cells, "
-            f"above the cap of {MAX_Q_CELLS}")
+            f"truncated Q table of agent {agent} has {dense} cells, whose "
+            f"flat ids do not fit in int64")
+    stored = dense if steps is None else min(dense, steps + 1)
+    if stored > MAX_Q_CELLS:
+        raise ValueError(
+            f"truncated Q table of agent {agent} would store up to {stored} "
+            f"cells, above the cap of {MAX_Q_CELLS}")
     return nbhd, s_sizes, a_sizes
 
 
@@ -110,7 +147,8 @@ def td_fit(cmdp: FactoredCMDP, rewards, kappa: int, cfg: TDConfig,
     At step k only the cell visited at step k-1 is updated, with step size
     h/(k-1+k1); tables are zero-initialized. The Q cells and rewards along
     the trajectory are encoded with array ops, and only the scalar recursion
-    runs step by step, over a dict of the visited cells.
+    runs step by step, over a dict of the visited cells; each table stores
+    those cells only, so nothing of the dense table's size is allocated.
 
     ``rewards`` lists one reward per agent: either a local (S_i, A_i) array
     (a shadow reward), or a LocalReward over a declared neighborhood.
@@ -122,12 +160,8 @@ def td_fit(cmdp: FactoredCMDP, rewards, kappa: int, cfg: TDConfig,
     etas = [cfg.step_size(k) for k in range(K)]
     out = []
     for i, reward in enumerate(rewards):
-        nbhd, s_sizes, a_sizes = q_table_layout(cmdp, i, kappa)
-        q_tab = TruncatedQTable(
-            agent=i, kappa=kappa, nbhd=nbhd, state_sizes=s_sizes,
-            action_sizes=a_sizes, table=np.zeros((indexing.space_size(s_sizes),
-                                                  indexing.space_size(a_sizes))))
-        cells = np.ravel_multi_index(q_tab.cells(S, A), q_tab.table.shape).tolist()
+        layout = q_table_layout(cmdp, i, kappa, K)
+        cells = q_cells(S, A, *layout).tolist()
         r = (reward.values(S, A) if isinstance(reward, LocalReward)
              else reward[S[:, i], A[:, i]]).tolist()
         # the scalar recursion, over the visited cells only
@@ -136,8 +170,13 @@ def td_fit(cmdp: FactoredCMDP, rewards, kappa: int, cfg: TDConfig,
             qc = q.get(cells[k], 0.0)
             q[cells[k]] = qc + etas[k] * (r[k] + gamma * q.get(cells[k + 1], 0.0)
                                           - qc)
-        q_tab.table.flat[list(q)] = list(q.values())
-        out.append(q_tab)
+        keys = np.fromiter(q, np.int64, len(q))
+        # the keys are distinct, so any sort gives this order; the stable
+        # one pages in about 0.1 MB of numpy's code, its SIMD quicksort 0.4 MB
+        order = keys.argsort(kind="stable")
+        out.append(TruncatedQTable(
+            i, kappa, *layout, keys=keys.take(order),
+            values=np.fromiter(q.values(), np.float64, len(q)).take(order)))
     return out
 
 
@@ -194,9 +233,11 @@ def truncate_q(cmdp: FactoredCMDP, q, agent: int, kappa: int,
     at = {j: p for p, j in enumerate(nbhd)}
     idx = ([s_nb[..., at[j]] if j in at else anchor_s[j] for j in range(n)]
            + [a_nb[..., at[j]] if j in at else anchor_a[j] for j in range(n)])
+    values = np.asarray(q, dtype=np.float64).reshape(ss + aa)[tuple(idx)]
     return TruncatedQTable(agent=agent, kappa=kappa, nbhd=nbhd,
                            state_sizes=s_sizes, action_sizes=a_sizes,
-                           table=np.asarray(q).reshape(ss + aa)[tuple(idx)])
+                           keys=np.arange(values.size, dtype=np.int64),
+                           values=values.ravel())
 
 
 def exact_truncated_q(cmdp: FactoredCMDP, policy: KHopPolicy, reward_flat,

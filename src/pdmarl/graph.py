@@ -73,7 +73,7 @@ def khop_neighborhood(graph: DependenceGraph, i: int, kappa: int) -> tuple:
     graph._check_agent(i)
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    return tuple(j for j in range(graph.n) if graph.distance(i, j) <= kappa)
+    return tuple(j for j, d in enumerate(graph._dist[i]) if d <= kappa)
 
 
 def line_graph(n: int) -> DependenceGraph:

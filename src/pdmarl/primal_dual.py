@@ -79,8 +79,10 @@ def truncated_pg_estimate(batch: TrajectoryBatch, policy: KHopPolicy,
 
     v = np.empty((n, B, H))
     for j in range(n):
-        v[j] = (q_f[j].at(batch.states, batch.actions)
-                + mu.mu[j] * q_g[j].at(batch.states, batch.actions))
+        if q_f[j].nbhd != q_g[j].nbhd:
+            raise ValueError(f"Q tables of agent {j} differ in neighborhood")
+        cells = q_f[j].cells(batch.states, batch.actions)
+        v[j] = q_f[j].read(cells) + mu.mu[j] * q_g[j].read(cells)
     discounts = gamma ** np.arange(H)
 
     grads = []
@@ -183,7 +185,8 @@ def exact_truncated_pg(cmdp: FactoredCMDP, policy: KHopPolicy,
     for j in range(n):
         qf_t = truncate_q(cmdp, q[:, j], j, kappa, anchor=anchor)
         qg_t = truncate_q(cmdp, q[:, n + j], j, kappa, anchor=anchor)
-        v[j] = (qf_t.at(s_dec, a_dec) + mu[j] * qg_t.at(s_dec, a_dec)).ravel()
+        cells = qf_t.cells(s_dec, a_dec)
+        v[j] = (qf_t.read(cells) + mu[j] * qg_t.read(cells)).ravel()
 
     weights = []
     for i in range(n):

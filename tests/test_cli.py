@@ -318,28 +318,34 @@ class TestMainEntryPoint:
             assert part in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("old, new, reason", [
-        ("td:\n  steps: 100", "td:\n  steps: 0", "steps >= 1"),
-        ("td:\n  steps: 100", "td:\n  h: -1.0\n  k1: 1.0", "h > 0"),
-        ("  n: 3", "  n: 1", "at least 2 agents"),
-        ("  name: synthetic_line\n  n: 3",
-         "  name: wireless_grid\n  side: 1\n  deadline: 1", "side >= 2"),
-        ("  name: synthetic_line\n  n: 3",
-         "  name: wireless_grid\n  side: 2\n  deadline: 1\n  p: [0.5]",
+    @pytest.mark.parametrize("edits, reason", [
+        ({"td:\n  steps: 100": "td:\n  steps: 0"}, "steps >= 1"),
+        ({"td:\n  steps: 100": "td:\n  h: -1.0\n  k1: 1.0"}, "h > 0"),
+        ({"  n: 3": "  n: 1"}, "at least 2 agents"),
+        ({"  name: synthetic_line\n  n: 3":
+          "  name: wireless_grid\n  side: 1\n  deadline: 1"}, "side >= 2"),
+        ({"  name: synthetic_line\n  n: 3":
+          "  name: wireless_grid\n  side: 2\n  deadline: 1\n  p: [0.5]"},
          "p must have 4 entries"),
-        ("  name: synthetic_line\n  n: 3",
-         "  name: wireless_grid\n  side: 2\n  deadline: 1\n"
-         "  p: [0.5, 0.5, 0.5, x]",
+        ({"  name: synthetic_line\n  n: 3":
+          "  name: wireless_grid\n  side: 2\n  deadline: 1\n"
+          "  p: [0.5, 0.5, 0.5, x]"},
          "p entries must be numbers in (0, 1)"),
-        # kappa 1 on the side-4 grid gives agent 5 a 2^9 x 101250-cell Q table
-        ("  name: synthetic_line\n  n: 3",
-         "  name: wireless_grid\n  side: 4\n  deadline: 1",
-         "Q table of agent 5 would have 51840000 cells, above the cap of "
+        # kappa 1 on the side-4 grid gives agent 5 2^9 x 101250 cells, of
+        # which a TD fit of 10^7 steps could visit 10^7 + 1
+        ({"  name: synthetic_line\n  n: 3":
+          "  name: wireless_grid\n  side: 4\n  deadline: 1",
+          "td:\n  steps: 100": "td:\n  steps: 10000000"},
+         "kappa 1 with 10000000 TD steps is too large: truncated Q table of "
+         "agent 5 would store up to 10000001 cells, above the cap of "
          "10000000"),
     ], ids=["td_steps_0", "td_h_negative", "line_n_1", "grid_side_1",
             "grid_p_short", "grid_p_not_number", "grid_q_table_over_cap"])
-    def test_bad_env_or_td_exit_one(self, tmp_path, capsys, old, new, reason):
-        cfg_path = self.write_config(tmp_path, BASE_YAML.replace(old, new))
+    def test_bad_env_or_td_exit_one(self, tmp_path, capsys, edits, reason):
+        text = BASE_YAML
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg_path = self.write_config(tmp_path, text)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -442,7 +448,9 @@ class TestWirelessEnvReward:
 
     @pytest.mark.parametrize("env, kappa", [
         ("  side: 3\n  deadline: 1", 1), ("  side: 4\n  deadline: 2", 0),
-    ], ids=["side3_deadline1_kappa1", "side4_deadline2_kappa0"])
+        ("  side: 4\n  deadline: 1", 1),
+    ], ids=["side3_deadline1_kappa1", "side4_deadline2_kappa0",
+            "side4_deadline1_kappa1"])
     def test_larger_grids_run(self, tmp_path, env, kappa):
         path = tmp_path / "config.yaml"
         path.write_text(self.grid_yaml(env).replace(
@@ -453,6 +461,8 @@ class TestWirelessEnvReward:
         rows = read_csv(out / "metrics.csv")
         assert len(rows) == 3
         assert all(np.isfinite(float(row[1])) for row in rows[1:])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
 
 
 class TestBlasThreads:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,14 @@ from pdmarl.graph import DependenceGraph
 from pdmarl.model import (FactoredCMDP, TransitionKernel, LocalReward,
                           compute_decay_matrix, global_transition_matrix)
 from pdmarl.policy import KHopPolicy
-from pdmarl.critic import (TDConfig, default_td_config, exact_truncated_q,
-                           full_q, lift_local_reward,
-                           lift_neighborhood_reward, td_evaluate)
-from pdmarl.envs import SyntheticLineSpec, synthetic_line
+from pdmarl.critic import (MAX_Q_CELLS, TDConfig, default_td_config,
+                           exact_truncated_q, full_q, lift_local_reward,
+                           lift_neighborhood_reward, q_table_layout,
+                           td_draws, td_evaluate, td_fit)
+from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
+                         wireless_grid)
+from pdmarl.primal_dual import DualVariable, truncated_pg_estimate
+from pdmarl.sampling import Simulator, TrajectoryBatch, trajectory_draws
 from pdmarl import indexing
 
 
@@ -126,6 +132,55 @@ class TestTDEvaluate:
         qb = td_evaluate(m, pol, list(m.rewards), 1, cfg, rng_for(4))
         for a, b in zip(qa, qb):
             np.testing.assert_array_equal(a.table, b.table)
+
+
+class TestSparseQTable:
+    def grid4(self):
+        return wireless_grid(WirelessGridSpec(side=4, deadline=1, gamma=0.99))
+
+    def test_layout_caps_stored_cells_not_dense_cells(self):
+        # agent 5 of the side-4 grid has 2^9 x 101250 dense cells at kappa 1
+        m = self.grid4()
+        nbhd, s_sizes, a_sizes = q_table_layout(m, 5, 1, 500)
+        assert indexing.space_size(s_sizes + a_sizes) == 51_840_000
+        with pytest.raises(ValueError, match=f"agent 5 would store up to "
+                           f"{MAX_Q_CELLS + 1} cells"):
+            q_table_layout(m, 5, 1, MAX_Q_CELLS)
+        with pytest.raises(ValueError, match="agent 5 would store up to "
+                           "51840000 cells"):
+            q_table_layout(m, 5, 1)
+
+    def test_layout_rejects_cell_ids_beyond_int64(self):
+        m = chain(32)
+        q_table_layout(m, 16, 15, 500)  # 2^62 cells
+        with pytest.raises(ValueError, match="do not fit in int64"):
+            q_table_layout(m, 16, 16, 500)  # 2^64 cells
+
+    def test_train_path_allocates_no_dense_table(self):
+        # agent 5's dense table would take 415 MB
+        m = self.grid4()
+        rng = rng_for(5)
+        pol = KHopPolicy.random(m.graph, m.local_state_sizes,
+                                m.local_action_sizes, 1, rng)
+        cfg = default_td_config(m.gamma)
+        (S, A), (S_f, A_f), (S_g, A_g) = Simulator(m, pol).rollout([
+            trajectory_draws(m, 5, 125, rng), td_draws(m, cfg, rng),
+            td_draws(m, cfg, rng)])
+        shadow = [np.ones((s, a)) for s, a in
+                  zip(m.local_state_sizes, m.local_action_sizes)]
+        mu = DualVariable(mu=np.full(m.n_agents, 0.5), mu_bar=1.0)
+        tracemalloc.start()
+        try:
+            q_f = td_fit(m, list(m.rewards), 1, cfg, S_f[0], A_f[0])
+            q_g = td_fit(m, shadow, 1, cfg, S_g[0], A_g[0])
+            grads = truncated_pg_estimate(TrajectoryBatch(S, A), pol, q_f,
+                                          q_g, mu, 1, m.gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert all(len(q.keys) <= cfg.steps + 1 for q in q_f + q_g)
+        assert all(np.all(np.isfinite(g)) for g in grads)
 
 
 class TestExactQ:

@@ -105,11 +105,12 @@ class TestTruncatedPGEstimate:
         rng = np.random.default_rng(np.random.SeedSequence(6))
         pol = KHopPolicy.random(m.graph, (2,), (2,), 0, rng)
         qf = TruncatedQTable(agent=0, kappa=0, nbhd=(0,), state_sizes=(2,),
-                             action_sizes=(2,),
-                             table=np.array([[1.0, -2.0], [0.5, 3.0]]))
+                             action_sizes=(2,), keys=np.arange(4),
+                             values=np.array([1.0, -2.0, 0.5, 3.0]))
+        # cell (0, 1) is not stored and reads 0.0
         qg = TruncatedQTable(agent=0, kappa=0, nbhd=(0,), state_sizes=(2,),
-                             action_sizes=(2,),
-                             table=np.array([[0.2, 0.0], [-1.0, 0.4]]))
+                             action_sizes=(2,), keys=np.array([0, 2, 3]),
+                             values=np.array([0.2, -1.0, 0.4]))
         mu = DualVariable(mu=np.array([2.0]), mu_bar=10.0)
         s, a = 1, 0
         batch = TrajectoryBatch(states=np.array([[[s]]]),
@@ -120,6 +121,15 @@ class TestTruncatedPGEstimate:
                                        np.array([1.0]))
         np.testing.assert_allclose(grads[0], expected, atol=1e-12)
 
+    def test_tables_of_one_agent_share_a_neighborhood(self):
+        m = chain(3)
+        pol = uniform_policy(m)
+        batch = sample_trajectories(m, pol, 2, 5, np.random.default_rng(2))
+        mu = DualVariable(mu=np.zeros(3), mu_bar=1.0)
+        with pytest.raises(ValueError, match="agent 0 differ in neighborhood"):
+            truncated_pg_estimate(batch, pol, self.zero_q(m, 1),
+                                  self.zero_q(m, 0), mu, 1, m.gamma)
+
     def test_far_agents_do_not_enter(self):
         m = chain(3)
         pol = uniform_policy(m)
@@ -128,7 +138,7 @@ class TestTruncatedPGEstimate:
         bumped = list(q)
         bumped[2] = TruncatedQTable(agent=2, kappa=0, nbhd=(2,),
                                     state_sizes=(2,), action_sizes=(2,),
-                                    table=np.full((2, 2), 7.0))
+                                    keys=np.arange(4), values=np.full(4, 7.0))
         mu = DualVariable(mu=np.zeros(3), mu_bar=1.0)
         base = truncated_pg_estimate(batch, pol, q, q, mu, 0, m.gamma)
         pert = truncated_pg_estimate(batch, pol, bumped, q, mu, 0, m.gamma)

@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pdmarl import primal_dual, sampling
+from pdmarl import indexing, primal_dual, sampling
 from pdmarl.critic import TDConfig, td_evaluate
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
@@ -98,6 +98,28 @@ def test_td_evaluate_bytes(env, kappa, kind, seed):
                          TDConfig(steps=300, h=20.0, k1=40.0),
                          rng_for(seed, 2))
     assert digest(*(q.table for q in tables)) == TD_SHA[(env, kappa, kind, seed)]
+
+
+@pytest.mark.parametrize("env,kappa", [("line4", 1), ("line4", 2),
+                                       ("wireless2", 1)])
+def test_td_tables_read_as_their_dense_form(env, kappa):
+    # 13 stored cells at most, fewer than any table's 16 or more
+    cmdp, policy = build(env, kappa, 0)
+    tables = td_evaluate(cmdp, policy, rewards_of(cmdp, "shadow", 0), kappa,
+                         TDConfig(steps=12, h=20.0, k1=40.0), rng_for(0, 2))
+    for q in tables:
+        dense = q.table
+        assert 0 < len(q.keys) < dense.size
+        # every neighborhood cell, the agents outside the neighborhood at 0
+        S = np.zeros(dense.shape + (cmdp.n_agents,), dtype=np.int64)
+        A = np.zeros_like(S)
+        S[..., list(q.nbhd)] = indexing.decode_table(q.state_sizes)[:, None]
+        A[..., list(q.nbhd)] = indexing.decode_table(q.action_sizes)[None]
+        got = q.at(S, A)
+        assert np.array_equal(got, dense)
+        unvisited = np.ones(dense.size, dtype=bool)
+        unvisited[q.keys] = False
+        assert np.all(got.ravel()[unvisited] == 0.0)
 
 
 def reference_pick(row, u):
