@@ -9,7 +9,7 @@ from .model import (FactoredCMDP, TransitionKernel, LocalReward, DecayProfile,
 from .policy import KHopPolicy, induced_khop_policy, save_policy, load_policy
 from .sampling import Simulator, TrajectoryBatch, sample_trajectories
 from .occupancy import (LocalOccupancy, GlobalOccupancy, ExactSolve,
-                        estimate_local_occupancy, exact_global_occupancy,
+                        estimate_local_occupancies, exact_global_occupancy,
                         marginalize, state_marginal)
 from .utilities import (GeneralUtility, utility_value, shadow_reward,
                         LINEAR, ENTROPY, L2_ACTION, OBJECTIVE, CONSTRAINT)

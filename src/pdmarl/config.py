@@ -3,6 +3,7 @@ plus builders turning a parsed config into a model and trainer settings."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,8 @@ from .policy import table_shapes
 from .envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                    wireless_grid)
 from .utilities import GeneralUtility, ENTROPY, L2_ACTION, CONSTRAINT, OBJECTIVE
-from .critic import TDConfig, default_td_config, q_table_layout
+from .critic import TDConfig, default_td_config
+from .layout import q_table_layout
 from .primal_dual import TrainConfig, StepSizes
 
 SCHEMA_VERSION = 1
@@ -81,6 +83,9 @@ def _coerce(value, typ, key, where):
         raise ConfigError(
             f"field {key!r} in {where} must be {typ.__name__}, "
             f"got {type(value).__name__}")
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"field {key!r} in {where} must be finite, "
+                          f"got {value}")
     return value
 
 
@@ -128,7 +133,7 @@ def parse_config_dict(data) -> ExperimentConfig:
             f"(expected {SCHEMA_VERSION})")
     if not (0.0 <= norm["gamma"] < 1.0):
         raise ConfigError(f"gamma must be in [0, 1), got {norm['gamma']}")
-    for key in ("kappa", "oracle_every"):
+    for key in ("kappa", "oracle_every", "seed"):
         if norm.get(key, 0) < 0:
             raise ConfigError(f"{key} must be nonnegative")
     for key in ("iterations", "horizon", "batch_size"):
@@ -152,6 +157,8 @@ def parse_config_dict(data) -> ExperimentConfig:
     _check_keys(env, _ENV_KEYS[name], f"env ({name})")
     for key, value in env.items():
         env[key] = _coerce(value, _ENV_KEYS[name][key], key, "env")
+    if env.get("seed", 0) < 0:
+        raise ConfigError("env.seed must be nonnegative")
     if name == "synthetic_line" and "n" not in env:
         raise ConfigError("env.n is required for synthetic_line")
     if name == "wireless_grid":

@@ -2,10 +2,11 @@
 
 ``td_evaluate`` runs the asynchronous single-trajectory TD subroutine: the
 uniforms of ``td_draws``, one ``Simulator`` rollout and the fit ``td_fit``
-(``train`` stacks both critics' trajectories into its one rollout per
-iteration and calls ``td_fit`` on them); the exact oracles (``full_q``,
-``exact_truncated_q``) solve the Bellman linear system on enumerable
-instances.
+of every agent's table along it (``train`` stacks both critics'
+trajectories into its one rollout per iteration and calls ``td_fit`` on
+them, with the ``layout.RunLayout`` of the run); the exact oracles
+(``full_q``, ``exact_truncated_q``) solve the Bellman linear system on
+enumerable instances.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import khop_neighborhood
+from .layout import RunLayout, q_table_layout
 from .model import FactoredCMDP, LocalReward
 from .occupancy import ExactSolve
 from .policy import KHopPolicy
-from .sampling import Simulator
 from . import indexing
 
 
@@ -47,21 +47,12 @@ def default_td_config(gamma: float, steps: int = 500,
     return TDConfig(steps=steps, h=float(h), k1=float(2 * h))
 
 
-def q_cells(S, A, nbhd, state_sizes, action_sizes) -> np.ndarray:
-    """Flat cell ids (the neighborhood state's encode times the neighborhood
-    action-space size plus the action's encode) at integer global
-    state/action arrays (..., n)."""
-    return (indexing.encode(S, nbhd, state_sizes)
-            * indexing.space_size(action_sizes)
-            + indexing.encode(A, nbhd, action_sizes))
-
-
 @dataclass(frozen=True)
 class TruncatedQTable:
     """Q values on the k-hop neighborhood cells (s_nbhd, a_nbhd) of one
     agent, stored sparsely: the sorted flat cell ids ``keys`` (see
-    ``q_cells``) and their ``values``. A cell not stored reads 0.0, as in
-    a zero-initialized table."""
+    ``RunLayout.q_cells``) and their ``values``. A cell not stored reads
+    0.0, as in a zero-initialized table."""
 
     agent: int
     kappa: int
@@ -71,19 +62,11 @@ class TruncatedQTable:
     keys: np.ndarray  # (m,) int64 cell ids, m >= 1, strictly increasing
     values: np.ndarray  # (m,) float64
 
-    def cells(self, S, A):
-        """Flat cell ids at integer global state/action arrays (..., n)."""
-        return q_cells(S, A, self.nbhd, self.state_sizes, self.action_sizes)
-
     def read(self, cells):
         """Values at flat cell ids; 0.0 where a cell is not stored."""
         pos = np.searchsorted(self.keys, cells)
         return np.where(self.keys.take(pos, mode="clip") == cells,
                         self.values.take(pos, mode="clip"), 0.0)
-
-    def at(self, S, A):
-        """Values at integer global state/action arrays (..., n)."""
-        return self.read(self.cells(S, A))
 
     @property
     def table(self) -> np.ndarray:
@@ -93,35 +76,6 @@ class TruncatedQTable:
                         indexing.space_size(self.action_sizes)))
         out.flat[self.keys] = self.values
         return out
-
-
-# Most cells one truncated-Q table may store (an 8-byte key and value each).
-MAX_Q_CELLS = 10**7
-
-
-def q_table_layout(cmdp: FactoredCMDP, agent: int, kappa: int, steps=None):
-    """Neighborhood and its state and action sizes of one agent's truncated-Q
-    table at radius kappa.
-
-    A TD fit of ``steps`` steps stores at most min(dense cells, steps + 1)
-    cells; ``steps=None`` is a table that stores every cell. Raises
-    ValueError above MAX_Q_CELLS stored cells, or when a flat cell id would
-    not fit in int64.
-    """
-    nbhd = khop_neighborhood(cmdp.graph, agent, kappa)
-    s_sizes = tuple(cmdp.local_state_sizes[j] for j in nbhd)
-    a_sizes = tuple(cmdp.local_action_sizes[j] for j in nbhd)
-    dense = indexing.space_size(s_sizes + a_sizes)
-    if dense - 1 > np.iinfo(np.int64).max:
-        raise ValueError(
-            f"truncated Q table of agent {agent} has {dense} cells, whose "
-            f"flat ids do not fit in int64")
-    stored = dense if steps is None else min(dense, steps + 1)
-    if stored > MAX_Q_CELLS:
-        raise ValueError(
-            f"truncated Q table of agent {agent} would store up to {stored} "
-            f"cells, above the cap of {MAX_Q_CELLS}")
-    return nbhd, s_sizes, a_sizes
 
 
 def td_draws(cmdp: FactoredCMDP, cfg: TDConfig, rng):
@@ -139,31 +93,35 @@ def td_draws(cmdp: FactoredCMDP, cfg: TDConfig, rng):
     return s0[None], u_act[:, None], u_trans[:, None]
 
 
-def td_fit(cmdp: FactoredCMDP, rewards, kappa: int, cfg: TDConfig,
-           S, A) -> list:
-    """Asynchronous TD evaluation of truncated Q-functions along one
-    trajectory of cfg.steps + 1 global states S and actions A, (K+1, n).
+def td_fit(layout: RunLayout, rewards, S, A) -> list:
+    """Asynchronous TD evaluation of every agent's truncated Q-function
+    along one trajectory of K + 1 global states S and actions A, (K+1, n),
+    K = len(layout.etas).
 
     At step k only the cell visited at step k-1 is updated, with step size
-    h/(k-1+k1); tables are zero-initialized. The Q cells and rewards along
-    the trajectory are encoded with array ops, and only the scalar recursion
-    runs step by step, over a dict of the visited cells; each table stores
-    those cells only, so nothing of the dense table's size is allocated.
+    h/(k-1+k1); tables are zero-initialized. The Q cells and rewards of all
+    agents along the trajectory are encoded with one array op each, and
+    only the scalar recursion runs step by step, over a dict of the visited
+    cells; each table stores those cells only, so nothing of the dense
+    table's size is allocated.
 
-    ``rewards`` lists one reward per agent: either a local (S_i, A_i) array
-    (a shadow reward), or a LocalReward over a declared neighborhood.
+    ``rewards`` lists one reward per agent: either all local (S_i, A_i)
+    arrays (shadow rewards), read with one ``take`` from their stack, or
+    all LocalRewards over declared neighborhoods.
     """
-    if len(rewards) != cmdp.n_agents:
+    if len(rewards) != layout.n:
         raise ValueError("need one reward per agent")
-    K = cfg.steps
-    gamma = cmdp.gamma
-    etas = [cfg.step_size(k) for k in range(K)]
+    if all(isinstance(r, LocalReward) for r in rewards):
+        r_all = [r.values(S, A).tolist() for r in rewards]
+    elif [np.shape(r) for r in rewards] == layout.sa_shapes:
+        r_all = np.concatenate([np.ravel(r) for r in rewards]).take(
+            layout.sa_cells(S, A)).T.tolist()
+    else:
+        raise ValueError("rewards must be LocalRewards or (S_i, A_i) arrays")
+    K, gamma, etas = len(layout.etas), layout.gamma, layout.etas
     out = []
-    for i, reward in enumerate(rewards):
-        layout = q_table_layout(cmdp, i, kappa, K)
-        cells = q_cells(S, A, *layout).tolist()
-        r = (reward.values(S, A) if isinstance(reward, LocalReward)
-             else reward[S[:, i], A[:, i]]).tolist()
+    for i, (cells, r) in enumerate(zip(layout.q_cells(S, A).T.tolist(),
+                                       r_all)):
         # the scalar recursion, over the visited cells only
         q = {}
         for k in range(K):
@@ -175,7 +133,7 @@ def td_fit(cmdp: FactoredCMDP, rewards, kappa: int, cfg: TDConfig,
         # one pages in about 0.1 MB of numpy's code, its SIMD quicksort 0.4 MB
         order = keys.argsort(kind="stable")
         out.append(TruncatedQTable(
-            i, kappa, *layout, keys=keys.take(order),
+            i, layout.kappa, *layout.q_layouts[i], keys=keys.take(order),
             values=np.fromiter(q.values(), np.float64, len(q)).take(order)))
     return out
 
@@ -185,8 +143,9 @@ def td_evaluate(cmdp: FactoredCMDP, policy: KHopPolicy, rewards, kappa: int,
     """Single-trajectory TD evaluation: ``td_fit`` along the rollout of
     ``td_draws``, starting from a uniform global state and following the
     policy for cfg.steps transitions."""
-    [(S, A)] = Simulator(cmdp, policy).rollout([td_draws(cmdp, cfg, rng)])
-    return td_fit(cmdp, rewards, kappa, cfg, S[0], A[0])
+    layout = RunLayout(cmdp, policy, kappa, cfg)
+    [(S, A)] = layout.simulator.rollout([td_draws(cmdp, cfg, rng)])
+    return td_fit(layout, rewards, S[0], A[0])
 
 
 def lift_local_reward(cmdp: FactoredCMDP, agent: int, table) -> np.ndarray:

@@ -7,11 +7,12 @@ ravel_multi_index. This encoding is part of the on-disk checkpoint format.
 ``encode`` is the one encoder: it maps integer arrays of global states or
 actions ``(..., n)`` to the rows of the cells read at ``positions``, as one
 product with ``radix_weights``. It is the row lookup of kernel tables
-(``model.TransitionKernel.row_indices``), of policy tables
-(``KHopPolicy.nbhd_rows``) and of truncated-Q tables
-(``TruncatedQTable.cells``); ``sampling.Simulator`` stacks the same
-weights as columns of (2n+1) x n matrices to look up every agent's row in
-one product. ``decode_table`` is the inverse over a whole space; the exact
+(``model.TransitionKernel.row_indices``) and of policy tables
+(``KHopPolicy.nbhd_rows``); ``sampling.Simulator``,
+``KHopPolicy.row_weights`` and ``layout.RunLayout`` (truncated-Q cells)
+stack the same weights as matrix columns to look up every agent's row in
+one product, and ``offsets`` places per-agent tables end to end in one
+array. ``decode_table`` is the inverse over a whole space; the exact
 oracles build P_pi, pi(a|s) and the lifted rewards by broadcasting over it,
 and ``row_kron`` multiplies per-agent factors in the same digit order.
 """
@@ -40,6 +41,12 @@ def encode(X, positions, sizes) -> np.ndarray:
 
 def space_size(sizes) -> int:
     return math.prod(sizes)
+
+
+def offsets(sizes) -> np.ndarray:
+    """Start of each block, then the total, when blocks of ``sizes`` are
+    stacked end to end: shape (len(sizes) + 1,)."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
 
 
 def decode_table(sizes) -> np.ndarray:

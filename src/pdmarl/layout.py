@@ -1,0 +1,146 @@
+"""The stacked layout of a training run's agents.
+
+Each phase of a ``primal_dual.train`` iteration works on one local object
+per agent: occupancies, shadow rewards, truncated Q tables and score
+tables. ``RunLayout`` places every agent's object in one stacked array and
+holds what that placement needs, which stays fixed for a run, so that each
+phase is one array op across all agents:
+
+- agent i's (S_i, A_i) table (occupancy, shadow reward) is the slice
+  ``sa_off[i]:sa_off[i + 1]`` of one flat array, at cell s * A_i + a;
+- ``[S | A] @ q_w`` is every agent's truncated-Q cell (``q_cells``);
+- ``S @ theta.row_w`` is every agent's policy-table row, and agent i's
+  theta table is a slice of one flat array (``ThetaLayout``), so that one
+  pair of ``bincount``s gives every agent's score sums.
+
+``q_table_layout`` is the one truncated-Q shape rule; ``config`` checks it
+at parse time.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .graph import khop_neighborhood
+from .model import FactoredCMDP
+from .policy import KHopPolicy
+from .sampling import Simulator
+from . import indexing
+
+# Most cells one truncated-Q table may store (an 8-byte key and value each).
+MAX_Q_CELLS = 10**7
+
+
+def q_table_layout(cmdp: FactoredCMDP, agent: int, kappa: int, steps=None):
+    """Neighborhood and its state and action sizes of one agent's truncated-Q
+    table at radius kappa.
+
+    A TD fit of ``steps`` steps stores at most min(dense cells, steps + 1)
+    cells; ``steps=None`` is a table that stores every cell. Raises
+    ValueError above MAX_Q_CELLS stored cells, or when a flat cell id would
+    not fit in int64.
+    """
+    nbhd = khop_neighborhood(cmdp.graph, agent, kappa)
+    s_sizes = tuple(cmdp.local_state_sizes[j] for j in nbhd)
+    a_sizes = tuple(cmdp.local_action_sizes[j] for j in nbhd)
+    dense = indexing.space_size(s_sizes + a_sizes)
+    if dense - 1 > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"truncated Q table of agent {agent} has {dense} cells, whose "
+            f"flat ids do not fit in int64")
+    stored = dense if steps is None else min(dense, steps + 1)
+    if stored > MAX_Q_CELLS:
+        raise ValueError(
+            f"truncated Q table of agent {agent} would store up to {stored} "
+            f"cells, above the cap of {MAX_Q_CELLS}")
+    return nbhd, s_sizes, a_sizes
+
+
+class ThetaLayout:
+    """Where every agent's theta table sits in one stacked array, for
+    policies shaped like ``policy``: agent i's table is the slice
+    ``off[i]:off[i + 1]`` and its rows start at ``row_off[i]``; ``rows(S)``
+    is every agent's table row at global states S, one product."""
+
+    def __init__(self, policy: KHopPolicy):
+        self.shapes = [t.shape for t in policy.theta]
+        self.off = indexing.offsets([r * a for r, a in self.shapes])
+        self.row_off = indexing.offsets([r for r, _ in self.shapes])
+        self.action_sizes = np.array(policy.action_sizes, dtype=np.int64)
+        # the column count of each stacked row
+        self.row_actions = np.repeat(policy.action_sizes,
+                                     [r for r, _ in self.shapes])
+        self.row_w = policy.row_weights()
+
+    def rows(self, S) -> np.ndarray:
+        """Every agent's table row at integer global states (..., n)."""
+        return S @ self.row_w
+
+    def score_sums(self, policy: KHopPolicy, rows, acts,
+                   weights) -> np.ndarray:
+        """Stacked theta-shaped sums over samples of weight times score.
+
+        ``rows``, ``acts`` and ``weights`` are (..., n): column i holds agent
+        i's table rows, actions and weights. Entry [e, b] of agent i's table
+        is the weight on row e with action b minus the softmax share
+        pi_i(b | e) of row e's total weight. Each sum is one ``bincount``,
+        which adds a bin's samples in their order, as one ``bincount`` per
+        agent would.
+        """
+        w = weights.ravel()
+        flat = np.bincount(
+            (self.off[:-1] + rows * self.action_sizes + acts).ravel(),
+            weights=w, minlength=self.off[-1])
+        row_tot = np.bincount((self.row_off[:-1] + rows).ravel(), weights=w,
+                              minlength=self.row_off[-1])
+        return flat - (np.concatenate([p.ravel() for p in policy.prob_tables])
+                       * np.repeat(row_tot, self.row_actions))
+
+    def split(self, flat) -> list:
+        """Per-agent theta-shaped views of a stacked theta array."""
+        return [flat[a:b].reshape(shape)
+                for a, b, shape in zip(self.off, self.off[1:], self.shapes)]
+
+
+class RunLayout:
+    """Stacked layout of the agents of ``cmdp`` under policies shaped like
+    ``policy``, with truncated Q tables at radius ``kappa`` and, given a
+    ``TDConfig`` ``td``, its step sizes ``etas`` (``td.step_size(k)`` for
+    k < td.steps). ``simulator`` is the run's ``Simulator``: its kernel half
+    is built once, and each policy swaps in its own CDF (``with_policy``).
+    """
+
+    def __init__(self, cmdp: FactoredCMDP, policy: KHopPolicy, kappa: int,
+                 td=None):
+        n = self.n = cmdp.n_agents
+        self.kappa, self.gamma = kappa, cmdp.gamma
+        self.simulator = Simulator(cmdp, policy)
+        self.sa_shapes = list(zip(cmdp.local_state_sizes,
+                                  cmdp.local_action_sizes))
+        self.action_sizes = np.array(cmdp.local_action_sizes, dtype=np.int64)
+        self.sa_off = indexing.offsets([s * a for s, a in self.sa_shapes])
+        self.theta = ThetaLayout(policy)
+        self.q_layouts = tuple(
+            q_table_layout(cmdp, i, kappa, None if td is None else td.steps)
+            for i in range(n))
+        self.hoods = [list(nbhd) for nbhd, _, _ in self.q_layouts]
+        self.q_w = np.zeros((2 * n, n), dtype=np.int64)
+        for i, (nbhd, s_sizes, a_sizes) in enumerate(self.q_layouts):
+            w = indexing.radix_weights(s_sizes + a_sizes)
+            self.q_w[list(nbhd), i] = w[:len(nbhd)]
+            self.q_w[[n + j for j in nbhd], i] = w[len(nbhd):]
+        self.etas = (None if td is None else
+                     (td.h / (np.arange(td.steps) + td.k1)).tolist())
+
+    def q_cells(self, S, A) -> np.ndarray:
+        """Every agent's truncated-Q cell id at integer global state/action
+        arrays (..., n), which broadcast: column i is agent i's (the
+        neighborhood state's encode times the neighborhood action-space size
+        plus the action's encode)."""
+        S, A = np.broadcast_arrays(S, A)
+        return np.concatenate([S, A], axis=-1) @ self.q_w
+
+    def sa_cells(self, S, A) -> np.ndarray:
+        """Every agent's local pair (S_i, A_i) as a cell of the stacked
+        (S_i, A_i) tables, at integer arrays (..., n)."""
+        return S * self.action_sizes + A + self.sa_off[:-1]

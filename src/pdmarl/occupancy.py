@@ -10,6 +10,7 @@ import scipy.linalg
 
 from .model import FactoredCMDP, global_transition_matrix
 from .sampling import TrajectoryBatch
+from . import indexing
 
 
 @dataclass(frozen=True)
@@ -49,29 +50,31 @@ class GlobalOccupancy:
         return self.table.reshape(tuple(self.state_sizes) + tuple(self.action_sizes))
 
 
-def estimate_local_occupancy(batch: TrajectoryBatch, agent: int,
-                             gamma: float, horizon: int,
-                             state_size: int, action_size: int) -> LocalOccupancy:
-    """Monte-Carlo occupancy: discounted visit counts averaged over the batch.
+def estimate_local_occupancies(batch: TrajectoryBatch, gamma: float,
+                                horizon: int, state_sizes,
+                                action_sizes) -> list:
+    """Monte-Carlo occupancy of every agent: discounted visit counts averaged
+    over the batch, one ``LocalOccupancy`` per agent.
 
-    Trajectories are folded in batch-index order so results are reproducible
-    bit-for-bit.
+    Every agent's (S_i, A_i) table is a slice of one stacked array filled by
+    one ``bincount``, which adds each cell's visits in input order: batch
+    index, then step. So the tables are reproducible bit-for-bit and equal
+    folding the trajectories in one at a time.
     """
     if batch.batch_size == 0:
         raise ValueError("batch must be nonempty")
     if batch.horizon != horizon:
         raise ValueError(
             f"batch horizon {batch.horizon} does not match H={horizon}")
-    discounts = gamma ** np.arange(horizon)
-    s = batch.states[:, :, agent]
-    a = batch.actions[:, :, agent]
-    flat = s * action_size + a
-    table = np.zeros(state_size * action_size)
-    for b in range(batch.batch_size):
-        np.add.at(table, flat[b], discounts)
-    table /= batch.batch_size
-    return LocalOccupancy(agent=agent,
-                          table=table.reshape(state_size, action_size))
+    off = indexing.offsets([s * a for s, a in zip(state_sizes, action_sizes)])
+    cells = batch.states * np.asarray(action_sizes) + batch.actions + off[:-1]
+    discounts = np.broadcast_to((gamma ** np.arange(horizon))[:, None],
+                                cells.shape)
+    flat = np.bincount(cells.ravel(), weights=discounts.ravel(),
+                       minlength=off[-1]) / batch.batch_size
+    return [LocalOccupancy(agent=i, table=flat[a:b].reshape(s_i, a_i))
+            for i, (a, b, s_i, a_i) in enumerate(
+                zip(off, off[1:], state_sizes, action_sizes))]
 
 
 class ExactSolve:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,8 +51,15 @@ class KHopPolicy:
     kappa: int
     theta_bound: float
     theta: tuple  # per-agent arrays of shape (n_nbhd_states, A_i)
+    # every agent's k-hop neighborhood: found from graph and kappa when not
+    # given, and handed on by with_theta, so a policy update finds none
+    neighborhoods: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.neighborhoods is None:
+            object.__setattr__(self, "neighborhoods", tuple(
+                khop_neighborhood(self.graph, i, self.kappa)
+                for i in range(self.graph.n)))
         for i, tab in enumerate(self.theta):
             expect = (self.n_nbhd_states(i), self.action_sizes[i])
             if tab.shape != expect:
@@ -87,12 +95,13 @@ class KHopPolicy:
                                 -self.theta_bound, self.theta_bound)
                         for t in tables)
         return KHopPolicy(self.graph, self.state_sizes, self.action_sizes,
-                          self.kappa, self.theta_bound, clipped)
+                          self.kappa, self.theta_bound, clipped,
+                          self.neighborhoods)
 
     # -- indexing ----------------------------------------------------------
 
     def neighborhood(self, i):
-        return khop_neighborhood(self.graph, i, self.kappa)
+        return self.neighborhoods[i]
 
     def nbhd_state_sizes(self, i):
         return tuple(self.state_sizes[j] for j in self.neighborhood(i))
@@ -105,11 +114,30 @@ class KHopPolicy:
         return indexing.encode(S, self.neighborhood(i),
                                self.nbhd_state_sizes(i))
 
+    def row_weights(self) -> np.ndarray:
+        """(n, n) int64 weights whose column i is agent i's row encoding:
+        ``S @ row_weights()`` is every agent's table row at once."""
+        n = self.graph.n
+        w = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            w[list(self.neighborhood(i)), i] = indexing.radix_weights(
+                self.nbhd_state_sizes(i))
+        return w
+
     # -- distributions -----------------------------------------------------
+
+    @cached_property
+    def prob_tables(self) -> tuple:
+        """Every agent's action distributions, (n_nbhd_states, A_i) each;
+        computed once per policy and read-only."""
+        tables = tuple(_softmax_rows(t) for t in self.theta)
+        for t in tables:
+            t.flags.writeable = False
+        return tables
 
     def prob_table(self, i) -> np.ndarray:
         """All action distributions of agent i, shape (n_nbhd_states, A_i)."""
-        return _softmax_rows(self.theta[i])
+        return self.prob_tables[i]
 
     def joint_action_probabilities(self) -> np.ndarray:
         """Matrix pi(a | s) over global states/actions (enumeration only)."""

@@ -9,11 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import khop_neighborhood
+from .layout import RunLayout, ThetaLayout
 from .model import FactoredCMDP, EnumerationCapExceeded
 from .policy import KHopPolicy
-from .sampling import Simulator, TrajectoryBatch, trajectory_draws
-from .occupancy import ExactSolve, estimate_local_occupancy, marginalize
+from .sampling import TrajectoryBatch, trajectory_draws
+from .occupancy import ExactSolve, estimate_local_occupancies, marginalize
 from .utilities import shadow_reward, utility_value
 from .critic import (TDConfig, default_td_config, td_draws, td_fit,
                      truncate_q, lift_local_reward, lift_neighborhood_reward)
@@ -53,46 +53,37 @@ def dual_update(g_tilde, eta_mu, mu_bar, n) -> DualVariable:
 
 # -- sampled truncated policy gradient --------------------------------------
 
-def _score_sum(policy, i, rows, acts, weights):
-    """sum_k weights_k * score_i(rows_k, acts_k) as a theta_i-shaped table.
-
-    Entry [e, b] is the weight on row e with action b minus the softmax share
-    pi_i(b | e) of row e's total weight.
-    """
-    A_i = policy.action_sizes[i]
-    n_rows = policy.n_nbhd_states(i)
-    flat = np.bincount(rows * A_i + acts, weights=weights, minlength=n_rows * A_i)
-    row_tot = np.bincount(rows, weights=weights, minlength=n_rows)
-    return flat.reshape(n_rows, A_i) - policy.prob_table(i) * row_tot[:, None]
-
-
-def truncated_pg_estimate(batch: TrajectoryBatch, policy: KHopPolicy,
-                          q_f, q_g, mu: DualVariable, kappa: int,
-                          gamma: float) -> list:
+def truncated_pg_estimate(layout: RunLayout, batch: TrajectoryBatch,
+                          policy: KHopPolicy, q_f, q_g,
+                          mu: DualVariable) -> list:
     """REINFORCE-style gradient: per step, the score of agent i weighted by
     the discounted neighborhood-average of truncated Q values (objective plus
-    dual-weighted constraint) of the agents within distance kappa."""
-    n = policy.graph.n
+    dual-weighted constraint) of the agents within distance ``layout.kappa``.
+
+    Every agent's Q cells and policy rows come from one product each, and
+    every agent's score sum from one pair of ``bincount``s
+    (``ThetaLayout.score_sums``); the Q reads and neighborhood sums are per
+    agent."""
+    n = layout.n
     B, H = batch.batch_size, batch.horizon
     if len(q_f) != n or len(q_g) != n:
         raise ValueError("need one Q table per agent for both utilities")
 
+    cells = np.moveaxis(layout.q_cells(batch.states, batch.actions), -1, 0)
     v = np.empty((n, B, H))
     for j in range(n):
-        if q_f[j].nbhd != q_g[j].nbhd:
-            raise ValueError(f"Q tables of agent {j} differ in neighborhood")
-        cells = q_f[j].cells(batch.states, batch.actions)
-        v[j] = q_f[j].read(cells) + mu.mu[j] * q_g[j].read(cells)
-    discounts = gamma ** np.arange(H)
+        if not q_f[j].nbhd == q_g[j].nbhd == layout.q_layouts[j][0]:
+            raise ValueError(f"Q tables of agent {j} differ in neighborhood "
+                             f"from each other or from the layout")
+        v[j] = q_f[j].read(cells[j]) + mu.mu[j] * q_g[j].read(cells[j])
+    discounts = layout.gamma ** np.arange(H)
 
-    grads = []
-    for i in range(n):
-        hood = list(khop_neighborhood(policy.graph, i, kappa))
-        w = discounts[None, :] * v[hood].sum(axis=0) / n  # (B, H)
-        rows = policy.nbhd_rows(i, batch.states)  # (B, H)
-        grads.append(_score_sum(policy, i, rows.ravel(),
-                                batch.actions[:, :, i].ravel(), w.ravel()) / B)
-    return grads
+    w = np.empty((B, H, n))
+    for i, hood in enumerate(layout.hoods):
+        w[..., i] = discounts[None, :] * v[hood].sum(axis=0) / n
+    theta = layout.theta
+    return theta.split(theta.score_sums(policy, theta.rows(batch.states),
+                                        batch.actions, w) / B)
 
 
 def policy_ascent(policy: KHopPolicy, grads, eta_theta: float) -> KHopPolicy:
@@ -125,14 +116,15 @@ def _global_shadow_rewards(solve: ExactSolve, objectives, constraints):
     return occ, np.column_stack(cols_f), np.column_stack(cols_g)
 
 
-def _score_accumulate(cmdp, policy, weights_by_agent):
-    """Turn per-pair weights W_i(s, a) into theta-shaped gradients."""
-    s_dec = indexing.decode_table(cmdp.local_state_sizes)
-    a_dec = indexing.decode_table(cmdp.local_action_sizes)
-    return [_score_sum(policy, i,
-                       np.repeat(policy.nbhd_rows(i, s_dec), cmdp.n_actions),
-                       np.tile(a_dec[:, i], cmdp.n_states), W)
-            for i, W in enumerate(weights_by_agent)]
+def _score_accumulate(cmdp, policy, weights):
+    """Turn per-pair weights W(s, a) of every agent, (|S||A|, n), into
+    theta-shaped gradients."""
+    theta = ThetaLayout(policy)
+    rows = theta.rows(indexing.decode_table(cmdp.local_state_sizes))
+    return theta.split(theta.score_sums(
+        policy, np.repeat(rows, cmdp.n_actions, axis=0),
+        np.tile(indexing.decode_table(cmdp.local_action_sizes),
+                (cmdp.n_states, 1)), weights))
 
 
 def exact_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
@@ -152,7 +144,7 @@ def exact_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
     q = solve.q(np.hstack([rf, rg]))
     q_tot = (q[:, :n].sum(axis=1) + q[:, n:] @ mu) / n
     W = occ.table * q_tot
-    return _score_accumulate(cmdp, policy, [W] * n)
+    return _score_accumulate(cmdp, policy, np.repeat(W[:, None], n, axis=1))
 
 
 def exact_dual_gradient(cmdp: FactoredCMDP, policy: KHopPolicy, constraints,
@@ -178,20 +170,20 @@ def exact_truncated_pg(cmdp: FactoredCMDP, policy: KHopPolicy,
     solve = ExactSolve(cmdp, policy)
     occ, rf, rg = _global_shadow_rewards(solve, objectives, constraints)
     q = solve.q(np.hstack([rf, rg]))
-    s_dec = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
-    a_dec = indexing.decode_table(cmdp.local_action_sizes)[None, :, :]
+    layout = RunLayout(cmdp, policy, kappa)
+    cells = np.moveaxis(layout.q_cells(
+        indexing.decode_table(cmdp.local_state_sizes)[:, None, :],
+        indexing.decode_table(cmdp.local_action_sizes)[None, :, :]), -1, 0)
 
     v = np.empty((n, cmdp.n_pairs))
     for j in range(n):
         qf_t = truncate_q(cmdp, q[:, j], j, kappa, anchor=anchor)
         qg_t = truncate_q(cmdp, q[:, n + j], j, kappa, anchor=anchor)
-        cells = qf_t.cells(s_dec, a_dec)
-        v[j] = (qf_t.read(cells) + mu[j] * qg_t.read(cells)).ravel()
+        v[j] = (qf_t.read(cells[j]) + mu[j] * qg_t.read(cells[j])).ravel()
 
-    weights = []
-    for i in range(n):
-        hood = list(khop_neighborhood(cmdp.graph, i, kappa))
-        weights.append(occ.table * (v[hood].sum(axis=0) / n))
+    weights = np.empty((cmdp.n_pairs, n))
+    for i, hood in enumerate(layout.hoods):
+        weights[:, i] = occ.table * (v[hood].sum(axis=0) / n)
     return _score_accumulate(cmdp, policy, weights)
 
 
@@ -403,11 +395,12 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
             oracle = f"skipped: {exc}"
     oracles_feasible = oracle.startswith("every")
     state = TrainState(policy=policy, mu=mu, iteration=0, oracle=oracle)
+    layout = RunLayout(cmdp, policy, cfg.kappa, td_cfg)
 
     for t in range(cfg.iterations):
         clock = _PhaseClock()
         # one rollout: the sampling batch and both TD trajectories
-        sim = Simulator(cmdp, policy)
+        sim = layout.simulator.with_policy(policy)
         (states, actions), (S_f, A_f), (S_g, A_g) = sim.rollout([
             trajectory_draws(cmdp, cfg.batch_size, cfg.horizon,
                              _rng(seed, 1, t)),
@@ -415,10 +408,9 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
             td_draws(cmdp, td_cfg, _rng(seed, 3, t))])
         batch = TrajectoryBatch(states=states, actions=actions)
         clock.lap("sample")
-        lam = [estimate_local_occupancy(batch, i, cmdp.gamma, cfg.horizon,
-                                        cmdp.local_state_sizes[i],
-                                        cmdp.local_action_sizes[i])
-               for i in range(n)]
+        lam = estimate_local_occupancies(batch, cmdp.gamma, cfg.horizon,
+                                         cmdp.local_state_sizes,
+                                         cmdp.local_action_sizes)
         g_tilde = np.array([utility_value(constraints[i], lam[i])
                             for i in range(n)])
         r_g = [shadow_reward(constraints[i], lam[i]) for i in range(n)]
@@ -434,13 +426,12 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
             raise NumericAbort(t, "constraint values", state)
         clock.lap("occupancy")
 
-        q_f = td_fit(cmdp, r_f, cfg.kappa, td_cfg, S_f[0], A_f[0])
+        q_f = td_fit(layout, r_f, S_f[0], A_f[0])
         clock.lap("td_f")
-        q_g = td_fit(cmdp, r_g, cfg.kappa, td_cfg, S_g[0], A_g[0])
+        q_g = td_fit(layout, r_g, S_g[0], A_g[0])
         clock.lap("td_g")
         mu = dual_update(g_tilde, cfg.steps.dual_step(t), cfg.mu_bar, n)
-        grads = truncated_pg_estimate(batch, policy, q_f, q_g, mu,
-                                      cfg.kappa, cmdp.gamma)
+        grads = truncated_pg_estimate(layout, batch, policy, q_f, q_g, mu)
         for g in grads:
             if not np.all(np.isfinite(g)):
                 raise NumericAbort(t, "policy gradient", state)

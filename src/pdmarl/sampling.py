@@ -12,6 +12,7 @@ and ``critic.td_evaluate`` roll out one group each, with the same draws
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,15 +62,26 @@ class InverseCdf:
         for t, off in zip(tables, self.offsets):
             self.cdf[off: off + len(t), : t.shape[1] - 1] = \
                 np.cumsum(t, axis=1)[:, :-1]
+        # with one column the draw is one comparison: a sum over one column
+        # is the identity (every table on the line is binary)
+        self.col = self.cdf[:, 0].copy() if self.cdf.shape[1] == 1 else None
 
     def draw(self, rows, u):
         """Draws at integer rows and uniforms u of shape (..., n)."""
-        return self.draw_stacked(rows + self.offsets, u[..., None])
+        return self.draw_stacked(rows + self.offsets, u)
 
-    def draw_stacked(self, rows, u):
+    def draw_stacked(self, rows, u, out=None):
         """Draws at rows of the stacked table (``offsets`` already added),
-        with uniforms u of shape (..., n, 1)."""
-        return (u >= self.cdf.take(rows, axis=0)).sum(axis=-1)
+        with uniforms u of the same shape: written into ``out`` when given,
+        else returned as a new int64 array."""
+        if self.col is not None:
+            drawn = u >= self.col.take(rows)
+        else:
+            drawn = (u[..., None] >= self.cdf.take(rows, axis=0)).sum(axis=-1)
+        if out is None:
+            return drawn.astype(np.int64, copy=False)
+        out[...] = drawn
+        return out
 
 
 # Uniform that drives the steps of a row group past its own length: every
@@ -85,18 +97,17 @@ class Simulator:
     product ``x @ W``: column i of ``act_w`` encodes agent i's policy
     neighborhood, column i of ``trans_w`` kernel i's state and action
     dependency cell, and the last row of each holds the ``InverseCdf``
-    offsets.
+    offsets. Only the policy CDF depends on the policy's parameters:
+    ``with_policy`` swaps it and shares the rest.
     """
 
     def __init__(self, cmdp: FactoredCMDP, policy: KHopPolicy):
         n = self.n = cmdp.n_agents
-        self.policy_cdf = InverseCdf([policy.prob_table(i) for i in range(n)])
+        self.policy_cdf = InverseCdf(policy.prob_tables)
         self.kernel_cdf = InverseCdf([kern.table for kern in cmdp.kernels])
         self.act_w, self.trans_w = (np.zeros((2 * n + 1, n), dtype=np.int64)
                                     for _ in range(2))
-        for i in range(n):
-            self.act_w[list(policy.neighborhood(i)), i] = \
-                indexing.radix_weights(policy.nbhd_state_sizes(i))
+        self.act_w[:n] = policy.row_weights()
         for i, kern in enumerate(cmdp.kernels):
             w = indexing.radix_weights(kern.dep_sizes)
             ns = len(kern.state_deps)
@@ -104,6 +115,14 @@ class Simulator:
             self.trans_w[[n + j for j in kern.action_deps], i] = w[ns:]
         self.act_w[-1] = self.policy_cdf.offsets
         self.trans_w[-1] = self.kernel_cdf.offsets
+
+    def with_policy(self, policy: KHopPolicy) -> "Simulator":
+        """This simulator under ``policy``, whose tables have the shapes of
+        the policy it was built with: the kernel CDF and the weight
+        matrices are shared, the policy CDF is built anew."""
+        sim = copy.copy(self)
+        sim.policy_cdf = InverseCdf(policy.prob_tables)
+        return sim
 
     def _x(self, s, a):
         """Rollout rows [s | a | 1] of states s (..., n) and actions a."""
@@ -114,13 +133,11 @@ class Simulator:
 
     def act(self, s, u):
         """Joint actions at integer states s and uniforms u, both (..., n)."""
-        return self.policy_cdf.draw_stacked(self._x(s, 0) @ self.act_w,
-                                            u[..., None])
+        return self.policy_cdf.draw_stacked(self._x(s, 0) @ self.act_w, u)
 
     def transition(self, s, a, u):
         """Next states after states s and actions a, with uniforms u."""
-        return self.kernel_cdf.draw_stacked(self._x(s, a) @ self.trans_w,
-                                            u[..., None])
+        return self.kernel_cdf.draw_stacked(self._x(s, a) @ self.trans_w, u)
 
     def rollout(self, groups):
         """One lockstep rollout of row groups of different lengths.
@@ -138,19 +155,19 @@ class Simulator:
         lengths = [len(u_act) for _, u_act, _ in groups]
         T = max(lengths)
         starts = np.cumsum([0] + [len(s) for s, _, _ in groups])
-        u_act = np.full((T, starts[-1], n, 1), PAD_U)
-        u_trans = np.full((T - 1, starts[-1], n, 1), PAD_U)
+        u_act = np.full((T, starts[-1], n), PAD_U)
+        u_trans = np.full((T - 1, starts[-1], n), PAD_U)
         x = np.zeros((T, starts[-1], 2 * n + 1), dtype=np.int64)
         x[..., -1] = 1
         for (s, ua, ut), r0, r1, t in zip(groups, starts, starts[1:], lengths):
             x[0, r0:r1, :n] = s
-            u_act[:t, r0:r1, :, 0] = ua
-            u_trans[:t - 1, r0:r1, :, 0] = ut[:t - 1]
+            u_act[:t, r0:r1] = ua
+            u_trans[:t - 1, r0:r1] = ut[:t - 1]
         act, trans = self.policy_cdf.draw_stacked, self.kernel_cdf.draw_stacked
         for k in range(T):
             if k:
-                x[k, :, :n] = trans(x[k - 1] @ self.trans_w, u_trans[k - 1])
-            x[k, :, n:2 * n] = act(x[k] @ self.act_w, u_act[k])
+                trans(x[k - 1] @ self.trans_w, u_trans[k - 1], out=x[k, :, :n])
+            act(x[k] @ self.act_w, u_act[k], out=x[k, :, n:2 * n])
         # copies: views would keep the (T, R, 2n+1) buffer alive for the
         # rest of the iteration, which pinned the freed TD Q tables in the
         # heap (measured: +23 MB peak RSS on the side-3 wireless grid)

@@ -16,7 +16,7 @@ from pdmarl.graph import line_graph
 from pdmarl.policy import (KHopPolicy, induced_khop_policy,
                            policy_state_sensitivity)
 from pdmarl.sampling import sample_trajectories
-from pdmarl.occupancy import (estimate_local_occupancy,
+from pdmarl.occupancy import (estimate_local_occupancies,
                               exact_global_occupancy, marginalize)
 from pdmarl.utilities import ENTROPY, GeneralUtility
 from pdmarl.critic import (default_td_config, exact_truncated_q,
@@ -57,8 +57,8 @@ def test_criterion_1_occupancy_oracle_agreement():
     batch = sample_trajectories(m, pol, 10_000, 100,
                                 np.random.default_rng(np.random.SeedSequence(1)))
     worst = 0.0
-    for i in range(2):
-        emp = estimate_local_occupancy(batch, i, m.gamma, 100, 2, 2)
+    for i, emp in enumerate(estimate_local_occupancies(
+            batch, m.gamma, 100, m.local_state_sizes, m.local_action_sizes)):
         worst = max(worst, float(np.linalg.norm(
             emp.table - marginalize(exact, i).table)))
     elapsed = time.perf_counter() - started

@@ -339,8 +339,33 @@ class TestMainEntryPoint:
          "kappa 1 with 10000000 TD steps is too large: truncated Q table of "
          "agent 5 would store up to 10000001 cells, above the cap of "
          "10000000"),
+        ({"seed: 7": "seed: -1"}, "seed must be nonnegative"),
+        ({"  name: synthetic_line\n  n: 3":
+          "  name: wireless_grid\n  side: 2\n  deadline: 1\n  seed: -1"},
+         "env.seed must be nonnegative"),
+        ({"threshold: 0.25": "threshold: .nan"},
+         "field 'threshold' in constraint must be finite, got nan"),
+        ({"threshold: 0.25": "threshold: .inf"},
+         "field 'threshold' in constraint must be finite, got inf"),
+        ({"eta_mu: 10.0": "eta_mu: .nan"}, "'eta_mu' in config root must be "
+         "finite"),
+        ({"eta_theta: 0.05": "eta_theta: .nan"}, "'eta_theta' in config root "
+         "must be finite"),
+        ({"eta_theta: 0.05": "eta_theta: .inf"}, "'eta_theta' in config root "
+         "must be finite, got inf"),
+        ({"seed: 7": "seed: 7\nmu_bar: .nan"}, "'mu_bar' in config root must "
+         "be finite"),
+        ({"seed: 7": "seed: 7\ntheta_bar: .nan"}, "'theta_bar' in config root "
+         "must be finite"),
+        ({"td:\n  steps: 100": "td:\n  h: .nan\n  k1: 40.0"},
+         "field 'h' in td must be finite, got nan"),
+        ({"td:\n  steps: 100": "td:\n  h: .inf\n  k1: 40.0"},
+         "field 'h' in td must be finite, got inf"),
     ], ids=["td_steps_0", "td_h_negative", "line_n_1", "grid_side_1",
-            "grid_p_short", "grid_p_not_number", "grid_q_table_over_cap"])
+            "grid_p_short", "grid_p_not_number", "grid_q_table_over_cap",
+            "seed_negative", "env_seed_negative", "threshold_nan",
+            "threshold_inf", "eta_mu_nan", "eta_theta_nan", "eta_theta_inf",
+            "mu_bar_nan", "theta_bar_nan", "td_h_nan", "td_h_inf"])
     def test_bad_env_or_td_exit_one(self, tmp_path, capsys, edits, reason):
         text = BASE_YAML
         for old, new in edits.items():
@@ -360,8 +385,8 @@ class TestMainEntryPoint:
         # a NaN policy gradient at iteration 3 of 8
         estimate = primal_dual.truncated_pg_estimate
 
-        def nan_at_three(batch, policy, q_f, q_g, mu, kappa, gamma):
-            grads = estimate(batch, policy, q_f, q_g, mu, kappa, gamma)
+        def nan_at_three(layout, batch, policy, q_f, q_g, mu):
+            grads = estimate(layout, batch, policy, q_f, q_g, mu)
             if len(calls) == 3:
                 grads[0] = np.full_like(grads[0], np.nan)
             calls.append(1)

@@ -7,10 +7,11 @@ from pdmarl.graph import DependenceGraph
 from pdmarl.model import (FactoredCMDP, TransitionKernel, LocalReward,
                           compute_decay_matrix, global_transition_matrix)
 from pdmarl.policy import KHopPolicy
-from pdmarl.critic import (MAX_Q_CELLS, TDConfig, default_td_config,
-                           exact_truncated_q, full_q, lift_local_reward,
-                           lift_neighborhood_reward, q_table_layout,
-                           td_draws, td_evaluate, td_fit)
+from pdmarl.critic import (TDConfig, default_td_config, exact_truncated_q,
+                           full_q, lift_local_reward,
+                           lift_neighborhood_reward, td_draws, td_evaluate,
+                           td_fit)
+from pdmarl.layout import MAX_Q_CELLS, RunLayout, q_table_layout
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
 from pdmarl.primal_dual import DualVariable, truncated_pg_estimate
@@ -171,10 +172,11 @@ class TestSparseQTable:
         mu = DualVariable(mu=np.full(m.n_agents, 0.5), mu_bar=1.0)
         tracemalloc.start()
         try:
-            q_f = td_fit(m, list(m.rewards), 1, cfg, S_f[0], A_f[0])
-            q_g = td_fit(m, shadow, 1, cfg, S_g[0], A_g[0])
-            grads = truncated_pg_estimate(TrajectoryBatch(S, A), pol, q_f,
-                                          q_g, mu, 1, m.gamma)
+            layout = RunLayout(m, pol, 1, cfg)
+            q_f = td_fit(layout, list(m.rewards), S_f[0], A_f[0])
+            q_g = td_fit(layout, shadow, S_g[0], A_g[0])
+            grads = truncated_pg_estimate(layout, TrajectoryBatch(S, A), pol,
+                                          q_f, q_g, mu)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -7,7 +7,7 @@ from pdmarl.model import (FactoredCMDP, TransitionKernel, LocalReward,
 from pdmarl.policy import KHopPolicy
 from pdmarl.sampling import TrajectoryBatch, sample_trajectories
 from pdmarl.occupancy import (ExactSolve, LocalOccupancy,
-                              estimate_local_occupancy,
+                              estimate_local_occupancies,
                               exact_global_occupancy, flow_balance_residual,
                               marginalize, state_marginal)
 from pdmarl.critic import full_q, lift_neighborhood_reward
@@ -22,6 +22,14 @@ def chain(n, gamma=0.9):
 def uniform_policy(cmdp, kappa=1):
     return KHopPolicy.zeros(cmdp.graph, cmdp.local_state_sizes,
                             cmdp.local_action_sizes, kappa)
+
+
+def local_occupancy(batch, agent, gamma, horizon, state_size, action_size):
+    """One agent's slice of the stacked estimate, on a batch whose agents
+    all have ``state_size`` states and ``action_size`` actions."""
+    n = batch.states.shape[-1]
+    return estimate_local_occupancies(batch, gamma, horizon, (state_size,) * n,
+                                      (action_size,) * n)[agent]
 
 
 def single_cell_mdp(gamma, reward=1.0):
@@ -53,7 +61,7 @@ class TestEmpiricalEstimate:
         states = np.array([[[0], [1]]])
         actions = np.array([[[0], [0]]])
         batch = TrajectoryBatch(states=states, actions=actions)
-        occ = estimate_local_occupancy(batch, 0, 0.5, 2, 2, 2)
+        occ = local_occupancy(batch, 0, 0.5, 2, 2, 2)
         np.testing.assert_allclose(occ.table, [[1.0, 0.0], [0.5, 0.0]])
         assert occ.mass == pytest.approx(1.5)
 
@@ -61,10 +69,10 @@ class TestEmpiricalEstimate:
         states = np.repeat(np.array([[[0], [1], [1]]]), 7, axis=0)
         actions = np.zeros_like(states)
         batch = TrajectoryBatch(states=states, actions=actions)
-        one = estimate_local_occupancy(
+        one = local_occupancy(
             TrajectoryBatch(states=states[:1], actions=actions[:1]),
             0, 0.9, 3, 2, 1)
-        many = estimate_local_occupancy(batch, 0, 0.9, 3, 2, 1)
+        many = local_occupancy(batch, 0, 0.9, 3, 2, 1)
         np.testing.assert_allclose(many.table, one.table)
 
     def test_mass_identity_bit_exact(self):
@@ -72,7 +80,7 @@ class TestEmpiricalEstimate:
         batch = sample_trajectories(m, uniform_policy(m), 13, 40,
                                     np.random.default_rng(3))
         for i in range(3):
-            occ = estimate_local_occupancy(batch, i, 0.95, 40, 2, 2)
+            occ = local_occupancy(batch, i, 0.95, 40, 2, 2)
             assert occ.mass == pytest.approx(np.sum(0.95 ** np.arange(40)),
                                              abs=1e-12)
 
@@ -81,7 +89,7 @@ class TestEmpiricalEstimate:
         batch = sample_trajectories(m, uniform_policy(m), 2, 10,
                                     np.random.default_rng(0))
         with pytest.raises(ValueError, match="horizon"):
-            estimate_local_occupancy(batch, 0, 0.9, 20, 2, 2)
+            local_occupancy(batch, 0, 0.9, 20, 2, 2)
 
     def test_deterministic_across_runs(self):
         m = chain(3)
@@ -89,7 +97,7 @@ class TestEmpiricalEstimate:
         for _ in range(2):
             rng = np.random.default_rng(np.random.SeedSequence(9))
             batch = sample_trajectories(m, uniform_policy(m), 50, 30, rng)
-            occ = estimate_local_occupancy(batch, 1, 0.9, 30, 2, 2)
+            occ = local_occupancy(batch, 1, 0.9, 30, 2, 2)
             tabs.append(occ.table)
         np.testing.assert_array_equal(tabs[0], tabs[1])
 
@@ -178,7 +186,7 @@ class TestMarginals:
         m = chain(2, gamma=0.99)
         batch = sample_trajectories(m, uniform_policy(m), 20, 100,
                                     np.random.default_rng(1))
-        occ = estimate_local_occupancy(batch, 0, 0.99, 100, 2, 2)
+        occ = local_occupancy(batch, 0, 0.99, 100, 2, 2)
         d = state_marginal(occ, 0.99)
         assert d.sum() == pytest.approx(1.0 - 0.99 ** 100)
 
@@ -192,7 +200,7 @@ class TestConvergence:
                                     np.random.default_rng(
                                         np.random.SeedSequence(17)))
         for i in range(2):
-            emp = estimate_local_occupancy(batch, i, 0.9, 100, 2, 2)
+            emp = local_occupancy(batch, i, 0.9, 100, 2, 2)
             exact = marginalize(occ, i)
             err = np.linalg.norm(emp.table - exact.table)
             assert err < 0.12
@@ -207,7 +215,7 @@ class TestConvergence:
             batch = sample_trajectories(m, pol, 4000, H,
                                         np.random.default_rng(
                                             np.random.SeedSequence(23)))
-            emp = estimate_local_occupancy(batch, 0, 0.9, H, 2, 2)
+            emp = local_occupancy(batch, 0, 0.9, H, 2, 2)
             errs.append(float(np.abs(emp.table - exact).sum()))
         assert errs[0] > errs[1] > errs[2]
 

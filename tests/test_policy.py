@@ -4,7 +4,7 @@ import pytest
 from pdmarl.graph import line_graph
 from pdmarl.policy import (KHopPolicy, induced_khop_policy, load_policy,
                            policy_state_sensitivity, save_policy)
-from pdmarl.primal_dual import _score_sum
+from pdmarl.layout import ThetaLayout
 from pdmarl.sampling import InverseCdf
 
 
@@ -25,10 +25,15 @@ def probs_at(pol, i, s_nbhd):
 
 
 def score(pol, i, s_nbhd, a):
-    """Gradient of log pi_i(a | s_nbhd) w.r.t. theta_i: one unit-weight
-    sample through the trainer's score sum."""
-    return _score_sum(pol, i, np.array([nbhd_row(pol, i, s_nbhd)]),
-                      np.array([a]), np.array([1.0]))
+    """Gradient of log pi_i(a | s_nbhd) w.r.t. theta_i: agent i's slice of
+    the trainer's stacked score sum of one sample, unit weight on agent i
+    and zero on every other agent (at row 0, action 0)."""
+    n = pol.graph.n
+    rows, acts, weights = (np.zeros((1, n), dtype=np.int64),
+                           np.zeros((1, n), dtype=np.int64), np.zeros((1, n)))
+    rows[0, i], acts[0, i], weights[0, i] = nbhd_row(pol, i, s_nbhd), a, 1.0
+    theta = ThetaLayout(pol)
+    return theta.split(theta.score_sums(pol, rows, acts, weights))[i]
 
 
 class TestDistributions:

@@ -8,8 +8,9 @@ from pdmarl.sampling import TrajectoryBatch, sample_trajectories
 from pdmarl.critic import (TDConfig, TruncatedQTable, exact_truncated_q,
                            lift_neighborhood_reward)
 from pdmarl.utilities import ENTROPY, LINEAR, GeneralUtility
+from pdmarl.layout import RunLayout, ThetaLayout
 from pdmarl.primal_dual import (DualVariable, StepSizes, TrainConfig,
-                                _score_sum, dual_update, exact_dual_gradient,
+                                dual_update, exact_dual_gradient,
                                 exact_lagrangian_gradient, exact_truncated_pg,
                                 fd_lagrangian_gradient, fosp_metrics,
                                 max_linear_over_box_ball, policy_ascent,
@@ -90,7 +91,7 @@ class TestTruncatedPGEstimate:
         batch = sample_trajectories(m, pol, 4, 10, np.random.default_rng(0))
         q = self.zero_q(m, 1)
         mu = DualVariable(mu=np.zeros(2), mu_bar=1.0)
-        grads = truncated_pg_estimate(batch, pol, q, q, mu, 1, m.gamma)
+        grads = truncated_pg_estimate(RunLayout(m, pol, 1), batch, pol, q, q, mu)
         for g in grads:
             np.testing.assert_array_equal(g, 0.0)
 
@@ -115,10 +116,12 @@ class TestTruncatedPGEstimate:
         s, a = 1, 0
         batch = TrajectoryBatch(states=np.array([[[s]]]),
                                 actions=np.array([[[a]]]))
-        grads = truncated_pg_estimate(batch, pol, [qf], [qg], mu, 0, m.gamma)
+        grads = truncated_pg_estimate(RunLayout(m, pol, 0), batch, pol, [qf], [qg],
+                                      mu)
         weight = qf.table[s, a] + 2.0 * qg.table[s, a]
-        expected = weight * _score_sum(pol, 0, np.array([s]), np.array([a]),
-                                       np.array([1.0]))
+        theta = ThetaLayout(pol)
+        expected = weight * theta.split(theta.score_sums(
+            pol, np.array([[s]]), np.array([[a]]), np.array([[1.0]])))[0]
         np.testing.assert_allclose(grads[0], expected, atol=1e-12)
 
     def test_tables_of_one_agent_share_a_neighborhood(self):
@@ -127,8 +130,8 @@ class TestTruncatedPGEstimate:
         batch = sample_trajectories(m, pol, 2, 5, np.random.default_rng(2))
         mu = DualVariable(mu=np.zeros(3), mu_bar=1.0)
         with pytest.raises(ValueError, match="agent 0 differ in neighborhood"):
-            truncated_pg_estimate(batch, pol, self.zero_q(m, 1),
-                                  self.zero_q(m, 0), mu, 1, m.gamma)
+            truncated_pg_estimate(RunLayout(m, pol, 1), batch, pol,
+                                  self.zero_q(m, 1), self.zero_q(m, 0), mu)
 
     def test_far_agents_do_not_enter(self):
         m = chain(3)
@@ -140,8 +143,9 @@ class TestTruncatedPGEstimate:
                                     state_sizes=(2,), action_sizes=(2,),
                                     keys=np.arange(4), values=np.full(4, 7.0))
         mu = DualVariable(mu=np.zeros(3), mu_bar=1.0)
-        base = truncated_pg_estimate(batch, pol, q, q, mu, 0, m.gamma)
-        pert = truncated_pg_estimate(batch, pol, bumped, q, mu, 0, m.gamma)
+        layout = RunLayout(m, pol, 0)
+        base = truncated_pg_estimate(layout, batch, pol, q, q, mu)
+        pert = truncated_pg_estimate(layout, batch, pol, bumped, q, mu)
         np.testing.assert_array_equal(base[0], pert[0])
         assert np.any(pert[2] != base[2])
 
@@ -167,7 +171,8 @@ class TestTruncatedPGEstimate:
         batch = sample_trajectories(m, pol, B, 200,
                                     np.random.default_rng(
                                         np.random.SeedSequence(7)))
-        est = flat(truncated_pg_estimate(batch, pol, q_f, q_g, mu, 1, m.gamma))
+        est = flat(truncated_pg_estimate(RunLayout(m, pol, 1), batch, pol, q_f,
+                                         q_g, mu))
         err = np.linalg.norm(est - exact)
         assert err < 0.05
         # concentration envelope at failure probability 0.1

@@ -14,6 +14,7 @@ import pytest
 
 from pdmarl import indexing, primal_dual, sampling
 from pdmarl.critic import TDConfig, td_evaluate
+from pdmarl.layout import RunLayout
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
 from pdmarl.policy import KHopPolicy
@@ -107,6 +108,7 @@ def test_td_tables_read_as_their_dense_form(env, kappa):
     cmdp, policy = build(env, kappa, 0)
     tables = td_evaluate(cmdp, policy, rewards_of(cmdp, "shadow", 0), kappa,
                          TDConfig(steps=12, h=20.0, k1=40.0), rng_for(0, 2))
+    layout = RunLayout(cmdp, policy, kappa)
     for q in tables:
         dense = q.table
         assert 0 < len(q.keys) < dense.size
@@ -115,7 +117,7 @@ def test_td_tables_read_as_their_dense_form(env, kappa):
         A = np.zeros_like(S)
         S[..., list(q.nbhd)] = indexing.decode_table(q.state_sizes)[:, None]
         A[..., list(q.nbhd)] = indexing.decode_table(q.action_sizes)[None]
-        got = q.at(S, A)
+        got = q.read(layout.q_cells(S, A)[..., q.agent])
         assert np.array_equal(got, dense)
         unvisited = np.ones(dense.size, dtype=bool)
         unvisited[q.keys] = False
@@ -172,6 +174,23 @@ class TestInverseCdf:
         u[:50, 0] = np.cumsum(tables[0], axis=1)[rows[:50, 0], 0]
         check_against_reference(tables, rows, u)
 
+    def test_binary_tables_draw_with_one_comparison(self):
+        rng = np.random.default_rng(5)
+        tables = [rng.dirichlet(np.ones(2), size=m) for m in (3, 1, 6)]
+        tables[0][1] = [0.0, 1.0]
+        rows = np.column_stack([rng.integers(len(t), size=400) for t in tables])
+        u = rng.random((400, 3))
+        u[:40, 2] = tables[2][rows[:40, 2], 0]  # exactly on the CDF value
+        cdf = InverseCdf(tables)
+        assert cdf.cdf.shape == (10, 1) and cdf.col is not None
+        got = check_against_reference(tables, rows, u)
+        assert got.dtype == np.int64
+        # written into a strided int64 buffer, its neighbors left alone
+        buf = np.full((400, 7), -1, dtype=np.int64)
+        cdf.draw_stacked(rows + cdf.offsets, u, out=buf[:, 2:5])
+        assert np.array_equal(buf[:, 2:5], got)
+        assert np.all(buf[:, :2] == -1) and np.all(buf[:, 5:] == -1)
+
 
 def test_batch_rows_step_like_single_rows():
     cmdp, policy = build("wireless2", 1, 0)
@@ -214,14 +233,14 @@ def recorded_train(monkeypatch, cmdp, objectives, constraints, cfg, seed):
     calls, fits = [], []
     fit, estimate = primal_dual.td_fit, primal_dual.truncated_pg_estimate
 
-    def recording_fit(cmdp_, rewards, *args):
-        tables = fit(cmdp_, rewards, *args)
+    def recording_fit(layout, rewards, *args):
+        tables = fit(layout, rewards, *args)
         fits.append((rewards, tables))
         return tables
 
-    def recording_estimate(batch, policy, q_f, q_g, *args):
+    def recording_estimate(layout, batch, policy, q_f, q_g, *args):
         calls.append((policy, batch, fits[-2], fits[-1]))
-        return estimate(batch, policy, q_f, q_g, *args)
+        return estimate(layout, batch, policy, q_f, q_g, *args)
 
     with monkeypatch.context() as patch:
         patch.setattr(primal_dual, "td_fit", recording_fit)
@@ -276,7 +295,7 @@ def test_stacked_rollout_is_the_separate_calls(monkeypatch, env, kappa,
                 assert np.array_equal(q.table, p.table)
 
 
-def test_one_simulator_and_one_rollout_per_iteration(monkeypatch):
+def test_one_simulator_per_run_and_one_rollout_per_iteration(monkeypatch):
     cmdp, objectives, constraints, cfg = train_setup("line4", 1, 20, 30)
     counts = {"build": 0, "rollout": 0}
     init, rollout = Simulator.__init__, Simulator.rollout
@@ -292,4 +311,5 @@ def test_one_simulator_and_one_rollout_per_iteration(monkeypatch):
     monkeypatch.setattr(Simulator, "__init__", counted_init)
     monkeypatch.setattr(Simulator, "rollout", counted_rollout)
     train(cmdp, objectives, constraints, cfg, seed=0)
-    assert counts == {"build": 2, "rollout": 2}
+    # each iteration swaps the policy CDF into the run's one simulator
+    assert counts == {"build": 1, "rollout": 2}
