@@ -15,7 +15,7 @@ from .envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                    wireless_grid)
 from .utilities import GeneralUtility, ENTROPY, L2_ACTION, CONSTRAINT, OBJECTIVE
 from .critic import TDConfig, default_td_config
-from .layout import q_table_layout
+from .layout import q_table_layouts
 from .primal_dual import TrainConfig, StepSizes
 
 SCHEMA_VERSION = 1
@@ -260,8 +260,7 @@ def check_table_sizes(cfg: ExperimentConfig, cmdp: FactoredCMDP):
     except ValueError as exc:
         raise ConfigError(f"kappa {kappa} is too large: {exc}") from exc
     try:
-        for i in range(cmdp.n_agents):
-            q_table_layout(cmdp, i, kappa, steps)
+        q_table_layouts(cmdp, kappa, steps)
     except ValueError as exc:
         raise ConfigError(f"kappa {kappa} with {steps} TD steps is too "
                           f"large: {exc}") from exc

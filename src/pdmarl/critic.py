@@ -11,6 +11,7 @@ enumerable instances.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,10 @@ class TruncatedQTable:
 
     def read(self, cells):
         """Values at flat cell ids; 0.0 where a cell is not stored."""
+        if len(self.keys) == (indexing.space_size(self.state_sizes)
+                              * indexing.space_size(self.action_sizes)):
+            # every cell is stored, so the keys are 0, 1, 2, ...
+            return self.values.take(cells)
         pos = np.searchsorted(self.keys, cells)
         return np.where(self.keys.take(pos, mode="clip") == cells,
                         self.values.take(pos, mode="clip"), 0.0)
@@ -93,6 +98,25 @@ def td_draws(cmdp: FactoredCMDP, cfg: TDConfig, rng):
     return s0[None], u_act[:, None], u_trans[:, None]
 
 
+def _sorted_slots(ids):
+    """The sorted distinct values of an int64 array, and each entry's index
+    among them as a list that shares one int object per index (an object
+    per entry cost 71 KB more peak heap on the 10-agent line, by
+    tracemalloc). The sort's arrays are freed on return, before the TD
+    recursion allocates floats."""
+    # any sort gives the same result; the stable one pages in about 0.1 MB
+    # of numpy's code, its SIMD quicksort and np.unique's sort more
+    order = ids.argsort(kind="stable")
+    srt = ids.take(order)
+    first = np.empty(len(ids), dtype=bool)
+    first[0] = True
+    np.not_equal(srt[1:], srt[:-1], out=first[1:])
+    slots = np.empty(len(ids), dtype=np.int64)
+    slots[order] = np.cumsum(first) - 1
+    keys = srt[first]
+    return keys, np.arange(len(keys)).astype(object).take(slots).tolist()
+
+
 def td_fit(layout: RunLayout, rewards, S, A) -> list:
     """Asynchronous TD evaluation of every agent's truncated Q-function
     along one trajectory of K + 1 global states S and actions A, (K+1, n),
@@ -100,10 +124,14 @@ def td_fit(layout: RunLayout, rewards, S, A) -> list:
 
     At step k only the cell visited at step k-1 is updated, with step size
     h/(k-1+k1); tables are zero-initialized. The Q cells and rewards of all
-    agents along the trajectory are encoded with one array op each, and
-    only the scalar recursion runs step by step, over a dict of the visited
-    cells; each table stores those cells only, so nothing of the dense
-    table's size is allocated.
+    agents along the trajectory are encoded with one array op each. One
+    stable sort of every agent's written cells, as ids of the stacked id
+    space (``layout.q_off``), gives the sorted keys of all tables and each
+    step's slot among them. Only the scalar recursion runs step by step, over
+    one list of slot values, agent after agent; the list ends in one 0.0,
+    which a last cell that is never written reads. Each table is its agent's
+    slice of the sorted keys and values, so it stores the visited cells only
+    and nothing of the dense table's size is allocated.
 
     ``rewards`` lists one reward per agent: either all local (S_i, A_i)
     arrays (shadow rewards), read with one ``take`` from their stack, or
@@ -111,31 +139,40 @@ def td_fit(layout: RunLayout, rewards, S, A) -> list:
     """
     if len(rewards) != layout.n:
         raise ValueError("need one reward per agent")
-    if all(isinstance(r, LocalReward) for r in rewards):
-        r_all = [r.values(S, A).tolist() for r in rewards]
-    elif [np.shape(r) for r in rewards] == layout.sa_shapes:
-        r_all = np.concatenate([np.ravel(r) for r in rewards]).take(
-            layout.sa_cells(S, A)).T.tolist()
-    else:
+    n, K, gamma = layout.n, len(layout.etas), layout.gamma
+    if not (all(isinstance(r, LocalReward) for r in rewards)
+            or [np.shape(r) for r in rewards] == layout.sa_shapes):
         raise ValueError("rewards must be LocalRewards or (S_i, A_i) arrays")
-    K, gamma, etas = len(layout.etas), layout.gamma, layout.etas
-    out = []
-    for i, (cells, r) in enumerate(zip(layout.q_cells(S, A).T.tolist(),
-                                       r_all)):
-        # the scalar recursion, over the visited cells only
-        q = {}
-        for k in range(K):
-            qc = q.get(cells[k], 0.0)
-            q[cells[k]] = qc + etas[k] * (r[k] + gamma * q.get(cells[k + 1], 0.0)
-                                          - qc)
-        keys = np.fromiter(q, np.int64, len(q))
-        # the keys are distinct, so any sort gives this order; the stable
-        # one pages in about 0.1 MB of numpy's code, its SIMD quicksort 0.4 MB
-        order = keys.argsort(kind="stable")
-        out.append(TruncatedQTable(
-            i, layout.kappa, *layout.q_layouts[i], keys=keys.take(order),
-            values=np.fromiter(q.values(), np.float64, len(q)).take(order)))
-    return out
+    cells = layout.q_cells(S, A) + layout.q_off[:-1]
+    keys, slots = _sorted_slots(cells[:K].T.ravel())
+    m = len(keys)
+    # the slot step k reads: step k+1's, and after an agent's last step its
+    # last cell's if that was written, else the sentinel m
+    pos = keys.searchsorted(cells[K])
+    slots_next = slots[1:] + [m]
+    slots_next[K - 1::K] = np.where(keys.take(pos, mode="clip") == cells[K],
+                                    pos, m).tolist()
+    # agent-major, as the slots: agent i's rewards of steps 0..K-1 are
+    # r_all[i*K:(i+1)*K]; made after the sort, so that the sort's arrays and
+    # these floats are not held at once (0.12 MB of peak heap on the 10-agent
+    # line, by tracemalloc)
+    if isinstance(rewards[0], LocalReward):
+        r_all = np.concatenate([r.values(S, A)[:K] for r in rewards]).tolist()
+    else:
+        r_all = np.concatenate([np.ravel(r) for r in rewards]).take(
+            layout.sa_cells(S[:K], A[:K]).T).ravel().tolist()
+    q = [0.0] * (m + 1)
+    for c, c_next, r, eta in zip(slots, slots_next, r_all,
+                                 itertools.chain.from_iterable(
+                                     itertools.repeat(layout.etas, n))):
+        qc = q[c]
+        q[c] = qc + eta * (r + gamma * q[c_next] - qc)
+    values = np.fromiter(q, np.float64, m)
+    bounds = keys.searchsorted(layout.q_off)
+    return [TruncatedQTable(i, layout.kappa, *layout.q_layouts[i],
+                            keys=keys[a:b] - layout.q_off[i],
+                            values=values[a:b])
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
 def td_evaluate(cmdp: FactoredCMDP, policy: KHopPolicy, rewards, kappa: int,

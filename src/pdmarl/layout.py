@@ -8,13 +8,15 @@ phase is one array op across all agents:
 
 - agent i's (S_i, A_i) table (occupancy, shadow reward) is the slice
   ``sa_off[i]:sa_off[i + 1]`` of one flat array, at cell s * A_i + a;
-- ``[S | A] @ q_w`` is every agent's truncated-Q cell (``q_cells``);
+- ``[S | A] @ q_w`` is every agent's truncated-Q cell (``q_cells``), and
+  agent i's dense cell ids start at ``q_off[i]`` of one stacked id space;
 - ``S @ theta.row_w`` is every agent's policy-table row, and agent i's
   theta table is a slice of one flat array (``ThetaLayout``), so that one
   pair of ``bincount``s gives every agent's score sums.
 
-``q_table_layout`` is the one truncated-Q shape rule; ``config`` checks it
-at parse time.
+``q_table_layout`` is the one truncated-Q shape rule, and
+``q_table_layouts`` applies it to every agent and stacks their ids;
+``config`` checks it at parse time.
 """
 
 from __future__ import annotations
@@ -54,6 +56,24 @@ def q_table_layout(cmdp: FactoredCMDP, agent: int, kappa: int, steps=None):
             f"truncated Q table of agent {agent} would store up to {stored} "
             f"cells, above the cap of {MAX_Q_CELLS}")
     return nbhd, s_sizes, a_sizes
+
+
+def q_table_layouts(cmdp: FactoredCMDP, kappa: int, steps=None):
+    """Every agent's ``q_table_layout`` and the offsets of their dense cell
+    ids in one stacked id space: agent i's ids start at ``off[i]``.
+
+    Raises ValueError as ``q_table_layout`` does, or when the stacked ids
+    would not fit in int64.
+    """
+    layouts = tuple(q_table_layout(cmdp, i, kappa, steps)
+                    for i in range(cmdp.n_agents))
+    sizes = [indexing.space_size(s + a) for _, s, a in layouts]
+    if sum(sizes) - 1 > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"the truncated Q tables of all {cmdp.n_agents} agents have "
+            f"{sum(sizes)} cells together, whose stacked ids do not fit in "
+            f"int64")
+    return layouts, indexing.offsets(sizes)
 
 
 class ThetaLayout:
@@ -120,9 +140,8 @@ class RunLayout:
         self.action_sizes = np.array(cmdp.local_action_sizes, dtype=np.int64)
         self.sa_off = indexing.offsets([s * a for s, a in self.sa_shapes])
         self.theta = ThetaLayout(policy)
-        self.q_layouts = tuple(
-            q_table_layout(cmdp, i, kappa, None if td is None else td.steps)
-            for i in range(n))
+        self.q_layouts, self.q_off = q_table_layouts(
+            cmdp, kappa, None if td is None else td.steps)
         self.hoods = [list(nbhd) for nbhd, _, _ in self.q_layouts]
         self.q_w = np.zeros((2 * n, n), dtype=np.int64)
         for i, (nbhd, s_sizes, a_sizes) in enumerate(self.q_layouts):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -129,11 +130,19 @@ class KHopPolicy:
     @cached_property
     def prob_tables(self) -> tuple:
         """Every agent's action distributions, (n_nbhd_states, A_i) each;
-        computed once per policy and read-only."""
-        tables = tuple(_softmax_rows(t) for t in self.theta)
-        for t in tables:
-            t.flags.writeable = False
-        return tables
+        computed once per policy and read-only. Tables of equal width take
+        one softmax over their stacked rows, which, being row-wise, gives the
+        floats of one softmax per table."""
+        tables = [None] * len(self.theta)
+        for width in set(self.action_sizes):
+            agents = [i for i, a in enumerate(self.action_sizes) if a == width]
+            probs = _softmax_rows(np.concatenate([self.theta[i]
+                                                  for i in agents]))
+            probs.flags.writeable = False
+            bounds = np.cumsum([len(self.theta[i]) for i in agents[:-1]])
+            for i, t in zip(agents, np.split(probs, bounds)):
+                tables[i] = t
+        return tuple(tables)
 
     def prob_table(self, i) -> np.ndarray:
         """All action distributions of agent i, shape (n_nbhd_states, A_i)."""
@@ -199,9 +208,9 @@ def save_policy(policy: KHopPolicy, path):
         writer = csv.writer(fh)
         writer.writerow(["agent", "state", "action", "value"])
         for i, tab in enumerate(policy.theta):
-            for row in range(tab.shape[0]):
-                for a in range(tab.shape[1]):
-                    writer.writerow([i, row, a, repr(float(tab[row, a]))])
+            rows, acts = np.indices(tab.shape).reshape(2, -1).tolist()
+            writer.writerows(zip(itertools.repeat(i), rows, acts,
+                                 map(repr, tab.ravel().tolist())))
 
 
 def load_policy(path) -> KHopPolicy:

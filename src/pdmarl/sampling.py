@@ -52,19 +52,28 @@ class InverseCdf:
     (also when a row's cumsum ends below 1.0). The cumsums without their last
     column are stacked into one array, padded with 2.0 so that padding is
     never counted; agent i's rows start at ``offsets[i]``.
+
+    A draw counts the thresholds at or below u. With one threshold column
+    (every table on the line is binary) that is one comparison. Wider stacks
+    are padded to 2, 4 or 8 columns, or to a multiple of 8, so that a row's
+    comparison is one uint16, uint32 or uint64 word, or several uint64 words,
+    whose set bits ``np.bitwise_count`` counts.
     """
 
     def __init__(self, tables):
         tables = [np.asarray(t) for t in tables]
         self.offsets = np.cumsum([0] + [len(t) for t in tables[:-1]])
-        self.cdf = np.full((sum(len(t) for t in tables),
-                            max(t.shape[1] for t in tables) - 1), 2.0)
+        width = max(t.shape[1] for t in tables) - 1
+        self.word = None
+        if width != 1:
+            size = 2 if width <= 2 else 4 if width <= 4 else 8
+            self.word = np.dtype(f"u{size}")
+            width = -(-width // size) * size
+        self.cdf = np.full((sum(len(t) for t in tables), width), 2.0)
         for t, off in zip(tables, self.offsets):
             self.cdf[off: off + len(t), : t.shape[1] - 1] = \
                 np.cumsum(t, axis=1)[:, :-1]
-        # with one column the draw is one comparison: a sum over one column
-        # is the identity (every table on the line is binary)
-        self.col = self.cdf[:, 0].copy() if self.cdf.shape[1] == 1 else None
+        self.col = self.cdf[:, 0].copy() if width == 1 else None
 
     def draw(self, rows, u):
         """Draws at integer rows and uniforms u of shape (..., n)."""
@@ -77,7 +86,11 @@ class InverseCdf:
         if self.col is not None:
             drawn = u >= self.col.take(rows)
         else:
-            drawn = (u[..., None] >= self.cdf.take(rows, axis=0)).sum(axis=-1)
+            bits = np.greater_equal(u[..., None], self.cdf.take(rows, axis=0),
+                                    order="C")
+            words = np.bitwise_count(bits.view(self.word))
+            drawn = (words[..., 0] if words.shape[-1] == 1
+                     else words.sum(axis=-1))
         if out is None:
             return drawn.astype(np.int64, copy=False)
         out[...] = drawn

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,8 @@ from pdmarl.critic import (TDConfig, default_td_config, exact_truncated_q,
                            full_q, lift_local_reward,
                            lift_neighborhood_reward, td_draws, td_evaluate,
                            td_fit)
-from pdmarl.layout import MAX_Q_CELLS, RunLayout, q_table_layout
+from pdmarl.layout import (MAX_Q_CELLS, RunLayout, q_table_layout,
+                           q_table_layouts)
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
 from pdmarl.primal_dual import DualVariable, truncated_pg_estimate
@@ -135,6 +137,118 @@ class TestTDEvaluate:
             np.testing.assert_array_equal(a.table, b.table)
 
 
+def td_fit_reference(layout, rewards, S, A):
+    """The TD recursion of ``td_fit`` over one dict of visited cells per
+    agent: each agent's (sorted keys, values)."""
+    K, cells, out = len(layout.etas), layout.q_cells(S, A), []
+    for i, r in enumerate(rewards):
+        rew = (r.values(S, A) if isinstance(r, LocalReward)
+               else np.asarray(r)[S[:, i], A[:, i]])
+        q = {}
+        for k in range(K):
+            c, c_next = int(cells[k, i]), int(cells[k + 1, i])
+            qc = q.get(c, 0.0)
+            q[c] = qc + layout.etas[k] * (float(rew[k]) + layout.gamma
+                                          * q.get(c_next, 0.0) - qc)
+        keys = sorted(q)
+        out.append((np.array(keys, dtype=np.int64),
+                    np.array([q[c] for c in keys])))
+    return out
+
+
+def all_pairs(n):
+    """Every global (state, action) of n binary agents, one per step."""
+    sa = indexing.decode_table((2,) * (2 * n))
+    return sa[:, :n], sa[:, n:]
+
+
+class TestTDFitSlots:
+    """``td_fit``'s one sorted slot list against the dict recursion."""
+
+    def check(self, m, S, A, kappa=1):
+        S, A = np.asarray(S, dtype=np.int64), np.asarray(A, dtype=np.int64)
+        layout = RunLayout(m, uniform_policy(m, kappa), kappa,
+                           TDConfig(steps=len(S) - 1, h=10.0, k1=20.0))
+        rng = rng_for(len(S))
+        shadow = [rng.normal(size=shape) for shape in layout.sa_shapes]
+        for rewards in (list(m.rewards), shadow):
+            got = td_fit(layout, rewards, S, A)
+            for q, (keys, values) in zip(got, td_fit_reference(
+                    layout, rewards, S, A)):
+                assert q.keys.dtype == np.int64
+                assert q.keys.tobytes() == keys.tobytes()
+                assert q.values.tobytes() == values.tobytes()
+        return got
+
+    def test_every_step_revisits_its_cell(self):
+        # c_{k+1} = c_k at every step: one stored cell per agent, and the
+        # last cell was written earlier
+        got = self.check(chain(3), [[0, 1, 1]] * 6, [[1, 0, 1]] * 6)
+        assert [len(q.keys) for q in got] == [1, 1, 1]
+
+    def test_last_cell_never_written(self):
+        got = self.check(chain(3), [[0, 0, 0]] * 5 + [[1, 1, 1]],
+                         [[0, 0, 0]] * 6)
+        assert [len(q.keys) for q in got] == [1, 1, 1]
+        assert all(q.values[0] != 0.0 for q in got)
+
+    def test_last_cell_written_earlier(self):
+        S = [[0, 0, 0], [1, 0, 1], [1, 1, 0], [0, 0, 0]]
+        A = [[1, 1, 0], [0, 0, 0], [1, 0, 1], [1, 1, 0]]
+        self.check(chain(3), S, A)
+
+    def test_one_step(self):
+        got = self.check(chain(3), [[0, 1, 0], [1, 1, 1]],
+                         [[1, 0, 0], [0, 1, 1]])
+        assert [len(q.keys) for q in got] == [1, 1, 1]
+
+    def test_one_cell_table(self):
+        m = single_cell_mdp(0.5)
+        [q] = self.check(m, [[0]] * 4, [[0]] * 4, kappa=0)
+        assert q.keys.tolist() == [0]
+
+    def test_full_tables(self):
+        S, A = all_pairs(3)  # 64 steps visit every global pair
+        got = self.check(chain(3), np.vstack([S, S[:1]]),
+                         np.vstack([A, A[:1]]))
+        assert [len(q.keys) for q in got] == [16, 64, 16]
+
+    def test_sparse_tables(self):
+        rng = rng_for(11)
+        m = chain(6)
+        for kappa in (1, 2):
+            got = self.check(m, rng.integers(2, size=(21, 6)),
+                             rng.integers(2, size=(21, 6)), kappa)
+            assert all(len(q.keys) < q.table.size for q in got)
+
+    def test_wireless_grid_tables(self):
+        m = wireless_grid(WirelessGridSpec(side=3, deadline=1, gamma=0.99))
+        rng = rng_for(12)
+        S = rng.integers(2, size=(41, m.n_agents))
+        A = rng.integers(np.array(m.local_action_sizes), size=(41, m.n_agents))
+        self.check(m, S, A)
+
+
+class TestTableRead:
+    def test_full_and_sparse_reads_give_the_dense_bytes(self):
+        S, A = all_pairs(3)
+        m = chain(3)
+        layout = RunLayout(m, uniform_policy(m), 1,
+                           TDConfig(steps=len(S) - 1, h=10.0, k1=20.0))
+        cells = layout.q_cells(S, A)
+        for i, q in enumerate(td_fit(layout, list(m.rewards), S, A)):
+            # every cell stored but the last step's: drop one more, then
+            # read the table with every cell stored, and both sparse tables
+            full = dataclasses.replace(q, keys=np.arange(q.table.size),
+                                       values=q.table.ravel())
+            sparse = dataclasses.replace(q, keys=q.keys[1:],
+                                         values=q.values[1:])
+            for tab in (full, q, sparse):
+                got = tab.read(cells[:, i])
+                assert got.dtype == np.float64
+                assert got.tobytes() == tab.table.ravel()[cells[:, i]].tobytes()
+
+
 class TestSparseQTable:
     def grid4(self):
         return wireless_grid(WirelessGridSpec(side=4, deadline=1, gamma=0.99))
@@ -156,6 +270,14 @@ class TestSparseQTable:
         q_table_layout(m, 16, 15, 500)  # 2^62 cells
         with pytest.raises(ValueError, match="do not fit in int64"):
             q_table_layout(m, 16, 16, 500)  # 2^64 cells
+        # agents 15 and 16 each fit at 2^62 cells, but not all 32 agents'
+        # stacked ids
+        with pytest.raises(ValueError, match="all 32 agents have .* cells "
+                           "together, whose stacked ids do not fit in int64"):
+            q_table_layouts(m, 15, 500)
+        layouts, off = q_table_layouts(m, 14, 500)
+        assert off[-1] == sum(indexing.space_size(s + a)
+                              for _, s, a in layouts) < 2**63
 
     def test_train_path_allocates_no_dense_table(self):
         # agent 5's dense table would take 415 MB

@@ -1,9 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from pdmarl.graph import line_graph
-from pdmarl.policy import (KHopPolicy, induced_khop_policy, load_policy,
-                           policy_state_sensitivity, save_policy)
+from pdmarl.policy import (KHopPolicy, _softmax_rows, induced_khop_policy,
+                           load_policy, policy_state_sensitivity, save_policy)
 from pdmarl.layout import ThetaLayout
 from pdmarl.sampling import InverseCdf
 
@@ -61,6 +63,18 @@ class TestDistributions:
             probs = pol.prob_table(i)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(probs > 0)
+
+    def test_stacked_softmax_equals_one_per_table(self):
+        # widths 9 and 17 shared by tables of 1 to 4 rows; 2 and 5 alone
+        g = line_graph(6)
+        rng = np.random.default_rng(8)
+        pol = KHopPolicy.random(g, (1, 1, 2, 1, 2, 1), (9, 2, 17, 9, 5, 17),
+                                1, rng, scale=5.0)
+        assert [len(t) for t in pol.theta] == [1, 2, 2, 4, 2, 2]
+        for t, probs in zip(pol.theta, pol.prob_tables):
+            assert probs.shape == t.shape
+            assert probs.tobytes() == _softmax_rows(t).tobytes()
+            assert not probs.flags.writeable
 
     def test_joint_table_consistent_with_factors(self):
         pol = random_policy(n=2, kappa=1, seed=7)
@@ -237,6 +251,22 @@ class TestCheckpointFormat:
         path.write_text("not a checkpoint\n")
         with pytest.raises(ValueError, match="header"):
             load_policy(path)
+
+    def test_rows_match_per_entry_writer(self, tmp_path):
+        pol = random_policy(n=3, kappa=1, seed=35, sizes=3, asizes=4)
+        path = tmp_path / "policy.csv"
+        save_policy(pol, path)
+        lines = path.read_text().splitlines(keepends=True)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            fh.write(lines[0])
+            writer = csv.writer(fh)
+            writer.writerow(["agent", "state", "action", "value"])
+            for i, tab in enumerate(pol.theta):
+                for row in range(tab.shape[0]):
+                    for a in range(tab.shape[1]):
+                        writer.writerow([i, row, a, repr(float(tab[row, a]))])
+        assert path.read_bytes() == want.read_bytes()
 
     def test_save_is_deterministic(self, tmp_path):
         pol = random_policy(n=2, kappa=1, seed=34)

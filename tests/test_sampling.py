@@ -191,6 +191,30 @@ class TestInverseCdf:
         assert np.array_equal(buf[:, 2:5], got)
         assert np.all(buf[:, :2] == -1) and np.all(buf[:, 5:] == -1)
 
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_bit_count_draws_match_scalar_rule(self, width):
+        # width - 1 thresholds pad to 0, 1, 2, 4, 8 or 16 columns: one
+        # uint16/32/64 word per row below 9 thresholds, two uint64 above
+        rng = np.random.default_rng(width)
+        tables = [rng.dirichlet(np.ones(w), size=m)
+                  for w, m in ((width, 3), (width, 1), (1 + width // 2, 5))]
+        tables[1] *= 0.9  # a row whose cumsum ends below 1.0
+        rows = np.column_stack([rng.integers(len(t), size=300) for t in tables])
+        u = rng.random((300, 3))
+        u[:30, 0] = np.cumsum(tables[0], axis=1)[
+            rows[:30, 0], rng.integers(width, size=30)]  # on a threshold
+        u[30:40, 1] = 0.95
+        cdf = InverseCdf(tables)
+        t = width - 1
+        assert cdf.cdf.shape[1] == (t if t < 3 else 4 if t < 5 else
+                                    8 if t < 9 else 16)
+        got = check_against_reference(tables, rows, u)
+        assert np.all(got[30:40, 1] == width - 1)
+        buf = np.full((300, 5), -1, dtype=np.int64)
+        cdf.draw_stacked(rows + cdf.offsets, u, out=buf[:, 1:4])
+        assert np.array_equal(buf[:, 1:4], got)
+        assert np.all(buf[:, 0] == -1) and np.all(buf[:, 4] == -1)
+
 
 def test_batch_rows_step_like_single_rows():
     cmdp, policy = build("wireless2", 1, 0)

@@ -45,6 +45,14 @@ CONFIGS = {
                     "iterations": 4, "objective": {"kind": "entropy"},
                     "td": {"steps": 200}},
     "grid3_env": {"env": {**_GRID2, "side": 3}, "kappa": 1, "iterations": 3},
+    # kernels of more than 2 next states draw with one bit count of a
+    # padded comparison row: 7 thresholds fit one word, 15 take two
+    "grid2_d3_k1": {"env": {**_GRID2, "deadline": 3}, "kappa": 1,
+                    "iterations": 2, "horizon": 20, "batch_size": 2,
+                    "td": {"steps": 50}},
+    "grid2_d4_k0": {"env": {**_GRID2, "deadline": 4}, "kappa": 0,
+                    "iterations": 2, "horizon": 20, "batch_size": 2,
+                    "td": {"steps": 50}},
 }
 
 # (config, seed) -> (metrics.csv SHA-256, policy.csv SHA-256)
@@ -97,6 +105,18 @@ GOLDEN = {
     ("grid3_env", 3): (
         "8b232cad53d6d19047593c6891b8db96329d0cdbdf34cb844638592863b76ce0",
         "490b7176a87b6512e5b5489e44869706fed9d385c0b18a7b9a45bec94374a18b"),
+    ("grid2_d3_k1", 1): (
+        "1b659e2190bef1ac340d38ccecd77bb1cb6288cae1fc6fb3ff0a9460a815eb2b",
+        "38da01b074a3c7ce7b18838332f3af628f0b07270dad3940d71c97e03f0d7b2d"),
+    ("grid2_d3_k1", 3): (
+        "794794099ec3a62572f3a3f794ae37360d67532cadfe4c4f701f3b7f2cf727a3",
+        "e0bb30225b23bf1219e447ba0b1f99792ac5462bc56cf3c7607958a8edcaeea9"),
+    ("grid2_d4_k0", 1): (
+        "8c4c1a3dbc3eef1969ac5fc29fe64792080fb49fb29085fe4bbac5d30f87e868",
+        "d97101dbddda03c04997dcbd0dd31cbbdb2c0a5a2044021423a2aba740855197"),
+    ("grid2_d4_k0", 3): (
+        "a51db335d6464fc8cef300e0a2e8b86644d5822c7b0bc2b26f3ba86e0a757d83",
+        "cda3fec05b9eeefb1e1fed00ea8a27d1ba9c3d4168ead86138502b0519881508"),
 }
 
 
