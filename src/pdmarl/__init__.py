@@ -7,13 +7,13 @@ from .graph import DependenceGraph, khop_neighborhood, line_graph
 from .model import (FactoredCMDP, TransitionKernel, LocalReward, DecayProfile,
                     EnumerationCapExceeded, compute_decay_matrix)
 from .policy import KHopPolicy, induced_khop_policy, save_policy, load_policy
-from .sampling import Simulator, TrajectoryBatch, sample_trajectories
+from .sampling import Simulator, TrajectoryBatch
 from .occupancy import (LocalOccupancy, GlobalOccupancy, ExactSolve,
-                        estimate_local_occupancies, exact_global_occupancy,
-                        marginalize, state_marginal)
+                        estimate_local_occupancies, marginalize,
+                        state_marginal)
 from .utilities import (GeneralUtility, utility_value, shadow_reward,
                         LINEAR, ENTROPY, L2_ACTION, OBJECTIVE, CONSTRAINT)
-from .critic import TDConfig, TruncatedQTable, default_td_config, td_evaluate
+from .critic import TDConfig, TruncatedQTable, default_td_config
 from .primal_dual import (DualVariable, StepSizes, TrainConfig, TrainState,
                           NumericAbort, dual_update, truncated_pg_estimate,
                           policy_ascent, exact_lagrangian_gradient,

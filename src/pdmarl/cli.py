@@ -128,13 +128,14 @@ def _write_artifacts(cfg, out, state, wall_clock_s, status) -> dict:
 
 
 def _apply_axis(cfg: ExperimentConfig, axis, value) -> ExperimentConfig:
-    if axis == "kappa":
-        return cfg.replace(kappa=int(value))
-    if axis == "eta_mu":
-        return cfg.replace(eta_mu=float(value))
-    constraint = dict(cfg["constraint"])
-    constraint["threshold"] = float(value)
-    return cfg.replace(constraint=constraint)
+    try:
+        value = int(value) if axis == "kappa" else float(value)
+    except ValueError:
+        raise ConfigError(f"sweep axis {axis} cannot take the value "
+                          f"{value!r}") from None
+    if axis != "threshold":
+        return cfg.replace(**{axis: value})
+    return cfg.replace(constraint={**cfg["constraint"], "threshold": value})
 
 
 def run_sweep(cfg: ExperimentConfig, axis, values, out_dir,
@@ -144,12 +145,11 @@ def run_sweep(cfg: ExperimentConfig, axis, values, out_dir,
     if not values:
         raise ConfigError("sweep needs at least one value")
     out = Path(out_dir)
+    # every job's config is parsed before any output exists
+    jobs = [(_apply_axis(cfg, axis, value).replace(
+                 seed=derived_seed(cfg.seed, idx)), out / f"{axis}_{value}")
+            for idx, value in enumerate(values)]
     out.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    for idx, value in enumerate(values):
-        run_cfg = _apply_axis(cfg, axis, value)
-        run_cfg = run_cfg.replace(seed=derived_seed(cfg.seed, idx))
-        jobs.append((run_cfg, out / f"{axis}_{value}"))
 
     if parallel:
         from concurrent.futures import ProcessPoolExecutor
@@ -181,9 +181,10 @@ def _verify_checks():
                         global_transition_matrix, compute_decay_matrix)
     from .graph import DependenceGraph
     from .policy import KHopPolicy
-    from .occupancy import exact_global_occupancy, flow_balance_residual
+    from .occupancy import ExactSolve, flow_balance_residual
     from .utilities import GeneralUtility, ENTROPY, CONSTRAINT
-    from .critic import default_td_config, td_evaluate
+    from .critic import default_td_config, td_draws, td_fit
+    from .layout import RunLayout
     from .primal_dual import (exact_lagrangian_gradient, fd_lagrangian_gradient,
                               max_linear_over_box_ball)
 
@@ -198,14 +199,14 @@ def _verify_checks():
         return bool(np.allclose(P.sum(axis=0), 1.0, atol=1e-12))
 
     def occupancy_flow():
-        occ = exact_global_occupancy(chain, policy)
+        occ = ExactSolve(chain, policy).occupancy
         mass_ok = abs(occ.mass - 1.0 / (1.0 - chain.gamma)) < 1e-8
         return mass_ok and flow_balance_residual(chain, policy, occ) < 1e-10
 
     def score_bound():
         worst = 0.0
         for i in range(chain.n_agents):
-            probs = policy.prob_table(i)
+            probs = policy.prob_tables[i]
             A = probs.shape[1]
             sc = np.eye(A)[None, :, :] - probs[:, None, :]
             worst = max(worst, float(np.max(np.linalg.norm(sc, axis=-1))))
@@ -234,8 +235,10 @@ def _verify_checks():
                            gamma=0.9)
         pol = KHopPolicy.zeros(graph, (1,), (1,), kappa=0)
         cfg = default_td_config(0.9, steps=10_000)
-        q = td_evaluate(mdp, pol, [np.ones((1, 1))], 0, cfg,
-                        np.random.default_rng(np.random.SeedSequence(1)))
+        layout = RunLayout(mdp, pol, 0, cfg)
+        [(S, A)] = layout.simulator.rollout([td_draws(
+            mdp, cfg, np.random.default_rng(np.random.SeedSequence(1)))])
+        q = td_fit(layout, [np.ones((1, 1))], S[0], A[0])
         return abs(q[0].table[0, 0] - 10.0) < 0.05
 
     def stationarity_interior():

@@ -1,12 +1,11 @@
-"""Truncated shadow Q-function evaluation.
+"""Truncated shadow Q-functions: the TD critic and truncated exact tables.
 
-``td_evaluate`` runs the asynchronous single-trajectory TD subroutine: the
-uniforms of ``td_draws``, one ``Simulator`` rollout and the fit ``td_fit``
-of every agent's table along it (``train`` stacks both critics'
-trajectories into its one rollout per iteration and calls ``td_fit`` on
-them, with the ``layout.RunLayout`` of the run); the exact oracles
-(``full_q``, ``exact_truncated_q``) solve the Bellman linear system on
-enumerable instances.
+One TD evaluation is the asynchronous single-trajectory subroutine: the
+uniforms of ``td_draws``, rolled out by the run's ``Simulator`` (``train``
+stacks both critics' trajectories into its one rollout per iteration), then
+``td_fit`` of every agent's table along the trajectory, with the run's
+``layout.RunLayout``. On enumerable instances ``truncate_q`` restricts an
+exact Q-function (``occupancy.ExactSolve.q``) to one agent's neighborhood.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ import numpy as np
 
 from .layout import RunLayout, q_table_layout
 from .model import FactoredCMDP, LocalReward
-from .occupancy import ExactSolve
-from .policy import KHopPolicy
 from . import indexing
 
 
@@ -175,16 +172,6 @@ def td_fit(layout: RunLayout, rewards, S, A) -> list:
             for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
-def td_evaluate(cmdp: FactoredCMDP, policy: KHopPolicy, rewards, kappa: int,
-                cfg: TDConfig, rng) -> list:
-    """Single-trajectory TD evaluation: ``td_fit`` along the rollout of
-    ``td_draws``, starting from a uniform global state and following the
-    policy for cfg.steps transitions."""
-    layout = RunLayout(cmdp, policy, kappa, cfg)
-    [(S, A)] = layout.simulator.rollout([td_draws(cmdp, cfg, rng)])
-    return td_fit(layout, rewards, S[0], A[0])
-
-
 def lift_local_reward(cmdp: FactoredCMDP, agent: int, table) -> np.ndarray:
     """Expand a (S_i, A_i) reward table to the flat global pair vector."""
     s_dec = indexing.decode_table(cmdp.local_state_sizes)[:, agent]
@@ -199,15 +186,6 @@ def lift_neighborhood_reward(cmdp: FactoredCMDP,
     return reward.values(
         indexing.decode_table(cmdp.local_state_sizes)[:, None, :],
         indexing.decode_table(cmdp.local_action_sizes)[None, :, :]).ravel()
-
-
-def full_q(cmdp: FactoredCMDP, policy: KHopPolicy, rewards) -> np.ndarray:
-    """Exact Q-function(s) solving Q = r + gamma * P_pi^T Q.
-
-    ``rewards`` is a flat (|S||A|,) vector or an (|S||A|, m) matrix; the
-    output has the same shape (see ``ExactSolve.q``).
-    """
-    return ExactSolve(cmdp, policy).q(rewards)
 
 
 def truncate_q(cmdp: FactoredCMDP, q, agent: int, kappa: int,
@@ -234,11 +212,3 @@ def truncate_q(cmdp: FactoredCMDP, q, agent: int, kappa: int,
                            state_sizes=s_sizes, action_sizes=a_sizes,
                            keys=np.arange(values.size, dtype=np.int64),
                            values=values.ravel())
-
-
-def exact_truncated_q(cmdp: FactoredCMDP, policy: KHopPolicy, reward_flat,
-                      agent: int, kappa: int, anchor=None) -> TruncatedQTable:
-    """Truncate the exact Q-function of one agent to its k-hop neighborhood
-    (see ``truncate_q``)."""
-    return truncate_q(cmdp, full_q(cmdp, policy, reward_flat),
-                      agent, kappa, anchor=anchor)

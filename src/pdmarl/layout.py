@@ -14,8 +14,10 @@ phase is one array op across all agents:
   theta table is a slice of one flat array (``ThetaLayout``), so that one
   pair of ``bincount``s gives every agent's score sums.
 
-``q_table_layout`` is the one truncated-Q shape rule, and
-``q_table_layouts`` applies it to every agent and stacks their ids;
+``RunLayout`` also holds the run's ``Simulator`` and the TD step sizes, so
+one TD evaluation is ``critic.td_fit`` of the layout along a rollout of
+``critic.td_draws``. ``q_table_layout`` is the one truncated-Q shape rule,
+and ``q_table_layouts`` applies it to every agent and stacks their ids;
 ``config`` checks it at parse time.
 """
 
@@ -149,7 +151,7 @@ class RunLayout:
             self.q_w[list(nbhd), i] = w[:len(nbhd)]
             self.q_w[[n + j for j in nbhd], i] = w[len(nbhd):]
         self.etas = (None if td is None else
-                     (td.h / (np.arange(td.steps) + td.k1)).tolist())
+                     td.step_size(np.arange(td.steps)).tolist())
 
     def q_cells(self, S, A) -> np.ndarray:
         """Every agent's truncated-Q cell id at integer global state/action

@@ -155,12 +155,6 @@ class LocalReward:
         return np.broadcast_to(np.asarray(r, dtype=float),
                                np.broadcast_shapes(S.shape[:-1], A.shape[:-1]))
 
-    @property
-    def max_abs(self):
-        cells = indexing.decode_table(self.dep_sizes)
-        ns = len(self.state_deps)
-        return float(np.max(np.abs(self.fn(cells[:, :ns], cells[:, ns:]))))
-
 
 @dataclass(frozen=True)
 class FactoredCMDP:

@@ -112,11 +112,6 @@ class ExactSolve:
         return R + self.cmdp.gamma * (self.nxt.reshape(S * A, S) @ V)
 
 
-def exact_global_occupancy(cmdp: FactoredCMDP, policy) -> GlobalOccupancy:
-    """Occupancy vector solving lambda = rho_pi + gamma * P_pi lambda."""
-    return ExactSolve(cmdp, policy).occupancy
-
-
 def flow_balance_residual(cmdp: FactoredCMDP, policy,
                           occ: GlobalOccupancy) -> float:
     """Max-norm residual of lambda = rho_pi + gamma * P_pi lambda."""

@@ -144,14 +144,10 @@ class KHopPolicy:
                 tables[i] = t
         return tuple(tables)
 
-    def prob_table(self, i) -> np.ndarray:
-        """All action distributions of agent i, shape (n_nbhd_states, A_i)."""
-        return self.prob_tables[i]
-
     def joint_action_probabilities(self) -> np.ndarray:
         """Matrix pi(a | s) over global states/actions (enumeration only)."""
         s_dec = indexing.decode_table(self.state_sizes)
-        return indexing.row_kron([self.prob_table(i)[self.nbhd_rows(i, s_dec)]
+        return indexing.row_kron([self.prob_tables[i][self.nbhd_rows(i, s_dec)]
                                   for i in range(self.graph.n)])
 
 
@@ -187,7 +183,7 @@ def policy_state_sensitivity(policy: KHopPolicy, kappa: int) -> float:
         inner = set(khop_neighborhood(policy.graph, i, kappa))
         outer = [p for p, j in enumerate(policy.neighborhood(i)) if j not in inner]
         worst = max(worst, indexing.max_pairwise_l1(
-            policy.prob_table(i), policy.nbhd_state_sizes(i), outer))
+            policy.prob_tables[i], policy.nbhd_state_sizes(i), outer))
     return worst
 
 

@@ -53,6 +53,29 @@ def dual_update(g_tilde, eta_mu, mu_bar, n) -> DualVariable:
 
 # -- sampled truncated policy gradient --------------------------------------
 
+def _neighborhood_weights(layout: RunLayout, S, A, q_f, q_g, mu,
+                          scale) -> np.ndarray:
+    """Score weights of every agent at integer state/action arrays (..., n),
+    which broadcast: column i is ``scale`` times the average over n of
+    v_j = Q_f,j + mu_j Q_g,j at the sample's cells, summed over the agents j
+    within distance ``layout.kappa`` of i. Every agent's Q cells come from
+    one product; the Q reads and neighborhood sums are per agent."""
+    n = layout.n
+    if len(q_f) != n or len(q_g) != n:
+        raise ValueError("need one Q table per agent for both utilities")
+    cells = np.moveaxis(layout.q_cells(S, A), -1, 0)
+    v = np.empty(cells.shape)
+    for j in range(n):
+        if not q_f[j].nbhd == q_g[j].nbhd == layout.q_layouts[j][0]:
+            raise ValueError(f"Q tables of agent {j} differ in neighborhood "
+                             f"from each other or from the layout")
+        v[j] = q_f[j].read(cells[j]) + mu[j] * q_g[j].read(cells[j])
+    w = np.empty(cells.shape[1:] + (n,))
+    for i, hood in enumerate(layout.hoods):
+        w[..., i] = scale * v[hood].sum(axis=0) / n
+    return w
+
+
 def truncated_pg_estimate(layout: RunLayout, batch: TrajectoryBatch,
                           policy: KHopPolicy, q_f, q_g,
                           mu: DualVariable) -> list:
@@ -60,30 +83,13 @@ def truncated_pg_estimate(layout: RunLayout, batch: TrajectoryBatch,
     the discounted neighborhood-average of truncated Q values (objective plus
     dual-weighted constraint) of the agents within distance ``layout.kappa``.
 
-    Every agent's Q cells and policy rows come from one product each, and
-    every agent's score sum from one pair of ``bincount``s
-    (``ThetaLayout.score_sums``); the Q reads and neighborhood sums are per
-    agent."""
-    n = layout.n
-    B, H = batch.batch_size, batch.horizon
-    if len(q_f) != n or len(q_g) != n:
-        raise ValueError("need one Q table per agent for both utilities")
-
-    cells = np.moveaxis(layout.q_cells(batch.states, batch.actions), -1, 0)
-    v = np.empty((n, B, H))
-    for j in range(n):
-        if not q_f[j].nbhd == q_g[j].nbhd == layout.q_layouts[j][0]:
-            raise ValueError(f"Q tables of agent {j} differ in neighborhood "
-                             f"from each other or from the layout")
-        v[j] = q_f[j].read(cells[j]) + mu.mu[j] * q_g[j].read(cells[j])
-    discounts = layout.gamma ** np.arange(H)
-
-    w = np.empty((B, H, n))
-    for i, hood in enumerate(layout.hoods):
-        w[..., i] = discounts[None, :] * v[hood].sum(axis=0) / n
+    Every agent's policy rows come from one product, and every agent's score
+    sum from one pair of ``bincount``s (``ThetaLayout.score_sums``)."""
+    w = _neighborhood_weights(layout, batch.states, batch.actions, q_f, q_g,
+                              mu.mu, layout.gamma ** np.arange(batch.horizon))
     theta = layout.theta
     return theta.split(theta.score_sums(policy, theta.rows(batch.states),
-                                        batch.actions, w) / B)
+                                        batch.actions, w) / batch.batch_size)
 
 
 def policy_ascent(policy: KHopPolicy, grads, eta_theta: float) -> KHopPolicy:
@@ -165,26 +171,19 @@ def exact_truncated_pg(cmdp: FactoredCMDP, policy: KHopPolicy,
     truncated at the anchor pair and the utility sum restricted to each
     agent's kappa-hop neighborhood.
     """
-    mu = np.asarray(mu, dtype=float)
     n = cmdp.n_agents
     solve = ExactSolve(cmdp, policy)
     occ, rf, rg = _global_shadow_rewards(solve, objectives, constraints)
     q = solve.q(np.hstack([rf, rg]))
-    layout = RunLayout(cmdp, policy, kappa)
-    cells = np.moveaxis(layout.q_cells(
-        indexing.decode_table(cmdp.local_state_sizes)[:, None, :],
-        indexing.decode_table(cmdp.local_action_sizes)[None, :, :]), -1, 0)
-
-    v = np.empty((n, cmdp.n_pairs))
-    for j in range(n):
-        qf_t = truncate_q(cmdp, q[:, j], j, kappa, anchor=anchor)
-        qg_t = truncate_q(cmdp, q[:, n + j], j, kappa, anchor=anchor)
-        v[j] = (qf_t.read(cells[j]) + mu[j] * qg_t.read(cells[j])).ravel()
-
-    weights = np.empty((cmdp.n_pairs, n))
-    for i, hood in enumerate(layout.hoods):
-        weights[:, i] = occ.table * (v[hood].sum(axis=0) / n)
-    return _score_accumulate(cmdp, policy, weights)
+    q_f, q_g = ([truncate_q(cmdp, q[:, off + j], j, kappa, anchor=anchor)
+                 for j in range(n)] for off in (0, n))
+    S = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
+    A = indexing.decode_table(cmdp.local_action_sizes)[None, :, :]
+    weights = _neighborhood_weights(
+        RunLayout(cmdp, policy, kappa), S, A, q_f, q_g,
+        np.asarray(mu, dtype=float),
+        occ.table.reshape(cmdp.n_states, cmdp.n_actions))
+    return _score_accumulate(cmdp, policy, weights.reshape(-1, n))
 
 
 def lagrangian_value(cmdp: FactoredCMDP, policy: KHopPolicy,

@@ -5,9 +5,8 @@ it finds every agent's table row with one integer product ``rows = x @ W``
 over the rows ``x = [s | a | 1]`` and draws every agent's action (or next
 state) with one gather from stacked CDF tables. ``Simulator.rollout`` runs
 row groups of different lengths in lockstep: ``train`` rolls out its
-sampling batch and both TD trajectories at once, and ``sample_trajectories``
-and ``critic.td_evaluate`` roll out one group each, with the same draws
-(``trajectory_draws``, ``critic.td_draws``).
+sampling batch (``trajectory_draws``) and both TD trajectories
+(``critic.td_draws``) at once.
 """
 
 from __future__ import annotations
@@ -137,21 +136,6 @@ class Simulator:
         sim.policy_cdf = InverseCdf(policy.prob_tables)
         return sim
 
-    def _x(self, s, a):
-        """Rollout rows [s | a | 1] of states s (..., n) and actions a."""
-        s = np.asarray(s)
-        return np.concatenate([s, np.broadcast_to(a, s.shape),
-                               np.ones(s.shape[:-1] + (1,), dtype=np.int64)],
-                              axis=-1)
-
-    def act(self, s, u):
-        """Joint actions at integer states s and uniforms u, both (..., n)."""
-        return self.policy_cdf.draw_stacked(self._x(s, 0) @ self.act_w, u)
-
-    def transition(self, s, a, u):
-        """Next states after states s and actions a, with uniforms u."""
-        return self.kernel_cdf.draw_stacked(self._x(s, a) @ self.trans_w, u)
-
     def rollout(self, groups):
         """One lockstep rollout of row groups of different lengths.
 
@@ -190,39 +174,18 @@ class Simulator:
                 for r0, r1, t in zip(starts, starts[1:], lengths)]
 
 
-def trajectory_draws(cmdp: FactoredCMDP, batch_size: int, horizon: int, rng,
-                     initial_states=None):
-    """Initial states and uniforms of ``sample_trajectories``, as one
-    ``Simulator.rollout`` group: initial states (unless given), then action
-    uniforms, then transition uniforms, each (horizon, batch_size, n)."""
+def trajectory_draws(cmdp: FactoredCMDP, batch_size: int, horizon: int, rng):
+    """Initial states and uniforms of ``batch_size`` trajectories of
+    ``horizon`` steps, as one ``Simulator.rollout`` group, drawn from ``rng``
+    in this order: initial states, then action uniforms, then transition
+    uniforms, each (horizon, batch_size, n)."""
     if batch_size < 1 or horizon < 1:
         raise ValueError("batch_size and horizon must be positive")
     n = cmdp.n_agents
     B = batch_size
-    if initial_states is None:
-        u0 = rng.random((B, n))
-        s = InverseCdf([np.asarray(d)[None, :] for d in cmdp.initial_dist]
-                       ).draw(np.zeros((B, n), dtype=np.int64), u0)
-    else:
-        s = np.array(initial_states, dtype=np.int64)
-        if s.shape != (B, n):
-            raise ValueError("initial_states must have shape (B, n)")
-        if np.any(s < 0) or np.any(s >= np.array(cmdp.local_state_sizes)):
-            raise ValueError("initial_states out of range")
+    u0 = rng.random((B, n))
+    s = InverseCdf([np.asarray(d)[None, :] for d in cmdp.initial_dist]
+                   ).draw(np.zeros((B, n), dtype=np.int64), u0)
     u_act = rng.random((horizon, B, n))
     u_trans = rng.random((horizon, B, n))
     return s, u_act, u_trans
-
-
-def sample_trajectories(cmdp: FactoredCMDP, policy: KHopPolicy,
-                        batch_size: int, horizon: int, rng,
-                        initial_states=None) -> TrajectoryBatch:
-    """Simulate ``batch_size`` trajectories of ``horizon`` steps.
-
-    All trajectories advance in lockstep; actions and transitions use
-    inverse-CDF draws in fixed order so the output is a deterministic
-    function of the rng state.
-    """
-    [(states, actions)] = Simulator(cmdp, policy).rollout([trajectory_draws(
-        cmdp, batch_size, horizon, rng, initial_states)])
-    return TrajectoryBatch(states=states, actions=actions)

@@ -1,0 +1,63 @@
+"""Shared test helpers: small models, policies and constraints, and one solo
+rollout along the path ``train`` takes: ``Simulator.rollout`` of
+``trajectory_draws`` or ``critic.td_draws``, then ``critic.td_fit``."""
+
+import numpy as np
+
+from pdmarl.critic import td_draws, td_fit
+from pdmarl.envs import SyntheticLineSpec, synthetic_line
+from pdmarl.graph import DependenceGraph
+from pdmarl.layout import RunLayout
+from pdmarl.model import FactoredCMDP, LocalReward, TransitionKernel
+from pdmarl.policy import KHopPolicy
+from pdmarl.sampling import Simulator, TrajectoryBatch, trajectory_draws
+from pdmarl.utilities import ENTROPY, GeneralUtility
+
+
+def rng_for(seed):
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def chain(n, gamma=0.9):
+    return synthetic_line(SyntheticLineSpec(n=n, gamma=gamma))
+
+
+def single_cell_mdp(gamma):
+    """One agent with one state and one action, reward 1."""
+    g = DependenceGraph(1, frozenset())
+    kern = TransitionKernel.from_function(lambda s, a: (1.0,), 0, (0,), (0,),
+                                          (1,), (1,))
+    rew = LocalReward.from_function(lambda cs, ca: 1.0, 0, (0,), (),
+                                    (1,), (1,))
+    return FactoredCMDP(graph=g, local_state_sizes=(1,),
+                        local_action_sizes=(1,), kernels=(kern,),
+                        rewards=(rew,), initial_dist=(np.array([1.0]),),
+                        gamma=gamma)
+
+
+def uniform_policy(cmdp, kappa=1):
+    return KHopPolicy.zeros(cmdp.graph, cmdp.local_state_sizes,
+                            cmdp.local_action_sizes, kappa)
+
+
+def entropy_constraints(cmdp, threshold):
+    base = GeneralUtility(kind=ENTROPY, gamma=cmdp.gamma)
+    return [base.as_constraint(threshold) for _ in range(cmdp.n_agents)]
+
+
+def flat(grads):
+    return np.concatenate([g.ravel() for g in grads])
+
+
+def sample_batch(cmdp, policy, batch_size, horizon, rng):
+    """``train``'s sampling batch, rolled out alone."""
+    [(S, A)] = Simulator(cmdp, policy).rollout(
+        [trajectory_draws(cmdp, batch_size, horizon, rng)])
+    return TrajectoryBatch(states=S, actions=A)
+
+
+def td_tables(cmdp, policy, rewards, kappa, td, rng):
+    """Every agent's table of one of ``train``'s TD fits, rolled out alone."""
+    layout = RunLayout(cmdp, policy, kappa, td)
+    [(S, A)] = layout.simulator.rollout([td_draws(cmdp, td, rng)])
+    return td_fit(layout, rewards, S[0], A[0])

@@ -11,22 +11,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from pdmarl.envs import SyntheticLineSpec, synthetic_line
 from pdmarl.graph import line_graph
 from pdmarl.policy import (KHopPolicy, induced_khop_policy,
                            policy_state_sensitivity)
-from pdmarl.sampling import sample_trajectories
-from pdmarl.occupancy import (estimate_local_occupancies,
-                              exact_global_occupancy, marginalize)
-from pdmarl.utilities import ENTROPY, GeneralUtility
-from pdmarl.critic import (default_td_config, exact_truncated_q,
-                           lift_neighborhood_reward, td_evaluate)
+from pdmarl.occupancy import (ExactSolve, estimate_local_occupancies,
+                              marginalize)
+from pdmarl.critic import (default_td_config, lift_neighborhood_reward,
+                           truncate_q)
 from pdmarl.primal_dual import (StepSizes, TrainConfig,
                                 exact_lagrangian_gradient, exact_truncated_pg,
                                 fd_lagrangian_gradient, fosp_metrics,
                                 max_linear_over_box_ball, train)
 from pdmarl.cli import run_experiment
 from pdmarl.config import parse_config_dict
+
+from helpers import (chain, entropy_constraints, flat, rng_for, sample_batch,
+                     single_cell_mdp, td_tables, uniform_policy)
 
 
 def check(num, desc, ok, detail=""):
@@ -35,27 +35,12 @@ def check(num, desc, ok, detail=""):
     assert ok, f"criterion {num} failed: {desc} {detail}"
 
 
-def chain(n, gamma=0.9):
-    return synthetic_line(SyntheticLineSpec(n=n, gamma=gamma))
-
-
-def entropy_constraints(cmdp, threshold):
-    return [GeneralUtility(kind=ENTROPY, gamma=cmdp.gamma).as_constraint(threshold)
-            for _ in range(cmdp.n_agents)]
-
-
-def flat(grads):
-    return np.concatenate([g.ravel() for g in grads])
-
-
 def test_criterion_1_occupancy_oracle_agreement():
     started = time.perf_counter()
     m = chain(2)
-    pol = KHopPolicy.zeros(m.graph, m.local_state_sizes,
-                           m.local_action_sizes, 1)
-    exact = exact_global_occupancy(m, pol)
-    batch = sample_trajectories(m, pol, 10_000, 100,
-                                np.random.default_rng(np.random.SeedSequence(1)))
+    pol = uniform_policy(m)
+    exact = ExactSolve(m, pol).occupancy
+    batch = sample_batch(m, pol, 10_000, 100, rng_for(1))
     worst = 0.0
     for i, emp in enumerate(estimate_local_occupancies(
             batch, m.gamma, 100, m.local_state_sizes, m.local_action_sizes)):
@@ -129,12 +114,12 @@ def test_criterion_4_induced_policy_occupancy_bound():
     phi = d[1] / c if c > 0 else 0.0
     assert d[2] == 0.0 and 0.0 < phi < 1.0
 
-    lam = exact_global_occupancy(m, pol)
+    lam = ExactSolve(m, pol).occupancy
     ok = True
     details = []
     for kappa in (0, 1, 2):
         induced = induced_khop_policy(pol, kappa, (0, 0, 0))
-        lam_hat = exact_global_occupancy(m, induced)
+        lam_hat = ExactSolve(m, induced).occupancy
         bound = 3 * c * phi ** kappa / (1.0 - m.gamma) ** 2
         for i in range(3):
             gap = float(np.abs(marginalize(lam_hat, i).table
@@ -146,37 +131,23 @@ def test_criterion_4_induced_policy_occupancy_bound():
 
 
 def test_criterion_5_td_correctness():
-    from pdmarl.graph import DependenceGraph
-    from pdmarl.model import FactoredCMDP, TransitionKernel, LocalReward
-
-    g = DependenceGraph(1, frozenset())
-    kern = TransitionKernel.from_function(lambda s, a: (1.0,), 0, (0,), (0,),
-                                          (1,), (1,))
-    rew = LocalReward.from_function(lambda cs, ca: 1.0, 0, (0,), (),
-                                    (1,), (1,))
-    single = FactoredCMDP(graph=g, local_state_sizes=(1,),
-                          local_action_sizes=(1,), kernels=(kern,),
-                          rewards=(rew,), initial_dist=(np.array([1.0]),),
-                          gamma=0.9)
-    pol1 = KHopPolicy.zeros(g, (1,), (1,), 0)
-    q = td_evaluate(single, pol1, [np.ones((1, 1))], 0,
-                    default_td_config(0.9, steps=10_000),
-                    np.random.default_rng(np.random.SeedSequence(2)))
+    single = single_cell_mdp(0.9)
+    q = td_tables(single, uniform_policy(single, kappa=0), [np.ones((1, 1))],
+                  0, default_td_config(0.9, steps=10_000), rng_for(2))
     fixed_ok = abs(q[0].table[0, 0] - 10.0) < 0.05
 
     m = chain(2)
-    pol = KHopPolicy.zeros(m.graph, m.local_state_sizes,
-                           m.local_action_sizes, 1)
+    pol = uniform_policy(m)
     cols = [lift_neighborhood_reward(m, r) for r in m.rewards]
-    exact = [exact_truncated_q(m, pol, cols[i], i, 1) for i in range(2)]
+    solve = ExactSolve(m, pol)
+    exact = [truncate_q(m, solve.q(cols[i]), i, 1) for i in range(2)]
     cfg = default_td_config(0.9, steps=100_000)
     errs = []
     for seed in range(10):
-        qs = td_evaluate(m, pol, list(m.rewards), 1, cfg,
-                         np.random.default_rng(np.random.SeedSequence(seed)))
+        qs = td_tables(m, pol, list(m.rewards), 1, cfg, rng_for(seed))
         errs.append(max(
             float(np.max(np.abs(qs[i].table - exact[i].table)))
-            / (m.rewards[i].max_abs / (1.0 - m.gamma))
+            / (np.max(np.abs(cols[i])) / (1.0 - m.gamma))
             for i in range(2)))
     med = float(np.median(errs))
     check(5, "TD evaluation reaches the known fixed points",
@@ -191,7 +162,7 @@ def test_criterion_6_softmax_score_bound():
                             scale=5.0)
     ok = True
     for i in range(3):
-        probs = pol.prob_table(i)
+        probs = pol.prob_tables[i]
         for row in range(probs.shape[0]):
             for a in range(probs.shape[1]):
                 vec = -probs[row].copy()
@@ -202,7 +173,7 @@ def test_criterion_6_softmax_score_bound():
 
 @lru_cache(maxsize=None)
 def synthetic_run(kappa, eta_mu, threshold, seed):
-    m = synthetic_line(SyntheticLineSpec(n=10, gamma=0.99))
+    m = chain(10, gamma=0.99)
     cons = entropy_constraints(m, threshold)
     cfg = TrainConfig(kappa=kappa, iterations=400, horizon=125, batch_size=5,
                       steps=StepSizes(eta_theta=0.05, eta_mu=eta_mu))

@@ -377,6 +377,25 @@ class TestMainEntryPoint:
         assert err.startswith("config error:") and reason in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis, values, reason", [
+        ("kappa", "1.5", "sweep axis kappa cannot take the value '1.5'"),
+        ("kappa", "abc", "sweep axis kappa cannot take the value 'abc'"),
+        ("kappa", "nan", "sweep axis kappa cannot take the value 'nan'"),
+        ("kappa", "0,-1", "kappa must be nonnegative"),
+        ("eta_mu", "abc", "sweep axis eta_mu cannot take the value 'abc'"),
+        ("eta_mu", "nan", "'eta_mu' in config root must be finite"),
+    ], ids=["kappa_float", "kappa_word", "kappa_nan", "kappa_negative",
+            "eta_mu_word", "eta_mu_nan"])
+    def test_bad_sweep_value_exit_one(self, tmp_path, capsys, axis, values,
+                                      reason):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", self.write_config(tmp_path),
+                     "--axis", axis, "--values", values,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and reason in err
+        assert not out.exists()
+
     def test_stacked_q_ids_beyond_int64_exit_one(self, tmp_path, capsys,
                                                  monkeypatch):
         # the 32-agent line at kappa 15: agents 15 and 16 have 2^62 Q cells

@@ -4,46 +4,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pdmarl.graph import DependenceGraph
-from pdmarl.model import (FactoredCMDP, TransitionKernel, LocalReward,
-                          compute_decay_matrix, global_transition_matrix)
+from pdmarl.model import (LocalReward, compute_decay_matrix,
+                          global_transition_matrix)
 from pdmarl.policy import KHopPolicy
-from pdmarl.critic import (TDConfig, default_td_config, exact_truncated_q,
-                           full_q, lift_local_reward,
-                           lift_neighborhood_reward, td_draws, td_evaluate,
-                           td_fit)
+from pdmarl.critic import (TDConfig, default_td_config, lift_local_reward,
+                           lift_neighborhood_reward, td_draws, td_fit,
+                           truncate_q)
 from pdmarl.layout import (MAX_Q_CELLS, RunLayout, q_table_layout,
                            q_table_layouts)
-from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
-                         wireless_grid)
+from pdmarl.envs import WirelessGridSpec, wireless_grid
+from pdmarl.occupancy import ExactSolve
 from pdmarl.primal_dual import DualVariable, truncated_pg_estimate
 from pdmarl.sampling import Simulator, TrajectoryBatch, trajectory_draws
 from pdmarl import indexing
 
-
-def chain(n, gamma=0.9):
-    return synthetic_line(SyntheticLineSpec(n=n, gamma=gamma))
-
-
-def uniform_policy(cmdp, kappa=1):
-    return KHopPolicy.zeros(cmdp.graph, cmdp.local_state_sizes,
-                            cmdp.local_action_sizes, kappa)
-
-
-def single_cell_mdp(gamma):
-    g = DependenceGraph(1, frozenset())
-    kern = TransitionKernel.from_function(lambda s, a: (1.0,), 0, (0,), (0,),
-                                          (1,), (1,))
-    rew = LocalReward.from_function(lambda cs, ca: 1.0, 0, (0,), (),
-                                    (1,), (1,))
-    return FactoredCMDP(graph=g, local_state_sizes=(1,),
-                        local_action_sizes=(1,), kernels=(kern,),
-                        rewards=(rew,), initial_dist=(np.array([1.0]),),
-                        gamma=gamma)
-
-
-def rng_for(seed):
-    return np.random.default_rng(np.random.SeedSequence(seed))
+from helpers import (chain, rng_for, single_cell_mdp, td_tables,
+                     uniform_policy)
 
 
 def env_reward_columns(cmdp):
@@ -75,16 +51,16 @@ class TestTDConfig:
 class TestTDEvaluate:
     def test_zero_rewards_stay_zero(self):
         m = chain(2)
-        q = td_evaluate(m, uniform_policy(m), [np.zeros((2, 2))] * 2, 1,
-                        TDConfig(steps=300, h=10.0, k1=20.0), rng_for(0))
+        q = td_tables(m, uniform_policy(m), [np.zeros((2, 2))] * 2, 1,
+                      TDConfig(steps=300, h=10.0, k1=20.0), rng_for(0))
         for tab in q:
             np.testing.assert_array_equal(tab.table, 0.0)
 
     def test_single_cell_fixed_point(self):
         m = single_cell_mdp(0.5)
         cfg = default_td_config(0.5, steps=10_000)
-        q = td_evaluate(m, uniform_policy(m, kappa=0), [np.ones((1, 1))], 0,
-                        cfg, rng_for(1))
+        q = td_tables(m, uniform_policy(m, kappa=0), [np.ones((1, 1))], 0,
+                      cfg, rng_for(1))
         assert q[0].table[0, 0] == pytest.approx(2.0, abs=0.05)
 
     def test_touches_one_cell_per_step(self):
@@ -93,8 +69,8 @@ class TestTDEvaluate:
         cfg_a = TDConfig(steps=50, h=10.0, k1=20.0)
         cfg_b = TDConfig(steps=51, h=10.0, k1=20.0)
         rewards = [np.ones((2, 2)), np.ones((2, 2))]
-        qa = td_evaluate(m, pol, rewards, 1, cfg_a, rng_for(2))
-        qb = td_evaluate(m, pol, rewards, 1, cfg_b, rng_for(2))
+        qa = td_tables(m, pol, rewards, 1, cfg_a, rng_for(2))
+        qb = td_tables(m, pol, rewards, 1, cfg_b, rng_for(2))
         for a, b in zip(qa, qb):
             assert np.count_nonzero(a.table != b.table) <= 1
 
@@ -103,24 +79,25 @@ class TestTDEvaluate:
         pol = uniform_policy(m)
         cols = env_reward_columns(m)
         cfg = default_td_config(0.9, steps=100_000)
-        q = td_evaluate(m, pol, [m.rewards[0], m.rewards[1]], 1, cfg,
-                        rng_for(3))
+        q = td_tables(m, pol, [m.rewards[0], m.rewards[1]], 1, cfg,
+                      rng_for(3))
+        q_exact = ExactSolve(m, pol).q(cols)
         for i in range(2):
-            exact = exact_truncated_q(m, pol, cols[:, i], i, 1)
+            exact = truncate_q(m, q_exact[:, i], i, 1)
             err = np.max(np.abs(q[i].table - exact.table))
-            r_inf = m.rewards[i].max_abs
+            r_inf = np.max(np.abs(cols[:, i]))
             assert err < 0.1 * r_inf / (1.0 - m.gamma)
 
     def test_error_decreases_with_more_steps(self):
         m = chain(2)
         pol = uniform_policy(m)
         cols = env_reward_columns(m)
-        exact = exact_truncated_q(m, pol, cols[:, 0], 0, 1)
+        exact = truncate_q(m, ExactSolve(m, pol).q(cols[:, 0]), 0, 1)
 
         def run(K, seed):
             cfg = default_td_config(0.9, steps=K)
-            q = td_evaluate(m, pol, [m.rewards[0], m.rewards[1]], 1, cfg,
-                            rng_for(seed))
+            q = td_tables(m, pol, [m.rewards[0], m.rewards[1]], 1, cfg,
+                          rng_for(seed))
             return float(np.max(np.abs(q[0].table - exact.table)))
 
         small = np.median([run(2_000, s) for s in range(10)])
@@ -131,8 +108,8 @@ class TestTDEvaluate:
         m = chain(3)
         pol = uniform_policy(m)
         cfg = TDConfig(steps=400, h=10.0, k1=20.0)
-        qa = td_evaluate(m, pol, list(m.rewards), 1, cfg, rng_for(4))
-        qb = td_evaluate(m, pol, list(m.rewards), 1, cfg, rng_for(4))
+        qa = td_tables(m, pol, list(m.rewards), 1, cfg, rng_for(4))
+        qb = td_tables(m, pol, list(m.rewards), 1, cfg, rng_for(4))
         for a, b in zip(qa, qb):
             np.testing.assert_array_equal(a.table, b.table)
 
@@ -310,12 +287,12 @@ class TestSparseQTable:
 class TestExactQ:
     def test_zero_reward_zero_q(self):
         m = chain(2)
-        q = full_q(m, uniform_policy(m), np.zeros(16))
+        q = ExactSolve(m, uniform_policy(m)).q(np.zeros(16))
         np.testing.assert_array_equal(q, 0.0)
 
     def test_constant_reward(self):
         m = chain(2, gamma=0.8)
-        q = full_q(m, uniform_policy(m), np.ones(16))
+        q = ExactSolve(m, uniform_policy(m)).q(np.ones(16))
         np.testing.assert_allclose(q, 5.0, rtol=1e-10)
 
     def test_bellman_residual(self):
@@ -323,7 +300,7 @@ class TestExactQ:
         pol = uniform_policy(m)
         rng = np.random.default_rng(np.random.SeedSequence(41))
         r = rng.normal(size=16)
-        q = full_q(m, pol, r)
+        q = ExactSolve(m, pol).q(r)
         P = global_transition_matrix(m, pol)
         resid = np.max(np.abs(q - r - m.gamma * (P.T @ q)))
         assert resid < 1e-8
@@ -333,7 +310,7 @@ class TestExactQ:
         m = chain(2)
         pol = uniform_policy(m)
         r = env_reward_columns(m)[:, 0]
-        q = full_q(m, pol, r)
+        q = ExactSolve(m, pol).q(r)
         P = global_transition_matrix(m, pol)
         v = np.zeros(16)
         for _ in range(500):
@@ -344,8 +321,8 @@ class TestExactQ:
         m = chain(3)
         pol = uniform_policy(m)
         r = env_reward_columns(m)[:, 1]
-        q = full_q(m, pol, r)
-        trunc = exact_truncated_q(m, pol, r, 1, kappa=2)
+        q = ExactSolve(m, pol).q(r)
+        trunc = truncate_q(m, q, 1, kappa=2)
         np.testing.assert_allclose(
             trunc.table, q.reshape(8, 8), atol=1e-12)
 
@@ -353,17 +330,17 @@ class TestExactQ:
         m = chain(5)
         pol = uniform_policy(m)
         r = env_reward_columns(m)[:, 2]
-        q = full_q(m, pol, r).reshape(32, 32)
+        q = ExactSolve(m, pol).q(r)
         s_dec = indexing.decode_table(m.local_state_sizes)
         a_dec = indexing.decode_table(m.local_action_sizes)
         errs = []
         for kappa in (0, 1, 2):
-            trunc = exact_truncated_q(m, pol, r.ravel(), 2, kappa)
+            trunc = truncate_q(m, q, 2, kappa)
             nbhd = list(trunc.nbhd)
             se = s_dec[:, nbhd] @ indexing.radix_weights(trunc.state_sizes)
             ae = a_dec[:, nbhd] @ indexing.radix_weights(trunc.action_sizes)
             approx = trunc.table[se[:, None], ae[None, :]]
-            errs.append(float(np.max(np.abs(approx - q))))
+            errs.append(float(np.max(np.abs(approx - q.reshape(32, 32)))))
         assert errs[0] >= errs[1] >= errs[2]
         assert errs[2] < errs[0]
 
@@ -375,11 +352,10 @@ class TestExactQ:
         r = env_reward_columns(m)[:, 0]
         m_r = float(np.max(np.abs(r)))
         c0 = 2 * m.gamma * chi * m_r / (2 - m.gamma * chi)
+        q = ExactSolve(m, pol).q(r)
         for kappa in (0, 1):
-            a = exact_truncated_q(m, pol, r, 0, kappa,
-                                  anchor=((0, 0), (0, 0)))
-            b = exact_truncated_q(m, pol, r, 0, kappa,
-                                  anchor=((1, 1), (1, 1)))
+            a = truncate_q(m, q, 0, kappa, anchor=((0, 0), (0, 0)))
+            b = truncate_q(m, q, 0, kappa, anchor=((1, 1), (1, 1)))
             gap = float(np.max(np.abs(a.table - b.table)))
             assert gap <= c0 * prof.phi0 ** kappa + 1e-9
 

@@ -7,9 +7,10 @@ from pdmarl import indexing
 from pdmarl.critic import lift_neighborhood_reward
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, _grid_access,
                          synthetic_line, wireless_grid)
-from pdmarl.occupancy import exact_global_occupancy
+from pdmarl.occupancy import ExactSolve
 from pdmarl.policy import KHopPolicy
-from pdmarl.sampling import sample_trajectories
+
+from helpers import sample_batch, uniform_policy
 
 
 def lookup(f, s, a):
@@ -32,7 +33,7 @@ def reference_wireless_reward(cell_s, cell_a, i, deps, access, q):
 
 
 def mean_return(cmdp, policy):
-    occ = exact_global_occupancy(cmdp, policy)
+    occ = ExactSolve(cmdp, policy).occupancy
     vals = [lift_neighborhood_reward(cmdp, r) @ occ.table
             for r in cmdp.rewards]
     return float(np.mean(vals))
@@ -261,9 +262,8 @@ class TestWirelessGrid:
 
     def test_rollout_runs_and_stays_in_bounds(self):
         m = wireless_grid(WirelessGridSpec(side=3, deadline=2, gamma=0.95))
-        pol = KHopPolicy.zeros(m.graph, m.local_state_sizes,
-                               m.local_action_sizes, 0)
-        batch = sample_trajectories(m, pol, 3, 20, np.random.default_rng(0))
+        pol = uniform_policy(m, kappa=0)
+        batch = sample_batch(m, pol, 3, 20, np.random.default_rng(0))
         assert batch.states.max() < 4
         for i, A in enumerate(m.local_action_sizes):
             assert batch.actions[:, :, i].max() < A

@@ -6,18 +6,10 @@ from pdmarl.model import (FactoredCMDP, TransitionKernel, LocalReward,
                           EnumerationCapExceeded, compute_decay_matrix,
                           global_transition_matrix)
 from pdmarl.policy import KHopPolicy
-from pdmarl.sampling import Simulator, sample_trajectories
-from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
-                         wireless_grid)
+from pdmarl.sampling import Simulator
+from pdmarl.envs import WirelessGridSpec, wireless_grid
 
-
-def chain(n, gamma=0.9):
-    return synthetic_line(SyntheticLineSpec(n=n, gamma=gamma))
-
-
-def uniform_policy(cmdp, kappa=1):
-    return KHopPolicy.zeros(cmdp.graph, cmdp.local_state_sizes,
-                            cmdp.local_action_sizes, kappa)
+from helpers import chain, uniform_policy
 
 
 def lookup(f, s, a):
@@ -121,14 +113,14 @@ class TestKernels:
 
     def test_deterministic_kernel_step(self):
         m = chain(2)
-        sim = Simulator(m, uniform_policy(m))
         rng = np.random.default_rng(0)
-        # agent 1 copies its action, agent 0 copies s_1
-        for _ in range(20):
-            assert sim.transition(np.array([0, 1]), np.array([0, 1]),
-                                  rng.random(2)).tolist() == [1, 1]
-            assert sim.transition(np.array([1, 1]), np.array([1, 0]),
-                                  rng.random(2)).tolist() == [1, 0]
+        [(S, A)] = Simulator(m, uniform_policy(m)).rollout([(
+            np.array([[0, 1], [1, 1]]), rng.random((20, 2, 2)),
+            rng.random((19, 2, 2)))])
+        # agent 1 copies its action, agent 0 copies s_1, on every step
+        assert set(A[..., 1].ravel()) == set(S[..., 1].ravel()) == {0, 1}
+        assert np.array_equal(S[:, 1:, 1], A[:, :-1, 1])
+        assert np.array_equal(S[:, 1:, 0], S[:, :-1, 1])
 
     def test_step_deterministic_given_stream(self):
         m = chain(4)
@@ -136,20 +128,11 @@ class TestKernels:
         out = []
         for _ in range(2):
             rng = np.random.default_rng(np.random.SeedSequence(42))
-            s = np.zeros(4, dtype=np.int64)
-            seq = []
-            for _ in range(30):
-                s = sim.transition(s, np.ones(4, dtype=np.int64), rng.random(4))
-                seq.append(s.tolist())
-            out.append(seq)
+            [(S, A)] = sim.rollout([(np.zeros((1, 4), dtype=np.int64),
+                                     rng.random((31, 1, 4)),
+                                     rng.random((30, 1, 4)))])
+            out.append((S.tolist(), A.tolist()))
         assert out[0] == out[1]
-
-    def test_malformed_pair_rejected(self):
-        m = chain(2)
-        with pytest.raises(ValueError):
-            sample_trajectories(m, uniform_policy(m), 1, 1,
-                                np.random.default_rng(0),
-                                initial_states=[(0, 5)])
 
 
 class TestGlobalTransitionMatrix:
@@ -242,7 +225,7 @@ class TestGlobalTransitionMatrix:
             for i in range(m.n_agents):
                 row = np.ravel_multi_index([s2[j] for j in pol.neighborhood(i)],
                                            pol.nbhd_state_sizes(i))
-                want *= pol.prob_table(i)[row][a2[i]]
+                want *= pol.prob_tables[i][row][a2[i]]
             out = (np.ravel_multi_index(s2, ss) * m.n_actions
                    + np.ravel_multi_index(a2, aa))
             col = (np.ravel_multi_index(s, ss) * m.n_actions

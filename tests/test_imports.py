@@ -1,4 +1,5 @@
-"""Every name a module imports is used in it (package ``__init__`` aside)."""
+"""Every module uses the names it imports, and the package or the benchmark
+names every definition of ``src/pdmarl`` (package ``__init__`` aside)."""
 
 import ast
 from pathlib import Path
@@ -6,9 +7,18 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted(p for p in [*(ROOT / "src" / "pdmarl").glob("*.py"),
-                           *(ROOT / "tests").glob("*.py")]
-               if p.name != "__init__.py")
+SRC = sorted(p for p in (ROOT / "src" / "pdmarl").glob("*.py")
+             if p.name != "__init__.py")
+FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
+
+# Reference oracles that only the tests call, each checking a library path.
+TEST_ORACLES = {
+    "exact_truncated_pg": "exact value of the sampled truncated gradient",
+    "fd_gradient": "finite differences of a utility's shadow reward",
+    "induced_khop_policy": "narrower policy of the policy-truncation bound",
+    "policy_state_sensitivity": "measured constants of that bound",
+    "GeneralUtility.as_constraint": "constraint utilities built by the tests",
+}
 
 
 def unused_imports(source):
@@ -27,9 +37,53 @@ def unused_imports(source):
                   if name not in used)
 
 
+def definitions(source):
+    """(qualified name, node) of the top-level functions and classes and of
+    the methods other than dunders."""
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("__")):
+                    yield f"{top.name}.{node.name}", node
+
+
+def unreferenced(defining, referring):
+    """The definitions of the ``defining`` sources whose name no ``Name`` or
+    ``Attribute`` of the ``referring`` sources holds outside the definition
+    itself."""
+    refs = [(path, node.id if isinstance(node, ast.Name) else node.attr,
+             node.lineno)
+            for path, source in referring.items()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    return sorted(
+        qual for path, source in defining.items()
+        for qual, node in definitions(source)
+        if not any(name == qual.rsplit(".", 1)[-1] and not (
+            p == path and node.lineno <= line <= node.end_lineno)
+            for p, name, line in refs))
+
+
 def test_scanner_flags_an_unused_name():
     src = "import os\nimport numpy as np\nfrom a.b import c, d\nnp.e(c)\n"
     assert unused_imports(src) == [(1, "os"), (3, "d")]
+
+
+def test_scanner_flags_an_unreferenced_definition():
+    src = ("def f():\n    return f()\n\nclass C:\n    def m(self):\n"
+           "        pass\n\n    def __init__(self):\n        self.m2()\n\n"
+           "    def m2(self):\n        pass\n")
+    assert unreferenced({"a": src}, {"a": src}) == ["C", "C.m", "f"]
+    assert unreferenced({"a": src}, {"a": src, "b": "f(C().m)"}) == []
+
+
+def test_every_definition_has_a_caller():
+    sources = {p: p.read_text() for p in SRC}
+    bench = {p: p.read_text() for p in (ROOT / "perfbench").glob("*.py")}
+    assert unreferenced(sources, {**sources, **bench}) == sorted(TEST_ORACLES)
 
 
 @pytest.mark.parametrize("path", FILES,

@@ -17,9 +17,7 @@ from pdmarl.primal_dual import StepSizes, TrainConfig, train
 from pdmarl.sampling import TrajectoryBatch
 from pdmarl.utilities import ENTROPY, GeneralUtility
 
-
-def rng_for(seed):
-    return np.random.default_rng(np.random.SeedSequence(seed))
+from helpers import rng_for
 
 
 def random_batch(rng, B, H, state_sizes, action_sizes):
@@ -128,7 +126,7 @@ def reference_score_sum(policy, i, rows, acts, weights):
     flat = np.bincount(rows * A_i + acts, weights=weights,
                        minlength=n_rows * A_i)
     row_tot = np.bincount(rows, weights=weights, minlength=n_rows)
-    return flat.reshape(n_rows, A_i) - policy.prob_table(i) * row_tot[:, None]
+    return flat.reshape(n_rows, A_i) - policy.prob_tables[i] * row_tot[:, None]
 
 
 @pytest.mark.parametrize("env,kappa", [("line5", 0), ("line5", 2),

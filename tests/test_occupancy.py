@@ -5,23 +5,17 @@ from pdmarl.graph import DependenceGraph
 from pdmarl.model import (FactoredCMDP, TransitionKernel, LocalReward,
                           global_transition_matrix)
 from pdmarl.policy import KHopPolicy
-from pdmarl.sampling import TrajectoryBatch, sample_trajectories
+from pdmarl.sampling import TrajectoryBatch
 from pdmarl.occupancy import (ExactSolve, LocalOccupancy,
                               estimate_local_occupancies,
-                              exact_global_occupancy, flow_balance_residual,
-                              marginalize, state_marginal)
-from pdmarl.critic import full_q, lift_neighborhood_reward
+                              flow_balance_residual, marginalize,
+                              state_marginal)
+from pdmarl.critic import lift_neighborhood_reward
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
 
-
-def chain(n, gamma=0.9):
-    return synthetic_line(SyntheticLineSpec(n=n, gamma=gamma))
-
-
-def uniform_policy(cmdp, kappa=1):
-    return KHopPolicy.zeros(cmdp.graph, cmdp.local_state_sizes,
-                            cmdp.local_action_sizes, kappa)
+from helpers import (chain, rng_for, sample_batch, single_cell_mdp,
+                     uniform_policy)
 
 
 def local_occupancy(batch, agent, gamma, horizon, state_size, action_size):
@@ -30,18 +24,6 @@ def local_occupancy(batch, agent, gamma, horizon, state_size, action_size):
     n = batch.states.shape[-1]
     return estimate_local_occupancies(batch, gamma, horizon, (state_size,) * n,
                                       (action_size,) * n)[agent]
-
-
-def single_cell_mdp(gamma, reward=1.0):
-    g = DependenceGraph(1, frozenset())
-    kern = TransitionKernel.from_function(lambda s, a: (1.0,), 0, (0,), (0,),
-                                          (1,), (1,))
-    rew = LocalReward.from_function(lambda cs, ca: reward, 0, (0,), (),
-                                    (1,), (1,))
-    return FactoredCMDP(graph=g, local_state_sizes=(1,),
-                        local_action_sizes=(1,), kernels=(kern,),
-                        rewards=(rew,), initial_dist=(np.array([1.0]),),
-                        gamma=gamma)
 
 
 def always_one_policy(cmdp, kappa=1):
@@ -77,8 +59,8 @@ class TestEmpiricalEstimate:
 
     def test_mass_identity_bit_exact(self):
         m = chain(3, gamma=0.95)
-        batch = sample_trajectories(m, uniform_policy(m), 13, 40,
-                                    np.random.default_rng(3))
+        batch = sample_batch(m, uniform_policy(m), 13, 40,
+                             np.random.default_rng(3))
         for i in range(3):
             occ = local_occupancy(batch, i, 0.95, 40, 2, 2)
             assert occ.mass == pytest.approx(np.sum(0.95 ** np.arange(40)),
@@ -86,8 +68,8 @@ class TestEmpiricalEstimate:
 
     def test_horizon_mismatch_rejected(self):
         m = chain(2)
-        batch = sample_trajectories(m, uniform_policy(m), 2, 10,
-                                    np.random.default_rng(0))
+        batch = sample_batch(m, uniform_policy(m), 2, 10,
+                             np.random.default_rng(0))
         with pytest.raises(ValueError, match="horizon"):
             local_occupancy(batch, 0, 0.9, 20, 2, 2)
 
@@ -96,7 +78,7 @@ class TestEmpiricalEstimate:
         tabs = []
         for _ in range(2):
             rng = np.random.default_rng(np.random.SeedSequence(9))
-            batch = sample_trajectories(m, uniform_policy(m), 50, 30, rng)
+            batch = sample_batch(m, uniform_policy(m), 50, 30, rng)
             occ = local_occupancy(batch, 1, 0.9, 30, 2, 2)
             tabs.append(occ.table)
         np.testing.assert_array_equal(tabs[0], tabs[1])
@@ -105,7 +87,7 @@ class TestEmpiricalEstimate:
 class TestExactOccupancy:
     def test_single_cell_geometric_series(self):
         m = single_cell_mdp(0.9)
-        occ = exact_global_occupancy(m, uniform_policy(m, kappa=0))
+        occ = ExactSolve(m, uniform_policy(m, kappa=0)).occupancy
         assert occ.table[0] == pytest.approx(10.0)
 
     def test_absorbing_two_state_chain(self):
@@ -119,7 +101,7 @@ class TestExactOccupancy:
                          local_action_sizes=(1,), kernels=(kern,),
                          rewards=(rew,),
                          initial_dist=(np.array([1.0, 0.0]),), gamma=0.5)
-        occ = exact_global_occupancy(m, uniform_policy(m, kappa=0))
+        occ = ExactSolve(m, uniform_policy(m, kappa=0)).occupancy
         np.testing.assert_allclose(occ.table, [1.0, 1.0])
 
     def test_mass_and_flow_balance(self):
@@ -127,7 +109,7 @@ class TestExactOccupancy:
         rng = np.random.default_rng(np.random.SeedSequence(5))
         pol = KHopPolicy.random(m.graph, m.local_state_sizes,
                                 m.local_action_sizes, 1, rng, scale=0.7)
-        occ = exact_global_occupancy(m, pol)
+        occ = ExactSolve(m, pol).occupancy
         assert occ.mass == pytest.approx(1.0 / 0.15, rel=1e-10)
         assert flow_balance_residual(m, pol, occ) < 1e-8
 
@@ -135,7 +117,7 @@ class TestExactOccupancy:
         # independent oracle: truncated Neumann series of the same system
         m = chain(2)
         pol = always_one_policy(m)
-        occ = exact_global_occupancy(m, pol)
+        occ = ExactSolve(m, pol).occupancy
         P = global_transition_matrix(m, pol)
         rho = m.initial_state_distribution()
         pi = pol.joint_action_probabilities()
@@ -151,26 +133,26 @@ class TestExactOccupancy:
 class TestMarginals:
     def test_single_agent_identity(self):
         m = single_cell_mdp(0.9)
-        occ = exact_global_occupancy(m, uniform_policy(m, kappa=0))
+        occ = ExactSolve(m, uniform_policy(m, kappa=0)).occupancy
         loc = marginalize(occ, 0)
         np.testing.assert_allclose(loc.table, [[10.0]])
 
     def test_mass_preserved(self):
         m = chain(3)
-        occ = exact_global_occupancy(m, uniform_policy(m))
+        occ = ExactSolve(m, uniform_policy(m)).occupancy
         for i in range(3):
             assert marginalize(occ, i).mass == pytest.approx(occ.mass)
 
     def test_chain_marginal_matches_direct_sum(self):
         m = chain(2)
-        occ = exact_global_occupancy(m, uniform_policy(m))
+        occ = ExactSolve(m, uniform_policy(m)).occupancy
         shaped = occ.table.reshape(2, 2, 2, 2)  # (s0, s1, a0, a1)
         expected = shaped.sum(axis=(1, 3))
         np.testing.assert_allclose(marginalize(occ, 0).table, expected)
 
     def test_state_marginal_sums_to_one(self):
         m = chain(3, gamma=0.7)
-        occ = exact_global_occupancy(m, uniform_policy(m))
+        occ = ExactSolve(m, uniform_policy(m)).occupancy
         for i in range(3):
             d = state_marginal(marginalize(occ, i), 0.7)
             assert d.sum() == pytest.approx(1.0)
@@ -184,8 +166,8 @@ class TestMarginals:
 
     def test_empirical_state_marginal_mass(self):
         m = chain(2, gamma=0.99)
-        batch = sample_trajectories(m, uniform_policy(m), 20, 100,
-                                    np.random.default_rng(1))
+        batch = sample_batch(m, uniform_policy(m), 20, 100,
+                             np.random.default_rng(1))
         occ = local_occupancy(batch, 0, 0.99, 100, 2, 2)
         d = state_marginal(occ, 0.99)
         assert d.sum() == pytest.approx(1.0 - 0.99 ** 100)
@@ -195,10 +177,8 @@ class TestConvergence:
     def test_empirical_matches_exact_moderate_batch(self):
         m = chain(2)
         pol = uniform_policy(m)
-        occ = exact_global_occupancy(m, pol)
-        batch = sample_trajectories(m, pol, 2000, 100,
-                                    np.random.default_rng(
-                                        np.random.SeedSequence(17)))
+        occ = ExactSolve(m, pol).occupancy
+        batch = sample_batch(m, pol, 2000, 100, rng_for(17))
         for i in range(2):
             emp = local_occupancy(batch, i, 0.9, 100, 2, 2)
             exact = marginalize(occ, i)
@@ -209,12 +189,10 @@ class TestConvergence:
         # expectation of the H-truncated estimate misses gamma^H / (1-gamma)
         m = chain(2, gamma=0.9)
         pol = uniform_policy(m)
-        exact = marginalize(exact_global_occupancy(m, pol), 0).table
+        exact = marginalize(ExactSolve(m, pol).occupancy, 0).table
         errs = []
         for H in (5, 20, 80):
-            batch = sample_trajectories(m, pol, 4000, H,
-                                        np.random.default_rng(
-                                            np.random.SeedSequence(23)))
+            batch = sample_batch(m, pol, 4000, H, rng_for(23))
             emp = local_occupancy(batch, 0, 0.9, H, 2, 2)
             errs.append(float(np.abs(emp.table - exact).sum()))
         assert errs[0] > errs[1] > errs[2]
@@ -261,10 +239,8 @@ class TestStateChainSolve:
 
         solve = ExactSolve(m, pol)
         assert close(solve.occupancy.table, lam_ref)
-        assert close(exact_global_occupancy(m, pol).table, lam_ref)
         assert close(solve.q(rewards), q_ref)
-        assert close(full_q(m, pol, rewards), q_ref)
-        assert close(full_q(m, pol, rewards[:, -1]), q_ref[:, -1])
+        assert close(solve.q(rewards[:, -1]), q_ref[:, -1])
 
     def test_next_state_kernel_tabulated_once_per_model(self, monkeypatch):
         m = chain(4)

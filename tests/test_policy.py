@@ -23,7 +23,7 @@ def nbhd_row(pol, i, s_nbhd):
 
 
 def probs_at(pol, i, s_nbhd):
-    return pol.prob_table(i)[nbhd_row(pol, i, s_nbhd)]
+    return pol.prob_tables[i][nbhd_row(pol, i, s_nbhd)]
 
 
 def score(pol, i, s_nbhd, a):
@@ -60,7 +60,7 @@ class TestDistributions:
     def test_rows_sum_to_one_strictly_positive(self):
         pol = random_policy(n=4, kappa=2, seed=5, scale=3.0)
         for i in range(4):
-            probs = pol.prob_table(i)
+            probs = pol.prob_tables[i]
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(probs > 0)
 
@@ -112,7 +112,7 @@ class TestScore:
         pol = random_policy(n=3, kappa=1, seed=11, scale=5.0, asizes=3)
         bound = np.sqrt(2.0)
         for i in range(3):
-            probs = pol.prob_table(i)
+            probs = pol.prob_tables[i]
             for row in range(probs.shape[0]):
                 for a in range(probs.shape[1]):
                     vec = -probs[row].copy()
@@ -139,7 +139,7 @@ class TestScore:
 def sample_actions(pol, s, u):
     """Joint actions at global state s, one draw per row of uniforms u."""
     rows = [pol.nbhd_rows(i, np.asarray(s)) for i in range(pol.graph.n)]
-    cdf = InverseCdf([pol.prob_table(i) for i in range(pol.graph.n)])
+    cdf = InverseCdf([pol.prob_tables[i] for i in range(pol.graph.n)])
     return cdf.draw(np.broadcast_to(rows, u.shape), u)
 
 

@@ -4,10 +4,11 @@ import pytest
 from pdmarl.graph import DependenceGraph, line_graph
 from pdmarl.model import FactoredCMDP, TransitionKernel, LocalReward
 from pdmarl.policy import KHopPolicy
-from pdmarl.sampling import TrajectoryBatch, sample_trajectories
-from pdmarl.critic import (TDConfig, TruncatedQTable, exact_truncated_q,
-                           lift_neighborhood_reward)
-from pdmarl.utilities import ENTROPY, LINEAR, GeneralUtility
+from pdmarl.sampling import TrajectoryBatch
+from pdmarl.critic import (TDConfig, TruncatedQTable, lift_neighborhood_reward,
+                           truncate_q)
+from pdmarl.occupancy import ExactSolve, marginalize
+from pdmarl.utilities import LINEAR, GeneralUtility
 from pdmarl.layout import RunLayout, ThetaLayout
 from pdmarl.primal_dual import (DualVariable, StepSizes, TrainConfig,
                                 dual_update, exact_dual_gradient,
@@ -15,21 +16,9 @@ from pdmarl.primal_dual import (DualVariable, StepSizes, TrainConfig,
                                 fd_lagrangian_gradient, fosp_metrics,
                                 max_linear_over_box_ball, policy_ascent,
                                 train, truncated_pg_estimate)
-from pdmarl.envs import SyntheticLineSpec, synthetic_line
 
-
-def chain(n, gamma=0.9):
-    return synthetic_line(SyntheticLineSpec(n=n, gamma=gamma))
-
-
-def uniform_policy(cmdp, kappa=1):
-    return KHopPolicy.zeros(cmdp.graph, cmdp.local_state_sizes,
-                            cmdp.local_action_sizes, kappa)
-
-
-def entropy_constraints(cmdp, threshold):
-    base = GeneralUtility(kind=ENTROPY, gamma=cmdp.gamma)
-    return [base.as_constraint(threshold) for _ in range(cmdp.n_agents)]
+from helpers import (chain, entropy_constraints, flat, rng_for, sample_batch,
+                     uniform_policy)
 
 
 def two_state_single_agent(gamma=0.9):
@@ -43,10 +32,6 @@ def two_state_single_agent(gamma=0.9):
                         local_action_sizes=(2,), kernels=(kern,),
                         rewards=(rew,),
                         initial_dist=(np.array([1.0, 0.0]),), gamma=gamma)
-
-
-def flat(grads):
-    return np.concatenate([g.ravel() for g in grads])
 
 
 class TestDualUpdate:
@@ -80,15 +65,14 @@ class TestDualUpdate:
 
 class TestTruncatedPGEstimate:
     def zero_q(self, cmdp, kappa):
-        return [exact_truncated_q(cmdp, uniform_policy(cmdp, kappa),
-                                  np.zeros(cmdp.n_states * cmdp.n_actions),
-                                  i, kappa)
+        # the exact Q-function of zero rewards is zero
+        return [truncate_q(cmdp, np.zeros(cmdp.n_pairs), i, kappa)
                 for i in range(cmdp.n_agents)]
 
     def test_zero_q_zero_gradient(self):
         m = chain(2)
         pol = uniform_policy(m)
-        batch = sample_trajectories(m, pol, 4, 10, np.random.default_rng(0))
+        batch = sample_batch(m, pol, 4, 10, np.random.default_rng(0))
         q = self.zero_q(m, 1)
         mu = DualVariable(mu=np.zeros(2), mu_bar=1.0)
         grads = truncated_pg_estimate(RunLayout(m, pol, 1), batch, pol, q, q, mu)
@@ -127,7 +111,7 @@ class TestTruncatedPGEstimate:
     def test_tables_of_one_agent_share_a_neighborhood(self):
         m = chain(3)
         pol = uniform_policy(m)
-        batch = sample_trajectories(m, pol, 2, 5, np.random.default_rng(2))
+        batch = sample_batch(m, pol, 2, 5, np.random.default_rng(2))
         mu = DualVariable(mu=np.zeros(3), mu_bar=1.0)
         with pytest.raises(ValueError, match="agent 0 differ in neighborhood"):
             truncated_pg_estimate(RunLayout(m, pol, 1), batch, pol,
@@ -136,7 +120,7 @@ class TestTruncatedPGEstimate:
     def test_far_agents_do_not_enter(self):
         m = chain(3)
         pol = uniform_policy(m)
-        batch = sample_trajectories(m, pol, 8, 15, np.random.default_rng(1))
+        batch = sample_batch(m, pol, 8, 15, np.random.default_rng(1))
         q = self.zero_q(m, 0)
         bumped = list(q)
         bumped[2] = TruncatedQTable(agent=2, kappa=0, nbhd=(2,),
@@ -161,16 +145,15 @@ class TestTruncatedPGEstimate:
         mu = DualVariable(mu=mu_vec, mu_bar=10.0)
         exact = flat(exact_lagrangian_gradient(m, pol, None, cons, mu_vec))
 
-        from pdmarl.occupancy import ExactSolve
         from pdmarl.primal_dual import _global_shadow_rewards
-        _, rf, rg = _global_shadow_rewards(ExactSolve(m, pol), None, cons)
-        q_f = [exact_truncated_q(m, pol, rf[:, j], j, 1) for j in range(2)]
-        q_g = [exact_truncated_q(m, pol, rg[:, j], j, 1) for j in range(2)]
+        solve = ExactSolve(m, pol)
+        _, rf, rg = _global_shadow_rewards(solve, None, cons)
+        q = solve.q(np.hstack([rf, rg]))
+        q_f = [truncate_q(m, q[:, j], j, 1) for j in range(2)]
+        q_g = [truncate_q(m, q[:, 2 + j], j, 1) for j in range(2)]
 
         B = 40_000
-        batch = sample_trajectories(m, pol, B, 200,
-                                    np.random.default_rng(
-                                        np.random.SeedSequence(7)))
+        batch = sample_batch(m, pol, B, 200, rng_for(7))
         est = flat(truncated_pg_estimate(RunLayout(m, pol, 1), batch, pol, q_f,
                                          q_g, mu))
         err = np.linalg.norm(est - exact)
@@ -264,9 +247,8 @@ class TestExactOracles:
         m = chain(2)
         pol = uniform_policy(m)
         cons = entropy_constraints(m, 0.1)
-        from pdmarl.occupancy import exact_global_occupancy, marginalize
         from pdmarl.utilities import utility_value
-        occ = exact_global_occupancy(m, pol)
+        occ = ExactSolve(m, pol).occupancy
         want = np.array([utility_value(cons[i], marginalize(occ, i))
                          for i in range(2)]) / 2
         np.testing.assert_allclose(exact_dual_gradient(m, pol, cons), want)

@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 
 from pdmarl import indexing, primal_dual, sampling
-from pdmarl.critic import TDConfig, td_evaluate
+from pdmarl.critic import TDConfig
 from pdmarl.layout import RunLayout
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
 from pdmarl.policy import KHopPolicy
 from pdmarl.primal_dual import StepSizes, TrainConfig, _rng, train
-from pdmarl.sampling import InverseCdf, Simulator, sample_trajectories
+from pdmarl.sampling import InverseCdf, Simulator
 from pdmarl.utilities import ENTROPY, GeneralUtility
+
+from helpers import sample_batch, td_tables
 
 
 def rng_for(seed, purpose=0):
@@ -88,16 +90,15 @@ TD_SHA = {
                          sorted({(e, k, s) for e, k, _, s in CASES}))
 def test_sample_trajectories_bytes(env, kappa, seed):
     cmdp, policy = build(env, kappa, seed)
-    batch = sample_trajectories(cmdp, policy, 3, 20, rng_for(seed, 1))
+    batch = sample_batch(cmdp, policy, 3, 20, rng_for(seed, 1))
     assert digest(batch.states, batch.actions) == SAMPLE_SHA[(env, kappa, seed)]
 
 
 @pytest.mark.parametrize("env,kappa,kind,seed", CASES)
 def test_td_evaluate_bytes(env, kappa, kind, seed):
     cmdp, policy = build(env, kappa, seed)
-    tables = td_evaluate(cmdp, policy, rewards_of(cmdp, kind, seed), kappa,
-                         TDConfig(steps=300, h=20.0, k1=40.0),
-                         rng_for(seed, 2))
+    tables = td_tables(cmdp, policy, rewards_of(cmdp, kind, seed), kappa,
+                       TDConfig(steps=300, h=20.0, k1=40.0), rng_for(seed, 2))
     assert digest(*(q.table for q in tables)) == TD_SHA[(env, kappa, kind, seed)]
 
 
@@ -106,8 +107,8 @@ def test_td_evaluate_bytes(env, kappa, kind, seed):
 def test_td_tables_read_as_their_dense_form(env, kappa):
     # 13 stored cells at most, fewer than any table's 16 or more
     cmdp, policy = build(env, kappa, 0)
-    tables = td_evaluate(cmdp, policy, rewards_of(cmdp, "shadow", 0), kappa,
-                         TDConfig(steps=12, h=20.0, k1=40.0), rng_for(0, 2))
+    tables = td_tables(cmdp, policy, rewards_of(cmdp, "shadow", 0), kappa,
+                       TDConfig(steps=12, h=20.0, k1=40.0), rng_for(0, 2))
     layout = RunLayout(cmdp, policy, kappa)
     for q in tables:
         dense = q.table
@@ -222,18 +223,13 @@ def test_batch_rows_step_like_single_rows():
     rng = rng_for(5)
     s = np.array([[0, 1, 1, 0], [1, 1, 1, 1], [0, 0, 0, 0]])
     u_act, u_trans = rng.random((3, 4)), rng.random((3, 4))
-    a = sim.act(s, u_act)
-    s_next = sim.transition(s, a, u_trans)
+    u_act, u_trans = np.stack([u_act, u_trans]), u_trans[None]
+    [(states, actions)] = sim.rollout([(s, u_act, u_trans)])
     for b in range(3):
-        assert np.array_equal(sim.act(s[b], u_act[b]), a[b])
-        assert np.array_equal(sim.transition(s[b], a[b], u_trans[b]), s_next[b])
-
-    # the fused rollout steps exactly like act and transition
-    [(states, actions)] = sim.rollout([(s, np.stack([u_act, u_trans]),
-                                        u_trans[None])])
-    assert np.array_equal(states[:, 1], s_next)
-    assert np.array_equal(actions[:, 0], a)
-    assert np.array_equal(actions[:, 1], sim.act(s_next, u_trans))
+        [(s_b, a_b)] = sim.rollout([(s[b:b + 1], u_act[:, b:b + 1],
+                                     u_trans[:, b:b + 1])])
+        assert np.array_equal(s_b[0], states[b])
+        assert np.array_equal(a_b[0], actions[b])
 
 
 # -- one stacked rollout per training iteration -------------------------------
@@ -295,13 +291,13 @@ def test_stacked_rollout_is_the_separate_calls(monkeypatch, env, kappa,
                                   cfg, seed)
     assert len(calls) == 2
     for t, (policy, batch, (r_f, q_f), (r_g, q_g)) in enumerate(calls):
-        alone = sample_trajectories(cmdp, policy, cfg.batch_size, horizon,
-                                    _rng(seed, 1, t))
+        alone = sample_batch(cmdp, policy, cfg.batch_size, horizon,
+                             _rng(seed, 1, t))
         assert np.array_equal(batch.states, alone.states)
         assert np.array_equal(batch.actions, alone.actions)
         for purpose, rewards, tables in ((2, r_f, q_f), (3, r_g, q_g)):
-            alone = td_evaluate(cmdp, policy, rewards, kappa, cfg.td,
-                                _rng(seed, purpose, t))
+            alone = td_tables(cmdp, policy, rewards, kappa, cfg.td,
+                              _rng(seed, purpose, t))
             for q, q_alone in zip(tables, alone):
                 assert np.array_equal(q.table, q_alone.table)
 
