@@ -7,10 +7,8 @@ from .graph import DependenceGraph, khop_neighborhood, line_graph
 from .model import (FactoredCMDP, TransitionKernel, LocalReward, DecayProfile,
                     EnumerationCapExceeded, compute_decay_matrix)
 from .policy import KHopPolicy, induced_khop_policy, save_policy, load_policy
-from .sampling import Simulator, TrajectoryBatch
-from .occupancy import (LocalOccupancy, GlobalOccupancy, ExactSolve,
-                        estimate_local_occupancies, marginalize,
-                        state_marginal)
+from .sampling import Simulator
+from .occupancy import ExactSolve, estimate_local_occupancies, state_marginal
 from .utilities import (GeneralUtility, utility_value, shadow_reward,
                         LINEAR, ENTROPY, L2_ACTION, OBJECTIVE, CONSTRAINT)
 from .critic import TDConfig, TruncatedQTable, default_td_config

@@ -145,10 +145,15 @@ def run_sweep(cfg: ExperimentConfig, axis, values, out_dir,
     if not values:
         raise ConfigError("sweep needs at least one value")
     out = Path(out_dir)
-    # every job's config is parsed before any output exists
+    # every job is parsed, its env built and sized, before any output exists
     jobs = [(_apply_axis(cfg, axis, value).replace(
                  seed=derived_seed(cfg.seed, idx)), out / f"{axis}_{value}")
             for idx, value in enumerate(values)]
+    for idx, (value, (run_cfg, run_dir)) in enumerate(zip(values, jobs)):
+        if run_dir in [d for _, d in jobs[:idx]]:
+            raise ConfigError(f"sweep value {value!r} repeats: two runs "
+                              f"would share {run_dir.name}/")
+        check_table_sizes(run_cfg, build_env(run_cfg))
     out.mkdir(parents=True, exist_ok=True)
 
     if parallel:
@@ -200,7 +205,7 @@ def _verify_checks():
 
     def occupancy_flow():
         occ = ExactSolve(chain, policy).occupancy
-        mass_ok = abs(occ.mass - 1.0 / (1.0 - chain.gamma)) < 1e-8
+        mass_ok = abs(occ.sum() - 1.0 / (1.0 - chain.gamma)) < 1e-8
         return mass_ok and flow_balance_residual(chain, policy, occ) < 1e-10
 
     def score_bound():

@@ -16,7 +16,7 @@ from .envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
 from .utilities import GeneralUtility, ENTROPY, L2_ACTION, CONSTRAINT, OBJECTIVE
 from .critic import TDConfig, default_td_config
 from .layout import q_table_layouts
-from .primal_dual import TrainConfig, StepSizes
+from .primal_dual import DUAL_SCHEDULES, TrainConfig, StepSizes
 
 SCHEMA_VERSION = 1
 
@@ -144,10 +144,10 @@ def parse_config_dict(data) -> ExperimentConfig:
             raise ConfigError(f"{key} must be positive")
     if norm["eta_mu"] < 0:
         raise ConfigError("eta_mu must be nonnegative")
-    if norm["eta_mu_schedule"] not in ("constant", "t_one_third"):
+    if norm["eta_mu_schedule"] not in DUAL_SCHEDULES:
         raise ConfigError(
-            f"eta_mu_schedule must be 'constant' or 't_one_third', "
-            f"got {norm['eta_mu_schedule']!r}")
+            f"eta_mu_schedule must be {' or '.join(map(repr, DUAL_SCHEDULES))}"
+            f", got {norm['eta_mu_schedule']!r}")
 
     env = dict(norm["env"])
     name = env.pop("name", None)

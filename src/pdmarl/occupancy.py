@@ -1,80 +1,35 @@
-"""Discounted occupancy measures: empirical estimation, exact linear-system
-solution, and marginalizations."""
+"""Discounted occupancy measures as plain arrays: every agent's (S_i, A_i)
+table, estimated from trajectories (mass (1-gamma^H)/(1-gamma) at horizon H)
+or exact (mass 1/(1-gamma)) with the policy's global (|S||A|,) occupancy."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .model import FactoredCMDP, global_transition_matrix
-from .sampling import TrajectoryBatch
-from . import indexing
 
 
-@dataclass(frozen=True)
-class LocalOccupancy:
-    """Discounted state-action visitation weights of one agent.
-
-    An exact solve sums to 1/(1-gamma), a horizon-H empirical estimate to
-    (1-gamma^H)/(1-gamma).
-    """
-
-    agent: int
-    table: np.ndarray  # (S_i, A_i)
-
-    def __post_init__(self):
-        if np.any(self.table < 0):
-            raise ValueError("occupancy entries must be nonnegative")
-
-    @property
-    def mass(self):
-        return float(self.table.sum())
-
-
-@dataclass(frozen=True)
-class GlobalOccupancy:
-    """Flat visitation weights over global (s, a) pairs (index s*|A| + a)."""
-
-    table: np.ndarray
-    state_sizes: tuple
-    action_sizes: tuple
-
-    @property
-    def mass(self):
-        return float(self.table.sum())
-
-    def reshaped(self):
-        """View with one axis per agent state then per agent action."""
-        return self.table.reshape(tuple(self.state_sizes) + tuple(self.action_sizes))
-
-
-def estimate_local_occupancies(batch: TrajectoryBatch, gamma: float,
-                                horizon: int, state_sizes,
-                                action_sizes) -> list:
+def estimate_local_occupancies(layout, S, A) -> list:
     """Monte-Carlo occupancy of every agent: discounted visit counts averaged
-    over the batch, one ``LocalOccupancy`` per agent.
+    over the batch of integer trajectories S, A of shape (B, H, n), one
+    (S_i, A_i) array per agent of the ``RunLayout`` ``layout``.
 
-    Every agent's (S_i, A_i) table is a slice of one stacked array filled by
-    one ``bincount``, which adds each cell's visits in input order: batch
-    index, then step. So the tables are reproducible bit-for-bit and equal
-    folding the trajectories in one at a time.
+    Every agent's table is a slice of one stacked array filled by one
+    ``bincount``, which adds each cell's visits in input order: batch index,
+    then step. So the tables are reproducible bit-for-bit and equal folding
+    the trajectories in one at a time.
     """
-    if batch.batch_size == 0:
+    if len(S) == 0:
         raise ValueError("batch must be nonempty")
-    if batch.horizon != horizon:
-        raise ValueError(
-            f"batch horizon {batch.horizon} does not match H={horizon}")
-    off = indexing.offsets([s * a for s, a in zip(state_sizes, action_sizes)])
-    cells = batch.states * np.asarray(action_sizes) + batch.actions + off[:-1]
-    discounts = np.broadcast_to((gamma ** np.arange(horizon))[:, None],
-                                cells.shape)
+    cells = layout.sa_cells(S, A)
+    discounts = np.broadcast_to(
+        (layout.gamma ** np.arange(S.shape[1]))[:, None], cells.shape)
+    off = layout.sa_off
     flat = np.bincount(cells.ravel(), weights=discounts.ravel(),
-                       minlength=off[-1]) / batch.batch_size
-    return [LocalOccupancy(agent=i, table=flat[a:b].reshape(s_i, a_i))
-            for i, (a, b, s_i, a_i) in enumerate(
-                zip(off, off[1:], state_sizes, action_sizes))]
+                       minlength=off[-1]) / len(S)
+    return [flat[a:b].reshape(shape)
+            for a, b, shape in zip(off, off[1:], layout.sa_shapes)]
 
 
 class ExactSolve:
@@ -86,6 +41,9 @@ class ExactSolve:
     Q = R + gamma * sum_s' P(s'|s, a) V(s') where (I - gamma M_pi) V = r_pi,
     r_pi(s) = sum_a pi(a|s) R(s, a). One LU of the |S| x |S| matrix
     I - gamma M_pi serves both, instead of solves over all |S||A| pairs.
+
+    ``occupancy`` is lambda flat over global pairs (index s*|A| + a), and
+    ``local_occupancies`` every agent's (S_i, A_i) marginal of it.
     """
 
     def __init__(self, cmdp: FactoredCMDP, policy):
@@ -97,9 +55,13 @@ class ExactSolve:
         d = scipy.linalg.lu_solve(self.lu, cmdp.initial_state_distribution(),
                                   trans=1)
         lam = np.maximum(d[:, None] * self.pi, 0.0)  # clip solver noise
-        self.occupancy = GlobalOccupancy(
-            table=lam.ravel(), state_sizes=tuple(cmdp.local_state_sizes),
-            action_sizes=tuple(cmdp.local_action_sizes))
+        self.occupancy = lam.ravel()
+        # one axis per agent state then per agent action; sum out the rest
+        n = cmdp.n_agents
+        shaped = lam.reshape((*cmdp.local_state_sizes, *cmdp.local_action_sizes))
+        self.local_occupancies = [
+            shaped.sum(axis=tuple(k for k in range(2 * n) if k not in (i, n + i)))
+            for i in range(n)]
 
     def q(self, rewards) -> np.ndarray:
         """Exact Q-function(s) of a flat (|S||A|,) reward vector or an
@@ -112,25 +74,16 @@ class ExactSolve:
         return R + self.cmdp.gamma * (self.nxt.reshape(S * A, S) @ V)
 
 
-def flow_balance_residual(cmdp: FactoredCMDP, policy,
-                          occ: GlobalOccupancy) -> float:
-    """Max-norm residual of lambda = rho_pi + gamma * P_pi lambda."""
+def flow_balance_residual(cmdp: FactoredCMDP, policy, occ) -> float:
+    """Max-norm residual of lambda = rho_pi + gamma * P_pi lambda, for a flat
+    (|S||A|,) occupancy."""
     P = global_transition_matrix(cmdp, policy)
     rho = cmdp.initial_state_distribution()
     pi = policy.joint_action_probabilities()
     rho_pi = (rho[:, None] * pi).ravel()
-    return float(np.max(np.abs(occ.table - rho_pi - cmdp.gamma * (P @ occ.table))))
+    return float(np.max(np.abs(occ - rho_pi - cmdp.gamma * (P @ occ))))
 
 
-def marginalize(occ: GlobalOccupancy, agent: int) -> LocalOccupancy:
-    """Sum out all other agents' states and actions; mass is preserved."""
-    n = len(occ.state_sizes)
-    shaped = occ.reshaped()
-    axes = tuple(k for k in range(2 * n) if k not in (agent, n + agent))
-    return LocalOccupancy(agent=agent, table=shaped.sum(axis=axes))
-
-
-def state_marginal(occ: LocalOccupancy, gamma: float) -> np.ndarray:
-    """d_i(s) = (1 - gamma) * sum_a lambda_i(s, a)."""
-    return (1.0 - gamma) * occ.table.sum(axis=1)
-
+def state_marginal(occ, gamma: float) -> np.ndarray:
+    """d_i(s) = (1 - gamma) * sum_a lambda_i(s, a) of an (S_i, A_i) table."""
+    return (1.0 - gamma) * occ.sum(axis=1)

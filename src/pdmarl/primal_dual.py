@@ -12,8 +12,8 @@ import numpy as np
 from .layout import RunLayout, ThetaLayout
 from .model import FactoredCMDP, EnumerationCapExceeded
 from .policy import KHopPolicy
-from .sampling import TrajectoryBatch, trajectory_draws
-from .occupancy import ExactSolve, estimate_local_occupancies, marginalize
+from .sampling import trajectory_draws
+from .occupancy import ExactSolve, estimate_local_occupancies
 from .utilities import shadow_reward, utility_value
 from .critic import (TDConfig, default_td_config, td_draws, td_fit,
                      truncate_q, lift_local_reward, lift_neighborhood_reward)
@@ -76,20 +76,19 @@ def _neighborhood_weights(layout: RunLayout, S, A, q_f, q_g, mu,
     return w
 
 
-def truncated_pg_estimate(layout: RunLayout, batch: TrajectoryBatch,
-                          policy: KHopPolicy, q_f, q_g,
-                          mu: DualVariable) -> list:
-    """REINFORCE-style gradient: per step, the score of agent i weighted by
-    the discounted neighborhood-average of truncated Q values (objective plus
-    dual-weighted constraint) of the agents within distance ``layout.kappa``.
+def truncated_pg_estimate(layout: RunLayout, S, A, policy: KHopPolicy, q_f,
+                          q_g, mu: DualVariable) -> list:
+    """REINFORCE-style gradient over integer trajectories S, A of shape
+    (B, H, n): per step, the score of agent i weighted by the discounted
+    neighborhood-average of truncated Q values (objective plus dual-weighted
+    constraint) of the agents within distance ``layout.kappa``.
 
     Every agent's policy rows come from one product, and every agent's score
     sum from one pair of ``bincount``s (``ThetaLayout.score_sums``)."""
-    w = _neighborhood_weights(layout, batch.states, batch.actions, q_f, q_g,
-                              mu.mu, layout.gamma ** np.arange(batch.horizon))
+    w = _neighborhood_weights(layout, S, A, q_f, q_g, mu.mu,
+                              layout.gamma ** np.arange(S.shape[1]))
     theta = layout.theta
-    return theta.split(theta.score_sums(policy, theta.rows(batch.states),
-                                        batch.actions, w) / batch.batch_size)
+    return theta.split(theta.score_sums(policy, theta.rows(S), A, w) / len(S))
 
 
 def policy_ascent(policy: KHopPolicy, grads, eta_theta: float) -> KHopPolicy:
@@ -107,11 +106,10 @@ def policy_ascent(policy: KHopPolicy, grads, eta_theta: float) -> KHopPolicy:
 # -- exact oracles -----------------------------------------------------------
 
 def _global_shadow_rewards(solve: ExactSolve, objectives, constraints):
-    """Exact occupancy plus lifted shadow-reward columns (f then g)."""
-    cmdp, occ = solve.cmdp, solve.occupancy
+    """Lifted shadow-reward columns at the exact occupancy (f then g)."""
+    cmdp = solve.cmdp
     cols_f, cols_g = [], []
-    for i in range(cmdp.n_agents):
-        local = marginalize(occ, i)
+    for i, local in enumerate(solve.local_occupancies):
         if objectives is None:
             cols_f.append(lift_neighborhood_reward(cmdp, cmdp.rewards[i]))
         else:
@@ -119,7 +117,7 @@ def _global_shadow_rewards(solve: ExactSolve, objectives, constraints):
                 cmdp, i, shadow_reward(objectives[i], local)))
         cols_g.append(lift_local_reward(
             cmdp, i, shadow_reward(constraints[i], local)))
-    return occ, np.column_stack(cols_f), np.column_stack(cols_g)
+    return np.column_stack(cols_f), np.column_stack(cols_g)
 
 
 def _score_accumulate(cmdp, policy, weights):
@@ -145,21 +143,19 @@ def exact_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
     """
     mu = np.asarray(mu, dtype=float)
     solve = solve or ExactSolve(cmdp, policy)
-    occ, rf, rg = _global_shadow_rewards(solve, objectives, constraints)
+    rf, rg = _global_shadow_rewards(solve, objectives, constraints)
     n = cmdp.n_agents
     q = solve.q(np.hstack([rf, rg]))
     q_tot = (q[:, :n].sum(axis=1) + q[:, n:] @ mu) / n
-    W = occ.table * q_tot
+    W = solve.occupancy * q_tot
     return _score_accumulate(cmdp, policy, np.repeat(W[:, None], n, axis=1))
 
 
 def exact_dual_gradient(cmdp: FactoredCMDP, policy: KHopPolicy, constraints,
                         solve: ExactSolve = None) -> np.ndarray:
-    occ = (solve or ExactSolve(cmdp, policy)).occupancy
-    n = cmdp.n_agents
-    return np.array([
-        utility_value(constraints[i], marginalize(occ, i)) for i in range(n)
-    ]) / n
+    local = (solve or ExactSolve(cmdp, policy)).local_occupancies
+    return np.array([utility_value(c, occ) for c, occ in zip(constraints, local)]
+                    ) / cmdp.n_agents
 
 
 def exact_truncated_pg(cmdp: FactoredCMDP, policy: KHopPolicy,
@@ -173,7 +169,7 @@ def exact_truncated_pg(cmdp: FactoredCMDP, policy: KHopPolicy,
     """
     n = cmdp.n_agents
     solve = ExactSolve(cmdp, policy)
-    occ, rf, rg = _global_shadow_rewards(solve, objectives, constraints)
+    rf, rg = _global_shadow_rewards(solve, objectives, constraints)
     q = solve.q(np.hstack([rf, rg]))
     q_f, q_g = ([truncate_q(cmdp, q[:, off + j], j, kappa, anchor=anchor)
                  for j in range(n)] for off in (0, n))
@@ -182,26 +178,24 @@ def exact_truncated_pg(cmdp: FactoredCMDP, policy: KHopPolicy,
     weights = _neighborhood_weights(
         RunLayout(cmdp, policy, kappa), S, A, q_f, q_g,
         np.asarray(mu, dtype=float),
-        occ.table.reshape(cmdp.n_states, cmdp.n_actions))
+        solve.occupancy.reshape(cmdp.n_states, cmdp.n_actions))
     return _score_accumulate(cmdp, policy, weights.reshape(-1, n))
 
 
 def lagrangian_value(cmdp: FactoredCMDP, policy: KHopPolicy,
                      objectives, constraints, mu) -> float:
     """Exact Lagrangian through exact occupancies (finite-difference target)."""
-    occ = ExactSolve(cmdp, policy).occupancy
-    n = cmdp.n_agents
+    solve = ExactSolve(cmdp, policy)
     mu = np.asarray(mu, dtype=float)
     total = 0.0
-    for i in range(n):
-        loc = marginalize(occ, i)
+    for i, loc in enumerate(solve.local_occupancies):
         if objectives is None:
             f_i = float(lift_neighborhood_reward(cmdp, cmdp.rewards[i])
-                        @ occ.table)
+                        @ solve.occupancy)
         else:
             f_i = utility_value(objectives[i], loc)
         total += f_i + mu[i] * utility_value(constraints[i], loc)
-    return total / n
+    return total / cmdp.n_agents
 
 
 def fd_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
@@ -264,16 +258,20 @@ def fosp_metrics(grad_theta, grad_mu, theta, mu, theta_bound, mu_bar):
 
 # -- training loop -----------------------------------------------------------
 
+# Dual step-size schedules: eta_mu, or eta_mu * (t+1)^(1/3).
+DUAL_SCHEDULES = ("constant", "t_one_third")
+
+
 @dataclass(frozen=True)
 class StepSizes:
     eta_theta: float
     eta_mu: float
-    schedule: str = "constant"  # or "t_one_third": eta_mu * (t+1)^(1/3)
+    schedule: str = "constant"  # one of DUAL_SCHEDULES
 
     def __post_init__(self):
         if self.eta_theta <= 0 or self.eta_mu < 0:
             raise ValueError("step sizes must be positive (eta_mu may be 0)")
-        if self.schedule not in ("constant", "t_one_third"):
+        if self.schedule not in DUAL_SCHEDULES:
             raise ValueError(f"unknown dual schedule {self.schedule!r}")
 
     def dual_step(self, t):
@@ -349,15 +347,14 @@ def _rng(seed, purpose, t):
         np.random.SeedSequence(entropy=seed, spawn_key=(purpose, t)))
 
 
-def batch_discounted_return(cmdp: FactoredCMDP, batch: TrajectoryBatch) -> float:
-    """Batch-average discounted sum of the mean local env reward."""
-    n = cmdp.n_agents
-    discounts = cmdp.gamma ** np.arange(batch.horizon)
+def batch_discounted_return(cmdp: FactoredCMDP, S, A) -> float:
+    """Batch-average discounted sum of the mean local env reward over integer
+    trajectories S, A of shape (B, H, n)."""
+    discounts = cmdp.gamma ** np.arange(S.shape[1])
     total = 0.0
     for rew in cmdp.rewards:
-        total += float((rew.values(batch.states, batch.actions)
-                        @ discounts).mean())
-    return total / n
+        total += float((rew.values(S, A) @ discounts).mean())
+    return total / cmdp.n_agents
 
 
 def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
@@ -400,22 +397,19 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
         clock = _PhaseClock()
         # one rollout: the sampling batch and both TD trajectories
         sim = layout.simulator.with_policy(policy)
-        (states, actions), (S_f, A_f), (S_g, A_g) = sim.rollout([
+        (S, A), (S_f, A_f), (S_g, A_g) = sim.rollout([
             trajectory_draws(cmdp, cfg.batch_size, cfg.horizon,
                              _rng(seed, 1, t)),
             td_draws(cmdp, td_cfg, _rng(seed, 2, t)),
             td_draws(cmdp, td_cfg, _rng(seed, 3, t))])
-        batch = TrajectoryBatch(states=states, actions=actions)
         clock.lap("sample")
-        lam = estimate_local_occupancies(batch, cmdp.gamma, cfg.horizon,
-                                         cmdp.local_state_sizes,
-                                         cmdp.local_action_sizes)
+        lam = estimate_local_occupancies(layout, S, A)
         g_tilde = np.array([utility_value(constraints[i], lam[i])
                             for i in range(n)])
         r_g = [shadow_reward(constraints[i], lam[i]) for i in range(n)]
         if objectives is None:
             r_f = list(cmdp.rewards)
-            objective_val = batch_discounted_return(cmdp, batch)
+            objective_val = batch_discounted_return(cmdp, S, A)
         else:
             r_f = [shadow_reward(objectives[i], lam[i]) for i in range(n)]
             objective_val = float(np.mean(
@@ -430,7 +424,7 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
         q_g = td_fit(layout, r_g, S_g[0], A_g[0])
         clock.lap("td_g")
         mu = dual_update(g_tilde, cfg.steps.dual_step(t), cfg.mu_bar, n)
-        grads = truncated_pg_estimate(layout, batch, policy, q_f, q_g, mu)
+        grads = truncated_pg_estimate(layout, S, A, policy, q_f, q_g, mu)
         for g in grads:
             if not np.all(np.isfinite(g)):
                 raise NumericAbort(t, "policy gradient", state)

@@ -12,35 +12,12 @@ sampling batch (``trajectory_draws``) and both TD trajectories
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import FactoredCMDP
 from .policy import KHopPolicy
 from . import indexing
-
-
-@dataclass(frozen=True)
-class TrajectoryBatch:
-    """B trajectories of length H; integer arrays of shape (B, H, n)."""
-
-    states: np.ndarray
-    actions: np.ndarray
-
-    @property
-    def batch_size(self):
-        return self.states.shape[0]
-
-    @property
-    def horizon(self):
-        return self.states.shape[1]
-
-    def __post_init__(self):
-        if self.states.shape != self.actions.shape:
-            raise ValueError("states and actions must have matching shapes")
-        if self.states.ndim != 3:
-            raise ValueError("trajectory arrays must have shape (B, H, n)")
 
 
 class InverseCdf:

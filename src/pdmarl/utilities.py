@@ -1,9 +1,11 @@
 """General utility functionals over local occupancy measures.
 
-Three families are shipped: linear (cumulative reward), entropy of the state
-marginal, and the squared L2 norm of the action marginal. Each provides a
-value and an analytic gradient (the shadow reward); a central-difference
-gradient is available as an independent oracle.
+A local occupancy is an agent's (S_i, A_i) array of discounted visitation
+weights. Three families are shipped: linear (cumulative reward), entropy of
+the state marginal, and the squared L2 norm of the action marginal. Each
+provides a value and an analytic gradient (the shadow reward), both of which
+reject a table with a NaN or a negative entry; a central-difference gradient
+is available as an independent oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .occupancy import LocalOccupancy, state_marginal
+from .occupancy import state_marginal
 
 LINEAR = "linear"
 ENTROPY = "entropy"
@@ -49,48 +51,54 @@ class GeneralUtility:
         return replace(self, role=CONSTRAINT, threshold=float(threshold))
 
 
-def _raw_value(u: GeneralUtility, occ: LocalOccupancy) -> float:
-    if np.any(np.isnan(occ.table)):
-        raise ValueError("occupancy table contains NaN")
+def _check(occ):
+    """Reject an occupancy table with a NaN or a negative entry."""
+    if not (occ >= 0).all():
+        raise ValueError("occupancy table contains NaN" if np.isnan(occ).any()
+                         else "occupancy entries must be nonnegative")
+
+
+def _raw_value(u: GeneralUtility, occ) -> float:
     if u.kind == LINEAR:
-        if u.reward.shape != occ.table.shape:
+        if u.reward.shape != occ.shape:
             raise ValueError(
                 f"reward table shape {u.reward.shape} does not match occupancy "
-                f"shape {occ.table.shape}")
-        return float(np.sum(u.reward * occ.table))
+                f"shape {occ.shape}")
+        return float(np.sum(u.reward * occ))
     if u.kind == ENTROPY:
         d = state_marginal(occ, u.gamma)
         safe = np.maximum(d, ENTROPY_FLOOR)
         return float(-np.sum(np.where(d > 0, d * np.log(safe), 0.0)))
     # L2_ACTION: (1-gamma)^2 / 2 * ||m||_2^2 with m(a) = sum_s lambda(s, a)
-    m = occ.table.sum(axis=0)
+    m = occ.sum(axis=0)
     return float(0.5 * (1.0 - u.gamma) ** 2 * np.sum(m ** 2))
 
 
-def utility_value(u: GeneralUtility, occ: LocalOccupancy) -> float:
-    """Utility value; constraints report raw value minus their threshold so
-    that feasibility is uniformly ``value >= 0`` downstream."""
+def utility_value(u: GeneralUtility, occ) -> float:
+    """Utility value at an (S_i, A_i) occupancy table; constraints report raw
+    value minus their threshold so that feasibility is uniformly
+    ``value >= 0`` downstream."""
+    _check(occ)
     raw = _raw_value(u, occ)
     return raw - u.threshold if u.role == CONSTRAINT else raw
 
 
-def shadow_reward(u: GeneralUtility, occ: LocalOccupancy) -> np.ndarray:
-    """Analytic gradient of the utility w.r.t. the occupancy table, an
-    (S_i, A_i) array."""
+def shadow_reward(u: GeneralUtility, occ) -> np.ndarray:
+    """Analytic gradient of the utility w.r.t. an (S_i, A_i) occupancy table,
+    an array of the same shape."""
+    _check(occ)
     if u.kind == LINEAR:
         return np.array(u.reward, dtype=float)
     if u.kind == ENTROPY:
         d = state_marginal(occ, u.gamma)
         grad_d = -(np.log(np.maximum(d, ENTROPY_FLOOR)) + 1.0)
-        return (1.0 - u.gamma) * np.repeat(
-            grad_d[:, None], occ.table.shape[1], axis=1)
-    m = occ.table.sum(axis=0)
-    return (1.0 - u.gamma) ** 2 * np.repeat(
-        m[None, :], occ.table.shape[0], axis=0)
+        return (1.0 - u.gamma) * np.repeat(grad_d[:, None], occ.shape[1],
+                                           axis=1)
+    m = occ.sum(axis=0)
+    return (1.0 - u.gamma) ** 2 * np.repeat(m[None, :], occ.shape[0], axis=0)
 
 
-def fd_gradient(u: GeneralUtility, occ: LocalOccupancy,
-                h: float = 1e-6) -> np.ndarray:
+def fd_gradient(u: GeneralUtility, occ, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient oracle, one coordinate at a time.
 
     Linear and l2 utilities extend smoothly to negative entries so plain
@@ -100,26 +108,16 @@ def fd_gradient(u: GeneralUtility, occ: LocalOccupancy,
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    base = occ.table
-    grad = np.zeros_like(base)
+    grad = np.zeros_like(occ)
     clamp = u.kind == ENTROPY
-    for idx in np.ndindex(base.shape):
-        plus = base.copy()
+    for idx in np.ndindex(occ.shape):
+        plus = occ.copy()
         plus[idx] += h
-        minus = base.copy()
+        minus = occ.copy()
         if clamp:
             minus[idx] = max(minus[idx] - h, 0.0)
         else:
             minus[idx] -= h
-        lo = base[idx] - minus[idx]
-        grad[idx] = (_raw_value(u, _Perturbed(plus))
-                     - _raw_value(u, _Perturbed(minus))) / (h + lo)
+        lo = occ[idx] - minus[idx]
+        grad[idx] = (_raw_value(u, plus) - _raw_value(u, minus)) / (h + lo)
     return grad
-
-
-@dataclass(frozen=True)
-class _Perturbed:
-    """Occupancy stand-in that skips the nonnegativity check; only the
-    finite-difference oracle may dip below zero."""
-
-    table: np.ndarray

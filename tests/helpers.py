@@ -4,13 +4,14 @@ rollout along the path ``train`` takes: ``Simulator.rollout`` of
 
 import numpy as np
 
+from pdmarl import indexing
 from pdmarl.critic import td_draws, td_fit
 from pdmarl.envs import SyntheticLineSpec, synthetic_line
 from pdmarl.graph import DependenceGraph
 from pdmarl.layout import RunLayout
 from pdmarl.model import FactoredCMDP, LocalReward, TransitionKernel
 from pdmarl.policy import KHopPolicy
-from pdmarl.sampling import Simulator, TrajectoryBatch, trajectory_draws
+from pdmarl.sampling import Simulator, trajectory_draws
 from pdmarl.utilities import ENTROPY, GeneralUtility
 
 
@@ -50,10 +51,24 @@ def flat(grads):
 
 
 def sample_batch(cmdp, policy, batch_size, horizon, rng):
-    """``train``'s sampling batch, rolled out alone."""
-    [(S, A)] = Simulator(cmdp, policy).rollout(
+    """``train``'s sampling batch, rolled out alone: states and actions of
+    shape (batch_size, horizon, n)."""
+    [batch] = Simulator(cmdp, policy).rollout(
         [trajectory_draws(cmdp, batch_size, horizon, rng)])
-    return TrajectoryBatch(states=S, actions=A)
+    return batch
+
+
+class PairLayout:
+    """The stacked (S_i, A_i) tables of a ``RunLayout``, for agents of any
+    sizes without a model."""
+
+    sa_cells = RunLayout.sa_cells
+
+    def __init__(self, gamma, state_sizes, action_sizes):
+        self.gamma = gamma
+        self.sa_shapes = list(zip(state_sizes, action_sizes))
+        self.action_sizes = np.array(action_sizes, dtype=np.int64)
+        self.sa_off = indexing.offsets([s * a for s, a in self.sa_shapes])
 
 
 def td_tables(cmdp, policy, rewards, kappa, td, rng):

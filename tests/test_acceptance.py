@@ -14,8 +14,8 @@ import numpy as np
 from pdmarl.graph import line_graph
 from pdmarl.policy import (KHopPolicy, induced_khop_policy,
                            policy_state_sensitivity)
-from pdmarl.occupancy import (ExactSolve, estimate_local_occupancies,
-                              marginalize)
+from pdmarl.layout import RunLayout
+from pdmarl.occupancy import ExactSolve, estimate_local_occupancies
 from pdmarl.critic import (default_td_config, lift_neighborhood_reward,
                            truncate_q)
 from pdmarl.primal_dual import (StepSizes, TrainConfig,
@@ -39,13 +39,12 @@ def test_criterion_1_occupancy_oracle_agreement():
     started = time.perf_counter()
     m = chain(2)
     pol = uniform_policy(m)
-    exact = ExactSolve(m, pol).occupancy
-    batch = sample_batch(m, pol, 10_000, 100, rng_for(1))
+    exact = ExactSolve(m, pol).local_occupancies
+    S, A = sample_batch(m, pol, 10_000, 100, rng_for(1))
     worst = 0.0
-    for i, emp in enumerate(estimate_local_occupancies(
-            batch, m.gamma, 100, m.local_state_sizes, m.local_action_sizes)):
-        worst = max(worst, float(np.linalg.norm(
-            emp.table - marginalize(exact, i).table)))
+    for emp, ex in zip(estimate_local_occupancies(RunLayout(m, pol, 1), S, A),
+                       exact):
+        worst = max(worst, float(np.linalg.norm(emp - ex)))
     elapsed = time.perf_counter() - started
     check(1, "empirical occupancy matches the exact solve",
           worst < 0.05 and elapsed < 30.0,
@@ -114,16 +113,15 @@ def test_criterion_4_induced_policy_occupancy_bound():
     phi = d[1] / c if c > 0 else 0.0
     assert d[2] == 0.0 and 0.0 < phi < 1.0
 
-    lam = ExactSolve(m, pol).occupancy
+    lam = ExactSolve(m, pol).local_occupancies
     ok = True
     details = []
     for kappa in (0, 1, 2):
         induced = induced_khop_policy(pol, kappa, (0, 0, 0))
-        lam_hat = ExactSolve(m, induced).occupancy
+        lam_hat = ExactSolve(m, induced).local_occupancies
         bound = 3 * c * phi ** kappa / (1.0 - m.gamma) ** 2
         for i in range(3):
-            gap = float(np.abs(marginalize(lam_hat, i).table
-                               - marginalize(lam, i).table).sum())
+            gap = float(np.abs(lam_hat[i] - lam[i]).sum())
             ok = ok and gap <= bound + 1e-12
         details.append(f"k={kappa} bound {bound:.3f}")
     check(4, "induced-policy occupancy gap within the sensitivity bound",

@@ -384,8 +384,10 @@ class TestMainEntryPoint:
         ("kappa", "0,-1", "kappa must be nonnegative"),
         ("eta_mu", "abc", "sweep axis eta_mu cannot take the value 'abc'"),
         ("eta_mu", "nan", "'eta_mu' in config root must be finite"),
+        ("kappa", "0,0", "sweep value '0' repeats: two runs would share "
+         "kappa_0/"),
     ], ids=["kappa_float", "kappa_word", "kappa_nan", "kappa_negative",
-            "eta_mu_word", "eta_mu_nan"])
+            "eta_mu_word", "eta_mu_nan", "kappa_repeated"])
     def test_bad_sweep_value_exit_one(self, tmp_path, capsys, axis, values,
                                       reason):
         out = tmp_path / "out"
@@ -394,6 +396,21 @@ class TestMainEntryPoint:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and reason in err
+        assert not out.exists()
+
+    def test_sweep_value_too_large_for_env_exit_one(self, tmp_path, capsys):
+        # kappa 0 runs on the side-3, deadline-2 grid; kappa 1 exceeds the
+        # policy-table cap, and no run of the sweep may start before that
+        cfg_path = self.write_config(tmp_path, BASE_YAML.replace(
+            "  name: synthetic_line\n  n: 3",
+            "  name: wireless_grid\n  side: 3\n  deadline: 2").replace(
+            "iterations: 8", "iterations: 1").replace("horizon: 30",
+                                                      "horizon: 2"))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg_path, "--axis", "kappa",
+                     "--values", "0,1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: kappa 1 is too large")
         assert not out.exists()
 
     def test_stacked_q_ids_beyond_int64_exit_one(self, tmp_path, capsys,
@@ -427,8 +444,8 @@ class TestMainEntryPoint:
         # a NaN policy gradient at iteration 3 of 8
         estimate = primal_dual.truncated_pg_estimate
 
-        def nan_at_three(layout, batch, policy, q_f, q_g, mu):
-            grads = estimate(layout, batch, policy, q_f, q_g, mu)
+        def nan_at_three(*args):
+            grads = estimate(*args)
             if len(calls) == 3:
                 grads[0] = np.full_like(grads[0], np.nan)
             calls.append(1)

@@ -15,7 +15,7 @@ from pdmarl.layout import (MAX_Q_CELLS, RunLayout, q_table_layout,
 from pdmarl.envs import WirelessGridSpec, wireless_grid
 from pdmarl.occupancy import ExactSolve
 from pdmarl.primal_dual import DualVariable, truncated_pg_estimate
-from pdmarl.sampling import Simulator, TrajectoryBatch, trajectory_draws
+from pdmarl.sampling import Simulator, trajectory_draws
 from pdmarl import indexing
 
 from helpers import (chain, rng_for, single_cell_mdp, td_tables,
@@ -274,8 +274,7 @@ class TestSparseQTable:
             layout = RunLayout(m, pol, 1, cfg)
             q_f = td_fit(layout, list(m.rewards), S_f[0], A_f[0])
             q_g = td_fit(layout, shadow, S_g[0], A_g[0])
-            grads = truncated_pg_estimate(layout, TrajectoryBatch(S, A), pol,
-                                          q_f, q_g, mu)
+            grads = truncated_pg_estimate(layout, S, A, pol, q_f, q_g, mu)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

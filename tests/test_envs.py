@@ -34,8 +34,7 @@ def reference_wireless_reward(cell_s, cell_a, i, deps, access, q):
 
 def mean_return(cmdp, policy):
     occ = ExactSolve(cmdp, policy).occupancy
-    vals = [lift_neighborhood_reward(cmdp, r) @ occ.table
-            for r in cmdp.rewards]
+    vals = [lift_neighborhood_reward(cmdp, r) @ occ for r in cmdp.rewards]
     return float(np.mean(vals))
 
 
@@ -263,7 +262,7 @@ class TestWirelessGrid:
     def test_rollout_runs_and_stays_in_bounds(self):
         m = wireless_grid(WirelessGridSpec(side=3, deadline=2, gamma=0.95))
         pol = uniform_policy(m, kappa=0)
-        batch = sample_batch(m, pol, 3, 20, np.random.default_rng(0))
-        assert batch.states.max() < 4
-        for i, A in enumerate(m.local_action_sizes):
-            assert batch.actions[:, :, i].max() < A
+        S, A = sample_batch(m, pol, 3, 20, np.random.default_rng(0))
+        assert S.max() < 4
+        for i, A_i in enumerate(m.local_action_sizes):
+            assert A[:, :, i].max() < A_i

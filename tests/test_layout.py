@@ -14,16 +14,15 @@ from pdmarl.layout import RunLayout, ThetaLayout
 from pdmarl.occupancy import estimate_local_occupancies
 from pdmarl.policy import KHopPolicy
 from pdmarl.primal_dual import StepSizes, TrainConfig, train
-from pdmarl.sampling import TrajectoryBatch
 from pdmarl.utilities import ENTROPY, GeneralUtility
 
-from helpers import rng_for
+from helpers import PairLayout, rng_for
 
 
 def random_batch(rng, B, H, state_sizes, action_sizes):
     S = rng.integers(0, state_sizes, size=(B, H, len(state_sizes)))
     A = rng.integers(0, action_sizes, size=(B, H, len(action_sizes)))
-    return TrajectoryBatch(states=S, actions=A)
+    return S, A
 
 
 def model(env):
@@ -41,15 +40,14 @@ def random_policy(cmdp, kappa, seed):
 
 # -- occupancy ----------------------------------------------------------------
 
-def reference_occupancy(batch, agent, gamma, state_size, action_size):
+def reference_occupancy(S, A, agent, gamma, state_size, action_size):
     """One agent's estimate folded one trajectory at a time."""
-    discounts = gamma ** np.arange(batch.horizon)
-    flat = (batch.states[:, :, agent] * action_size
-            + batch.actions[:, :, agent])
+    discounts = gamma ** np.arange(S.shape[1])
+    flat = S[:, :, agent] * action_size + A[:, :, agent]
     table = np.zeros(state_size * action_size)
-    for b in range(batch.batch_size):
+    for b in range(len(S)):
         np.add.at(table, flat[b], discounts)
-    table /= batch.batch_size
+    table /= len(S)
     return table.reshape(state_size, action_size)
 
 
@@ -59,30 +57,29 @@ def reference_occupancy(batch, agent, gamma, state_size, action_size):
                          ids=["binary", "mixed"])
 def test_occupancy_bincount_is_the_add_at_loop(B, H, sizes):
     state_sizes, action_sizes = sizes
-    batch = random_batch(rng_for(B * 100 + H), B, H, state_sizes,
-                         action_sizes)
-    got = estimate_local_occupancies(batch, 0.93, H, state_sizes,
-                                     action_sizes)
-    assert [occ.agent for occ in got] == list(range(len(state_sizes)))
+    S, A = random_batch(rng_for(B * 100 + H), B, H, state_sizes,
+                        action_sizes)
+    got = estimate_local_occupancies(
+        PairLayout(0.93, state_sizes, action_sizes), S, A)
+    assert len(got) == len(state_sizes)
     for i, occ in enumerate(got):
-        want = reference_occupancy(batch, i, 0.93, state_sizes[i],
+        want = reference_occupancy(S, A, i, 0.93, state_sizes[i],
                                    action_sizes[i])
-        assert occ.table.shape == want.shape
-        assert occ.table.tobytes() == want.tobytes()
+        assert occ.shape == want.shape
+        assert occ.tobytes() == want.tobytes()
 
 
 def test_occupancy_on_the_grid_mixed_sizes():
     cmdp = model("grid3")
-    batch = random_batch(rng_for(4), 3, 25, cmdp.local_state_sizes,
-                         cmdp.local_action_sizes)
-    got = estimate_local_occupancies(batch, cmdp.gamma, 25,
-                                     cmdp.local_state_sizes,
-                                     cmdp.local_action_sizes)
+    S, A = random_batch(rng_for(4), 3, 25, cmdp.local_state_sizes,
+                        cmdp.local_action_sizes)
+    got = estimate_local_occupancies(
+        RunLayout(cmdp, random_policy(cmdp, 0, 0), 0), S, A)
     for i, occ in enumerate(got):
-        want = reference_occupancy(batch, i, cmdp.gamma,
+        want = reference_occupancy(S, A, i, cmdp.gamma,
                                    cmdp.local_state_sizes[i],
                                    cmdp.local_action_sizes[i])
-        assert occ.table.tobytes() == want.tobytes()
+        assert occ.tobytes() == want.tobytes()
 
 
 # -- truncated-Q cells and local pair cells ------------------------------------
@@ -92,9 +89,8 @@ def test_occupancy_on_the_grid_mixed_sizes():
 def test_stacked_q_cells_are_ravel_multi_index(env, kappa):
     cmdp = model(env)
     layout = RunLayout(cmdp, random_policy(cmdp, kappa, 0), kappa)
-    batch = random_batch(rng_for(1), 4, 9, cmdp.local_state_sizes,
-                         cmdp.local_action_sizes)
-    S, A = batch.states, batch.actions
+    S, A = random_batch(rng_for(1), 4, 9, cmdp.local_state_sizes,
+                        cmdp.local_action_sizes)
     cells = layout.q_cells(S, A)
     assert cells.shape == S.shape and cells.dtype == np.int64
     for i in range(cmdp.n_agents):
@@ -135,18 +131,16 @@ def test_stacked_score_sums_are_per_agent_bincounts(env, kappa):
     cmdp = model(env)
     policy = random_policy(cmdp, kappa, 2)
     rng = rng_for(3)
-    batch = random_batch(rng, 5, 30, cmdp.local_state_sizes,
-                         cmdp.local_action_sizes)
-    weights = rng.normal(size=batch.states.shape)
+    S, A = random_batch(rng, 5, 30, cmdp.local_state_sizes,
+                        cmdp.local_action_sizes)
+    weights = rng.normal(size=S.shape)
     theta = ThetaLayout(policy)
-    rows = theta.rows(batch.states)
-    got = theta.split(theta.score_sums(policy, rows, batch.actions, weights))
+    rows = theta.rows(S)
+    got = theta.split(theta.score_sums(policy, rows, A, weights))
     for i, g in enumerate(got):
-        assert np.array_equal(rows[..., i],
-                              policy.nbhd_rows(i, batch.states))
+        assert np.array_equal(rows[..., i], policy.nbhd_rows(i, S))
         want = reference_score_sum(policy, i, rows[..., i].ravel(),
-                                   batch.actions[..., i].ravel(),
-                                   weights[..., i].ravel())
+                                   A[..., i].ravel(), weights[..., i].ravel())
         assert g.shape == policy.theta[i].shape
         assert g.tobytes() == want.tobytes()
 

@@ -5,25 +5,22 @@ from pdmarl.graph import DependenceGraph
 from pdmarl.model import (FactoredCMDP, TransitionKernel, LocalReward,
                           global_transition_matrix)
 from pdmarl.policy import KHopPolicy
-from pdmarl.sampling import TrajectoryBatch
-from pdmarl.occupancy import (ExactSolve, LocalOccupancy,
-                              estimate_local_occupancies,
-                              flow_balance_residual, marginalize,
-                              state_marginal)
+from pdmarl.occupancy import (ExactSolve, estimate_local_occupancies,
+                              flow_balance_residual, state_marginal)
 from pdmarl.critic import lift_neighborhood_reward
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
 
-from helpers import (chain, rng_for, sample_batch, single_cell_mdp,
-                     uniform_policy)
+from helpers import (PairLayout, chain, rng_for, sample_batch,
+                     single_cell_mdp, uniform_policy)
 
 
-def local_occupancy(batch, agent, gamma, horizon, state_size, action_size):
+def local_occupancy(S, A, agent, gamma, state_size, action_size):
     """One agent's slice of the stacked estimate, on a batch whose agents
     all have ``state_size`` states and ``action_size`` actions."""
-    n = batch.states.shape[-1]
-    return estimate_local_occupancies(batch, gamma, horizon, (state_size,) * n,
-                                      (action_size,) * n)[agent]
+    n = S.shape[-1]
+    return estimate_local_occupancies(
+        PairLayout(gamma, (state_size,) * n, (action_size,) * n), S, A)[agent]
 
 
 def always_one_policy(cmdp, kappa=1):
@@ -42,36 +39,25 @@ class TestEmpiricalEstimate:
         # visits (s,a) = (0,0) then (1,0) with gamma = 0.5
         states = np.array([[[0], [1]]])
         actions = np.array([[[0], [0]]])
-        batch = TrajectoryBatch(states=states, actions=actions)
-        occ = local_occupancy(batch, 0, 0.5, 2, 2, 2)
-        np.testing.assert_allclose(occ.table, [[1.0, 0.0], [0.5, 0.0]])
-        assert occ.mass == pytest.approx(1.5)
+        occ = local_occupancy(states, actions, 0, 0.5, 2, 2)
+        np.testing.assert_allclose(occ, [[1.0, 0.0], [0.5, 0.0]])
+        assert occ.sum() == pytest.approx(1.5)
 
     def test_identical_trajectories_average_to_one(self):
         states = np.repeat(np.array([[[0], [1], [1]]]), 7, axis=0)
         actions = np.zeros_like(states)
-        batch = TrajectoryBatch(states=states, actions=actions)
-        one = local_occupancy(
-            TrajectoryBatch(states=states[:1], actions=actions[:1]),
-            0, 0.9, 3, 2, 1)
-        many = local_occupancy(batch, 0, 0.9, 3, 2, 1)
-        np.testing.assert_allclose(many.table, one.table)
+        one = local_occupancy(states[:1], actions[:1], 0, 0.9, 2, 1)
+        many = local_occupancy(states, actions, 0, 0.9, 2, 1)
+        np.testing.assert_allclose(many, one)
 
     def test_mass_identity_bit_exact(self):
         m = chain(3, gamma=0.95)
         batch = sample_batch(m, uniform_policy(m), 13, 40,
                              np.random.default_rng(3))
         for i in range(3):
-            occ = local_occupancy(batch, i, 0.95, 40, 2, 2)
-            assert occ.mass == pytest.approx(np.sum(0.95 ** np.arange(40)),
-                                             abs=1e-12)
-
-    def test_horizon_mismatch_rejected(self):
-        m = chain(2)
-        batch = sample_batch(m, uniform_policy(m), 2, 10,
-                             np.random.default_rng(0))
-        with pytest.raises(ValueError, match="horizon"):
-            local_occupancy(batch, 0, 0.9, 20, 2, 2)
+            occ = local_occupancy(*batch, i, 0.95, 2, 2)
+            assert occ.sum() == pytest.approx(np.sum(0.95 ** np.arange(40)),
+                                              abs=1e-12)
 
     def test_deterministic_across_runs(self):
         m = chain(3)
@@ -79,8 +65,7 @@ class TestEmpiricalEstimate:
         for _ in range(2):
             rng = np.random.default_rng(np.random.SeedSequence(9))
             batch = sample_batch(m, uniform_policy(m), 50, 30, rng)
-            occ = local_occupancy(batch, 1, 0.9, 30, 2, 2)
-            tabs.append(occ.table)
+            tabs.append(local_occupancy(*batch, 1, 0.9, 2, 2))
         np.testing.assert_array_equal(tabs[0], tabs[1])
 
 
@@ -88,7 +73,7 @@ class TestExactOccupancy:
     def test_single_cell_geometric_series(self):
         m = single_cell_mdp(0.9)
         occ = ExactSolve(m, uniform_policy(m, kappa=0)).occupancy
-        assert occ.table[0] == pytest.approx(10.0)
+        assert occ[0] == pytest.approx(10.0)
 
     def test_absorbing_two_state_chain(self):
         # s0 -> s1 -> s1 with one action and gamma = 0.5
@@ -102,7 +87,7 @@ class TestExactOccupancy:
                          rewards=(rew,),
                          initial_dist=(np.array([1.0, 0.0]),), gamma=0.5)
         occ = ExactSolve(m, uniform_policy(m, kappa=0)).occupancy
-        np.testing.assert_allclose(occ.table, [1.0, 1.0])
+        np.testing.assert_allclose(occ, [1.0, 1.0])
 
     def test_mass_and_flow_balance(self):
         m = chain(3, gamma=0.85)
@@ -110,7 +95,7 @@ class TestExactOccupancy:
         pol = KHopPolicy.random(m.graph, m.local_state_sizes,
                                 m.local_action_sizes, 1, rng, scale=0.7)
         occ = ExactSolve(m, pol).occupancy
-        assert occ.mass == pytest.approx(1.0 / 0.15, rel=1e-10)
+        assert occ.sum() == pytest.approx(1.0 / 0.15, rel=1e-10)
         assert flow_balance_residual(m, pol, occ) < 1e-8
 
     def test_chain_always_act_one_against_power_series(self):
@@ -126,50 +111,47 @@ class TestExactOccupancy:
         for _ in range(500):
             total += vec
             vec = m.gamma * (P @ vec)
-        np.testing.assert_allclose(occ.table, total, atol=1e-8)
-        assert occ.table.shape == (16,)
+        np.testing.assert_allclose(occ, total, atol=1e-8)
+        assert occ.shape == (16,)
 
 
 class TestMarginals:
     def test_single_agent_identity(self):
         m = single_cell_mdp(0.9)
-        occ = ExactSolve(m, uniform_policy(m, kappa=0)).occupancy
-        loc = marginalize(occ, 0)
-        np.testing.assert_allclose(loc.table, [[10.0]])
+        [loc] = ExactSolve(m, uniform_policy(m, kappa=0)).local_occupancies
+        np.testing.assert_allclose(loc, [[10.0]])
 
     def test_mass_preserved(self):
         m = chain(3)
-        occ = ExactSolve(m, uniform_policy(m)).occupancy
-        for i in range(3):
-            assert marginalize(occ, i).mass == pytest.approx(occ.mass)
+        solve = ExactSolve(m, uniform_policy(m))
+        assert len(solve.local_occupancies) == 3
+        for loc in solve.local_occupancies:
+            assert loc.sum() == pytest.approx(solve.occupancy.sum())
 
     def test_chain_marginal_matches_direct_sum(self):
         m = chain(2)
-        occ = ExactSolve(m, uniform_policy(m)).occupancy
-        shaped = occ.table.reshape(2, 2, 2, 2)  # (s0, s1, a0, a1)
-        expected = shaped.sum(axis=(1, 3))
-        np.testing.assert_allclose(marginalize(occ, 0).table, expected)
+        solve = ExactSolve(m, uniform_policy(m))
+        shaped = solve.occupancy.reshape(2, 2, 2, 2)  # (s0, s1, a0, a1)
+        np.testing.assert_allclose(solve.local_occupancies[0],
+                                   shaped.sum(axis=(1, 3)))
+        np.testing.assert_allclose(solve.local_occupancies[1],
+                                   shaped.sum(axis=(0, 2)))
 
     def test_state_marginal_sums_to_one(self):
         m = chain(3, gamma=0.7)
-        occ = ExactSolve(m, uniform_policy(m)).occupancy
-        for i in range(3):
-            d = state_marginal(marginalize(occ, i), 0.7)
-            assert d.sum() == pytest.approx(1.0)
+        for loc in ExactSolve(m, uniform_policy(m)).local_occupancies:
+            assert state_marginal(loc, 0.7).sum() == pytest.approx(1.0)
 
     def test_point_mass_marginal(self):
         table = np.zeros((3, 2))
         table[2, 1] = 5.0
-        occ = LocalOccupancy(0, table)
-        d = state_marginal(occ, 0.8)
-        np.testing.assert_allclose(d, [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(state_marginal(table, 0.8), [0.0, 0.0, 1.0])
 
     def test_empirical_state_marginal_mass(self):
         m = chain(2, gamma=0.99)
         batch = sample_batch(m, uniform_policy(m), 20, 100,
                              np.random.default_rng(1))
-        occ = local_occupancy(batch, 0, 0.99, 100, 2, 2)
-        d = state_marginal(occ, 0.99)
+        d = state_marginal(local_occupancy(*batch, 0, 0.99, 2, 2), 0.99)
         assert d.sum() == pytest.approx(1.0 - 0.99 ** 100)
 
 
@@ -177,24 +159,22 @@ class TestConvergence:
     def test_empirical_matches_exact_moderate_batch(self):
         m = chain(2)
         pol = uniform_policy(m)
-        occ = ExactSolve(m, pol).occupancy
+        exact = ExactSolve(m, pol).local_occupancies
         batch = sample_batch(m, pol, 2000, 100, rng_for(17))
         for i in range(2):
-            emp = local_occupancy(batch, i, 0.9, 100, 2, 2)
-            exact = marginalize(occ, i)
-            err = np.linalg.norm(emp.table - exact.table)
-            assert err < 0.12
+            emp = local_occupancy(*batch, i, 0.9, 2, 2)
+            assert np.linalg.norm(emp - exact[i]) < 0.12
 
     def test_error_shrinks_with_horizon(self):
         # expectation of the H-truncated estimate misses gamma^H / (1-gamma)
         m = chain(2, gamma=0.9)
         pol = uniform_policy(m)
-        exact = marginalize(ExactSolve(m, pol).occupancy, 0).table
+        exact = ExactSolve(m, pol).local_occupancies[0]
         errs = []
         for H in (5, 20, 80):
             batch = sample_batch(m, pol, 4000, H, rng_for(23))
-            emp = local_occupancy(batch, 0, 0.9, H, 2, 2)
-            errs.append(float(np.abs(emp.table - exact).sum()))
+            emp = local_occupancy(*batch, 0, 0.9, 2, 2)
+            errs.append(float(np.abs(emp - exact).sum()))
         assert errs[0] > errs[1] > errs[2]
 
 
@@ -238,7 +218,7 @@ class TestStateChainSolve:
             return np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
 
         solve = ExactSolve(m, pol)
-        assert close(solve.occupancy.table, lam_ref)
+        assert close(solve.occupancy, lam_ref)
         assert close(solve.q(rewards), q_ref)
         assert close(solve.q(rewards[:, -1]), q_ref[:, -1])
 

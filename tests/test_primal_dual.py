@@ -4,10 +4,9 @@ import pytest
 from pdmarl.graph import DependenceGraph, line_graph
 from pdmarl.model import FactoredCMDP, TransitionKernel, LocalReward
 from pdmarl.policy import KHopPolicy
-from pdmarl.sampling import TrajectoryBatch
 from pdmarl.critic import (TDConfig, TruncatedQTable, lift_neighborhood_reward,
                            truncate_q)
-from pdmarl.occupancy import ExactSolve, marginalize
+from pdmarl.occupancy import ExactSolve
 from pdmarl.utilities import LINEAR, GeneralUtility
 from pdmarl.layout import RunLayout, ThetaLayout
 from pdmarl.primal_dual import (DualVariable, StepSizes, TrainConfig,
@@ -72,10 +71,10 @@ class TestTruncatedPGEstimate:
     def test_zero_q_zero_gradient(self):
         m = chain(2)
         pol = uniform_policy(m)
-        batch = sample_batch(m, pol, 4, 10, np.random.default_rng(0))
+        S, A = sample_batch(m, pol, 4, 10, np.random.default_rng(0))
         q = self.zero_q(m, 1)
         mu = DualVariable(mu=np.zeros(2), mu_bar=1.0)
-        grads = truncated_pg_estimate(RunLayout(m, pol, 1), batch, pol, q, q, mu)
+        grads = truncated_pg_estimate(RunLayout(m, pol, 1), S, A, pol, q, q, mu)
         for g in grads:
             np.testing.assert_array_equal(g, 0.0)
 
@@ -98,10 +97,8 @@ class TestTruncatedPGEstimate:
                              values=np.array([0.2, -1.0, 0.4]))
         mu = DualVariable(mu=np.array([2.0]), mu_bar=10.0)
         s, a = 1, 0
-        batch = TrajectoryBatch(states=np.array([[[s]]]),
-                                actions=np.array([[[a]]]))
-        grads = truncated_pg_estimate(RunLayout(m, pol, 0), batch, pol, [qf], [qg],
-                                      mu)
+        grads = truncated_pg_estimate(RunLayout(m, pol, 0), np.array([[[s]]]),
+                                      np.array([[[a]]]), pol, [qf], [qg], mu)
         weight = qf.table[s, a] + 2.0 * qg.table[s, a]
         theta = ThetaLayout(pol)
         expected = weight * theta.split(theta.score_sums(
@@ -111,16 +108,16 @@ class TestTruncatedPGEstimate:
     def test_tables_of_one_agent_share_a_neighborhood(self):
         m = chain(3)
         pol = uniform_policy(m)
-        batch = sample_batch(m, pol, 2, 5, np.random.default_rng(2))
+        S, A = sample_batch(m, pol, 2, 5, np.random.default_rng(2))
         mu = DualVariable(mu=np.zeros(3), mu_bar=1.0)
         with pytest.raises(ValueError, match="agent 0 differ in neighborhood"):
-            truncated_pg_estimate(RunLayout(m, pol, 1), batch, pol,
+            truncated_pg_estimate(RunLayout(m, pol, 1), S, A, pol,
                                   self.zero_q(m, 1), self.zero_q(m, 0), mu)
 
     def test_far_agents_do_not_enter(self):
         m = chain(3)
         pol = uniform_policy(m)
-        batch = sample_batch(m, pol, 8, 15, np.random.default_rng(1))
+        S, A = sample_batch(m, pol, 8, 15, np.random.default_rng(1))
         q = self.zero_q(m, 0)
         bumped = list(q)
         bumped[2] = TruncatedQTable(agent=2, kappa=0, nbhd=(2,),
@@ -128,8 +125,8 @@ class TestTruncatedPGEstimate:
                                     keys=np.arange(4), values=np.full(4, 7.0))
         mu = DualVariable(mu=np.zeros(3), mu_bar=1.0)
         layout = RunLayout(m, pol, 0)
-        base = truncated_pg_estimate(layout, batch, pol, q, q, mu)
-        pert = truncated_pg_estimate(layout, batch, pol, bumped, q, mu)
+        base = truncated_pg_estimate(layout, S, A, pol, q, q, mu)
+        pert = truncated_pg_estimate(layout, S, A, pol, bumped, q, mu)
         np.testing.assert_array_equal(base[0], pert[0])
         assert np.any(pert[2] != base[2])
 
@@ -147,14 +144,14 @@ class TestTruncatedPGEstimate:
 
         from pdmarl.primal_dual import _global_shadow_rewards
         solve = ExactSolve(m, pol)
-        _, rf, rg = _global_shadow_rewards(solve, None, cons)
+        rf, rg = _global_shadow_rewards(solve, None, cons)
         q = solve.q(np.hstack([rf, rg]))
         q_f = [truncate_q(m, q[:, j], j, 1) for j in range(2)]
         q_g = [truncate_q(m, q[:, 2 + j], j, 1) for j in range(2)]
 
         B = 40_000
-        batch = sample_batch(m, pol, B, 200, rng_for(7))
-        est = flat(truncated_pg_estimate(RunLayout(m, pol, 1), batch, pol, q_f,
+        S, A = sample_batch(m, pol, B, 200, rng_for(7))
+        est = flat(truncated_pg_estimate(RunLayout(m, pol, 1), S, A, pol, q_f,
                                          q_g, mu))
         err = np.linalg.norm(est - exact)
         assert err < 0.05
@@ -248,8 +245,8 @@ class TestExactOracles:
         pol = uniform_policy(m)
         cons = entropy_constraints(m, 0.1)
         from pdmarl.utilities import utility_value
-        occ = ExactSolve(m, pol).occupancy
-        want = np.array([utility_value(cons[i], marginalize(occ, i))
+        occ = ExactSolve(m, pol).local_occupancies
+        want = np.array([utility_value(cons[i], occ[i])
                          for i in range(2)]) / 2
         np.testing.assert_allclose(exact_dual_gradient(m, pol, cons), want)
 

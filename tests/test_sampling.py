@@ -90,8 +90,8 @@ TD_SHA = {
                          sorted({(e, k, s) for e, k, _, s in CASES}))
 def test_sample_trajectories_bytes(env, kappa, seed):
     cmdp, policy = build(env, kappa, seed)
-    batch = sample_batch(cmdp, policy, 3, 20, rng_for(seed, 1))
-    assert digest(batch.states, batch.actions) == SAMPLE_SHA[(env, kappa, seed)]
+    S, A = sample_batch(cmdp, policy, 3, 20, rng_for(seed, 1))
+    assert digest(S, A) == SAMPLE_SHA[(env, kappa, seed)]
 
 
 @pytest.mark.parametrize("env,kappa,kind,seed", CASES)
@@ -258,9 +258,9 @@ def recorded_train(monkeypatch, cmdp, objectives, constraints, cfg, seed):
         fits.append((rewards, tables))
         return tables
 
-    def recording_estimate(layout, batch, policy, q_f, q_g, *args):
-        calls.append((policy, batch, fits[-2], fits[-1]))
-        return estimate(layout, batch, policy, q_f, q_g, *args)
+    def recording_estimate(layout, S, A, policy, *args):
+        calls.append((policy, (S, A), fits[-2], fits[-1]))
+        return estimate(layout, S, A, policy, *args)
 
     with monkeypatch.context() as patch:
         patch.setattr(primal_dual, "td_fit", recording_fit)
@@ -291,10 +291,10 @@ def test_stacked_rollout_is_the_separate_calls(monkeypatch, env, kappa,
                                   cfg, seed)
     assert len(calls) == 2
     for t, (policy, batch, (r_f, q_f), (r_g, q_g)) in enumerate(calls):
-        alone = sample_batch(cmdp, policy, cfg.batch_size, horizon,
-                             _rng(seed, 1, t))
-        assert np.array_equal(batch.states, alone.states)
-        assert np.array_equal(batch.actions, alone.actions)
+        S, A = sample_batch(cmdp, policy, cfg.batch_size, horizon,
+                            _rng(seed, 1, t))
+        assert np.array_equal(batch[0], S)
+        assert np.array_equal(batch[1], A)
         for purpose, rewards, tables in ((2, r_f, q_f), (3, r_g, q_g)):
             alone = td_tables(cmdp, policy, rewards, kappa, cfg.td,
                               _rng(seed, purpose, t))
@@ -309,8 +309,8 @@ def test_stacked_rollout_is_the_separate_calls(monkeypatch, env, kappa,
         assert metrics(padded_state) == metrics(state)
         for (_, batch, (_, q_f), (_, q_g)), (_, b, (_, p_f), (_, p_g)) in zip(
                 calls, padded):
-            assert np.array_equal(batch.states, b.states)
-            assert np.array_equal(batch.actions, b.actions)
+            assert np.array_equal(batch[0], b[0])
+            assert np.array_equal(batch[1], b[1])
             for q, p in zip(q_f + q_g, p_f + p_g):
                 assert np.array_equal(q.table, p.table)
 

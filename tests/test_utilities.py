@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from pdmarl.occupancy import LocalOccupancy
 from pdmarl.utilities import (CONSTRAINT, ENTROPY, ENTROPY_FLOOR, L2_ACTION,
                               LINEAR, GeneralUtility, fd_gradient,
                               shadow_reward, utility_value)
 
 
 def occ(table):
-    return LocalOccupancy(0, np.asarray(table, dtype=float))
+    return np.asarray(table, dtype=float)
 
 
 class TestValues:
@@ -55,10 +54,20 @@ class TestValues:
 
     def test_nan_occupancy_rejected(self):
         u = GeneralUtility(kind=LINEAR, reward=np.ones((1, 1)))
-        bad = LocalOccupancy(0, np.array([[0.0]]))
-        bad.table[0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            utility_value(u, bad)
+            utility_value(u, occ([[np.nan]]))
+
+    @pytest.mark.parametrize("fn", [utility_value, shadow_reward])
+    @pytest.mark.parametrize("kind", [LINEAR, ENTROPY, L2_ACTION])
+    @pytest.mark.parametrize("entry, reason", [
+        (-0.1, "occupancy entries must be nonnegative"),
+        (np.nan, "occupancy table contains NaN")], ids=["negative", "nan"])
+    def test_bad_entry_rejected(self, fn, kind, entry, reason):
+        u = GeneralUtility(kind=kind, reward=np.ones((2, 2)), gamma=0.5)
+        table = occ([[0.5, 0.5], [0.5, 0.5]])
+        table[1, 0] = entry
+        with pytest.raises(ValueError, match=reason):
+            fn(u, table)
 
     def test_linear_requires_reward(self):
         with pytest.raises(ValueError):
