@@ -75,8 +75,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """
     cmdp = build_env(cfg)
     check_table_sizes(cfg, cmdp)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(out_dir)
     objectives, constraints = build_utilities(cfg, cmdp)
     train_cfg = build_train_config(cfg)
 
@@ -91,6 +90,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         raise
     return _write_artifacts(cfg, out, state, time.time() - started,
                             {"status": "ok"})
+
+
+def _make_dir(path) -> Path:
+    """Create the output directory ``path``; an OS error is a ConfigError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: "
+                          f"{exc.strerror}") from exc
+    return out
 
 
 def _write_artifacts(cfg, out, state, wall_clock_s, status) -> dict:
@@ -154,7 +164,7 @@ def run_sweep(cfg: ExperimentConfig, axis, values, out_dir,
             raise ConfigError(f"sweep value {value!r} repeats: two runs "
                               f"would share {run_dir.name}/")
         check_table_sizes(run_cfg, build_env(run_cfg))
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
 
     if parallel:
         from concurrent.futures import ProcessPoolExecutor
@@ -231,7 +241,7 @@ def _verify_checks():
     def td_fixed_point():
         graph = DependenceGraph(n=1, edges=())
         kern = TransitionKernel.from_function(
-            lambda s, a: (1.0,), 0, (0,), (0,), (1,), (1,))
+            lambda S, A: [1.0], 0, (0,), (0,), (1,), (1,))
         rew = LocalReward.from_function(lambda cs, ca: 1.0, 0, (0,), (),
                                         (1,), (1,))
         mdp = FactoredCMDP(graph=graph, local_state_sizes=(1,),

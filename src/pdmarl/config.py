@@ -16,7 +16,7 @@ from .envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
 from .utilities import GeneralUtility, ENTROPY, L2_ACTION, CONSTRAINT, OBJECTIVE
 from .critic import TDConfig, default_td_config
 from .layout import q_table_layouts
-from .primal_dual import DUAL_SCHEDULES, TrainConfig, StepSizes
+from .primal_dual import TrainConfig, StepSizes
 
 SCHEMA_VERSION = 1
 
@@ -131,23 +131,8 @@ def parse_config_dict(data) -> ExperimentConfig:
         raise ConfigError(
             f"schema_version {norm['schema_version']} is not supported "
             f"(expected {SCHEMA_VERSION})")
-    if not (0.0 <= norm["gamma"] < 1.0):
-        raise ConfigError(f"gamma must be in [0, 1), got {norm['gamma']}")
-    for key in ("kappa", "oracle_every", "seed"):
-        if norm.get(key, 0) < 0:
-            raise ConfigError(f"{key} must be nonnegative")
-    for key in ("iterations", "horizon", "batch_size"):
-        if norm[key] < 0 or (key != "iterations" and norm[key] < 1):
-            raise ConfigError(f"{key} must be positive")
-    for key in ("eta_theta", "mu_bar", "theta_bar"):
-        if norm[key] <= 0:
-            raise ConfigError(f"{key} must be positive")
-    if norm["eta_mu"] < 0:
-        raise ConfigError("eta_mu must be nonnegative")
-    if norm["eta_mu_schedule"] not in DUAL_SCHEDULES:
-        raise ConfigError(
-            f"eta_mu_schedule must be {' or '.join(map(repr, DUAL_SCHEDULES))}"
-            f", got {norm['eta_mu_schedule']!r}")
+    if norm["seed"] < 0:
+        raise ConfigError("seed must be nonnegative")
 
     env = dict(norm["env"])
     name = env.pop("name", None)
@@ -195,12 +180,14 @@ def parse_config_dict(data) -> ExperimentConfig:
         norm["td"] = td
 
     # build_env and build_train_config make these again; here a bad value
-    # fails as a ConfigError, before any output exists
-    for block_name, build in (("env", _env_spec), ("td", _td_config)):
+    # fails as a ConfigError, before any output exists. The env spec checks
+    # gamma, TrainConfig and StepSizes the trainer's settings.
+    for prefix, build in (("invalid env: ", _env_spec),
+                          ("invalid td: ", _td_config), ("", _train_config)):
         try:
             build(norm)
         except ValueError as exc:
-            raise ConfigError(f"invalid {block_name}: {exc}") from exc
+            raise ConfigError(f"{prefix}{exc}") from exc
     return ExperimentConfig(raw=norm)
 
 
@@ -216,10 +203,9 @@ def _env_spec(norm):
 
 
 def _td_config(norm):
-    """The TDConfig of a normalized config; None leaves it to the trainer."""
-    td = norm.get("td")
-    if td is None:
-        return None
+    """The TDConfig of a normalized config; without a td block, the one
+    ``default_td_config`` derives from gamma."""
+    td = norm.get("td", {})
     if "h" in td:
         return TDConfig(steps=td.get("steps", 500), h=td["h"], k1=td["k1"])
     return default_td_config(norm["gamma"], steps=td.get("steps", 500))
@@ -234,8 +220,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    return parse_config(text)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -253,7 +243,7 @@ def check_table_sizes(cfg: ExperimentConfig, cmdp: FactoredCMDP):
     """Reject a kappa whose policy tables, or the truncated-Q cells one TD
     fit stores, on this env exceed their caps."""
     kappa = cfg["kappa"]
-    steps = (_td_config(cfg.raw) or default_td_config(cfg["gamma"])).steps
+    steps = _td_config(cfg.raw).steps
     try:
         table_shapes(cmdp.graph, cmdp.local_state_sizes,
                      cmdp.local_action_sizes, kappa)
@@ -282,14 +272,19 @@ def build_utilities(cfg: ExperimentConfig, cmdp: FactoredCMDP):
     return objectives, constraints
 
 
-def build_train_config(cfg: ExperimentConfig) -> TrainConfig:
+def _train_config(norm):
+    """The TrainConfig of a normalized config."""
     return TrainConfig(
-        kappa=cfg["kappa"], iterations=cfg["iterations"],
-        horizon=cfg["horizon"], batch_size=cfg["batch_size"],
-        steps=StepSizes(eta_theta=cfg["eta_theta"], eta_mu=cfg["eta_mu"],
-                        schedule=cfg["eta_mu_schedule"]),
-        mu_bar=cfg["mu_bar"], theta_bar=cfg["theta_bar"],
-        td=_td_config(cfg.raw), oracle_every=cfg["oracle_every"])
+        kappa=norm["kappa"], iterations=norm["iterations"],
+        horizon=norm["horizon"], batch_size=norm["batch_size"],
+        steps=StepSizes(eta_theta=norm["eta_theta"], eta_mu=norm["eta_mu"],
+                        schedule=norm["eta_mu_schedule"]),
+        mu_bar=norm["mu_bar"], theta_bar=norm["theta_bar"],
+        td=_td_config(norm), oracle_every=norm["oracle_every"])
+
+
+def build_train_config(cfg: ExperimentConfig) -> TrainConfig:
+    return _train_config(cfg.raw)
 
 
 def derived_seed(base_seed: int, index: int) -> int:

@@ -39,25 +39,22 @@ def synthetic_line(spec: SyntheticLineSpec) -> FactoredCMDP:
     n = spec.n
     state_sizes = (2,) * n
     action_sizes = (2,) * n
+
+    def binary(p1):
+        """Distributions (1 - p1, p1) over a binary next state."""
+        return np.stack([1.0 - p1, p1], -1)
+
     kernels = []
     for i in range(n):
         if i == 0:
-            def fn(s, a, i=i):
-                p1 = 1.0 if s[i + 1] == 1 else 0.0
-                return (1.0 - p1, p1)
+            fn = lambda S, A: binary(np.where(S[:, 0] == 1, 1.0, 0.0))
             sdeps, adeps = (i + 1,), ()
         elif i == n - 1:
-            def fn(s, a, i=i):
-                p1 = 1.0 if a[i] == 1 else 0.0
-                return (1.0 - p1, p1)
+            fn = lambda S, A: binary(np.where(A[:, 0] == 1, 1.0, 0.0))
             sdeps, adeps = (), (i,)
         else:
-            def fn(s, a, i=i):
-                if a[i] == 1:
-                    p1 = 1.0 if s[i + 1] == 1 else 0.8
-                else:
-                    p1 = 0.0
-                return (1.0 - p1, p1)
+            fn = lambda S, A: binary(np.where(
+                A[:, 0] == 1, np.where(S[:, 0] == 1, 1.0, 0.8), 0.0))
             sdeps, adeps = (i + 1,), (i,)
         kernels.append(TransitionKernel.from_function(
             fn, i, sdeps, adeps, state_sizes, action_sizes))
@@ -178,19 +175,20 @@ def wireless_grid(spec: WirelessGridSpec) -> FactoredCMDP:
 
     top_bit = 1 << (d - 1)
 
-    def kernel_fn(s, a, i):
-        queue = s[i]
-        if a[i] > 0 and queue > 0:
-            queue &= queue - 1  # drop the earliest (lowest set) bit
-        queue >>= 1  # deadlines tick down; deadline-1 packets expire
-        dist = np.zeros(2 ** d)
-        dist[queue | top_bit] += p[i]
-        dist[queue] += 1.0 - p[i]
+    def kernel_fn(S, A, i):
+        """Next-queue distributions of user i at its (queue, action) cells."""
+        # a transmission drops the earliest (lowest set) bit, a no-op on an
+        # empty queue; then deadlines tick down and deadline-1 packets expire
+        queue = np.where(A[:, 0] > 0, S[:, 0] & (S[:, 0] - 1), S[:, 0]) >> 1
+        rows = np.arange(len(queue))
+        dist = np.zeros((len(queue), 2 ** d))
+        dist[rows, queue | top_bit] += p[i]
+        dist[rows, queue] += 1.0 - p[i]
         return dist
 
     kernels = tuple(
         TransitionKernel.from_function(
-            lambda s, a, i=i: kernel_fn(s, a, i), i, (i,), (i,),
+            lambda S, A, i=i: kernel_fn(S, A, i), i, (i,), (i,),
             state_sizes, action_sizes)
         for i in range(n)
     )

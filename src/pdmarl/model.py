@@ -1,11 +1,12 @@
 """Networked constrained MDP with factored transitions.
 
 The global transition decomposes into per-agent kernels, each reading only a
-declared subset of agents' states/actions. Kernels are tabulated over their
-dependency coordinates at construction time, which makes sampling cheap and
-lets the transition-sensitivity matrix be computed exactly by brute force on
-small instances. Local rewards are array functions of their dependency
-coordinates, evaluated wherever they are read.
+declared subset of agents' states/actions. Kernels and local rewards are both
+array functions of their dependency cells, so neither can read an undeclared
+agent. A kernel's function is called once, on all its cells, and its table
+kept, which makes sampling cheap and lets the transition-sensitivity matrix
+be computed exactly by brute force on small instances. A reward's function
+is evaluated wherever it is read.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from . import indexing
 
 DEFAULT_ENUMERATION_CAP = 4096
 
-# Largest kernel dependency space that ``TransitionKernel.from_function``
-# tabulates; the simulator draws next states from the kernel tables.
+# Most dependency cells that ``TransitionKernel.from_function`` passes to a
+# kernel's function in one call; the simulator draws next states from the
+# tables it returns.
 DEP_TABLE_CAP = 200_000
 
 
@@ -30,14 +32,21 @@ class EnumerationCapExceeded(ValueError):
     pass
 
 
-def _check_deps(deps, n, what):
-    deps = tuple(sorted(deps))
-    if len(set(deps)) != len(deps):
-        raise ValueError(f"duplicate agents in {what} dependencies: {deps}")
-    for j in deps:
-        if not (0 <= j < n):
-            raise ValueError(f"{what} dependency {j} out of range")
-    return deps
+def _deps(state_deps, action_deps, state_sizes, action_sizes):
+    """Sorted, checked ``state_deps`` and ``action_deps``, and ``dep_sizes``,
+    the sizes of their cells' coordinates."""
+    checked = []
+    for what, deps in (("state", state_deps), ("action", action_deps)):
+        deps = tuple(sorted(deps))
+        if len(set(deps)) != len(deps):
+            raise ValueError(f"duplicate agents in {what} dependencies: {deps}")
+        for j in deps:
+            if not (0 <= j < len(state_sizes)):
+                raise ValueError(f"{what} dependency {j} out of range")
+        checked.append(deps)
+    s_deps, a_deps = checked
+    return (s_deps, a_deps, tuple(state_sizes[j] for j in s_deps)
+            + tuple(action_sizes[j] for j in a_deps))
 
 
 @dataclass(frozen=True)
@@ -68,49 +77,31 @@ class TransitionKernel:
     @classmethod
     def from_function(cls, fn, agent, state_deps, action_deps,
                       state_sizes, action_sizes):
-        """Tabulate ``fn(s, a) -> distribution over S_agent``.
+        """Tabulate ``fn(S_deps, A_deps)`` over every dependency cell.
 
-        ``fn`` receives full global state/action tuples but must only read the
-        declared dependencies; this is verified by evaluating every dependency
-        cell under two different fills of the non-dependency coordinates.
+        ``fn`` is called once, with the integer arrays (cells,
+        len(state_deps)) and (cells, len(action_deps)) of
+        ``indexing.decode_table(dep_sizes)`` split into its state and action
+        columns, rows in table order. It returns the (cells, S_agent)
+        distributions, or one (S_agent,) distribution for every cell. It sees
+        no other agent, so the kernel is local by construction.
         """
-        n = len(state_sizes)
-        state_deps = _check_deps(state_deps, n, "state")
-        action_deps = _check_deps(action_deps, n, "action")
-        dep_sizes = tuple(state_sizes[j] for j in state_deps) + tuple(
-            action_sizes[j] for j in action_deps
-        )
+        state_deps, action_deps, dep_sizes = _deps(
+            state_deps, action_deps, state_sizes, action_sizes)
         n_cells = indexing.space_size(dep_sizes)
         if n_cells > DEP_TABLE_CAP:
             raise EnumerationCapExceeded(
                 f"kernel dependency space of agent {agent} has {n_cells} cells"
             )
-        si = state_sizes[agent]
+        cells = indexing.decode_table(dep_sizes)
         ns = len(state_deps)
-        table = np.zeros((n_cells, si))
-        fills = (([0] * n, [0] * n),
-                 ([m - 1 for m in state_sizes], [m - 1 for m in action_sizes]))
-        for row, cell in enumerate(np.ndindex(*dep_sizes)):
-            for k, (s, a) in enumerate(fills):
-                s, a = list(s), list(a)
-                for j, v in zip(state_deps, cell[:ns]):
-                    s[j] = v
-                for j, v in zip(action_deps, cell[ns:]):
-                    a[j] = v
-                dist = np.asarray(fn(tuple(s), tuple(a)), dtype=float)
-                if dist.shape != (si,):
-                    raise ValueError(
-                        f"kernel of agent {agent} returned shape {dist.shape}, "
-                        f"expected ({si},)"
-                    )
-                if k == 0:
-                    table[row] = dist
-                elif not np.array_equal(dist, table[row]):
-                    raise ValueError(
-                        f"kernel of agent {agent} reads outside its declared "
-                        f"dependency neighborhood"
-                    )
-        return cls(agent, state_deps, action_deps, dep_sizes, table)
+        dist = np.asarray(fn(cells[:, :ns], cells[:, ns:]), dtype=float)
+        shape = (n_cells, state_sizes[agent])
+        if dist.shape not in (shape, shape[1:]):
+            raise ValueError(f"kernel of agent {agent} returned shape "
+                             f"{dist.shape}, expected {shape} or {shape[1:]}")
+        return cls(agent, state_deps, action_deps, dep_sizes,
+                   np.broadcast_to(dist, shape).copy())
 
     def row_indices(self, S, A):
         """Rows at integer state/action arrays (..., n); S and A broadcast."""
@@ -140,13 +131,8 @@ class LocalReward:
     @classmethod
     def from_function(cls, fn, agent, state_deps, action_deps,
                       state_sizes, action_sizes):
-        n = len(state_sizes)
-        state_deps = _check_deps(state_deps, n, "state")
-        action_deps = _check_deps(action_deps, n, "action")
-        dep_sizes = tuple(state_sizes[j] for j in state_deps) + tuple(
-            action_sizes[j] for j in action_deps
-        )
-        return cls(agent, state_deps, action_deps, dep_sizes, fn)
+        return cls(agent, *_deps(state_deps, action_deps, state_sizes,
+                                 action_sizes), fn)
 
     def values(self, S, A) -> np.ndarray:
         """Rewards at integer state/action arrays (..., n); S and A broadcast."""

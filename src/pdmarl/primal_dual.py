@@ -269,10 +269,13 @@ class StepSizes:
     schedule: str = "constant"  # one of DUAL_SCHEDULES
 
     def __post_init__(self):
-        if self.eta_theta <= 0 or self.eta_mu < 0:
-            raise ValueError("step sizes must be positive (eta_mu may be 0)")
+        if self.eta_theta <= 0:
+            raise ValueError("eta_theta must be positive")
+        if self.eta_mu < 0:
+            raise ValueError("eta_mu must be nonnegative")
         if self.schedule not in DUAL_SCHEDULES:
-            raise ValueError(f"unknown dual schedule {self.schedule!r}")
+            raise ValueError("eta_mu_schedule must be " + " or ".join(
+                map(repr, DUAL_SCHEDULES)) + f", got {self.schedule!r}")
 
     def dual_step(self, t):
         if self.schedule == "t_one_third":
@@ -293,11 +296,12 @@ class TrainConfig:
     oracle_every: int = 0
 
     def __post_init__(self):
-        if self.iterations < 0 or self.horizon < 1 or self.batch_size < 1:
-            raise ValueError("invalid iteration/horizon/batch configuration")
-        if self.kappa < 0 or self.mu_bar <= 0 or self.theta_bar <= 0:
-            raise ValueError("kappa must be nonnegative, mu_bar and theta_bar "
-                             "positive")
+        for key in ("kappa", "iterations", "oracle_every"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be nonnegative")
+        for key in ("horizon", "batch_size", "mu_bar", "theta_bar"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive")
 
 
 @dataclass

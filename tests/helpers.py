@@ -26,7 +26,7 @@ def chain(n, gamma=0.9):
 def single_cell_mdp(gamma):
     """One agent with one state and one action, reward 1."""
     g = DependenceGraph(1, frozenset())
-    kern = TransitionKernel.from_function(lambda s, a: (1.0,), 0, (0,), (0,),
+    kern = TransitionKernel.from_function(lambda S, A: [1.0], 0, (0,), (0,),
                                           (1,), (1,))
     rew = LocalReward.from_function(lambda cs, ca: 1.0, 0, (0,), (),
                                     (1,), (1,))

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -45,6 +46,15 @@ seed: 7
 def base_cfg(**updates):
     cfg = parse_config(BASE_YAML)
     return cfg.replace(**updates) if updates else cfg
+
+
+def run_cli(args, check=False, **env):
+    """``pdmarl`` with ``args`` in a fresh interpreter, on this package."""
+    src = str(Path(pdmarl.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "pdmarl.cli"] + args,
+                          env=env, check=check, capture_output=True, text=True)
 
 
 class TestConfigParsing:
@@ -361,11 +371,28 @@ class TestMainEntryPoint:
          "field 'h' in td must be finite, got nan"),
         ({"td:\n  steps: 100": "td:\n  h: .inf\n  k1: 40.0"},
          "field 'h' in td must be finite, got inf"),
+        ({"gamma: 0.9": "gamma: 1.0"}, "gamma must be in [0, 1), got 1.0"),
+        ({"kappa: 1": "kappa: -1"}, "kappa must be nonnegative"),
+        ({"seed: 7": "seed: 7\noracle_every: -1"},
+         "oracle_every must be nonnegative"),
+        ({"iterations: 8": "iterations: -1"}, "iterations must be nonnegative"),
+        ({"horizon: 30": "horizon: 0"}, "horizon must be positive"),
+        ({"batch_size: 3": "batch_size: 0"}, "batch_size must be positive"),
+        ({"eta_theta: 0.05": "eta_theta: 0.0"}, "eta_theta must be positive"),
+        ({"eta_mu: 10.0": "eta_mu: -1.0"}, "eta_mu must be nonnegative"),
+        ({"seed: 7": "seed: 7\nmu_bar: 0.0"}, "mu_bar must be positive"),
+        ({"seed: 7": "seed: 7\ntheta_bar: -1.0"}, "theta_bar must be positive"),
+        ({"seed: 7": "seed: 7\neta_mu_schedule: x"},
+         "eta_mu_schedule must be 'constant' or 't_one_third', got 'x'"),
     ], ids=["td_steps_0", "td_h_negative", "line_n_1", "grid_side_1",
             "grid_p_short", "grid_p_not_number", "grid_q_table_over_cap",
             "seed_negative", "env_seed_negative", "threshold_nan",
             "threshold_inf", "eta_mu_nan", "eta_theta_nan", "eta_theta_inf",
-            "mu_bar_nan", "theta_bar_nan", "td_h_nan", "td_h_inf"])
+            "mu_bar_nan", "theta_bar_nan", "td_h_nan", "td_h_inf",
+            "gamma_one", "kappa_negative", "oracle_every_negative",
+            "iterations_negative", "horizon_0", "batch_size_0", "eta_theta_0",
+            "eta_mu_negative", "mu_bar_0", "theta_bar_negative",
+            "eta_mu_schedule_unknown"])
     def test_bad_env_or_td_exit_one(self, tmp_path, capsys, edits, reason):
         text = BASE_YAML
         for old, new in edits.items():
@@ -397,6 +424,30 @@ class TestMainEntryPoint:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and reason in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("case", ["config_is_dir", "out_is_file",
+                                      "out_under_file"])
+    def test_os_error_on_config_or_out_is_config_error(self, tmp_path,
+                                                       command, case):
+        cfg_path = self.write_config(tmp_path)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        config, out, reason = {
+            "config_is_dir": (str(tmp_path), tmp_path / "out",
+                              f"cannot read config {tmp_path}: "
+                              f"{os.strerror(errno.EISDIR)}"),
+            "out_is_file": (cfg_path, afile,
+                            f"cannot create output directory {afile}: "
+                            f"{os.strerror(errno.EEXIST)}"),
+            "out_under_file": (cfg_path, afile / "x",
+                               f"cannot create output directory {afile}/x: "
+                               f"{os.strerror(errno.ENOTDIR)}"),
+        }[case]
+        axis = ["--axis", "kappa", "--values", "0"] if command == "sweep" else []
+        proc = run_cli([command, "--config", config, "--out", str(out)] + axis)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"config error: {reason}"]
 
     def test_sweep_value_too_large_for_env_exit_one(self, tmp_path, capsys):
         # kappa 0 runs on the side-3, deadline-2 grid; kappa 1 exceeds the
@@ -555,17 +606,12 @@ class TestBlasThreads:
         (tmp_path / "config.yaml").write_text(BASE_YAML.replace(
             "n: 3", "n: 4").replace("iterations: 8", "iterations: 2\n"
                                      "oracle_every: 1"))
-        src = str(Path(pdmarl.__file__).resolve().parents[1])
         metrics = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads_{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
-            subprocess.run([sys.executable, "-m", "pdmarl.cli", "run",
-                            "--config", str(tmp_path / "config.yaml"),
-                            "--out", str(out)], env=env, check=True,
-                           capture_output=True)
+            run_cli(["run", "--config", str(tmp_path / "config.yaml"),
+                     "--out", str(out)], OPENBLAS_NUM_THREADS=threads,
+                    check=True)
             metrics.append((out / "metrics.csv").read_bytes())
         assert read_csv(tmp_path / "threads_1" / "metrics.csv")[1][-1] != ""
         assert metrics[0] == metrics[1]

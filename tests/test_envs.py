@@ -32,6 +32,35 @@ def reference_wireless_reward(cell_s, cell_a, i, deps, access, q):
     return float(q[y])
 
 
+def reference_line_kernel(i, n, s_right, a_own):
+    """Next-state distribution of line agent i, one cell at a time: the head
+    copies s_{i+1}, the tail copies a_i, a middle agent reaches 1 surely
+    when it acts and s_{i+1} = 1, with 0.8 when it acts alone."""
+    if i == 0:
+        p1 = 1.0 if s_right == 1 else 0.0
+    elif i == n - 1:
+        p1 = 1.0 if a_own == 1 else 0.0
+    elif a_own == 1:
+        p1 = 1.0 if s_right == 1 else 0.8
+    else:
+        p1 = 0.0
+    return [1.0 - p1, p1]
+
+
+def reference_wireless_kernel(queue, action, p_i, d):
+    """Next-queue distribution of one user, one cell at a time: a
+    transmission removes the lowest set bit, every deadline then ticks down
+    (bit 0 expires), and a packet arrives at bit d-1 with probability p_i."""
+    bits = [b for b in range(d) if queue >> b & 1]
+    if action > 0 and bits:
+        bits.remove(min(bits))
+    ticked = sum(1 << (b - 1) for b in bits if b > 0)
+    dist = [0.0] * 2 ** d
+    dist[ticked + 2 ** (d - 1)] = p_i
+    dist[ticked] = 1.0 - p_i
+    return dist
+
+
 def mean_return(cmdp, policy):
     occ = ExactSolve(cmdp, policy).occupancy
     vals = [lift_neighborhood_reward(cmdp, r) @ occ for r in cmdp.rewards]
@@ -83,6 +112,18 @@ class TestSyntheticLine:
         m = synthetic_line(SyntheticLineSpec(n=3, gamma=0.9))
         np.testing.assert_allclose(m.kernels[2].table,
                                    [[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_kernels_match_per_cell_reference(self, n):
+        m = synthetic_line(SyntheticLineSpec(n=n, gamma=0.9))
+        for i, kern in enumerate(m.kernels):
+            assert kern.state_deps == ((i + 1,) if i < n - 1 else ())
+            assert kern.action_deps == ((i,) if i > 0 else ())
+            want = [reference_line_kernel(
+                        i, n, cell[0] if kern.state_deps else None,
+                        cell[-1] if kern.action_deps else None)
+                    for cell in itertools.product(*map(range, kern.dep_sizes))]
+            assert kern.table.tobytes() == np.array(want).tobytes()
 
     def test_starts_all_zero(self):
         m = synthetic_line(SyntheticLineSpec(n=4, gamma=0.9))
@@ -194,6 +235,20 @@ class TestWirelessGrid:
         row = m.kernels[0].table[0b001 * A + 0]
         assert row[0b100] == pytest.approx(0.25)
         assert row[0b000] == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("side, deadline", [
+        (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4),
+        (4, 1), (4, 2)])
+    def test_kernels_match_per_cell_reference(self, side, deadline):
+        spec = WirelessGridSpec(side=side, deadline=deadline, gamma=0.9)
+        m = wireless_grid(spec)
+        p, _ = spec.probabilities()
+        for i, kern in enumerate(m.kernels):
+            assert kern.state_deps == kern.action_deps == (i,)
+            want = [reference_wireless_kernel(s, a, p[i], deadline)
+                    for s in range(2 ** deadline)
+                    for a in range(m.local_action_sizes[i])]
+            assert kern.table.tobytes() == np.array(want).tobytes()
 
     def test_queues_start_empty(self):
         m = wireless_grid(WirelessGridSpec(side=3, deadline=2, gamma=0.9))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pdmarl import indexing
 from pdmarl.graph import DependenceGraph, khop_neighborhood, line_graph
 from pdmarl.model import (FactoredCMDP, TransitionKernel, LocalReward,
                           EnumerationCapExceeded, compute_decay_matrix,
@@ -87,17 +88,43 @@ class TestKernels:
         np.testing.assert_allclose(lookup(kern, (0, 1, 0), (0, 0, 0)),
                                    [0.0, 1.0])
 
-    def test_undeclared_dependency_is_an_error(self):
-        # kernel reads s_1 but declares only s_0
-        with pytest.raises(ValueError, match="declared dependency"):
-            TransitionKernel.from_function(
-                lambda s, a: (1.0, 0.0) if s[1] == 0 else (0.0, 1.0),
-                0, (0,), (), (2, 2), (2, 2))
+    def test_fn_receives_its_dependency_cells_in_row_order(self):
+        seen = []
+
+        def fn(S, A):
+            seen.append((S, A))
+            return np.full((len(S), 3), 1.0 / 3.0)
+
+        # deps given unsorted; cells list s_0, s_2 then a_1, agent order
+        kern = TransitionKernel.from_function(fn, 1, (2, 0), (1,),
+                                              (2, 3, 4), (5, 2, 3))
+        [(S, A)] = seen
+        cells = indexing.decode_table((2, 4, 2))
+        assert kern.dep_sizes == (2, 4, 2)
+        assert S.dtype.kind == A.dtype.kind == "i"
+        np.testing.assert_array_equal(S, cells[:, :2])
+        np.testing.assert_array_equal(A, cells[:, 2:])
+
+    def test_single_distribution_applies_to_every_cell(self):
+        kern = TransitionKernel.from_function(
+            lambda S, A: (0.25, 0.75), 0, (0, 1), (0,), (2, 3), (2, 2))
+        assert kern.table.shape == (12, 2)
+        np.testing.assert_array_equal(kern.table, [[0.25, 0.75]] * 12)
+
+    @pytest.mark.parametrize("out", [
+        np.full((4, 3), 1.0 / 3.0), np.full((3, 2), 0.5), np.full(3, 1 / 3),
+        np.full((1, 2), 0.5), 1.0], ids=["states", "cells", "flat", "one_row",
+                                         "scalar"])
+    def test_wrong_shape_names_the_agent(self, out):
+        with pytest.raises(ValueError, match=r"kernel of agent 1 returned "
+                           r"shape .*, expected \(4, 2\) or \(2,\)"):
+            TransitionKernel.from_function(lambda S, A: out, 1, (1,), (1,),
+                                           (2, 2), (2, 2))
 
     def test_non_distribution_rejected(self):
         with pytest.raises(ValueError):
             TransitionKernel.from_function(
-                lambda s, a: (0.5, 0.6), 0, (0,), (), (2,), (2,))
+                lambda S, A: [0.5, 0.6], 0, (0,), (), (2,), (2,))
 
     def test_product_transition_is_distribution(self):
         m = chain(3)
@@ -138,7 +165,7 @@ class TestKernels:
 class TestGlobalTransitionMatrix:
     def test_trivial_single_cell(self):
         g = DependenceGraph(1, frozenset())
-        kern = TransitionKernel.from_function(lambda s, a: (1.0,), 0, (0,),
+        kern = TransitionKernel.from_function(lambda S, A: [1.0], 0, (0,),
                                               (0,), (1,), (1,))
         rew = LocalReward.from_function(lambda cs, ca: 0.0, 0, (0,), (),
                                         (1,), (1,))
@@ -152,7 +179,7 @@ class TestGlobalTransitionMatrix:
     def test_deterministic_cycle_is_permutation(self):
         g = DependenceGraph(1, frozenset())
         kern = TransitionKernel.from_function(
-            lambda s, a: (0.0, 1.0) if s[0] == 0 else (1.0, 0.0),
+            lambda S, A: np.where(S == 0, [0.0, 1.0], [1.0, 0.0]),
             0, (0,), (), (2,), (1,))
         rew = LocalReward.from_function(lambda cs, ca: 0.0, 0, (0,), (),
                                         (2,), (1,))
@@ -245,7 +272,7 @@ class TestDecayMatrix:
         g = DependenceGraph(2, frozenset({(0, 1)}))
         kernels = tuple(
             TransitionKernel.from_function(
-                lambda s, a, i=i: (0.3, 0.7) if a[i] == 1 else (0.9, 0.1),
+                lambda S, A: np.where(A == 1, [0.3, 0.7], [0.9, 0.1]),
                 i, (i,), (i,), (2, 2), (2, 2))
             for i in range(2))
         rewards = tuple(

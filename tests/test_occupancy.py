@@ -78,7 +78,7 @@ class TestExactOccupancy:
     def test_absorbing_two_state_chain(self):
         # s0 -> s1 -> s1 with one action and gamma = 0.5
         g = DependenceGraph(1, frozenset())
-        kern = TransitionKernel.from_function(lambda s, a: (0.0, 1.0),
+        kern = TransitionKernel.from_function(lambda S, A: [0.0, 1.0],
                                               0, (0,), (), (2,), (1,))
         rew = LocalReward.from_function(lambda cs, ca: 0.0, 0, (0,), (),
                                         (2,), (1,))

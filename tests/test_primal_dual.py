@@ -23,7 +23,7 @@ from helpers import (chain, entropy_constraints, flat, rng_for, sample_batch,
 def two_state_single_agent(gamma=0.9):
     g = DependenceGraph(1, frozenset())
     kern = TransitionKernel.from_function(
-        lambda s, a: (0.7, 0.3) if a[0] == 0 else (0.2, 0.8),
+        lambda S, A: np.where(A == 0, [0.7, 0.3], [0.2, 0.8]),
         0, (0,), (0,), (2,), (2,))
     rew = LocalReward.from_function(lambda cs, ca: cs[..., 0].astype(float),
                                     0, (0,), (), (2,), (2,))
