@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .graph import DependenceGraph, khop_neighborhood, line_graph
 from .model import (FactoredCMDP, TransitionKernel, LocalReward, DecayProfile,
                     EnumerationCapExceeded, compute_decay_matrix)
-from .policy import KHopPolicy, induced_khop_policy, save_policy, load_policy
+from .policy import KHopPolicy, save_policy, load_policy
 from .sampling import Simulator
 from .occupancy import ExactSolve, estimate_local_occupancies, state_marginal
 from .utilities import (GeneralUtility, utility_value, shadow_reward,
@@ -15,7 +15,7 @@ from .critic import TDConfig, TruncatedQTable, default_td_config
 from .primal_dual import (DualVariable, StepSizes, TrainConfig, TrainState,
                           NumericAbort, dual_update, truncated_pg_estimate,
                           policy_ascent, exact_lagrangian_gradient,
-                          exact_truncated_pg, fosp_metrics, train)
+                          fosp_metrics, train)
 from .envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                    wireless_grid)
 from .config import ExperimentConfig, ConfigError, parse_config, load_config

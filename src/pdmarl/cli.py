@@ -193,10 +193,10 @@ def _verify_checks():
     """Yield (name, callable) invariant checks on built-in small instances."""
     from .envs import SyntheticLineSpec, synthetic_line
     from .model import (TransitionKernel, LocalReward, FactoredCMDP,
-                        global_transition_matrix, compute_decay_matrix)
+                        compute_decay_matrix)
     from .graph import DependenceGraph
     from .policy import KHopPolicy
-    from .occupancy import ExactSolve, flow_balance_residual
+    from .occupancy import ExactSolve
     from .utilities import GeneralUtility, ENTROPY, CONSTRAINT
     from .critic import default_td_config, td_draws, td_fit
     from .layout import RunLayout
@@ -209,14 +209,17 @@ def _verify_checks():
                                chain.local_action_sizes, kappa=1, rng=rng,
                                scale=0.5)
 
-    def transition_columns():
-        P = global_transition_matrix(chain, policy)
-        return bool(np.allclose(P.sum(axis=0), 1.0, atol=1e-12))
+    def transition_rows():
+        M = ExactSolve(chain, policy).chain
+        return bool(np.allclose(M.sum(axis=1), 1.0, atol=1e-12))
 
     def occupancy_flow():
-        occ = ExactSolve(chain, policy).occupancy
-        mass_ok = abs(occ.sum() - 1.0 / (1.0 - chain.gamma)) < 1e-8
-        return mass_ok and flow_balance_residual(chain, policy, occ) < 1e-10
+        solve = ExactSolve(chain, policy)
+        d, M = solve.d, solve.chain
+        mass_ok = abs(d.sum() - 1.0 / (1.0 - chain.gamma)) < 1e-8
+        residual = (d - chain.initial_state_distribution()
+                    - chain.gamma * M.T @ d)
+        return mass_ok and float(np.max(np.abs(residual))) < 1e-10
 
     def score_bound():
         worst = 0.0
@@ -270,7 +273,7 @@ def _verify_checks():
         return off == 0.0
 
     return [
-        ("transition matrix columns are distributions", transition_columns),
+        ("state chain rows are distributions", transition_rows),
         ("exact occupancy satisfies flow balance and mass", occupancy_flow),
         ("softmax score norm bounded by sqrt(2)", score_bound),
         ("exact gradient matches finite differences", gradient_oracle),

@@ -136,7 +136,7 @@ def parse_config_dict(data) -> ExperimentConfig:
 
     env = dict(norm["env"])
     name = env.pop("name", None)
-    if name not in _ENV_KEYS:
+    if not isinstance(name, str) or name not in _ENV_KEYS:
         raise ConfigError(
             f"env.name must be one of {sorted(_ENV_KEYS)}, got {name!r}")
     _check_keys(env, _ENV_KEYS[name], f"env ({name})")

@@ -1,11 +1,13 @@
-"""Truncated shadow Q-functions: the TD critic and truncated exact tables.
+"""Truncated shadow Q-functions: the TD critic, and local rewards as global
+pair vectors for the exact solve.
 
 One TD evaluation is the asynchronous single-trajectory subroutine: the
 uniforms of ``td_draws``, rolled out by the run's ``Simulator`` (``train``
 stacks both critics' trajectories into its one rollout per iteration), then
 ``td_fit`` of every agent's table along the trajectory, with the run's
-``layout.RunLayout``. On enumerable instances ``truncate_q`` restricts an
-exact Q-function (``occupancy.ExactSolve.q``) to one agent's neighborhood.
+``layout.RunLayout``. ``lift_local_reward`` and ``lift_neighborhood_reward``
+give a local reward as the flat pair vector that ``occupancy.ExactSolve.q``
+solves for.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import RunLayout, q_table_layout
+from .layout import RunLayout
 from .model import FactoredCMDP, LocalReward
 from . import indexing
 
@@ -182,33 +184,6 @@ def lift_local_reward(cmdp: FactoredCMDP, agent: int, table) -> np.ndarray:
 def lift_neighborhood_reward(cmdp: FactoredCMDP,
                              reward: LocalReward) -> np.ndarray:
     """Expand a neighborhood reward to the flat global pair vector."""
-    cmdp.check_enumeration_cap()
     return reward.values(
         indexing.decode_table(cmdp.local_state_sizes)[:, None, :],
         indexing.decode_table(cmdp.local_action_sizes)[None, :, :]).ravel()
-
-
-def truncate_q(cmdp: FactoredCMDP, q, agent: int, kappa: int,
-               anchor=None) -> TruncatedQTable:
-    """Restrict a flat (|S||A|,) Q-function to one agent's k-hop neighborhood.
-
-    Coordinates of agents outside the neighborhood are frozen at ``anchor``
-    (a global (state tuple, action tuple) pair; all-zeros by default).
-    """
-    n = cmdp.n_agents
-    ss, aa = cmdp.local_state_sizes, cmdp.local_action_sizes
-    anchor_s, anchor_a = anchor or ((0,) * n, (0,) * n)
-    if not all(0 <= v < m for v, m in zip((*anchor_s, *anchor_a), ss + aa)):
-        raise ValueError(f"anchor {anchor} out of range")
-    nbhd, s_sizes, a_sizes = q_table_layout(cmdp, agent, kappa)
-    s_nb = indexing.decode_table(s_sizes)[:, None, :]
-    a_nb = indexing.decode_table(a_sizes)[None, :, :]
-    # one index per global axis: the neighborhood varies, the rest is fixed
-    at = {j: p for p, j in enumerate(nbhd)}
-    idx = ([s_nb[..., at[j]] if j in at else anchor_s[j] for j in range(n)]
-           + [a_nb[..., at[j]] if j in at else anchor_a[j] for j in range(n)])
-    values = np.asarray(q, dtype=np.float64).reshape(ss + aa)[tuple(idx)]
-    return TruncatedQTable(agent=agent, kappa=kappa, nbhd=nbhd,
-                           state_sizes=s_sizes, action_sizes=a_sizes,
-                           keys=np.arange(values.size, dtype=np.int64),
-                           values=values.ravel())

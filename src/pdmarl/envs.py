@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DependenceGraph, line_graph
-from .model import FactoredCMDP, TransitionKernel, LocalReward
+from .model import DEP_TABLE_CAP, FactoredCMDP, TransitionKernel, LocalReward
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,13 @@ class WirelessGridSpec:
     def __post_init__(self):
         if self.side < 2 or self.deadline < 1:
             raise ValueError("need side >= 2 and deadline >= 1")
+        # a user's kernel reads its queue and its action: idle or one of up
+        # to four access points, two per grid axis
+        cells = 2 ** self.deadline * (1 + min(self.side - 1, 2) ** 2)
+        if cells > DEP_TABLE_CAP:
+            raise ValueError(
+                f"env.deadline {self.deadline} gives kernels of {cells} "
+                f"dependency cells, above the cap of {DEP_TABLE_CAP}")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         for name, vals, m in (("p", self.p, self.side ** 2),

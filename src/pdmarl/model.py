@@ -1,8 +1,9 @@
 """Networked constrained MDP with factored transitions.
 
 The global transition decomposes into per-agent kernels, each reading only a
-declared subset of agents' states/actions. Kernels and local rewards are both
-array functions of their dependency cells, so neither can read an undeclared
+declared subset of agents' states and its own action, so the state chain
+under a policy factors per agent. Kernels and local rewards are both array
+functions of their dependency cells, so neither can read an undeclared
 agent. A kernel's function is called once, on all its cells, and its table
 kept, which makes sampling cheap and lets the transition-sensitivity matrix
 be computed exactly by brute force on small instances. A reward's function
@@ -13,14 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .graph import DependenceGraph
 from . import indexing
 
-DEFAULT_ENUMERATION_CAP = 4096
+# Largest model the exact oracles enumerate: the state chain is an
+# |S| x |S| matrix, and a Q column an (|S||A|,) vector.
+MAX_EXACT_STATES = 1024
+MAX_EXACT_PAIRS = 2 ** 22
 
 # Most dependency cells that ``TransitionKernel.from_function`` passes to a
 # kernel's function in one call; the simulator draws next states from the
@@ -52,7 +55,8 @@ def _deps(state_deps, action_deps, state_sizes, action_sizes):
 @dataclass(frozen=True)
 class TransitionKernel:
     """Distribution over one agent's next local state: ``table[row]`` is the
-    distribution over S_agent at dependency cell ``row``.
+    distribution over S_agent at dependency cell ``row``. It reads the
+    states of ``state_deps`` and at most the agent's own action.
 
     A cell lists the states of ``state_deps`` then the actions of
     ``action_deps``, each in ascending agent order, encoded with
@@ -66,6 +70,10 @@ class TransitionKernel:
     table: np.ndarray
 
     def __post_init__(self):
+        if not set(self.action_deps) <= {self.agent}:
+            raise ValueError(
+                f"kernel of agent {self.agent} reads the actions of agents "
+                f"{self.action_deps}; it may read only its own")
         if self.table.shape != (indexing.space_size(self.dep_sizes), self.table.shape[1]):
             raise ValueError("kernel table shape does not match dependency sizes")
         sums = self.table.sum(axis=1)
@@ -188,24 +196,11 @@ class FactoredCMDP:
         return self.n_states * self.n_actions
 
     def check_enumeration_cap(self):
-        if self.n_pairs > DEFAULT_ENUMERATION_CAP:
-            raise EnumerationCapExceeded(
-                f"|S||A| = {self.n_pairs} exceeds the enumeration cap "
-                f"{DEFAULT_ENUMERATION_CAP}"
-            )
-
-    @cached_property
-    def next_state_kernel(self) -> np.ndarray:
-        """Global next-state distributions P(s' | s, a) as a read-only
-        (S, A, S') array, tabulated on first use and kept: it depends on the
-        model only, and every exact oracle reads it."""
-        self.check_enumeration_cap()
-        s_dec = indexing.decode_table(self.local_state_sizes)[:, None, :]
-        a_dec = indexing.decode_table(self.local_action_sizes)[None, :, :]
-        nxt = indexing.row_kron([kern.table[kern.row_indices(s_dec, a_dec)]
-                                 for kern in self.kernels])
-        nxt.flags.writeable = False
-        return nxt
+        for what, size, cap in (("|S|", self.n_states, MAX_EXACT_STATES),
+                                ("|S||A|", self.n_pairs, MAX_EXACT_PAIRS)):
+            if size > cap:
+                raise EnumerationCapExceeded(
+                    f"{what} = {size} exceeds the enumeration cap {cap}")
 
     def initial_state_distribution(self):
         """Flat distribution over global states (product of local ones)."""
@@ -222,21 +217,6 @@ class DecayProfile:
     chi: float
     phi0: float
     contraction_ok: bool  # whether chi < 2 / gamma
-
-
-def global_transition_matrix(cmdp: FactoredCMDP, policy) -> np.ndarray:
-    """State-action pair transition matrix under a policy.
-
-    Entry ((s', a'), (s, a)) equals P(s' | s, a) * pi(a' | s'); columns are
-    probability distributions. Pair indices are s_index * |A| + a_index.
-    Built C-ordered over ((s, a), (s', a')) and returned as its transpose.
-    The exact oracles solve on the state chain instead
-    (``occupancy.ExactSolve``); this pair-level matrix is their reference.
-    """
-    S, A = cmdp.n_states, cmdp.n_actions
-    nxt = cmdp.next_state_kernel  # (S, A, S')
-    pi = policy.joint_action_probabilities()  # (S', A')
-    return (nxt[:, :, :, None] * pi).reshape(S * A, S * A).T
 
 
 def compute_decay_matrix(cmdp: FactoredCMDP, chi: float,

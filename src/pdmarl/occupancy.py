@@ -7,7 +7,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .model import FactoredCMDP, global_transition_matrix
+from .model import FactoredCMDP
+from . import indexing
 
 
 def estimate_local_occupancies(layout, S, A) -> list:
@@ -33,55 +34,59 @@ def estimate_local_occupancies(layout, S, A) -> list:
 
 
 class ExactSolve:
-    """One policy's global state chain, factored once for every exact oracle.
+    """One policy's state chain in product form, factored once for every
+    exact oracle.
 
-    With M_pi(s, s') = sum_a pi(a|s) P(s'|s, a), the occupancy of a
-    stationary policy is lambda(s, a) = d(s) pi(a|s) where
-    (I - gamma M_pi)^T d = rho, and the Q-function of rewards R(s, a) is
-    Q = R + gamma * sum_s' P(s'|s, a) V(s') where (I - gamma M_pi) V = r_pi,
-    r_pi(s) = sum_a pi(a|s) R(s, a). One LU of the |S| x |S| matrix
-    I - gamma M_pi serves both, instead of solves over all |S||A| pairs.
-
-    ``occupancy`` is lambda flat over global pairs (index s*|A| + a), and
-    ``local_occupancies`` every agent's (S_i, A_i) marginal of it.
+    Agent i's next state reads (s_{D_i}, a_i) only, so the state chain M_pi
+    (``chain``) is the ``indexing.row_kron`` over agents of the (|S|, S_i)
+    factors sum_{a_i} pi_i(a_i|s_{N_i}) P_i(.|s_{D_i}, a_i). One LU of
+    I - gamma M_pi gives the state occupancy ``d``, (I - gamma M_pi)^T d =
+    rho, and the values of ``q``. ``occupancy`` is lambda(s, a) =
+    d(s) pi(a|s) flat over pairs s*|A| + a, and ``local_occupancies`` every
+    agent's (S_i, A_i) marginal of it.
     """
 
     def __init__(self, cmdp: FactoredCMDP, policy):
+        cmdp.check_enumeration_cap()
         self.cmdp = cmdp
-        self.nxt = cmdp.next_state_kernel  # (S, A, S')
-        self.pi = policy.joint_action_probabilities()  # (S, A)
-        M = np.einsum("sa,sat->st", self.pi, self.nxt)
-        self.lu = scipy.linalg.lu_factor(np.eye(len(M)) - cmdp.gamma * M)
-        d = scipy.linalg.lu_solve(self.lu, cmdp.initial_state_distribution(),
-                                  trans=1)
-        lam = np.maximum(d[:, None] * self.pi, 0.0)  # clip solver noise
-        self.occupancy = lam.ravel()
-        # one axis per agent state then per agent action; sum out the rest
-        n = cmdp.n_agents
-        shaped = lam.reshape((*cmdp.local_state_sizes, *cmdp.local_action_sizes))
+        n, sizes = cmdp.n_agents, cmdp.local_state_sizes
+        s_dec = indexing.decode_table(sizes)
+        # at every global state: pi_i(.|s), (S, A_i), and P_i(.|s, a_i),
+        # (S, A_i, S_i), of every agent
+        self.pis = [probs[policy.nbhd_rows(i, s_dec)]
+                    for i, probs in enumerate(policy.prob_tables)]
+        self.kernels = []
+        for i, kern in enumerate(cmdp.kernels):
+            acts = np.zeros((cmdp.local_action_sizes[i], n), dtype=np.int64)
+            acts[:, i] = np.arange(len(acts))
+            self.kernels.append(kern.table[kern.row_indices(s_dec[:, None],
+                                                            acts)])
+        self.chain = indexing.row_kron([np.einsum("sa,sat->st", pi, k) for
+                                        pi, k in zip(self.pis, self.kernels)])
+        self.lu = scipy.linalg.lu_factor(
+            np.eye(len(self.chain)) - cmdp.gamma * self.chain)
+        self.d = np.maximum(0.0, scipy.linalg.lu_solve(  # clip solver noise
+            self.lu, cmdp.initial_state_distribution(), trans=1))
+        self.pi = indexing.row_kron(self.pis)  # (S, A)
+        self.occupancy = (self.d[:, None] * self.pi).ravel()
         self.local_occupancies = [
-            shaped.sum(axis=tuple(k for k in range(2 * n) if k not in (i, n + i)))
-            for i in range(n)]
+            (self.d[:, None] * pi).reshape(sizes + pi.shape[1:]).sum(
+                axis=tuple(k for k in range(n) if k != i))
+            for i, pi in enumerate(self.pis)]
 
     def q(self, rewards) -> np.ndarray:
-        """Exact Q-function(s) of a flat (|S||A|,) reward vector or an
-        (|S||A|, m) matrix of reward columns; same shape out."""
-        S, A, _ = self.nxt.shape
-        R = np.asarray(rewards, dtype=float)
-        r_pi = np.einsum("sa,sa...->s...", self.pi,
-                         R.reshape((S, A) + R.shape[1:]))
-        V = scipy.linalg.lu_solve(self.lu, r_pi)
-        return R + self.cmdp.gamma * (self.nxt.reshape(S * A, S) @ V)
-
-
-def flow_balance_residual(cmdp: FactoredCMDP, policy, occ) -> float:
-    """Max-norm residual of lambda = rho_pi + gamma * P_pi lambda, for a flat
-    (|S||A|,) occupancy."""
-    P = global_transition_matrix(cmdp, policy)
-    rho = cmdp.initial_state_distribution()
-    pi = policy.joint_action_probabilities()
-    rho_pi = (rho[:, None] * pi).ravel()
-    return float(np.max(np.abs(occ - rho_pi - cmdp.gamma * (P @ occ))))
+        """Exact Q-function of a flat (|S||A|,) reward vector R: R plus
+        gamma sum_s' P(s'|s, a) V(s'), with (I - gamma M_pi) V = sum_a
+        pi(a|s) R(s, a). The sum over s' swaps one agent's next state for
+        its action at a time, from V(s') to (S, a_<i, s'_>=i) arrays."""
+        S = self.cmdp.n_states
+        R = np.asarray(rewards, dtype=float).reshape(S, -1)
+        V = scipy.linalg.lu_solve(self.lu, np.einsum("sa,sa->s", self.pi, R))
+        T = V[None, None]
+        for k in self.kernels:
+            T = np.matmul(k[:, None], T.reshape(*T.shape[:2], k.shape[2], -1))
+            T = T.reshape(S, -1, T.shape[-1])
+        return (R + self.cmdp.gamma * T.reshape(S, -1)).ravel()
 
 
 def state_marginal(occ, gamma: float) -> np.ndarray:

@@ -144,48 +144,6 @@ class KHopPolicy:
                 tables[i] = t
         return tuple(tables)
 
-    def joint_action_probabilities(self) -> np.ndarray:
-        """Matrix pi(a | s) over global states/actions (enumeration only)."""
-        s_dec = indexing.decode_table(self.state_sizes)
-        return indexing.row_kron([self.prob_tables[i][self.nbhd_rows(i, s_dec)]
-                                  for i in range(self.graph.n)])
-
-
-def induced_khop_policy(policy: KHopPolicy, kappa: int, anchor_state) -> KHopPolicy:
-    """Restrict a wider policy to radius ``kappa`` by freezing distant states.
-
-    Each agent's new table reads only the states within distance kappa; the
-    states of the remaining agents in its original neighborhood are fixed at
-    ``anchor_state``.
-    """
-    if kappa > policy.kappa:
-        raise ValueError("induced policy must have a smaller or equal radius")
-    new = KHopPolicy.zeros(policy.graph, policy.state_sizes, policy.action_sizes,
-                           kappa, policy.theta_bound)
-    anchor = np.asarray(anchor_state, dtype=np.int64)
-    if np.any(anchor < 0) or np.any(anchor >= policy.state_sizes):
-        raise ValueError(f"anchor state {tuple(anchor_state)} out of range")
-    tables = []
-    for i in range(policy.graph.n):
-        # the new neighborhood enumerated, every other agent at the anchor
-        s = np.tile(anchor, (new.n_nbhd_states(i), 1))
-        s[:, list(new.neighborhood(i))] = indexing.decode_table(
-            new.nbhd_state_sizes(i))
-        tables.append(policy.theta[i][policy.nbhd_rows(i, s)])
-    return new.with_theta(tables)
-
-
-def policy_state_sensitivity(policy: KHopPolicy, kappa: int) -> float:
-    """Largest L1 change of any local policy when states outside the
-    distance-``kappa`` ball vary (brute force over neighborhood states)."""
-    worst = 0.0
-    for i in range(policy.graph.n):
-        inner = set(khop_neighborhood(policy.graph, i, kappa))
-        outer = [p for p, j in enumerate(policy.neighborhood(i)) if j not in inner]
-        worst = max(worst, indexing.max_pairwise_l1(
-            policy.prob_tables[i], policy.nbhd_state_sizes(i), outer))
-    return worst
-
 
 # -- checkpoint format -----------------------------------------------------
 

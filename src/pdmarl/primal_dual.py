@@ -9,14 +9,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import RunLayout, ThetaLayout
+from .layout import RunLayout
 from .model import FactoredCMDP, EnumerationCapExceeded
 from .policy import KHopPolicy
 from .sampling import trajectory_draws
 from .occupancy import ExactSolve, estimate_local_occupancies
 from .utilities import shadow_reward, utility_value
 from .critic import (TDConfig, default_td_config, td_draws, td_fit,
-                     truncate_q, lift_local_reward, lift_neighborhood_reward)
+                     lift_local_reward, lift_neighborhood_reward)
 from . import indexing
 
 
@@ -105,50 +105,39 @@ def policy_ascent(policy: KHopPolicy, grads, eta_theta: float) -> KHopPolicy:
 
 # -- exact oracles -----------------------------------------------------------
 
-def _global_shadow_rewards(solve: ExactSolve, objectives, constraints):
-    """Lifted shadow-reward columns at the exact occupancy (f then g)."""
-    cmdp = solve.cmdp
-    cols_f, cols_g = [], []
-    for i, local in enumerate(solve.local_occupancies):
-        if objectives is None:
-            cols_f.append(lift_neighborhood_reward(cmdp, cmdp.rewards[i]))
-        else:
-            cols_f.append(lift_local_reward(
-                cmdp, i, shadow_reward(objectives[i], local)))
-        cols_g.append(lift_local_reward(
-            cmdp, i, shadow_reward(constraints[i], local)))
-    return np.column_stack(cols_f), np.column_stack(cols_g)
-
-
-def _score_accumulate(cmdp, policy, weights):
-    """Turn per-pair weights W(s, a) of every agent, (|S||A|, n), into
-    theta-shaped gradients."""
-    theta = ThetaLayout(policy)
-    rows = theta.rows(indexing.decode_table(cmdp.local_state_sizes))
-    return theta.split(theta.score_sums(
-        policy, np.repeat(rows, cmdp.n_actions, axis=0),
-        np.tile(indexing.decode_table(cmdp.local_action_sizes),
-                (cmdp.n_states, 1)), weights))
-
-
 def exact_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
                               objectives, constraints, mu,
                               solve: ExactSolve = None) -> list:
     """Exact policy gradient of the Lagrangian by full enumeration.
 
-    Shadow rewards are evaluated at the exact local occupancies, their
-    Q-functions solved exactly, and the expectation over the discounted
-    visitation measure taken as a weighted sum over all pairs. ``solve`` is
-    this policy's ``ExactSolve`` when the caller already has one.
+    By linearity one exact Q-function serves every agent: that of the
+    shadow rewards at the exact local occupancies, (1/n) sum_j (r_f,j +
+    mu_j r_g,j). Entry [e, b] of agent i's gradient is the weight
+    W = lambda * Q on the pairs at table row e with a_i = b, minus
+    pi_i(b | e) times the weight on row e. ``solve`` is this policy's
+    ``ExactSolve`` when the caller already has one.
     """
     mu = np.asarray(mu, dtype=float)
     solve = solve or ExactSolve(cmdp, policy)
-    rf, rg = _global_shadow_rewards(solve, objectives, constraints)
     n = cmdp.n_agents
-    q = solve.q(np.hstack([rf, rg]))
-    q_tot = (q[:, :n].sum(axis=1) + q[:, n:] @ mu) / n
-    W = solve.occupancy * q_tot
-    return _score_accumulate(cmdp, policy, np.repeat(W[:, None], n, axis=1))
+    reward = np.zeros(cmdp.n_pairs)
+    for i, local in enumerate(solve.local_occupancies):
+        table = mu[i] * shadow_reward(constraints[i], local)
+        if objectives is None:
+            reward += lift_neighborhood_reward(cmdp, cmdp.rewards[i])
+        else:
+            table = table + shadow_reward(objectives[i], local)
+        reward += lift_local_reward(cmdp, i, table)
+    W = (solve.occupancy * solve.q(reward / n)).reshape(
+        (cmdp.n_states,) + cmdp.local_action_sizes)
+    s_dec = indexing.decode_table(cmdp.local_state_sizes)
+    grads = []
+    for i, probs in enumerate(policy.prob_tables):
+        g = np.zeros_like(probs)
+        np.add.at(g, policy.nbhd_rows(i, s_dec),
+                  W.sum(axis=tuple(1 + j for j in range(n) if j != i)))
+        grads.append(g - probs * g.sum(axis=1, keepdims=True))
+    return grads
 
 
 def exact_dual_gradient(cmdp: FactoredCMDP, policy: KHopPolicy, constraints,
@@ -156,30 +145,6 @@ def exact_dual_gradient(cmdp: FactoredCMDP, policy: KHopPolicy, constraints,
     local = (solve or ExactSolve(cmdp, policy)).local_occupancies
     return np.array([utility_value(c, occ) for c, occ in zip(constraints, local)]
                     ) / cmdp.n_agents
-
-
-def exact_truncated_pg(cmdp: FactoredCMDP, policy: KHopPolicy,
-                       objectives, constraints, mu, kappa: int,
-                       anchor=None) -> list:
-    """Exact value of the kappa-truncated policy gradient estimator.
-
-    Same enumeration as ``exact_lagrangian_gradient`` but with Q-functions
-    truncated at the anchor pair and the utility sum restricted to each
-    agent's kappa-hop neighborhood.
-    """
-    n = cmdp.n_agents
-    solve = ExactSolve(cmdp, policy)
-    rf, rg = _global_shadow_rewards(solve, objectives, constraints)
-    q = solve.q(np.hstack([rf, rg]))
-    q_f, q_g = ([truncate_q(cmdp, q[:, off + j], j, kappa, anchor=anchor)
-                 for j in range(n)] for off in (0, n))
-    S = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
-    A = indexing.decode_table(cmdp.local_action_sizes)[None, :, :]
-    weights = _neighborhood_weights(
-        RunLayout(cmdp, policy, kappa), S, A, q_f, q_g,
-        np.asarray(mu, dtype=float),
-        solve.occupancy.reshape(cmdp.n_states, cmdp.n_actions))
-    return _score_accumulate(cmdp, policy, weights.reshape(-1, n))
 
 
 def lagrangian_value(cmdp: FactoredCMDP, policy: KHopPolicy,

@@ -4,13 +4,12 @@ A local occupancy is an agent's (S_i, A_i) array of discounted visitation
 weights. Three families are shipped: linear (cumulative reward), entropy of
 the state marginal, and the squared L2 norm of the action marginal. Each
 provides a value and an analytic gradient (the shadow reward), both of which
-reject a table with a NaN or a negative entry; a central-difference gradient
-is available as an independent oracle.
+reject a table with a NaN or a negative entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +45,6 @@ class GeneralUtility:
                 raise ValueError("linear utility requires a reward table")
         if not np.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
-
-    def as_constraint(self, threshold):
-        return replace(self, role=CONSTRAINT, threshold=float(threshold))
 
 
 def _check(occ):
@@ -96,28 +92,3 @@ def shadow_reward(u: GeneralUtility, occ) -> np.ndarray:
                                            axis=1)
     m = occ.sum(axis=0)
     return (1.0 - u.gamma) ** 2 * np.repeat(m[None, :], occ.shape[0], axis=0)
-
-
-def fd_gradient(u: GeneralUtility, occ, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient oracle, one coordinate at a time.
-
-    Linear and l2 utilities extend smoothly to negative entries so plain
-    central differences apply everywhere; the entropy marginal must stay
-    nonnegative, so its minus side is clamped at zero with the denominator
-    shortened to match.
-    """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    grad = np.zeros_like(occ)
-    clamp = u.kind == ENTROPY
-    for idx in np.ndindex(occ.shape):
-        plus = occ.copy()
-        plus[idx] += h
-        minus = occ.copy()
-        if clamp:
-            minus[idx] = max(minus[idx] - h, 0.0)
-        else:
-            minus[idx] -= h
-        lo = occ[idx] - minus[idx]
-        grad[idx] = (_raw_value(u, plus) - _raw_value(u, minus)) / (h + lo)
-    return grad

@@ -2,6 +2,9 @@
 rollout along the path ``train`` takes: ``Simulator.rollout`` of
 ``trajectory_draws`` or ``critic.td_draws``, then ``critic.td_fit``."""
 
+import csv
+import math
+
 import numpy as np
 
 from pdmarl import indexing
@@ -13,6 +16,8 @@ from pdmarl.model import FactoredCMDP, LocalReward, TransitionKernel
 from pdmarl.policy import KHopPolicy
 from pdmarl.sampling import Simulator, trajectory_draws
 from pdmarl.utilities import ENTROPY, GeneralUtility
+
+from oracles import as_constraint
 
 
 def rng_for(seed):
@@ -43,7 +48,7 @@ def uniform_policy(cmdp, kappa=1):
 
 def entropy_constraints(cmdp, threshold):
     base = GeneralUtility(kind=ENTROPY, gamma=cmdp.gamma)
-    return [base.as_constraint(threshold) for _ in range(cmdp.n_agents)]
+    return [as_constraint(base, threshold) for _ in range(cmdp.n_agents)]
 
 
 def flat(grads):
@@ -76,3 +81,18 @@ def td_tables(cmdp, policy, rewards, kappa, td, rng):
     layout = RunLayout(cmdp, policy, kappa, td)
     [(S, A)] = layout.simulator.rollout([td_draws(cmdp, td, rng)])
     return td_fit(layout, rewards, S[0], A[0])
+
+
+def oracle_rows(metrics_path):
+    """(t, X, Y, E) of the rows of a metrics.csv whose oracle fired."""
+    with open(metrics_path, newline="") as fh:
+        return [(int(row["t"]), float(row["X"]), float(row["Y"]),
+                 float(row["E"])) for row in csv.DictReader(fh) if row["X"]]
+
+
+def oracle_values_close(rows, ref):
+    """Whether oracle rows fire at the iterations of ``ref`` with values
+    within the benchmark gate's tolerance (relative 1e-9, absolute 1e-12)."""
+    return [r[0] for r in rows] == [r[0] for r in ref] and all(
+        math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+        for row, want in zip(rows, ref) for a, b in zip(row[1:], want[1:]))

@@ -1,0 +1,254 @@
+"""Dense reference oracles that only the tests call, each checking a library
+path: the pair-level transition matrix and the dense exact solve over the
+global (S, A, S') kernel (against ``occupancy.ExactSolve``), the exact
+truncated gradient (against the sampled one), finite differences of a
+utility's shadow reward, and the policy-truncation bound's narrower policy
+and measured constants."""
+
+from dataclasses import replace
+
+import numpy as np
+import scipy.linalg
+
+from pdmarl import indexing
+from pdmarl.critic import (TruncatedQTable, lift_local_reward,
+                           lift_neighborhood_reward)
+from pdmarl.graph import khop_neighborhood
+from pdmarl.layout import RunLayout, ThetaLayout, q_table_layout
+from pdmarl.policy import KHopPolicy
+from pdmarl.primal_dual import _neighborhood_weights
+from pdmarl.utilities import (CONSTRAINT, ENTROPY, GeneralUtility,
+                              _raw_value, shadow_reward)
+
+
+# -- dense exact solve --------------------------------------------------------
+
+def next_state_kernel(cmdp) -> np.ndarray:
+    """Global next-state distributions P(s' | s, a) as an (S, A, S') array."""
+    s_dec = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
+    a_dec = indexing.decode_table(cmdp.local_action_sizes)[None, :, :]
+    return indexing.row_kron([kern.table[kern.row_indices(s_dec, a_dec)]
+                              for kern in cmdp.kernels])
+
+
+def joint_action_probabilities(policy: KHopPolicy) -> np.ndarray:
+    """Matrix pi(a | s) over global states/actions."""
+    s_dec = indexing.decode_table(policy.state_sizes)
+    return indexing.row_kron([policy.prob_tables[i][policy.nbhd_rows(i, s_dec)]
+                              for i in range(policy.graph.n)])
+
+
+def global_transition_matrix(cmdp, policy) -> np.ndarray:
+    """State-action pair transition matrix under a policy.
+
+    Entry ((s', a'), (s, a)) equals P(s' | s, a) * pi(a' | s'); columns are
+    probability distributions. Pair indices are s_index * |A| + a_index.
+    Built C-ordered over ((s, a), (s', a')) and returned as its transpose.
+    """
+    S, A = cmdp.n_states, cmdp.n_actions
+    nxt = next_state_kernel(cmdp)  # (S, A, S')
+    pi = joint_action_probabilities(policy)  # (S', A')
+    return (nxt[:, :, :, None] * pi).reshape(S * A, S * A).T
+
+
+def flow_balance_residual(cmdp, policy, occ) -> float:
+    """Max-norm residual of lambda = rho_pi + gamma * P_pi lambda, for a flat
+    (|S||A|,) occupancy."""
+    P = global_transition_matrix(cmdp, policy)
+    rho = cmdp.initial_state_distribution()
+    pi = joint_action_probabilities(policy)
+    rho_pi = (rho[:, None] * pi).ravel()
+    return float(np.max(np.abs(occ - rho_pi - cmdp.gamma * (P @ occ))))
+
+
+class DenseExactSolve:
+    """``occupancy.ExactSolve`` over the dense (S, A, S') kernel: the state
+    chain M_pi(s, s') = sum_a pi(a|s) P(s'|s, a), one LU of I - gamma M_pi,
+    and Q = R + gamma * P V for any number of reward columns."""
+
+    def __init__(self, cmdp, policy):
+        self.cmdp = cmdp
+        self.nxt = next_state_kernel(cmdp)  # (S, A, S')
+        self.pi = joint_action_probabilities(policy)  # (S, A)
+        M = np.einsum("sa,sat->st", self.pi, self.nxt)
+        self.lu = scipy.linalg.lu_factor(np.eye(len(M)) - cmdp.gamma * M)
+        d = scipy.linalg.lu_solve(self.lu, cmdp.initial_state_distribution(),
+                                  trans=1)
+        lam = np.maximum(d[:, None] * self.pi, 0.0)  # clip solver noise
+        self.occupancy = lam.ravel()
+        # one axis per agent state then per agent action; sum out the rest
+        n = cmdp.n_agents
+        shaped = lam.reshape((*cmdp.local_state_sizes, *cmdp.local_action_sizes))
+        self.local_occupancies = [
+            shaped.sum(axis=tuple(k for k in range(2 * n) if k not in (i, n + i)))
+            for i in range(n)]
+
+    def q(self, rewards) -> np.ndarray:
+        """Exact Q-function(s) of a flat (|S||A|,) reward vector or an
+        (|S||A|, m) matrix of reward columns; same shape out."""
+        S, A, _ = self.nxt.shape
+        R = np.asarray(rewards, dtype=float)
+        r_pi = np.einsum("sa,sa...->s...", self.pi,
+                         R.reshape((S, A) + R.shape[1:]))
+        V = scipy.linalg.lu_solve(self.lu, r_pi)
+        return R + self.cmdp.gamma * (self.nxt.reshape(S * A, S) @ V)
+
+
+# -- dense exact gradients ----------------------------------------------------
+
+def global_shadow_rewards(solve, objectives, constraints):
+    """Lifted shadow-reward columns at the exact occupancy (f then g)."""
+    cmdp = solve.cmdp
+    cols_f, cols_g = [], []
+    for i, local in enumerate(solve.local_occupancies):
+        if objectives is None:
+            cols_f.append(lift_neighborhood_reward(cmdp, cmdp.rewards[i]))
+        else:
+            cols_f.append(lift_local_reward(
+                cmdp, i, shadow_reward(objectives[i], local)))
+        cols_g.append(lift_local_reward(
+            cmdp, i, shadow_reward(constraints[i], local)))
+    return np.column_stack(cols_f), np.column_stack(cols_g)
+
+
+def _score_accumulate(cmdp, policy, weights):
+    """Turn per-pair weights W(s, a) of every agent, (|S||A|, n), into
+    theta-shaped gradients."""
+    theta = ThetaLayout(policy)
+    rows = theta.rows(indexing.decode_table(cmdp.local_state_sizes))
+    return theta.split(theta.score_sums(
+        policy, np.repeat(rows, cmdp.n_actions, axis=0),
+        np.tile(indexing.decode_table(cmdp.local_action_sizes),
+                (cmdp.n_states, 1)), weights))
+
+
+def dense_lagrangian_gradient(cmdp, policy, objectives, constraints, mu):
+    """``primal_dual.exact_lagrangian_gradient`` over the dense solve, with
+    one Q column per shadow reward (2n columns)."""
+    mu = np.asarray(mu, dtype=float)
+    solve = DenseExactSolve(cmdp, policy)
+    rf, rg = global_shadow_rewards(solve, objectives, constraints)
+    n = cmdp.n_agents
+    q = solve.q(np.hstack([rf, rg]))
+    q_tot = (q[:, :n].sum(axis=1) + q[:, n:] @ mu) / n
+    W = solve.occupancy * q_tot
+    return _score_accumulate(cmdp, policy, np.repeat(W[:, None], n, axis=1))
+
+
+def truncate_q(cmdp, q, agent: int, kappa: int,
+               anchor=None) -> TruncatedQTable:
+    """Restrict a flat (|S||A|,) Q-function to one agent's k-hop neighborhood.
+
+    Coordinates of agents outside the neighborhood are frozen at ``anchor``
+    (a global (state tuple, action tuple) pair; all-zeros by default).
+    """
+    n = cmdp.n_agents
+    ss, aa = cmdp.local_state_sizes, cmdp.local_action_sizes
+    anchor_s, anchor_a = anchor or ((0,) * n, (0,) * n)
+    if not all(0 <= v < m for v, m in zip((*anchor_s, *anchor_a), ss + aa)):
+        raise ValueError(f"anchor {anchor} out of range")
+    nbhd, s_sizes, a_sizes = q_table_layout(cmdp, agent, kappa)
+    s_nb = indexing.decode_table(s_sizes)[:, None, :]
+    a_nb = indexing.decode_table(a_sizes)[None, :, :]
+    # one index per global axis: the neighborhood varies, the rest is fixed
+    at = {j: p for p, j in enumerate(nbhd)}
+    idx = ([s_nb[..., at[j]] if j in at else anchor_s[j] for j in range(n)]
+           + [a_nb[..., at[j]] if j in at else anchor_a[j] for j in range(n)])
+    values = np.asarray(q, dtype=np.float64).reshape(ss + aa)[tuple(idx)]
+    return TruncatedQTable(agent=agent, kappa=kappa, nbhd=nbhd,
+                           state_sizes=s_sizes, action_sizes=a_sizes,
+                           keys=np.arange(values.size, dtype=np.int64),
+                           values=values.ravel())
+
+
+def exact_truncated_pg(cmdp, policy: KHopPolicy, objectives, constraints, mu,
+                       kappa: int, anchor=None) -> list:
+    """Exact value of the kappa-truncated policy gradient estimator.
+
+    Same enumeration as ``dense_lagrangian_gradient`` but with Q-functions
+    truncated at the anchor pair and the utility sum restricted to each
+    agent's kappa-hop neighborhood.
+    """
+    n = cmdp.n_agents
+    solve = DenseExactSolve(cmdp, policy)
+    rf, rg = global_shadow_rewards(solve, objectives, constraints)
+    q = solve.q(np.hstack([rf, rg]))
+    q_f, q_g = ([truncate_q(cmdp, q[:, off + j], j, kappa, anchor=anchor)
+                 for j in range(n)] for off in (0, n))
+    S = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
+    A = indexing.decode_table(cmdp.local_action_sizes)[None, :, :]
+    weights = _neighborhood_weights(
+        RunLayout(cmdp, policy, kappa), S, A, q_f, q_g,
+        np.asarray(mu, dtype=float),
+        solve.occupancy.reshape(cmdp.n_states, cmdp.n_actions))
+    return _score_accumulate(cmdp, policy, weights.reshape(-1, n))
+
+
+# -- utilities ----------------------------------------------------------------
+
+def as_constraint(u: GeneralUtility, threshold) -> GeneralUtility:
+    """The utility ``u`` as a constraint with the given threshold."""
+    return replace(u, role=CONSTRAINT, threshold=float(threshold))
+
+
+def fd_gradient(u: GeneralUtility, occ, h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient oracle, one coordinate at a time.
+
+    Linear and l2 utilities extend smoothly to negative entries so plain
+    central differences apply everywhere; the entropy marginal must stay
+    nonnegative, so its minus side is clamped at zero with the denominator
+    shortened to match.
+    """
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    grad = np.zeros_like(occ)
+    clamp = u.kind == ENTROPY
+    for idx in np.ndindex(occ.shape):
+        plus = occ.copy()
+        plus[idx] += h
+        minus = occ.copy()
+        if clamp:
+            minus[idx] = max(minus[idx] - h, 0.0)
+        else:
+            minus[idx] -= h
+        lo = occ[idx] - minus[idx]
+        grad[idx] = (_raw_value(u, plus) - _raw_value(u, minus)) / (h + lo)
+    return grad
+
+
+# -- policy truncation ----------------------------------------------------------
+
+def induced_khop_policy(policy: KHopPolicy, kappa: int, anchor_state) -> KHopPolicy:
+    """Restrict a wider policy to radius ``kappa`` by freezing distant states.
+
+    Each agent's new table reads only the states within distance kappa; the
+    states of the remaining agents in its original neighborhood are fixed at
+    ``anchor_state``.
+    """
+    if kappa > policy.kappa:
+        raise ValueError("induced policy must have a smaller or equal radius")
+    new = KHopPolicy.zeros(policy.graph, policy.state_sizes, policy.action_sizes,
+                           kappa, policy.theta_bound)
+    anchor = np.asarray(anchor_state, dtype=np.int64)
+    if np.any(anchor < 0) or np.any(anchor >= policy.state_sizes):
+        raise ValueError(f"anchor state {tuple(anchor_state)} out of range")
+    tables = []
+    for i in range(policy.graph.n):
+        # the new neighborhood enumerated, every other agent at the anchor
+        s = np.tile(anchor, (new.n_nbhd_states(i), 1))
+        s[:, list(new.neighborhood(i))] = indexing.decode_table(
+            new.nbhd_state_sizes(i))
+        tables.append(policy.theta[i][policy.nbhd_rows(i, s)])
+    return new.with_theta(tables)
+
+
+def policy_state_sensitivity(policy: KHopPolicy, kappa: int) -> float:
+    """Largest L1 change of any local policy when states outside the
+    distance-``kappa`` ball vary (brute force over neighborhood states)."""
+    worst = 0.0
+    for i in range(policy.graph.n):
+        inner = set(khop_neighborhood(policy.graph, i, kappa))
+        outer = [p for p, j in enumerate(policy.neighborhood(i)) if j not in inner]
+        worst = max(worst, indexing.max_pairwise_l1(
+            policy.prob_tables[i], policy.nbhd_state_sizes(i), outer))
+    return worst

@@ -12,14 +12,12 @@ from functools import lru_cache
 import numpy as np
 
 from pdmarl.graph import line_graph
-from pdmarl.policy import (KHopPolicy, induced_khop_policy,
-                           policy_state_sensitivity)
+from pdmarl.policy import KHopPolicy
 from pdmarl.layout import RunLayout
 from pdmarl.occupancy import ExactSolve, estimate_local_occupancies
-from pdmarl.critic import (default_td_config, lift_neighborhood_reward,
-                           truncate_q)
+from pdmarl.critic import default_td_config, lift_neighborhood_reward
 from pdmarl.primal_dual import (StepSizes, TrainConfig,
-                                exact_lagrangian_gradient, exact_truncated_pg,
+                                exact_lagrangian_gradient,
                                 fd_lagrangian_gradient, fosp_metrics,
                                 max_linear_over_box_ball, train)
 from pdmarl.cli import run_experiment
@@ -27,6 +25,8 @@ from pdmarl.config import parse_config_dict
 
 from helpers import (chain, entropy_constraints, flat, rng_for, sample_batch,
                      single_cell_mdp, td_tables, uniform_policy)
+from oracles import (exact_truncated_pg, induced_khop_policy,
+                     policy_state_sensitivity, truncate_q)
 
 
 def check(num, desc, ok, detail=""):

@@ -19,6 +19,8 @@ from pdmarl.policy import load_policy
 from pdmarl.primal_dual import IterationRecord
 from pdmarl.utilities import CONSTRAINT, ENTROPY
 
+from helpers import oracle_rows, oracle_values_close
+
 
 BASE_YAML = """\
 schema_version: 1
@@ -210,7 +212,8 @@ class TestRunArtifacts:
         assert load_config(out / "config.yaml").raw == cfg.raw
 
     @pytest.mark.parametrize("n, status", [
-        (10, "skipped: |S||A| = 1048576 exceeds the enumeration cap 4096"),
+        (11, "skipped: |S| = 2048 exceeds the enumeration cap 1024"),
+        (10, "every 1"),
         (4, "every 1"),
     ])
     def test_manifest_says_why_oracle_columns_are_blank(self, tmp_path, n,
@@ -220,6 +223,26 @@ class TestRunArtifacts:
         assert run_experiment(cfg, tmp_path)["oracle"] == status
         assert json.loads((tmp_path / "manifest.json").read_text())[
             "oracle"] == status
+
+    def test_oracle_fires_on_the_ten_agent_line(self, tmp_path):
+        # the headline line: 1024 states, 1048576 pairs
+        cfg = base_cfg(iterations=1, oracle_every=1, gamma=0.99,
+                       env={"name": "synthetic_line", "n": 10})
+        manifest = run_experiment(cfg, tmp_path)
+        assert manifest["oracle"] == "every 1"
+        row = read_csv(tmp_path / "metrics.csv")[1]
+        X, Y, E = map(float, row[-3:])
+        assert np.isfinite([X, Y, E]).all()
+        assert E == pytest.approx(X * X + Y * Y)
+        [timing] = read_csv(tmp_path / "timings.csv")[1:]
+        assert float(timing[-1]) < 1000.0  # oracle_ms of the one firing
+
+    def test_oracle_status_on_the_side_three_grid(self, tmp_path):
+        # 512 states, 3317760 pairs: within both caps
+        cfg = base_cfg(iterations=0, oracle_every=5,
+                       env={"name": "wireless_grid", "side": 3,
+                            "deadline": 1})
+        assert run_experiment(cfg, tmp_path)["oracle"] == "every 5"
 
     def test_zero_iterations_header_only(self, tmp_path):
         manifest = run_experiment(base_cfg(iterations=0), tmp_path)
@@ -384,6 +407,21 @@ class TestMainEntryPoint:
         ({"seed: 7": "seed: 7\ntheta_bar: -1.0"}, "theta_bar must be positive"),
         ({"seed: 7": "seed: 7\neta_mu_schedule: x"},
          "eta_mu_schedule must be 'constant' or 't_one_third', got 'x'"),
+        ({"name: synthetic_line": "name: [1]"},
+         "env.name must be one of ['synthetic_line', 'wireless_grid'], "
+         "got [1]"),
+        ({"name: synthetic_line": "name: {}"},
+         "env.name must be one of ['synthetic_line', 'wireless_grid'], "
+         "got {}"),
+        # a user's kernel reads its 2^deadline queues times its actions
+        ({"  name: synthetic_line\n  n: 3":
+          "  name: wireless_grid\n  side: 2\n  deadline: 18"},
+         "env.deadline 18 gives kernels of 524288 dependency cells, above "
+         "the cap of 200000"),
+        ({"  name: synthetic_line\n  n: 3":
+          "  name: wireless_grid\n  side: 2\n  deadline: 107"},
+         "env.deadline 107 gives kernels of " + str(2 ** 108)
+         + " dependency cells"),
     ], ids=["td_steps_0", "td_h_negative", "line_n_1", "grid_side_1",
             "grid_p_short", "grid_p_not_number", "grid_q_table_over_cap",
             "seed_negative", "env_seed_negative", "threshold_nan",
@@ -392,7 +430,8 @@ class TestMainEntryPoint:
             "gamma_one", "kappa_negative", "oracle_every_negative",
             "iterations_negative", "horizon_0", "batch_size_0", "eta_theta_0",
             "eta_mu_negative", "mu_bar_0", "theta_bar_negative",
-            "eta_mu_schedule_unknown"])
+            "eta_mu_schedule_unknown", "env_name_list", "env_name_mapping",
+            "grid_deadline_18", "grid_deadline_107"])
     def test_bad_env_or_td_exit_one(self, tmp_path, capsys, edits, reason):
         text = BASE_YAML
         for old, new in edits.items():
@@ -552,14 +591,22 @@ class TestMainEntryPoint:
 
 
 # SHA-256 of (metrics.csv, policy.csv) for wireless_grid side 2 with the env
-# reward as the objective, recorded when the rewards were dense tables.
+# reward as the objective, recorded when the rewards were dense tables; the
+# oracle case's metrics were re-recorded when the exact solve took product
+# form, and its X, Y, E match the dense solve's values before that.
 WIRELESS_ENV_REWARD_SHA = {
     "deadline2": (
         "a80a246c2dd7cbd224af4bf250b06339d9a192e540d165bda209883bd2f7db55",
         "010447df9c09f7366d0ad0c5fcc4804ce32aa295971b199bb870551e26d0b249"),
     "deadline1_oracle2": (
-        "2e2b1c4bdfc6f76f2bfa09ba3335f5a2ade8c140357cc89534c7619208b5ff18",
+        "d47e3c1cd32435edd9896f74cc8c6b3fb07fcd928ca04bf45ab36960c399aee7",
         "3c4408a252f8dfeb52f435b1fc69704e74c234615524978d3dff52e359e8e170"),
+}
+WIRELESS_ENV_REWARD_XYE = {
+    "deadline2": (),
+    "deadline1_oracle2": (
+        (0, 0.12388043747093958, 0.0, 0.01534636278799137),
+        (2, 0.12390806999990797, 0.0, 0.015353209811102093)),
 }
 
 
@@ -580,6 +627,8 @@ class TestWirelessEnvReward:
                                   tmp_path)
         assert ((manifest["metrics_sha256"], manifest["policy_sha256"])
                 == WIRELESS_ENV_REWARD_SHA[case])
+        assert oracle_values_close(oracle_rows(tmp_path / "metrics.csv"),
+                                   WIRELESS_ENV_REWARD_XYE[case])
 
     @pytest.mark.parametrize("env, kappa", [
         ("  side: 3\n  deadline: 1", 1), ("  side: 4\n  deadline: 2", 0),

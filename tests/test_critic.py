@@ -4,12 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pdmarl.model import (LocalReward, compute_decay_matrix,
-                          global_transition_matrix)
+from pdmarl.model import LocalReward, compute_decay_matrix
 from pdmarl.policy import KHopPolicy
 from pdmarl.critic import (TDConfig, default_td_config, lift_local_reward,
-                           lift_neighborhood_reward, td_draws, td_fit,
-                           truncate_q)
+                           lift_neighborhood_reward, td_draws, td_fit)
 from pdmarl.layout import (MAX_Q_CELLS, RunLayout, q_table_layout,
                            q_table_layouts)
 from pdmarl.envs import WirelessGridSpec, wireless_grid
@@ -20,6 +18,7 @@ from pdmarl import indexing
 
 from helpers import (chain, rng_for, single_cell_mdp, td_tables,
                      uniform_policy)
+from oracles import global_transition_matrix, truncate_q
 
 
 def env_reward_columns(cmdp):
@@ -81,9 +80,9 @@ class TestTDEvaluate:
         cfg = default_td_config(0.9, steps=100_000)
         q = td_tables(m, pol, [m.rewards[0], m.rewards[1]], 1, cfg,
                       rng_for(3))
-        q_exact = ExactSolve(m, pol).q(cols)
+        solve = ExactSolve(m, pol)
         for i in range(2):
-            exact = truncate_q(m, q_exact[:, i], i, 1)
+            exact = truncate_q(m, solve.q(cols[:, i]), i, 1)
             err = np.max(np.abs(q[i].table - exact.table))
             r_inf = np.max(np.abs(cols[:, i]))
             assert err < 0.1 * r_inf / (1.0 - m.gamma)

@@ -4,13 +4,14 @@ import pytest
 from pdmarl import indexing
 from pdmarl.graph import DependenceGraph, khop_neighborhood, line_graph
 from pdmarl.model import (FactoredCMDP, TransitionKernel, LocalReward,
-                          EnumerationCapExceeded, compute_decay_matrix,
-                          global_transition_matrix)
+                          EnumerationCapExceeded, compute_decay_matrix)
+from pdmarl.occupancy import ExactSolve
 from pdmarl.policy import KHopPolicy
 from pdmarl.sampling import Simulator
 from pdmarl.envs import WirelessGridSpec, wireless_grid
 
 from helpers import chain, uniform_policy
+from oracles import global_transition_matrix
 
 
 def lookup(f, s, a):
@@ -121,6 +122,19 @@ class TestKernels:
             TransitionKernel.from_function(lambda S, A: out, 1, (1,), (1,),
                                            (2, 2), (2, 2))
 
+    @pytest.mark.parametrize("action_deps", [(0,), (0, 1), (1, 2)])
+    def test_kernel_reads_only_its_own_action(self, action_deps):
+        sizes = (2, 2, 2)
+        with pytest.raises(ValueError, match=r"kernel of agent 1 reads the "
+                           r"actions of agents .*; it may read only its own"):
+            TransitionKernel.from_function(lambda S, A: (0.5, 0.5), 1, (1,),
+                                           action_deps, sizes, sizes)
+        dep_sizes = (2,) * (1 + len(action_deps))
+        with pytest.raises(ValueError, match="kernel of agent 1 reads the "
+                           "actions of agents"):
+            TransitionKernel(1, (1,), action_deps, dep_sizes,
+                             np.full((2 ** len(dep_sizes), 2), 0.5))
+
     def test_non_distribution_rejected(self):
         with pytest.raises(ValueError):
             TransitionKernel.from_function(
@@ -206,17 +220,14 @@ class TestGlobalTransitionMatrix:
             kernels = []
             for i in range(n):
                 deps = tuple(sorted({i} | set(g.neighbors(i))))
-                rows = 1
+                rows = aa[i]
                 for j in deps:
                     rows *= ss[j]
-                for j in deps:
-                    rows *= aa[j]
                 table = rng.random((rows, ss[i])) + 0.05
                 table /= table.sum(axis=1, keepdims=True)
-                kernels.append(TransitionKernel(i, deps, deps,
+                kernels.append(TransitionKernel(i, deps, (i,),
                                                 tuple(ss[j] for j in deps)
-                                                + tuple(aa[j] for j in deps),
-                                                table))
+                                                + (aa[i],), table))
             rewards = tuple(
                 LocalReward.from_function(lambda cs, ca: 0.0, i, (i,), (),
                                           ss, aa)
@@ -262,9 +273,26 @@ class TestGlobalTransitionMatrix:
         assert nonzero >= 30
 
     def test_enumeration_cap(self):
-        m = chain(7)  # 4^7 = 16384 pairs > 4096
-        with pytest.raises(EnumerationCapExceeded):
-            global_transition_matrix(m, uniform_policy(m))
+        # 2^10 = 1024 states solve; 2^11 = 2048 exceed the cap
+        assert ExactSolve(chain(10), uniform_policy(chain(10))).d.shape == (
+            1024,)
+        m = chain(11)
+        with pytest.raises(EnumerationCapExceeded, match=r"\|S\| = 2048 "
+                           r"exceeds the enumeration cap 1024"):
+            ExactSolve(m, uniform_policy(m))
+        # 2 states, 2^23 actions: the pairs exceed their cap of 2^22
+        wide = DependenceGraph(1, frozenset())
+        kern = TransitionKernel.from_function(lambda S, A: (0.5, 0.5), 0,
+                                              (0,), (), (2,), (2 ** 23,))
+        rew = LocalReward.from_function(lambda S, A: 0.0, 0, (0,), (), (2,),
+                                        (2 ** 23,))
+        m = FactoredCMDP(graph=wide, local_state_sizes=(2,),
+                         local_action_sizes=(2 ** 23,), kernels=(kern,),
+                         rewards=(rew,), initial_dist=(np.array([1.0, 0.0]),),
+                         gamma=0.9)
+        with pytest.raises(EnumerationCapExceeded, match=r"\|S\|\|A\| = "
+                           r"16777216 exceeds the enumeration cap 4194304"):
+            m.check_enumeration_cap()
 
 
 class TestDecayMatrix:

@@ -1,5 +1,6 @@
-"""Every module uses the names it imports, and the package or the benchmark
-names every definition of ``src/pdmarl`` (package ``__init__`` aside)."""
+"""Every module uses the names it imports, the package or the benchmark
+names every definition of ``src/pdmarl`` (package ``__init__`` aside), and
+a test names every reference oracle of ``tests/oracles.py``."""
 
 import ast
 from pathlib import Path
@@ -9,16 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted(p for p in (ROOT / "src" / "pdmarl").glob("*.py")
              if p.name != "__init__.py")
-FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
-
-# Reference oracles that only the tests call, each checking a library path.
-TEST_ORACLES = {
-    "exact_truncated_pg": "exact value of the sampled truncated gradient",
-    "fd_gradient": "finite differences of a utility's shadow reward",
-    "induced_khop_policy": "narrower policy of the policy-truncation bound",
-    "policy_state_sensitivity": "measured constants of that bound",
-    "GeneralUtility.as_constraint": "constraint utilities built by the tests",
-}
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+FILES = SRC + TESTS
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def unused_imports(source):
@@ -83,7 +77,12 @@ def test_scanner_flags_an_unreferenced_definition():
 def test_every_definition_has_a_caller():
     sources = {p: p.read_text() for p in SRC}
     bench = {p: p.read_text() for p in (ROOT / "perfbench").glob("*.py")}
-    assert unreferenced(sources, {**sources, **bench}) == sorted(TEST_ORACLES)
+    assert unreferenced(sources, {**sources, **bench}) == []
+
+
+def test_every_reference_oracle_has_a_test():
+    tests = {p: p.read_text() for p in TESTS}
+    assert unreferenced({ORACLES: tests[ORACLES]}, tests) == []
 
 
 @pytest.mark.parametrize("path", FILES,

@@ -17,6 +17,7 @@ from pdmarl.primal_dual import StepSizes, TrainConfig, train
 from pdmarl.utilities import ENTROPY, GeneralUtility
 
 from helpers import PairLayout, rng_for
+from oracles import as_constraint
 
 
 def random_batch(rng, B, H, state_sizes, action_sizes):
@@ -194,7 +195,7 @@ def counted_train(monkeypatch, iterations):
                       batch_size=3, steps=StepSizes(eta_theta=0.05,
                                                     eta_mu=10.0),
                       td=TDConfig(steps=40, h=20.0, k1=40.0))
-    train(cmdp, None, [base.as_constraint(0.25)] * 6, cfg, seed=1)
+    train(cmdp, None, [as_constraint(base, 0.25)] * 6, cfg, seed=1)
     monkeypatch.undo()
     return counts
 

@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 
 from pdmarl.graph import DependenceGraph
-from pdmarl.model import (FactoredCMDP, TransitionKernel, LocalReward,
-                          global_transition_matrix)
+from pdmarl.model import FactoredCMDP, TransitionKernel, LocalReward
 from pdmarl.policy import KHopPolicy
 from pdmarl.occupancy import (ExactSolve, estimate_local_occupancies,
-                              flow_balance_residual, state_marginal)
+                              state_marginal)
 from pdmarl.critic import lift_neighborhood_reward
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
+from pdmarl.primal_dual import exact_dual_gradient, exact_lagrangian_gradient
+from pdmarl.utilities import ENTROPY, GeneralUtility
 
-from helpers import (PairLayout, chain, rng_for, sample_batch,
-                     single_cell_mdp, uniform_policy)
+from helpers import (PairLayout, chain, entropy_constraints, flat, rng_for,
+                     sample_batch, single_cell_mdp, uniform_policy)
+from oracles import (DenseExactSolve, dense_lagrangian_gradient,
+                     flow_balance_residual, global_shadow_rewards,
+                     global_transition_matrix, joint_action_probabilities)
 
 
 def local_occupancy(S, A, agent, gamma, state_size, action_size):
@@ -105,7 +109,7 @@ class TestExactOccupancy:
         occ = ExactSolve(m, pol).occupancy
         P = global_transition_matrix(m, pol)
         rho = m.initial_state_distribution()
-        pi = pol.joint_action_probabilities()
+        pi = joint_action_probabilities(pol)
         vec = (rho[:, None] * pi).ravel()
         total = np.zeros_like(vec)
         for _ in range(500):
@@ -178,12 +182,17 @@ class TestConvergence:
         assert errs[0] > errs[1] > errs[2]
 
 
+def close(new, ref):
+    """Agreement to 1e-12 of the reference's largest entry."""
+    return np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def pair_level_reference(cmdp, policy, rewards):
     """Occupancy and Q by dense solves over all (s, a) pairs."""
     P = global_transition_matrix(cmdp, policy)
     eye = np.eye(cmdp.n_pairs)
     rho_pi = (cmdp.initial_state_distribution()[:, None]
-              * policy.joint_action_probabilities()).ravel()
+              * joint_action_probabilities(policy)).ravel()
     lam = np.maximum(np.linalg.solve(eye - cmdp.gamma * P, rho_pi), 0.0)
     return lam, np.linalg.solve(eye - cmdp.gamma * P.T, rewards)
 
@@ -208,37 +217,71 @@ class TestStateChainSolve:
             # logits at +-theta_bar: action probabilities near e^-100
             pol = pol.with_theta([pol.theta_bound * np.sign(t)
                                   for t in pol.theta])
-            assert pol.joint_action_probabilities().min() < 1e-40
+            assert joint_action_probabilities(pol).min() < 1e-40
         rewards = np.column_stack(
             [lift_neighborhood_reward(m, r) for r in m.rewards]
             + [rng.normal(size=m.n_pairs)])
         lam_ref, q_ref = pair_level_reference(m, pol, rewards)
-
-        def close(new, ref):
-            return np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
-
         solve = ExactSolve(m, pol)
         assert close(solve.occupancy, lam_ref)
-        assert close(solve.q(rewards), q_ref)
-        assert close(solve.q(rewards[:, -1]), q_ref[:, -1])
+        for j in range(rewards.shape[1]):
+            assert close(solve.q(rewards[:, j]), q_ref[:, j])
 
-    def test_next_state_kernel_tabulated_once_per_model(self, monkeypatch):
-        m = chain(4)
-        lookups = []
-        row_indices = TransitionKernel.row_indices
 
-        def counted(self, S, A):
-            lookups.append(self.agent)
-            return row_indices(self, S, A)
+def random_or_boundary_policy(m, kappa, theta, seed):
+    pol = KHopPolicy.random(m.graph, m.local_state_sizes,
+                            m.local_action_sizes, kappa, rng_for(seed),
+                            scale=1.0)
+    if theta == "boundary":
+        # logits at +-theta_bar: action probabilities near e^-100
+        pol = pol.with_theta([pol.theta_bound * np.sign(t)
+                              for t in pol.theta])
+    return pol
 
-        monkeypatch.setattr(TransitionKernel, "row_indices", counted)
-        rng = np.random.default_rng(np.random.SeedSequence(3))
-        first, second = (ExactSolve(m, KHopPolicy.random(
-            m.graph, m.local_state_sizes, m.local_action_sizes, 1, rng))
-            for _ in range(2))
-        assert lookups == [0, 1, 2, 3]  # one tabulation, read by both
-        assert second.nxt is first.nxt is m.next_state_kernel
-        assert not m.next_state_kernel.flags.writeable
-        # the pair-level reference reads the same array
-        global_transition_matrix(m, uniform_policy(m))
-        assert lookups == [0, 1, 2, 3]
+
+class TestProductForm:
+    """``ExactSolve`` in product form against the dense (S, A, S') solve."""
+
+    @pytest.mark.parametrize("env, kappa", [
+        ("line4", 1), ("line4", 2), ("line5", 1), ("line5", 2), ("line6", 1),
+        ("line6", 2), ("wireless2", 1), ("wireless2", 2)])
+    @pytest.mark.parametrize("theta", ["random", "boundary"])
+    def test_matches_dense_solve(self, env, kappa, theta):
+        if env.startswith("line"):
+            m = synthetic_line(SyntheticLineSpec(n=int(env[4:]), gamma=0.99))
+        else:
+            m = wireless_grid(WirelessGridSpec(side=2, deadline=1, gamma=0.95))
+        pol = random_or_boundary_policy(m, kappa, theta, 17 + kappa)
+        solve, dense = ExactSolve(m, pol), DenseExactSolve(m, pol)
+        assert close(solve.occupancy, dense.occupancy)
+        for new, ref in zip(solve.local_occupancies, dense.local_occupancies):
+            assert close(new, ref)
+        rewards = [lift_neighborhood_reward(m, r) for r in m.rewards]
+        rewards.append(rng_for(kappa).normal(size=m.n_pairs))
+        for r in rewards:
+            assert close(solve.q(r), dense.q(r))
+        cons = entropy_constraints(m, 0.2)
+        mu = np.linspace(0.1, 2.0, m.n_agents)
+        assert close(flat(exact_lagrangian_gradient(m, pol, None, cons, mu)),
+                     flat(dense_lagrangian_gradient(m, pol, None, cons, mu)))
+        # an entropy objective's gradient is a small difference of large
+        # terms (rounding noise on the grid), so its error is measured
+        # against the terms: each entry sums W = lambda * Q times a score
+        # in [-1, 1]
+        objs = [GeneralUtility(kind=ENTROPY, gamma=m.gamma)] * m.n_agents
+        rf, rg = global_shadow_rewards(dense, objs, cons)
+        W = dense.occupancy * dense.q((rf.sum(axis=1) + rg @ mu) / m.n_agents)
+        err = (flat(exact_lagrangian_gradient(m, pol, objs, cons, mu))
+               - flat(dense_lagrangian_gradient(m, pol, objs, cons, mu)))
+        assert np.max(np.abs(err)) <= 1e-12 * np.abs(W).sum()
+        assert close(exact_dual_gradient(m, pol, cons),
+                     exact_dual_gradient(m, pol, cons, solve=dense))
+
+    def test_chain_and_flow_balance(self):
+        m = chain(4, gamma=0.9)
+        solve = ExactSolve(m, random_or_boundary_policy(m, 1, "random", 3))
+        M, d = solve.chain, solve.d
+        np.testing.assert_allclose(M.sum(axis=1), 1.0, atol=1e-13)
+        assert d.sum() == pytest.approx(10.0, rel=1e-12)
+        np.testing.assert_allclose(
+            d, m.initial_state_distribution() + m.gamma * M.T @ d, atol=1e-12)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from pdmarl.graph import line_graph
-from pdmarl.policy import (KHopPolicy, _softmax_rows, induced_khop_policy,
-                           load_policy, policy_state_sensitivity, save_policy)
+from pdmarl.policy import KHopPolicy, _softmax_rows, load_policy, save_policy
 from pdmarl.layout import ThetaLayout
 from pdmarl.sampling import InverseCdf
+
+from oracles import (induced_khop_policy, joint_action_probabilities,
+                     policy_state_sensitivity)
 
 
 def random_policy(n=3, kappa=1, seed=0, scale=1.0, sizes=2, asizes=2):
@@ -78,7 +80,7 @@ class TestDistributions:
 
     def test_joint_table_consistent_with_factors(self):
         pol = random_policy(n=2, kappa=1, seed=7)
-        joint = pol.joint_action_probabilities()
+        joint = joint_action_probabilities(pol)
         np.testing.assert_allclose(joint.sum(axis=1), 1.0, atol=1e-12)
         # spot-check one entry: s = (1, 0), a = (0, 1)
         want = (probs_at(pol, 0, (1, 0))[0]

@@ -4,20 +4,21 @@ import pytest
 from pdmarl.graph import DependenceGraph, line_graph
 from pdmarl.model import FactoredCMDP, TransitionKernel, LocalReward
 from pdmarl.policy import KHopPolicy
-from pdmarl.critic import (TDConfig, TruncatedQTable, lift_neighborhood_reward,
-                           truncate_q)
+from pdmarl.critic import TDConfig, TruncatedQTable, lift_neighborhood_reward
 from pdmarl.occupancy import ExactSolve
 from pdmarl.utilities import LINEAR, GeneralUtility
 from pdmarl.layout import RunLayout, ThetaLayout
 from pdmarl.primal_dual import (DualVariable, StepSizes, TrainConfig,
                                 dual_update, exact_dual_gradient,
-                                exact_lagrangian_gradient, exact_truncated_pg,
+                                exact_lagrangian_gradient,
                                 fd_lagrangian_gradient, fosp_metrics,
                                 max_linear_over_box_ball, policy_ascent,
                                 train, truncated_pg_estimate)
 
 from helpers import (chain, entropy_constraints, flat, rng_for, sample_batch,
                      uniform_policy)
+from oracles import (as_constraint, exact_truncated_pg, global_shadow_rewards,
+                     truncate_q)
 
 
 def two_state_single_agent(gamma=0.9):
@@ -142,12 +143,10 @@ class TestTruncatedPGEstimate:
         mu = DualVariable(mu=mu_vec, mu_bar=10.0)
         exact = flat(exact_lagrangian_gradient(m, pol, None, cons, mu_vec))
 
-        from pdmarl.primal_dual import _global_shadow_rewards
         solve = ExactSolve(m, pol)
-        rf, rg = _global_shadow_rewards(solve, None, cons)
-        q = solve.q(np.hstack([rf, rg]))
-        q_f = [truncate_q(m, q[:, j], j, 1) for j in range(2)]
-        q_g = [truncate_q(m, q[:, 2 + j], j, 1) for j in range(2)]
+        rf, rg = global_shadow_rewards(solve, None, cons)
+        q_f = [truncate_q(m, solve.q(rf[:, j]), j, 1) for j in range(2)]
+        q_g = [truncate_q(m, solve.q(rg[:, j]), j, 1) for j in range(2)]
 
         B = 40_000
         S, A = sample_batch(m, pol, B, 200, rng_for(7))
@@ -186,7 +185,8 @@ class TestExactOracles:
         factored = self.count_factorizations(monkeypatch)
         m = chain(4)
         cons = entropy_constraints(m, 0.2)
-        # one LU of the state chain serves the occupancy and all 2n Q columns
+        # one LU of the state chain serves the occupancy and every Q column:
+        # the dense reference's 2n, the Lagrangian gradient's one
         exact_truncated_pg(m, uniform_policy(m), None, cons, np.ones(4),
                            kappa=1)
         assert len(factored) == 1
@@ -210,7 +210,7 @@ class TestExactOracles:
         pol = uniform_policy(m)
         zero = GeneralUtility(kind=LINEAR, reward=np.zeros((2, 2)))
         objs = [zero, zero]
-        cons = [zero.as_constraint(0.0)] * 2
+        cons = [as_constraint(zero, 0.0)] * 2
         for kappa in (0, 1):
             g = flat(exact_truncated_pg(m, pol, objs, cons,
                                         np.ones(2), kappa=kappa))
@@ -399,7 +399,8 @@ class TestTrain:
                 assert r.X is None
 
     @pytest.mark.parametrize("n, every, status", [
-        (10, 1, "skipped: |S||A| = 1048576 exceeds the enumeration cap 4096"),
+        (11, 1, "skipped: |S| = 2048 exceeds the enumeration cap 1024"),
+        (10, 1, "every 1"),
         (4, 1, "every 1"),
         (3, 0, "off"),
     ])

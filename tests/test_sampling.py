@@ -23,6 +23,7 @@ from pdmarl.sampling import InverseCdf, Simulator
 from pdmarl.utilities import ENTROPY, GeneralUtility
 
 from helpers import sample_batch, td_tables
+from oracles import as_constraint
 
 
 def rng_for(seed, purpose=0):
@@ -240,7 +241,7 @@ def train_setup(env, kappa, horizon, steps):
     cmdp, _ = build(env, kappa, 0)
     base = GeneralUtility(kind=ENTROPY, gamma=cmdp.gamma)
     objectives = None if env == "line4" else [base] * cmdp.n_agents
-    constraints = [base.as_constraint(0.25)] * cmdp.n_agents
+    constraints = [as_constraint(base, 0.25)] * cmdp.n_agents
     cfg = TrainConfig(kappa=kappa, iterations=2, horizon=horizon, batch_size=3,
                       steps=StepSizes(eta_theta=0.05, eta_mu=10.0),
                       td=TDConfig(steps=steps, h=20.0, k1=40.0))

@@ -4,13 +4,19 @@ Each golden is the SHA-256 of ``metrics.csv`` and ``policy.csv`` written by
 ``run_experiment`` on a small config at one seed. They were recorded from
 the trainer whose per-agent loops the stacked array ops replaced, so any
 change to the draw order, the float expression order of the occupancy,
-TD or score sums, or the policy update shows up here.
+TD or score sums, or the policy update shows up here. The exact-oracle
+columns X, Y and E of the configs with ``oracle_every`` were re-recorded
+when the exact solve took product form; ``PARENT_XYE`` holds their values
+from before, which the new ones match to the relative tolerance 1e-9
+(absolute 1e-12) of the benchmark's gate.
 """
 
 import pytest
 
 from pdmarl.cli import run_experiment
 from pdmarl.config import parse_config_dict
+
+from helpers import oracle_rows, oracle_values_close
 
 _COMMON = {
     "schema_version": 1,
@@ -58,40 +64,40 @@ CONFIGS = {
 # (config, seed) -> (metrics.csv SHA-256, policy.csv SHA-256)
 GOLDEN = {
     ("line6_k0", 1): (
-        "c3de2a2fc3d1e7e38519491eb3ca48731d314f319ad50bf8e8ba8bc5fd70e403",
+        "eff7c371e334fee19f90c42821654e998723bfb58cdef816ee3bc06e926cbe04",
         "fff8a393369df6fbdb0bb334201158623ffef2eb93a5db1ba231f2105ca9b288"),
     ("line6_k0", 3): (
-        "68ba5daea44dfd4e2d69ba756bcdd858f7acdc825f34e5942f8dd0b5440acde0",
+        "1d21c6b90ce0621c13010d59cb9fe0fd9e55c7b3b697f63b0d74c7204682512a",
         "4a2311c6f8ace67c5de02dd88af845a856b5e367e4e307856401d17714c019bf"),
     ("line6_k1", 1): (
-        "b6dd76e753024e98d289c8c78fe8d4344e4f45ec7ba1cbe0f30a56c82f7a7184",
+        "780f546aa2c7369bc86a9b8d256deebb93a04025d0f1bb270b1b7ec05eebd30c",
         "c91ba8655bcf14900c0395446383e0f292608b937082360086c9431f397a3b69"),
     ("line6_k1", 3): (
-        "742abcdc67e041aa6b89a13909496330713e4eec6f47a0becf62b1267d1f0b13",
+        "85ea1b9177f9751040250167199e2c5a18bd6fc17138edf82f60185846a59e32",
         "eab70178d124b0645b3347cbcc04dbb840d83492aac06426143658022333955a"),
     ("line6_k2", 1): (
-        "cd3719869b897d238098cd96513fff75b882b2c3b4d4147085b6a1807015c96d",
+        "957ca8e647478c5943169e4dc928f70ef442fa262fc27d32f59b18a2e33b3052",
         "a08a0b230e2f9129d358af0a5233bcfdb58e26e27d9c37e1b997cd41f6665019"),
     ("line6_k2", 3): (
-        "7a4086cd1a64bd4d799740a0945e7c6ad6fa10af19e2a0144a6c4f5adaa25365",
+        "09ea515d44e04f9cc92e9404558ed84b4630bece5adb1e2b1d470c9c3bf0aa87",
         "dcf515424387987aee7e2a828efb0fe822d2d90e105dddfc6b7b164bb69b4e9c"),
     ("line6_l2", 1): (
-        "891b4e1664c10c6db7eb391d1eb06a174392b29e2c5f85def81e04b8a4d130c1",
+        "288f9bf1d95ec17f14103e22c80c22e511c691fa42e80d2a22b6fe1362048bf0",
         "23e4f5730867c9c7a6645ad34a0f6262b565512578cff5ac1f33a508b39033d2"),
     ("line6_l2", 3): (
-        "9be7db8f58c926d6ce5087bc3a16e74bd824badc3fdb6fb8cc80ce354cec26cc",
+        "86a6f674e519a7200215a8ea8a5e7539466f23e621e447c8e602cade42959041",
         "ec53d6588edcd128970d649d0cf324e60623f51863dce01e8303e736c25508db"),
     ("grid2_env", 1): (
-        "dffecd741b8b9e22510a5451afc9ac5fa3c56b57e0173b96b8a32d3397f87df3",
+        "9a024ee1e3cb84818c5d2ae99426b698fad3479eff29a088a4062512e4d46f2b",
         "1ebb6db7fc04d265e987339642baade3742255e87734896b025aca072917f56d"),
     ("grid2_env", 3): (
-        "a9da3b3b232cb5254559dafccc3c09791d3b09e4267719822e4e2f5c9a020d1c",
+        "e882e9435b5a3c517e4d77d0795a55b23b2d535f8f2a7c290ca5236049b4442f",
         "b652f81724f80192e9397c9a9877b1c9a2b077968454c9b795427cdda6e9dfac"),
     ("grid2_entropy", 1): (
-        "fce2d89cbae96c66b828f1543340c373e59a0f09c8324d9185d8206ba91690e0",
+        "1e3b700c7a9ae04325888b3ae735faea2ae7ef6e71f1732b48993ecd8e16d55a",
         "bd4ba8a213525a700e9b840087067d8b97ab016ef5a0456685c8de778e8d7c9f"),
     ("grid2_entropy", 3): (
-        "53cea2e13708887d04930bcbe372194b4f9f14dba8cd3dbdda732a27c43c7300",
+        "9c9fd7de4049e5ad429ab889225f4eb47039bcf13318f99073eaf3b9e37cb951",
         "a4aca9a89ebe7212b306487bebbc5211d6b485ed7c110e7c49dc22d8256502fb"),
     ("grid2_d2_k0", 1): (
         "10eac986f1ef98d37b030e9b4b643e36427962fd05c0fac8e99d25e76f5322a3",
@@ -119,6 +125,60 @@ GOLDEN = {
         "cda3fec05b9eeefb1e1fed00ea8a27d1ba9c3d4168ead86138502b0519881508"),
 }
 
+# (config, seed) -> (t, X, Y, E) of every oracle row, as the dense exact
+# solve over the (S, A, S') kernel with one Q column per shadow reward
+# wrote them before the solve took product form
+PARENT_XYE = {
+    ("grid2_entropy", 1): (
+        (0, 2.6614977616853733e-15, 0.0, 7.083570335456252e-30),
+        (2, 2.3639539603456755e-15, 0.0, 5.5882783266340036e-30),
+    ),
+    ("grid2_entropy", 3): (
+        (0, 3.258651153678998e-15, 0.0, 1.0618807341373465e-29),
+        (2, 2.577086886433002e-15, 0.0, 6.641376820224946e-30),
+    ),
+    ("grid2_env", 1): (
+        (0, 1.358022357609157, 0.0, 1.8442247237663332),
+        (2, 1.354033823814357, 0.0, 1.8334075960333291),
+    ),
+    ("grid2_env", 3): (
+        (0, 1.349839571063574, 0.0, 1.8220668676090934),
+        (2, 1.3353581127815366, 0.0, 1.783181289371467),
+    ),
+    ("line6_k0", 1): (
+        (0, 4.188228725720186, 0.0, 17.541259858947733),
+        (3, 4.1402553518100085, 0.0, 17.141714378191416),
+    ),
+    ("line6_k0", 3): (
+        (0, 4.392243455215781, 0.0, 19.291802569885864),
+        (3, 4.3404810618972745, 0.0, 18.83977584868889),
+    ),
+    ("line6_k1", 1): (
+        (0, 2.1595187857246754, 0.0, 4.663521385897776),
+        (3, 2.04117807938937, 0.0, 4.166407951779678),
+    ),
+    ("line6_k1", 3): (
+        (0, 2.031865735894187, 0.0, 4.128478368700827),
+        (3, 2.033679370905709, 0.0, 4.135851783647441),
+    ),
+    ("line6_k2", 1): (
+        (0, 1.4518717158695793, 0.0, 2.1079314793420765),
+        (3, 1.4325769486097095, 0.0, 2.052276713687906),
+    ),
+    ("line6_k2", 3): (
+        (0, 1.4885210648996394, 0.0, 2.2156949606499565),
+        (3, 1.476029854584957, 0.0, 2.1786641316260895),
+    ),
+    ("line6_l2", 1): (
+        (0, 0.0021913555140159646, 0.0, 4.802038988808172e-06),
+        (3, 0.0022081468700121815, 0.0, 4.875912599544594e-06),
+    ),
+    ("line6_l2", 3): (
+        (0, 0.001357695596492738, 0.0, 1.8433373327357715e-06),
+        (3, 0.0013636663914557185, 0.0, 1.8595860271858608e-06),
+    ),
+}
+
 
 def run_hashes(tmp_path, name, seed):
     cfg = parse_config_dict({**_COMMON, **CONFIGS[name], "seed": seed})
@@ -129,3 +189,5 @@ def run_hashes(tmp_path, name, seed):
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
 def test_run_bytes_match_golden(tmp_path, name, seed):
     assert run_hashes(tmp_path, name, seed) == GOLDEN[(name, seed)]
+    assert oracle_values_close(oracle_rows(tmp_path / "metrics.csv"),
+                               PARENT_XYE.get((name, seed), ()))

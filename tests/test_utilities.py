@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from pdmarl.utilities import (CONSTRAINT, ENTROPY, ENTROPY_FLOOR, L2_ACTION,
-                              LINEAR, GeneralUtility, fd_gradient,
-                              shadow_reward, utility_value)
+                              LINEAR, GeneralUtility, shadow_reward,
+                              utility_value)
+
+from oracles import as_constraint, fd_gradient
 
 
 def occ(table):
@@ -46,7 +48,7 @@ class TestValues:
 
     def test_constraint_subtracts_threshold(self):
         base = GeneralUtility(kind=ENTROPY, gamma=0.0)
-        con = base.as_constraint(0.25)
+        con = as_constraint(base, 0.25)
         table = occ([[0.5], [0.5]])
         assert utility_value(con, table) == pytest.approx(
             utility_value(base, table) - 0.25)
@@ -106,7 +108,7 @@ class TestShadowRewards:
 
     def test_threshold_does_not_shift_gradient(self):
         base = GeneralUtility(kind=ENTROPY, gamma=0.2)
-        con = base.as_constraint(1.5)
+        con = as_constraint(base, 1.5)
         table = occ([[0.3, 0.1], [0.2, 0.4]])
         np.testing.assert_array_equal(shadow_reward(base, table),
                                       shadow_reward(con, table))
