@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from . import __version__
 from .config import (ConfigError, ExperimentConfig, build_env,
@@ -204,7 +205,7 @@ def _verify_checks():
                               max_linear_over_box_ball)
 
     chain = synthetic_line(SyntheticLineSpec(n=2, gamma=0.9))
-    rng = np.random.default_rng(np.random.SeedSequence(7))
+    rng = default_rng(SeedSequence(7))
     policy = KHopPolicy.random(chain.graph, chain.local_state_sizes,
                                chain.local_action_sizes, kappa=1, rng=rng,
                                scale=0.5)
@@ -255,7 +256,7 @@ def _verify_checks():
         cfg = default_td_config(0.9, steps=10_000)
         layout = RunLayout(mdp, pol, 0, cfg)
         [(S, A)] = layout.simulator.rollout([td_draws(
-            mdp, cfg, np.random.default_rng(np.random.SeedSequence(1)))])
+            mdp, cfg, default_rng(SeedSequence(1)))])
         q = td_fit(layout, [np.ones((1, 1))], S[0], A[0])
         return abs(q[0].table[0, 0] - 10.0) < 0.05
 

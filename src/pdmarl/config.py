@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import yaml
+from numpy.random import SeedSequence
 
 from .model import FactoredCMDP
 from .policy import table_shapes
@@ -289,5 +290,5 @@ def build_train_config(cfg: ExperimentConfig) -> TrainConfig:
 
 def derived_seed(base_seed: int, index: int) -> int:
     """Stable per-run seed for sweeps, split from the base seed."""
-    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(4, index))
+    ss = SeedSequence(entropy=base_seed, spawn_key=(4, index))
     return int(ss.generate_state(1, dtype=np.uint64)[0])

@@ -7,6 +7,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .graph import DependenceGraph, line_graph
 from .model import DEP_TABLE_CAP, FactoredCMDP, TransitionKernel, LocalReward
@@ -122,7 +123,7 @@ class WirelessGridSpec:
     def probabilities(self):
         p, q = self.p, self.q
         if p is None or q is None:
-            rng = np.random.default_rng(np.random.SeedSequence(self.seed))
+            rng = default_rng(SeedSequence(self.seed))
             drawn_p = 0.3 + 0.6 * rng.random(self.n_users)
             drawn_q = 0.3 + 0.6 * rng.random(self.n_points)
             p = p if p is not None else tuple(drawn_p)

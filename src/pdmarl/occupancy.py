@@ -5,7 +5,6 @@ or exact (mass 1/(1-gamma)) with the policy's global (|S||A|,) occupancy."""
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .model import FactoredCMDP
 from . import indexing
@@ -34,14 +33,16 @@ def estimate_local_occupancies(layout, S, A) -> list:
 
 
 class ExactSolve:
-    """One policy's state chain in product form, factored once for every
+    """One policy's state chain in product form, built once for every
     exact oracle.
 
     Agent i's next state reads (s_{D_i}, a_i) only, so the state chain M_pi
     (``chain``) is the ``indexing.row_kron`` over agents of the (|S|, S_i)
-    factors sum_{a_i} pi_i(a_i|s_{N_i}) P_i(.|s_{D_i}, a_i). One LU of
-    I - gamma M_pi gives the state occupancy ``d``, (I - gamma M_pi)^T d =
-    rho, and the values of ``q``. ``occupancy`` is lambda(s, a) =
+    factors sum_{a_i} pi_i(a_i|s_{N_i}) P_i(.|s_{D_i}, a_i). ``lhs`` is
+    I - gamma M_pi: one ``numpy.linalg.solve`` of its transpose gives the
+    state occupancy ``d``, (I - gamma M_pi)^T d = rho, and one solve per
+    ``q`` call the values V (numpy keeps no LU between solves; scipy's
+    would cost every run its import). ``occupancy`` is lambda(s, a) =
     d(s) pi(a|s) flat over pairs s*|A| + a, and ``local_occupancies`` every
     agent's (S_i, A_i) marginal of it.
     """
@@ -63,10 +64,9 @@ class ExactSolve:
                                                             acts)])
         self.chain = indexing.row_kron([np.einsum("sa,sat->st", pi, k) for
                                         pi, k in zip(self.pis, self.kernels)])
-        self.lu = scipy.linalg.lu_factor(
-            np.eye(len(self.chain)) - cmdp.gamma * self.chain)
-        self.d = np.maximum(0.0, scipy.linalg.lu_solve(  # clip solver noise
-            self.lu, cmdp.initial_state_distribution(), trans=1))
+        self.lhs = np.eye(len(self.chain)) - cmdp.gamma * self.chain
+        self.d = np.maximum(0.0, np.linalg.solve(  # clip solver noise
+            self.lhs.T, cmdp.initial_state_distribution()))
         self.pi = indexing.row_kron(self.pis)  # (S, A)
         self.occupancy = (self.d[:, None] * self.pi).ravel()
         self.local_occupancies = [
@@ -81,7 +81,7 @@ class ExactSolve:
         its action at a time, from V(s') to (S, a_<i, s'_>=i) arrays."""
         S = self.cmdp.n_states
         R = np.asarray(rewards, dtype=float).reshape(S, -1)
-        V = scipy.linalg.lu_solve(self.lu, np.einsum("sa,sa->s", self.pi, R))
+        V = np.linalg.solve(self.lhs, np.einsum("sa,sa->s", self.pi, R))
         T = V[None, None]
         for k in self.kernels:
             T = np.matmul(k[:, None], T.reshape(*T.shape[:2], k.shape[2], -1))

@@ -8,6 +8,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .layout import RunLayout
 from .model import FactoredCMDP, EnumerationCapExceeded
@@ -312,8 +313,7 @@ class TrainState:
 
 
 def _rng(seed, purpose, t):
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(purpose, t)))
+    return default_rng(SeedSequence(entropy=seed, spawn_key=(purpose, t)))
 
 
 def batch_discounted_return(cmdp: FactoredCMDP, S, A) -> float:

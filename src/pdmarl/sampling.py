@@ -77,6 +77,22 @@ class InverseCdf:
 # row of a rollout advances in lockstep, and those steps are dropped.
 PAD_U = 0.5
 
+# A rollout stacks its groups' uniforms this many steps at a time, so that
+# it holds no whole (T, R, n) copy of them.
+STACK_STEPS = 64
+
+
+def _stack_steps(us, lengths, starts, k0, k1):
+    """Steps k0..k1-1 of every group's uniforms ``us``, stacked over rows
+    into one (k1 - k0, R, n) array; steps at or past a group's length in
+    ``lengths`` are ``PAD_U``."""
+    out = np.full((k1 - k0, starts[-1], us[0].shape[-1]), PAD_U)
+    for u, r0, r1, t in zip(us, starts, starts[1:], lengths):
+        hi = min(k1, t)
+        if hi > k0:
+            out[:hi - k0, r0:r1] = u[k0:hi]
+    return out
+
 
 class Simulator:
     """Actions and transitions of every agent of ``cmdp`` under ``policy``.
@@ -129,19 +145,22 @@ class Simulator:
         lengths = [len(u_act) for _, u_act, _ in groups]
         T = max(lengths)
         starts = np.cumsum([0] + [len(s) for s, _, _ in groups])
-        u_act = np.full((T, starts[-1], n), PAD_U)
-        u_trans = np.full((T - 1, starts[-1], n), PAD_U)
         x = np.zeros((T, starts[-1], 2 * n + 1), dtype=np.int64)
         x[..., -1] = 1
-        for (s, ua, ut), r0, r1, t in zip(groups, starts, starts[1:], lengths):
+        for (s, _, _), r0, r1 in zip(groups, starts, starts[1:]):
             x[0, r0:r1, :n] = s
-            u_act[:t, r0:r1] = ua
-            u_trans[:t - 1, r0:r1] = ut[:t - 1]
+        uniforms = [([ua for _, ua, _ in groups], lengths),
+                    ([ut for _, _, ut in groups], [t - 1 for t in lengths])]
         act, trans = self.policy_cdf.draw_stacked, self.kernel_cdf.draw_stacked
         for k in range(T):
-            if k:
-                trans(x[k - 1] @ self.trans_w, u_trans[k - 1], out=x[k, :, :n])
-            act(x[k] @ self.act_w, u_act[k], out=x[k, :, n:2 * n])
+            j = k % STACK_STEPS
+            if not j:
+                k1 = min(k + STACK_STEPS, T)
+                u_act, u_trans = (_stack_steps(us, ts, starts, k, k1)
+                                  for us, ts in uniforms)
+            act(x[k] @ self.act_w, u_act[j], out=x[k, :, n:2 * n])
+            if k + 1 < T:
+                trans(x[k] @ self.trans_w, u_trans[j], out=x[k + 1, :, :n])
         # copies: views would keep the (T, R, 2n+1) buffer alive for the
         # rest of the iteration, which pinned the freed TD Q tables in the
         # heap (measured: +23 MB peak RSS on the side-3 wireless grid)

@@ -63,8 +63,9 @@ def flow_balance_residual(cmdp, policy, occ) -> float:
 
 class DenseExactSolve:
     """``occupancy.ExactSolve`` over the dense (S, A, S') kernel: the state
-    chain M_pi(s, s') = sum_a pi(a|s) P(s'|s, a), one LU of I - gamma M_pi,
-    and Q = R + gamma * P V for any number of reward columns."""
+    chain M_pi(s, s') = sum_a pi(a|s) P(s'|s, a), one scipy LU of
+    I - gamma M_pi (not the numpy solve it checks), and Q = R + gamma * P V
+    for any number of reward columns."""
 
     def __init__(self, cmdp, policy):
         self.cmdp = cmdp

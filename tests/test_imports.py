@@ -1,8 +1,13 @@
 """Every module uses the names it imports, the package or the benchmark
-names every definition of ``src/pdmarl`` (package ``__init__`` aside), and
-a test names every reference oracle of ``tests/oracles.py``."""
+names every definition of ``src/pdmarl`` (package ``__init__`` aside), a
+test names every reference oracle of ``tests/oracles.py``, and importing
+the command line loads numpy's random module but not scipy."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +94,15 @@ def test_every_reference_oracle_has_a_test():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_loads_numpy_random_and_no_scipy():
+    # scipy.linalg alone adds about 28 MB of RSS to every run; numpy loads
+    # numpy.random lazily, which would put that load in a run's timed set-up
+    code = ("import json, sys, pdmarl.cli; print(json.dumps("
+            "[m in sys.modules for m in ('scipy', 'numpy.random')]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == [False, True]

@@ -171,38 +171,44 @@ class TestExactOracles:
         np.testing.assert_allclose(a, b, atol=1e-10)
 
     @staticmethod
-    def count_factorizations(monkeypatch):
-        import scipy.linalg
-        calls = []
+    def count_solves(monkeypatch):
+        """The ``ExactSolve`` contexts built, and the shape of the right-hand
+        side of every numpy solve, in the order they run."""
+        built, rhs = [], []
 
-        def counted(*args, _factor=scipy.linalg.lu_factor, **kwargs):
-            calls.append(1)
-            return _factor(*args, **kwargs)
-        monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
-        return calls
+        def counted_init(self, *args, _init=ExactSolve.__init__):
+            built.append(1)
+            _init(self, *args)
+
+        def counted_solve(a, b, _solve=np.linalg.solve):
+            rhs.append(np.shape(b))
+            return _solve(a, b)
+        monkeypatch.setattr(ExactSolve, "__init__", counted_init)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        return built, rhs
 
     def test_one_stacked_q_solve_per_gradient(self, monkeypatch):
-        factored = self.count_factorizations(monkeypatch)
+        built, rhs = self.count_solves(monkeypatch)
         m = chain(4)
         cons = entropy_constraints(m, 0.2)
-        # one LU of the state chain serves the occupancy and every Q column:
-        # the dense reference's 2n, the Lagrangian gradient's one
-        exact_truncated_pg(m, uniform_policy(m), None, cons, np.ones(4),
-                           kappa=1)
-        assert len(factored) == 1
+        # one context solves for the state occupancy, then one Q column: the
+        # Lagrangian's, where the dense reference took 2n
         exact_lagrangian_gradient(m, uniform_policy(m), None, cons, np.ones(4))
-        assert len(factored) == 2
+        assert len(built) == 1
+        assert rhs == [(m.n_states,)] * 2
 
     def test_one_factorization_per_oracle_firing(self, monkeypatch):
-        factored = self.count_factorizations(monkeypatch)
+        built, rhs = self.count_solves(monkeypatch)
         m = chain(4)
         cfg = TrainConfig(kappa=1, iterations=1, horizon=20, batch_size=2,
                           steps=StepSizes(eta_theta=0.05, eta_mu=10.0),
                           td=TDConfig(steps=50, h=20.0, k1=40.0),
                           oracle_every=1)
         state = train(m, None, entropy_constraints(m, 0.2), cfg, seed=0)
-        # the Lagrangian and the dual gradient share one context
-        assert len(factored) == 1
+        # the Lagrangian and the dual gradient share one context, and only
+        # the Lagrangian solves a Q column
+        assert len(built) == 1
+        assert rhs == [(m.n_states,)] * 2
         assert state.history[0].E is not None
 
     def test_zero_shadow_rewards_zero_gradient(self):

@@ -278,9 +278,11 @@ def metrics(state):
 
 
 # (env, kappa, horizon, TD steps): the TD rows outlast the sampling rows in
-# the first three, the sampling rows outlast the TD rows in the last
+# the first three and the fifth, the sampling rows outlast the TD rows in the
+# fourth and the last; the last two cross the rollout's stacks of
+# ``STACK_STEPS`` uniforms, ending inside a later stack and at its edge
 STACKED = [("line4", 1, 20, 30), ("line4", 2, 20, 30), ("wireless2", 1, 20, 30),
-           ("line4", 1, 40, 10)]
+           ("line4", 1, 40, 10), ("line4", 1, 70, 150), ("line4", 1, 129, 63)]
 
 
 @pytest.mark.parametrize("env,kappa,horizon,steps", STACKED)

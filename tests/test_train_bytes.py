@@ -6,9 +6,10 @@ the trainer whose per-agent loops the stacked array ops replaced, so any
 change to the draw order, the float expression order of the occupancy,
 TD or score sums, or the policy update shows up here. The exact-oracle
 columns X, Y and E of the configs with ``oracle_every`` were re-recorded
-when the exact solve took product form; ``PARENT_XYE`` holds their values
-from before, which the new ones match to the relative tolerance 1e-9
-(absolute 1e-12) of the benchmark's gate.
+when the exact solve took product form, and again when its LAPACK solves
+moved from scipy to numpy; ``PARENT_XYE`` holds their values from the
+dense solve before both, which the new ones match to the relative
+tolerance 1e-9 (absolute 1e-12) of the benchmark's gate.
 """
 
 import pytest
@@ -64,40 +65,40 @@ CONFIGS = {
 # (config, seed) -> (metrics.csv SHA-256, policy.csv SHA-256)
 GOLDEN = {
     ("line6_k0", 1): (
-        "eff7c371e334fee19f90c42821654e998723bfb58cdef816ee3bc06e926cbe04",
+        "f9f6f9aa2cf511e12cb5293afbb1fe2d3fecf0bd9569af4f6255c91ad25c1bb2",
         "fff8a393369df6fbdb0bb334201158623ffef2eb93a5db1ba231f2105ca9b288"),
     ("line6_k0", 3): (
-        "1d21c6b90ce0621c13010d59cb9fe0fd9e55c7b3b697f63b0d74c7204682512a",
+        "7ac68a90f8db5eea6a50bedcb4b30b35cbec3a147970ff9ce14dfd8307846ab0",
         "4a2311c6f8ace67c5de02dd88af845a856b5e367e4e307856401d17714c019bf"),
     ("line6_k1", 1): (
-        "780f546aa2c7369bc86a9b8d256deebb93a04025d0f1bb270b1b7ec05eebd30c",
+        "d5c0b5a6a7f0d19871a41b6ec0b9e324fe82305a7536175123f9c84c534c6492",
         "c91ba8655bcf14900c0395446383e0f292608b937082360086c9431f397a3b69"),
     ("line6_k1", 3): (
-        "85ea1b9177f9751040250167199e2c5a18bd6fc17138edf82f60185846a59e32",
+        "70486b14fb364128926241487915cd09f86655f02f23449e65dae5893b969a08",
         "eab70178d124b0645b3347cbcc04dbb840d83492aac06426143658022333955a"),
     ("line6_k2", 1): (
-        "957ca8e647478c5943169e4dc928f70ef442fa262fc27d32f59b18a2e33b3052",
+        "47fbb75131174727325e9c038f213f4be74ce009a188a9a3a9fb7e1890da915f",
         "a08a0b230e2f9129d358af0a5233bcfdb58e26e27d9c37e1b997cd41f6665019"),
     ("line6_k2", 3): (
-        "09ea515d44e04f9cc92e9404558ed84b4630bece5adb1e2b1d470c9c3bf0aa87",
+        "246fc55e738a582b44bf60c0f2f1423155d1ea512c225893d8fb6aa0ea7b4fe2",
         "dcf515424387987aee7e2a828efb0fe822d2d90e105dddfc6b7b164bb69b4e9c"),
     ("line6_l2", 1): (
-        "288f9bf1d95ec17f14103e22c80c22e511c691fa42e80d2a22b6fe1362048bf0",
+        "2d463dd3303e9b1f25c0132f22977a7c302c387ef403905f7c3447c0f079dbc9",
         "23e4f5730867c9c7a6645ad34a0f6262b565512578cff5ac1f33a508b39033d2"),
     ("line6_l2", 3): (
-        "86a6f674e519a7200215a8ea8a5e7539466f23e621e447c8e602cade42959041",
+        "ec501b67a4a3c7e1f03fa3e89a89af3c0a5ba9f916987a800e9917dba6a75c1c",
         "ec53d6588edcd128970d649d0cf324e60623f51863dce01e8303e736c25508db"),
     ("grid2_env", 1): (
-        "9a024ee1e3cb84818c5d2ae99426b698fad3479eff29a088a4062512e4d46f2b",
+        "0077aa895a9d41504fe7de93ba0945e0f24c50e4b26181245d56e312f504bd87",
         "1ebb6db7fc04d265e987339642baade3742255e87734896b025aca072917f56d"),
     ("grid2_env", 3): (
-        "e882e9435b5a3c517e4d77d0795a55b23b2d535f8f2a7c290ca5236049b4442f",
+        "08d26c1796ab7b090453ee4fdaa11316840663d37f27849bfec7aa854622b580",
         "b652f81724f80192e9397c9a9877b1c9a2b077968454c9b795427cdda6e9dfac"),
     ("grid2_entropy", 1): (
-        "1e3b700c7a9ae04325888b3ae735faea2ae7ef6e71f1732b48993ecd8e16d55a",
+        "38011e5d64dc1230ddae8556d9863ac11b92d22403520e40be1466817bf6f6f5",
         "bd4ba8a213525a700e9b840087067d8b97ab016ef5a0456685c8de778e8d7c9f"),
     ("grid2_entropy", 3): (
-        "9c9fd7de4049e5ad429ab889225f4eb47039bcf13318f99073eaf3b9e37cb951",
+        "14682b33e6c6ebd0bd16518b59422ba9394a078abb1c0e771f7ed30a2b2d2ccc",
         "a4aca9a89ebe7212b306487bebbc5211d6b485ed7c110e7c49dc22d8256502fb"),
     ("grid2_d2_k0", 1): (
         "10eac986f1ef98d37b030e9b4b643e36427962fd05c0fac8e99d25e76f5322a3",
