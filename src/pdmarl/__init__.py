@@ -9,7 +9,7 @@ from .model import (FactoredCMDP, TransitionKernel, LocalReward, DecayProfile,
 from .policy import KHopPolicy, save_policy, load_policy
 from .sampling import Simulator
 from .occupancy import ExactSolve, estimate_local_occupancies, state_marginal
-from .utilities import (GeneralUtility, utility_value, shadow_reward,
+from .utilities import (GeneralUtility, UtilityPass, utility_value,
                         LINEAR, ENTROPY, L2_ACTION, OBJECTIVE, CONSTRAINT)
 from .critic import TDConfig, TruncatedQTable, default_td_config
 from .primal_dual import (DualVariable, StepSizes, TrainConfig, TrainState,

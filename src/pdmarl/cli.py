@@ -257,7 +257,7 @@ def _verify_checks():
         layout = RunLayout(mdp, pol, 0, cfg)
         [(S, A)] = layout.simulator.rollout([td_draws(
             mdp, cfg, default_rng(SeedSequence(1)))])
-        q = td_fit(layout, [np.ones((1, 1))], S[0], A[0])
+        q = td_fit(layout, np.ones((1, cfg.steps)), S[0], A[0])
         return abs(q[0].table[0, 0] - 10.0) < 0.05
 
     def stationarity_interior():

@@ -99,49 +99,39 @@ def td_draws(cmdp: FactoredCMDP, cfg: TDConfig, rng):
 
 def _sorted_slots(ids):
     """The sorted distinct values of an int64 array, and each entry's index
-    among them as a list that shares one int object per index (an object
-    per entry cost 71 KB more peak heap on the 10-agent line, by
-    tracemalloc). The sort's arrays are freed on return, before the TD
-    recursion allocates floats."""
-    # any sort gives the same result; the stable one pages in about 0.1 MB
-    # of numpy's code, its SIMD quicksort and np.unique's sort more
-    order = ids.argsort(kind="stable")
+    among them as a list. The sort's arrays are freed on return, before the
+    TD recursion allocates floats."""
+    # the sort need not be stable: tied ids get the same slot either way
+    order = ids.argsort()
     srt = ids.take(order)
     first = np.empty(len(ids), dtype=bool)
     first[0] = True
     np.not_equal(srt[1:], srt[:-1], out=first[1:])
     slots = np.empty(len(ids), dtype=np.int64)
     slots[order] = np.cumsum(first) - 1
-    keys = srt[first]
-    return keys, np.arange(len(keys)).astype(object).take(slots).tolist()
+    return srt[first], slots.tolist()
 
 
 def td_fit(layout: RunLayout, rewards, S, A) -> list:
     """Asynchronous TD evaluation of every agent's truncated Q-function
     along one trajectory of K + 1 global states S and actions A, (K+1, n),
-    K = len(layout.etas).
+    K = len(layout.etas), given every agent's reward at steps 0..K-1,
+    ``rewards`` (n, K): env or shadow rewards, read by the caller.
 
     At step k only the cell visited at step k-1 is updated, with step size
-    h/(k-1+k1); tables are zero-initialized. The Q cells and rewards of all
-    agents along the trajectory are encoded with one array op each. One
-    stable sort of every agent's written cells, as ids of the stacked id
-    space (``layout.q_off``), gives the sorted keys of all tables and each
-    step's slot among them. Only the scalar recursion runs step by step, over
-    one list of slot values, agent after agent; the list ends in one 0.0,
-    which a last cell that is never written reads. Each table is its agent's
+    h/(k-1+k1); tables are zero-initialized. The Q cells of all agents
+    along the trajectory are encoded with one array op. One sort of every
+    agent's written cells, as ids of the stacked id space
+    (``layout.q_off``), gives the sorted keys of all tables and each step's
+    slot among them. Only the scalar recursion runs step by step, over one
+    list of slot values, agent after agent; the list ends in one 0.0, which
+    a last cell that is never written reads. Each table is its agent's
     slice of the sorted keys and values, so it stores the visited cells only
     and nothing of the dense table's size is allocated.
-
-    ``rewards`` lists one reward per agent: either all local (S_i, A_i)
-    arrays (shadow rewards), read with one ``take`` from their stack, or
-    all LocalRewards over declared neighborhoods.
     """
-    if len(rewards) != layout.n:
-        raise ValueError("need one reward per agent")
     n, K, gamma = layout.n, len(layout.etas), layout.gamma
-    if not (all(isinstance(r, LocalReward) for r in rewards)
-            or [np.shape(r) for r in rewards] == layout.sa_shapes):
-        raise ValueError("rewards must be LocalRewards or (S_i, A_i) arrays")
+    if np.shape(rewards) != (n, K):
+        raise ValueError(f"rewards must be ({n}, {K}), not {np.shape(rewards)}")
     cells = layout.q_cells(S, A) + layout.q_off[:-1]
     keys, slots = _sorted_slots(cells[:K].T.ravel())
     m = len(keys)
@@ -151,15 +141,10 @@ def td_fit(layout: RunLayout, rewards, S, A) -> list:
     slots_next = slots[1:] + [m]
     slots_next[K - 1::K] = np.where(keys.take(pos, mode="clip") == cells[K],
                                     pos, m).tolist()
-    # agent-major, as the slots: agent i's rewards of steps 0..K-1 are
-    # r_all[i*K:(i+1)*K]; made after the sort, so that the sort's arrays and
-    # these floats are not held at once (0.12 MB of peak heap on the 10-agent
-    # line, by tracemalloc)
-    if isinstance(rewards[0], LocalReward):
-        r_all = np.concatenate([r.values(S, A)[:K] for r in rewards]).tolist()
-    else:
-        r_all = np.concatenate([np.ravel(r) for r in rewards]).take(
-            layout.sa_cells(S[:K], A[:K]).T).ravel().tolist()
+    # agent-major, as the slots; made after the sort, so that the sort's
+    # arrays and these floats are not held at once (0.12 MB of peak heap on
+    # the 10-agent line, by tracemalloc)
+    r_all = np.ravel(rewards).tolist()
     q = [0.0] * (m + 1)
     for c, c_next, r, eta in zip(slots, slots_next, r_all,
                                  itertools.chain.from_iterable(
@@ -174,11 +159,17 @@ def td_fit(layout: RunLayout, rewards, S, A) -> list:
             for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
-def lift_local_reward(cmdp: FactoredCMDP, agent: int, table) -> np.ndarray:
-    """Expand a (S_i, A_i) reward table to the flat global pair vector."""
-    s_dec = indexing.decode_table(cmdp.local_state_sizes)[:, agent]
-    a_dec = indexing.decode_table(cmdp.local_action_sizes)[:, agent]
-    return np.asarray(table)[s_dec[:, None], a_dec[None, :]].ravel()
+def lift_local_reward(cmdp: FactoredCMDP, agent: int, table,
+                      into) -> np.ndarray:
+    """Add a (S_i, A_i) reward table in place to the flat global pair vector
+    ``into``, broadcast along the agent's two axes of its (S_0, ...,
+    S_{n-1}, A_0, ..., A_{n-1}) view, and return the vector."""
+    n = cmdp.n_agents
+    shape = [1] * (2 * n)
+    shape[agent], shape[n + agent] = np.shape(table)
+    into.reshape(cmdp.local_state_sizes + cmdp.local_action_sizes)[...] += \
+        np.reshape(table, shape)
+    return into
 
 
 def lift_neighborhood_reward(cmdp: FactoredCMDP,

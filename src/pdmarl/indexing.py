@@ -50,6 +50,13 @@ def offsets(sizes) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
 
 
+def split(flat, shapes) -> list:
+    """Views of the blocks of ``shapes`` stacked end to end in ``flat``."""
+    off = offsets([math.prod(shape) for shape in shapes])
+    return [flat[a:b].reshape(shape)
+            for a, b, shape in zip(off, off[1:], shapes)]
+
+
 def decode_table(sizes) -> np.ndarray:
     """Array of shape (space_size, len(sizes)) listing all decoded tuples."""
     return np.indices(sizes).reshape(len(sizes), space_size(sizes)).T

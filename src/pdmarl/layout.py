@@ -118,11 +118,6 @@ class ThetaLayout:
         return flat - (np.concatenate([p.ravel() for p in policy.prob_tables])
                        * np.repeat(row_tot, self.row_actions))
 
-    def split(self, flat) -> list:
-        """Per-agent theta-shaped views of a stacked theta array."""
-        return [flat[a:b].reshape(shape)
-                for a, b, shape in zip(self.off, self.off[1:], self.shapes)]
-
 
 class RunLayout:
     """Stacked layout of the agents of ``cmdp`` under policies shaped like
@@ -144,7 +139,10 @@ class RunLayout:
         self.theta = ThetaLayout(policy)
         self.q_layouts, self.q_off = q_table_layouts(
             cmdp, kappa, None if td is None else td.steps)
-        self.hoods = [list(nbhd) for nbhd, _, _ in self.q_layouts]
+        # neighborhoods padded to one width with n, a zero row of addends
+        width = max(len(nbhd) for nbhd, _, _ in self.q_layouts)
+        self.hoods = np.array([list(nbhd) + [n] * (width - len(nbhd))
+                               for nbhd, _, _ in self.q_layouts])
         self.q_w = np.zeros((2 * n, n), dtype=np.int64)
         for i, (nbhd, s_sizes, a_sizes) in enumerate(self.q_layouts):
             w = indexing.radix_weights(s_sizes + a_sizes)

@@ -10,26 +10,24 @@ from .model import FactoredCMDP
 from . import indexing
 
 
-def estimate_local_occupancies(layout, S, A) -> list:
+def estimate_local_occupancies(layout, S, A) -> np.ndarray:
     """Monte-Carlo occupancy of every agent: discounted visit counts averaged
-    over the batch of integer trajectories S, A of shape (B, H, n), one
-    (S_i, A_i) array per agent of the ``RunLayout`` ``layout``.
+    over the batch of integer trajectories S, A of shape (B, H, n), as the
+    stacked (S_i, A_i) tables of the ``RunLayout`` ``layout``: agent i's
+    table is ``indexing.split(occ, layout.sa_shapes)[i]``.
 
-    Every agent's table is a slice of one stacked array filled by one
-    ``bincount``, which adds each cell's visits in input order: batch index,
-    then step. So the tables are reproducible bit-for-bit and equal folding
-    the trajectories in one at a time.
+    The stacked array is filled by one ``bincount``, which adds each cell's
+    visits in input order: batch index, then step. So the tables are
+    reproducible bit-for-bit and equal folding the trajectories in one at a
+    time.
     """
     if len(S) == 0:
         raise ValueError("batch must be nonempty")
     cells = layout.sa_cells(S, A)
     discounts = np.broadcast_to(
         (layout.gamma ** np.arange(S.shape[1]))[:, None], cells.shape)
-    off = layout.sa_off
-    flat = np.bincount(cells.ravel(), weights=discounts.ravel(),
-                       minlength=off[-1]) / len(S)
-    return [flat[a:b].reshape(shape)
-            for a, b, shape in zip(off, off[1:], layout.sa_shapes)]
+    return np.bincount(cells.ravel(), weights=discounts.ravel(),
+                       minlength=layout.sa_off[-1]) / len(S)
 
 
 class ExactSolve:
@@ -90,5 +88,5 @@ class ExactSolve:
 
 
 def state_marginal(occ, gamma: float) -> np.ndarray:
-    """d_i(s) = (1 - gamma) * sum_a lambda_i(s, a) of an (S_i, A_i) table."""
-    return (1.0 - gamma) * occ.sum(axis=1)
+    """d_i(s) = (1 - gamma) * sum_a lambda_i(s, a) of (..., S_i, A_i) tables."""
+    return (1.0 - gamma) * occ.sum(axis=-1)

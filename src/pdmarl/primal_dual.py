@@ -15,7 +15,7 @@ from .model import FactoredCMDP, EnumerationCapExceeded
 from .policy import KHopPolicy
 from .sampling import trajectory_draws
 from .occupancy import ExactSolve, estimate_local_occupancies
-from .utilities import shadow_reward, utility_value
+from .utilities import UtilityPass, utility_value
 from .critic import (TDConfig, default_td_config, td_draws, td_fit,
                      lift_local_reward, lift_neighborhood_reward)
 from . import indexing
@@ -60,36 +60,35 @@ def _neighborhood_weights(layout: RunLayout, S, A, q_f, q_g, mu,
     which broadcast: column i is ``scale`` times the average over n of
     v_j = Q_f,j + mu_j Q_g,j at the sample's cells, summed over the agents j
     within distance ``layout.kappa`` of i. Every agent's Q cells come from
-    one product; the Q reads and neighborhood sums are per agent."""
+    one product and the Q reads are per agent; the neighborhood sums are one
+    gather of ``layout.hoods`` from v padded with a zero row."""
     n = layout.n
     if len(q_f) != n or len(q_g) != n:
         raise ValueError("need one Q table per agent for both utilities")
     cells = np.moveaxis(layout.q_cells(S, A), -1, 0)
-    v = np.empty(cells.shape)
+    v = np.zeros((n + 1,) + cells.shape[1:])
     for j in range(n):
         if not q_f[j].nbhd == q_g[j].nbhd == layout.q_layouts[j][0]:
             raise ValueError(f"Q tables of agent {j} differ in neighborhood "
                              f"from each other or from the layout")
         v[j] = q_f[j].read(cells[j]) + mu[j] * q_g[j].read(cells[j])
-    w = np.empty(cells.shape[1:] + (n,))
-    for i, hood in enumerate(layout.hoods):
-        w[..., i] = scale * v[hood].sum(axis=0) / n
-    return w
+    return np.moveaxis(scale * v[layout.hoods].sum(axis=1) / n, 0, -1)
 
 
 def truncated_pg_estimate(layout: RunLayout, S, A, policy: KHopPolicy, q_f,
-                          q_g, mu: DualVariable) -> list:
+                          q_g, mu: DualVariable) -> np.ndarray:
     """REINFORCE-style gradient over integer trajectories S, A of shape
     (B, H, n): per step, the score of agent i weighted by the discounted
     neighborhood-average of truncated Q values (objective plus dual-weighted
     constraint) of the agents within distance ``layout.kappa``.
 
     Every agent's policy rows come from one product, and every agent's score
-    sum from one pair of ``bincount``s (``ThetaLayout.score_sums``)."""
+    sum from one pair of ``bincount``s (``ThetaLayout.score_sums``): the
+    stacked theta-shaped tables are returned."""
     w = _neighborhood_weights(layout, S, A, q_f, q_g, mu.mu,
                               layout.gamma ** np.arange(S.shape[1]))
     theta = layout.theta
-    return theta.split(theta.score_sums(policy, theta.rows(S), A, w) / len(S))
+    return theta.score_sums(policy, theta.rows(S), A, w) / len(S)
 
 
 def policy_ascent(policy: KHopPolicy, grads, eta_theta: float) -> KHopPolicy:
@@ -121,14 +120,16 @@ def exact_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
     mu = np.asarray(mu, dtype=float)
     solve = solve or ExactSolve(cmdp, policy)
     n = cmdp.n_agents
+    local = solve.local_occupancies
+    table = np.repeat(mu, [occ.size for occ in local]) * _exact_utilities(
+        solve, constraints)[1]
+    if objectives is not None:
+        table = table + _exact_utilities(solve, objectives)[1]
     reward = np.zeros(cmdp.n_pairs)
-    for i, local in enumerate(solve.local_occupancies):
-        table = mu[i] * shadow_reward(constraints[i], local)
+    for i, tab in enumerate(indexing.split(table, [o.shape for o in local])):
         if objectives is None:
             reward += lift_neighborhood_reward(cmdp, cmdp.rewards[i])
-        else:
-            table = table + shadow_reward(objectives[i], local)
-        reward += lift_local_reward(cmdp, i, table)
+        lift_local_reward(cmdp, i, tab, reward)
     W = (solve.occupancy * solve.q(reward / n)).reshape(
         (cmdp.n_states,) + cmdp.local_action_sizes)
     s_dec = indexing.decode_table(cmdp.local_state_sizes)
@@ -141,11 +142,17 @@ def exact_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
     return grads
 
 
+def _exact_utilities(solve: ExactSolve, utils):
+    """``UtilityPass`` of ``utils`` at the exact local occupancies."""
+    local = solve.local_occupancies
+    return UtilityPass(utils, [occ.shape for occ in local])(
+        np.concatenate([occ.ravel() for occ in local]))
+
+
 def exact_dual_gradient(cmdp: FactoredCMDP, policy: KHopPolicy, constraints,
                         solve: ExactSolve = None) -> np.ndarray:
-    local = (solve or ExactSolve(cmdp, policy)).local_occupancies
-    return np.array([utility_value(c, occ) for c, occ in zip(constraints, local)]
-                    ) / cmdp.n_agents
+    solve = solve or ExactSolve(cmdp, policy)
+    return _exact_utilities(solve, constraints)[0] / cmdp.n_agents
 
 
 def lagrangian_value(cmdp: FactoredCMDP, policy: KHopPolicy,
@@ -316,14 +323,20 @@ def _rng(seed, purpose, t):
     return default_rng(SeedSequence(entropy=seed, spawn_key=(purpose, t)))
 
 
-def batch_discounted_return(cmdp: FactoredCMDP, S, A) -> float:
-    """Batch-average discounted sum of the mean local env reward over integer
-    trajectories S, A of shape (B, H, n)."""
-    discounts = cmdp.gamma ** np.arange(S.shape[1])
-    total = 0.0
-    for rew in cmdp.rewards:
-        total += float((rew.values(S, A) @ discounts).mean())
-    return total / cmdp.n_agents
+def env_rewards(cmdp: FactoredCMDP, S, A, S_td, A_td):
+    """Every agent's env reward, read with one ``LocalReward.values`` call
+    at the batch's trajectories S, A (B, H, n) and the TD steps S_td, A_td
+    (K, n) together: the batch-average discounted sum of the mean local
+    reward (the agents' averages add one after another), and the TD steps'
+    rewards (n, K). The arrays of all steps are freed on return: held
+    through the TD fits, they cost 0.5 MB of peak RSS on the 10-agent line."""
+    n, K = cmdp.n_agents, len(S_td)
+    SA = [np.concatenate([X.reshape(-1, n), X_td])
+          for X, X_td in ((S, S_td), (A, A_td))]
+    r = np.stack([rew.values(*SA) for rew in cmdp.rewards])
+    returns = (r[:, :-K].reshape(n, *S.shape[:2])
+               @ cmdp.gamma ** np.arange(S.shape[1])).mean(axis=1)
+    return float(np.cumsum(returns)[-1]) / n, r[:, -K:].copy()
 
 
 def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
@@ -361,28 +374,30 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
     oracles_feasible = oracle.startswith("every")
     state = TrainState(policy=policy, mu=mu, iteration=0, oracle=oracle)
     layout = RunLayout(cmdp, policy, cfg.kappa, td_cfg)
+    con_pass = UtilityPass(constraints, layout.sa_shapes)
+    obj_pass = None if objectives is None else UtilityPass(objectives,
+                                                           layout.sa_shapes)
+    K = td_cfg.steps  # TD steps, each with a reward
 
     for t in range(cfg.iterations):
         clock = _PhaseClock()
         # one rollout: the sampling batch and both TD trajectories
         sim = layout.simulator.with_policy(policy)
         (S, A), (S_f, A_f), (S_g, A_g) = sim.rollout([
-            trajectory_draws(cmdp, cfg.batch_size, cfg.horizon,
+            trajectory_draws(sim, cfg.batch_size, cfg.horizon,
                              _rng(seed, 1, t)),
             td_draws(cmdp, td_cfg, _rng(seed, 2, t)),
             td_draws(cmdp, td_cfg, _rng(seed, 3, t))])
         clock.lap("sample")
         lam = estimate_local_occupancies(layout, S, A)
-        g_tilde = np.array([utility_value(constraints[i], lam[i])
-                            for i in range(n)])
-        r_g = [shadow_reward(constraints[i], lam[i]) for i in range(n)]
+        g_tilde, shadow_g = con_pass(lam)
         if objectives is None:
-            r_f = list(cmdp.rewards)
-            objective_val = batch_discounted_return(cmdp, S, A)
+            objective_val, r_f = env_rewards(cmdp, S, A, S_f[0, :K],
+                                             A_f[0, :K])
         else:
-            r_f = [shadow_reward(objectives[i], lam[i]) for i in range(n)]
-            objective_val = float(np.mean(
-                [utility_value(objectives[i], lam[i]) for i in range(n)]))
+            f_vals, shadow_f = obj_pass(lam)
+            objective_val = float(np.mean(f_vals))
+            r_f = shadow_f.take(layout.sa_cells(S_f[0, :K], A_f[0, :K]).T)
 
         if not np.all(np.isfinite(g_tilde)):
             raise NumericAbort(t, "constraint values", state)
@@ -390,13 +405,13 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
 
         q_f = td_fit(layout, r_f, S_f[0], A_f[0])
         clock.lap("td_f")
-        q_g = td_fit(layout, r_g, S_g[0], A_g[0])
+        q_g = td_fit(layout, shadow_g.take(layout.sa_cells(
+            S_g[0, :K], A_g[0, :K]).T), S_g[0], A_g[0])
         clock.lap("td_g")
         mu = dual_update(g_tilde, cfg.steps.dual_step(t), cfg.mu_bar, n)
         grads = truncated_pg_estimate(layout, S, A, policy, q_f, q_g, mu)
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise NumericAbort(t, "policy gradient", state)
+        if not np.all(np.isfinite(grads)):
+            raise NumericAbort(t, "policy gradient", state)
         record = IterationRecord(
             t=t, objective=objective_val, g_tilde=tuple(float(x) for x in g_tilde),
             violation=float(np.sum(np.maximum(0.0, -g_tilde))),
@@ -415,7 +430,8 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
                 grad_flat, grad_mu, theta_flat, mu.mu,
                 cfg.theta_bar, cfg.mu_bar)
         clock.lap("oracle")
-        policy = policy_ascent(policy, grads, cfg.steps.eta_theta)
+        policy = policy_ascent(policy, indexing.split(
+            grads, layout.theta.shapes), cfg.steps.eta_theta)
         clock.lap("grad")
         record.phase_ms = clock.ms
         record.elapsed_ms = (time.perf_counter() - clock.started) * 1e3

@@ -40,37 +40,34 @@ class InverseCdf:
         tables = [np.asarray(t) for t in tables]
         self.offsets = np.cumsum([0] + [len(t) for t in tables[:-1]])
         width = max(t.shape[1] for t in tables) - 1
-        self.word = None
+        word = None
         if width != 1:
             size = 2 if width <= 2 else 4 if width <= 4 else 8
-            self.word = np.dtype(f"u{size}")
+            word = np.dtype(f"u{size}")
             width = -(-width // size) * size
-        self.cdf = np.full((sum(len(t) for t in tables), width), 2.0)
+        self.cdf = cdf = np.full((sum(len(t) for t in tables), width), 2.0)
         for t, off in zip(tables, self.offsets):
-            self.cdf[off: off + len(t), : t.shape[1] - 1] = \
+            cdf[off: off + len(t), : t.shape[1] - 1] = \
                 np.cumsum(t, axis=1)[:, :-1]
-        self.col = self.cdf[:, 0].copy() if width == 1 else None
+        self.col = col = cdf[:, 0].copy() if width == 1 else None
+
+        # ``draw_stacked(rows, u, out)``, bound once: the draws at stacked
+        # rows (``offsets`` added) and uniforms u, into the int64 ``out``
+        def draw_stacked(rows, u, out):
+            bits = np.greater_equal(u[..., None], cdf.take(rows, axis=0),
+                                    order="C")
+            return np.add.reduce(np.bitwise_count(bits.view(word)), axis=-1,
+                                 dtype=np.int64, out=out)
+
+        def draw_column(rows, u, out):
+            out[...] = u >= col.take(rows)
+            return out
+        self.draw_stacked = draw_stacked if col is None else draw_column
 
     def draw(self, rows, u):
         """Draws at integer rows and uniforms u of shape (..., n)."""
-        return self.draw_stacked(rows + self.offsets, u)
-
-    def draw_stacked(self, rows, u, out=None):
-        """Draws at rows of the stacked table (``offsets`` already added),
-        with uniforms u of the same shape: written into ``out`` when given,
-        else returned as a new int64 array."""
-        if self.col is not None:
-            drawn = u >= self.col.take(rows)
-        else:
-            bits = np.greater_equal(u[..., None], self.cdf.take(rows, axis=0),
-                                    order="C")
-            words = np.bitwise_count(bits.view(self.word))
-            drawn = (words[..., 0] if words.shape[-1] == 1
-                     else words.sum(axis=-1))
-        if out is None:
-            return drawn.astype(np.int64, copy=False)
-        out[...] = drawn
-        return out
+        rows = rows + self.offsets
+        return self.draw_stacked(rows, u, np.empty(rows.shape, np.int64))
 
 
 # Uniform that drives the steps of a row group past its own length: every
@@ -102,14 +99,17 @@ class Simulator:
     product ``x @ W``: column i of ``act_w`` encodes agent i's policy
     neighborhood, column i of ``trans_w`` kernel i's state and action
     dependency cell, and the last row of each holds the ``InverseCdf``
-    offsets. Only the policy CDF depends on the policy's parameters:
-    ``with_policy`` swaps it and shares the rest.
+    offsets. ``init_cdf`` draws the initial states of ``trajectory_draws``.
+    Only the policy CDF depends on the policy's parameters: ``with_policy``
+    swaps it and shares the rest.
     """
 
     def __init__(self, cmdp: FactoredCMDP, policy: KHopPolicy):
         n = self.n = cmdp.n_agents
         self.policy_cdf = InverseCdf(policy.prob_tables)
         self.kernel_cdf = InverseCdf([kern.table for kern in cmdp.kernels])
+        self.init_cdf = InverseCdf([np.asarray(d)[None, :]
+                                    for d in cmdp.initial_dist])
         self.act_w, self.trans_w = (np.zeros((2 * n + 1, n), dtype=np.int64)
                                     for _ in range(2))
         self.act_w[:n] = policy.row_weights()
@@ -145,22 +145,24 @@ class Simulator:
         lengths = [len(u_act) for _, u_act, _ in groups]
         T = max(lengths)
         starts = np.cumsum([0] + [len(s) for s, _, _ in groups])
-        x = np.zeros((T, starts[-1], 2 * n + 1), dtype=np.int64)
+        # one spare step, into which the last step's transitions are drawn
+        x = np.zeros((T + 1, starts[-1], 2 * n + 1), dtype=np.int64)
         x[..., -1] = 1
         for (s, _, _), r0, r1 in zip(groups, starts, starts[1:]):
             x[0, r0:r1, :n] = s
         uniforms = [([ua for _, ua, _ in groups], lengths),
                     ([ut for _, _, ut in groups], [t - 1 for t in lengths])]
         act, trans = self.policy_cdf.draw_stacked, self.kernel_cdf.draw_stacked
-        for k in range(T):
-            j = k % STACK_STEPS
-            if not j:
-                k1 = min(k + STACK_STEPS, T)
-                u_act, u_trans = (_stack_steps(us, ts, starts, k, k1)
-                                  for us, ts in uniforms)
-            act(x[k] @ self.act_w, u_act[j], out=x[k, :, n:2 * n])
-            if k + 1 < T:
-                trans(x[k] @ self.trans_w, u_trans[j], out=x[k + 1, :, :n])
+        for k0 in range(0, T, STACK_STEPS):
+            k1 = min(k0 + STACK_STEPS, T)
+            u_act, u_trans = (_stack_steps(us, ts, starts, k0, k1)
+                              for us, ts in uniforms)
+            # per step: rows, their actions, the next rows' states, uniforms
+            for xk, ak, sk, ua, ut in zip(x[k0:k1], x[k0:k1, :, n:2 * n],
+                                          x[k0 + 1:k1 + 1, :, :n], u_act,
+                                          u_trans):
+                act(xk @ self.act_w, ua, ak)
+                trans(xk @ self.trans_w, ut, sk)
         # copies: views would keep the (T, R, 2n+1) buffer alive for the
         # rest of the iteration, which pinned the freed TD Q tables in the
         # heap (measured: +23 MB peak RSS on the side-3 wireless grid)
@@ -170,18 +172,15 @@ class Simulator:
                 for r0, r1, t in zip(starts, starts[1:], lengths)]
 
 
-def trajectory_draws(cmdp: FactoredCMDP, batch_size: int, horizon: int, rng):
+def trajectory_draws(sim: Simulator, batch_size: int, horizon: int, rng):
     """Initial states and uniforms of ``batch_size`` trajectories of
-    ``horizon`` steps, as one ``Simulator.rollout`` group, drawn from ``rng``
-    in this order: initial states, then action uniforms, then transition
-    uniforms, each (horizon, batch_size, n)."""
+    ``horizon`` steps, as one ``sim.rollout`` group, drawn from ``rng`` in
+    this order: initial states (with ``sim.init_cdf``), then action
+    uniforms, then transition uniforms, each (horizon, batch_size, n)."""
     if batch_size < 1 or horizon < 1:
         raise ValueError("batch_size and horizon must be positive")
-    n = cmdp.n_agents
-    B = batch_size
-    u0 = rng.random((B, n))
-    s = InverseCdf([np.asarray(d)[None, :] for d in cmdp.initial_dist]
-                   ).draw(np.zeros((B, n), dtype=np.int64), u0)
-    u_act = rng.random((horizon, B, n))
-    u_trans = rng.random((horizon, B, n))
+    shape = (batch_size, sim.n)
+    s = sim.init_cdf.draw(np.zeros(shape, dtype=np.int64), rng.random(shape))
+    u_act = rng.random((horizon,) + shape)
+    u_trans = rng.random((horizon,) + shape)
     return s, u_act, u_trans

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .occupancy import state_marginal
+from . import indexing
 
 LINEAR = "linear"
 ENTROPY = "entropy"
@@ -54,41 +55,61 @@ def _check(occ):
                          else "occupancy entries must be nonnegative")
 
 
-def _raw_value(u: GeneralUtility, occ) -> float:
-    if u.kind == LINEAR:
-        if u.reward.shape != occ.shape:
-            raise ValueError(
-                f"reward table shape {u.reward.shape} does not match occupancy "
-                f"shape {occ.shape}")
-        return float(np.sum(u.reward * occ))
-    if u.kind == ENTROPY:
-        d = state_marginal(occ, u.gamma)
-        safe = np.maximum(d, ENTROPY_FLOOR)
-        return float(-np.sum(np.where(d > 0, d * np.log(safe), 0.0)))
+def evaluate(kind, gamma, reward, occ):
+    """Raw values (k,) and shadow rewards (k, S_i, A_i) of k utilities of one
+    kind and gamma at stacked (k, S_i, A_i) occupancies (and, if linear,
+    reward tables): the one implementation of each formula. Each sum runs
+    along an axis of the stack, so a table's terms add as in its own
+    reduction. Entries are not checked."""
+    if kind == LINEAR:
+        return np.sum((reward * occ).reshape(len(occ), -1), axis=1), reward
+    if kind == ENTROPY:
+        d = state_marginal(occ, gamma)
+        log = np.log(np.maximum(d, ENTROPY_FLOOR))
+        value = -np.sum(np.where(d > 0, d * log, 0.0), axis=1)
+        return value, (1.0 - gamma) * np.broadcast_to(
+            -(log + 1.0)[..., None], occ.shape)
     # L2_ACTION: (1-gamma)^2 / 2 * ||m||_2^2 with m(a) = sum_s lambda(s, a)
-    m = occ.sum(axis=0)
-    return float(0.5 * (1.0 - u.gamma) ** 2 * np.sum(m ** 2))
+    m = occ.sum(axis=1)
+    return (0.5 * (1.0 - gamma) ** 2 * np.sum(m ** 2, axis=1),
+            (1.0 - gamma) ** 2 * np.broadcast_to(m[:, None], occ.shape))
+
+
+class UtilityPass:
+    """Every agent's utility of ``utils`` at its (S_i, A_i) occupancy table
+    of ``shapes``, the tables stacked flat (``indexing.split``): one
+    ``evaluate`` per group of agents alike in shape, kind and gamma. A call
+    returns the values, constraints minus their threshold so that
+    feasibility is uniformly ``value >= 0``, and the stacked shadow rewards."""
+
+    def __init__(self, utils, shapes):
+        off = indexing.offsets([s * a for s, a in shapes])
+        groups = {}
+        for i, (u, shape) in enumerate(zip(utils, shapes)):
+            if u.kind == LINEAR and np.shape(u.reward) != tuple(shape):
+                raise ValueError(f"reward table shape {np.shape(u.reward)} "
+                                 f"does not match occupancy shape {shape}")
+            groups.setdefault((tuple(shape), u.kind, u.gamma), []).append(i)
+        self.groups = [
+            (agents, off[agents, None] + np.arange(shape[0] * shape[1]),
+             shape, kind, gamma, np.array([utils[i].reward for i in agents],
+                                          dtype=float)
+             if kind == LINEAR else None)
+            for (shape, kind, gamma), agents in groups.items()]
+        self.shift = np.array([u.threshold if u.role == CONSTRAINT else 0.0
+                               for u in utils])
+
+    def __call__(self, occ):
+        _check(occ)
+        values, shadow = np.empty(len(self.shift)), np.empty_like(occ)
+        for agents, cells, shape, kind, gamma, reward in self.groups:
+            v, r = evaluate(kind, gamma, reward,
+                            occ[cells].reshape((len(agents),) + shape))
+            values[agents] = v
+            shadow[cells] = r.reshape(len(agents), -1)
+        return values - self.shift, shadow
 
 
 def utility_value(u: GeneralUtility, occ) -> float:
-    """Utility value at an (S_i, A_i) occupancy table; constraints report raw
-    value minus their threshold so that feasibility is uniformly
-    ``value >= 0`` downstream."""
-    _check(occ)
-    raw = _raw_value(u, occ)
-    return raw - u.threshold if u.role == CONSTRAINT else raw
-
-
-def shadow_reward(u: GeneralUtility, occ) -> np.ndarray:
-    """Analytic gradient of the utility w.r.t. an (S_i, A_i) occupancy table,
-    an array of the same shape."""
-    _check(occ)
-    if u.kind == LINEAR:
-        return np.array(u.reward, dtype=float)
-    if u.kind == ENTROPY:
-        d = state_marginal(occ, u.gamma)
-        grad_d = -(np.log(np.maximum(d, ENTROPY_FLOOR)) + 1.0)
-        return (1.0 - u.gamma) * np.repeat(grad_d[:, None], occ.shape[1],
-                                           axis=1)
-    m = occ.sum(axis=0)
-    return (1.0 - u.gamma) ** 2 * np.repeat(m[None, :], occ.shape[0], axis=0)
+    """Utility value at an (S_i, A_i) occupancy table (``UtilityPass``)."""
+    return float(UtilityPass([u], [np.shape(occ)])(np.ravel(occ))[0][0])

@@ -58,8 +58,8 @@ def flat(grads):
 def sample_batch(cmdp, policy, batch_size, horizon, rng):
     """``train``'s sampling batch, rolled out alone: states and actions of
     shape (batch_size, horizon, n)."""
-    [batch] = Simulator(cmdp, policy).rollout(
-        [trajectory_draws(cmdp, batch_size, horizon, rng)])
+    sim = Simulator(cmdp, policy)
+    [batch] = sim.rollout([trajectory_draws(sim, batch_size, horizon, rng)])
     return batch
 
 
@@ -76,11 +76,27 @@ class PairLayout:
         self.sa_off = indexing.offsets([s * a for s, a in self.sa_shapes])
 
 
+def reward_steps(layout, rewards, S, A):
+    """Every agent's reward at the first K = len(layout.etas) steps of the
+    trajectory S, A, (n, K), as ``td_fit`` takes them, from one reward per
+    agent: LocalRewards are evaluated, (S_i, A_i) tables read. An (n, K)
+    array is returned as it is."""
+    if isinstance(rewards, np.ndarray):
+        return rewards
+    K = len(layout.etas)
+    if isinstance(rewards[0], LocalReward):
+        return np.stack([r.values(S[:K], A[:K]) for r in rewards])
+    return np.concatenate([np.ravel(r) for r in rewards]).take(
+        layout.sa_cells(S[:K], A[:K]).T)
+
+
 def td_tables(cmdp, policy, rewards, kappa, td, rng):
-    """Every agent's table of one of ``train``'s TD fits, rolled out alone."""
+    """Every agent's table of one of ``train``'s TD fits, rolled out alone;
+    ``rewards`` as ``reward_steps`` takes them."""
     layout = RunLayout(cmdp, policy, kappa, td)
     [(S, A)] = layout.simulator.rollout([td_draws(cmdp, td, rng)])
-    return td_fit(layout, rewards, S[0], A[0])
+    return td_fit(layout, reward_steps(layout, rewards, S[0], A[0]), S[0],
+                  A[0])
 
 
 def oracle_rows(metrics_path):

@@ -1,8 +1,8 @@
 """Dense reference oracles that only the tests call, each checking a library
 path: the pair-level transition matrix and the dense exact solve over the
 global (S, A, S') kernel (against ``occupancy.ExactSolve``), the exact
-truncated gradient (against the sampled one), finite differences of a
-utility's shadow reward, and the policy-truncation bound's narrower policy
+truncated gradient (against the sampled one), one agent's shadow reward
+and finite differences of it, and the policy-truncation bound's narrower policy
 and measured constants."""
 
 from dataclasses import replace
@@ -18,7 +18,7 @@ from pdmarl.layout import RunLayout, ThetaLayout, q_table_layout
 from pdmarl.policy import KHopPolicy
 from pdmarl.primal_dual import _neighborhood_weights
 from pdmarl.utilities import (CONSTRAINT, ENTROPY, GeneralUtility,
-                              _raw_value, shadow_reward)
+                              UtilityPass, evaluate)
 
 
 # -- dense exact solve --------------------------------------------------------
@@ -106,9 +106,11 @@ def global_shadow_rewards(solve, objectives, constraints):
             cols_f.append(lift_neighborhood_reward(cmdp, cmdp.rewards[i]))
         else:
             cols_f.append(lift_local_reward(
-                cmdp, i, shadow_reward(objectives[i], local)))
+                cmdp, i, shadow_reward(objectives[i], local),
+                np.zeros(cmdp.n_pairs)))
         cols_g.append(lift_local_reward(
-            cmdp, i, shadow_reward(constraints[i], local)))
+            cmdp, i, shadow_reward(constraints[i], local),
+            np.zeros(cmdp.n_pairs)))
     return np.column_stack(cols_f), np.column_stack(cols_g)
 
 
@@ -117,10 +119,10 @@ def _score_accumulate(cmdp, policy, weights):
     theta-shaped gradients."""
     theta = ThetaLayout(policy)
     rows = theta.rows(indexing.decode_table(cmdp.local_state_sizes))
-    return theta.split(theta.score_sums(
+    return indexing.split(theta.score_sums(
         policy, np.repeat(rows, cmdp.n_actions, axis=0),
         np.tile(indexing.decode_table(cmdp.local_action_sizes),
-                (cmdp.n_states, 1)), weights))
+                (cmdp.n_states, 1)), weights), theta.shapes)
 
 
 def dense_lagrangian_gradient(cmdp, policy, objectives, constraints, mu):
@@ -187,6 +189,13 @@ def exact_truncated_pg(cmdp, policy: KHopPolicy, objectives, constraints, mu,
 
 # -- utilities ----------------------------------------------------------------
 
+def shadow_reward(u: GeneralUtility, occ) -> np.ndarray:
+    """Analytic gradient of the utility w.r.t. an (S_i, A_i) occupancy table,
+    an array of the same shape: the ``UtilityPass`` of one agent."""
+    return UtilityPass([u], [np.shape(occ)])(np.ravel(occ))[1].reshape(
+        np.shape(occ))
+
+
 def as_constraint(u: GeneralUtility, threshold) -> GeneralUtility:
     """The utility ``u`` as a constraint with the given threshold."""
     return replace(u, role=CONSTRAINT, threshold=float(threshold))
@@ -202,6 +211,11 @@ def fd_gradient(u: GeneralUtility, occ, h: float = 1e-6) -> np.ndarray:
     """
     if h <= 0:
         raise ValueError("step size must be positive")
+    reward = None if u.reward is None else np.asarray(u.reward, float)[None]
+
+    def raw(table):
+        return evaluate(u.kind, u.gamma, reward, table[None])[0][0]
+
     grad = np.zeros_like(occ)
     clamp = u.kind == ENTROPY
     for idx in np.ndindex(occ.shape):
@@ -213,7 +227,7 @@ def fd_gradient(u: GeneralUtility, occ, h: float = 1e-6) -> np.ndarray:
         else:
             minus[idx] -= h
         lo = occ[idx] - minus[idx]
-        grad[idx] = (_raw_value(u, plus) - _raw_value(u, minus)) / (h + lo)
+        grad[idx] = (raw(plus) - raw(minus)) / (h + lo)
     return grad
 
 

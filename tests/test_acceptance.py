@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from pdmarl import indexing
 from pdmarl.graph import line_graph
 from pdmarl.policy import KHopPolicy
 from pdmarl.layout import RunLayout
@@ -42,8 +43,9 @@ def test_criterion_1_occupancy_oracle_agreement():
     exact = ExactSolve(m, pol).local_occupancies
     S, A = sample_batch(m, pol, 10_000, 100, rng_for(1))
     worst = 0.0
-    for emp, ex in zip(estimate_local_occupancies(RunLayout(m, pol, 1), S, A),
-                       exact):
+    layout = RunLayout(m, pol, 1)
+    for emp, ex in zip(indexing.split(estimate_local_occupancies(layout, S, A),
+                                      layout.sa_shapes), exact):
         worst = max(worst, float(np.linalg.norm(emp - ex)))
     elapsed = time.perf_counter() - started
     check(1, "empirical occupancy matches the exact solve",

@@ -16,8 +16,8 @@ from pdmarl.primal_dual import DualVariable, truncated_pg_estimate
 from pdmarl.sampling import Simulator, trajectory_draws
 from pdmarl import indexing
 
-from helpers import (chain, rng_for, single_cell_mdp, td_tables,
-                     uniform_policy)
+from helpers import (chain, reward_steps, rng_for, single_cell_mdp,
+                     td_tables, uniform_policy)
 from oracles import global_transition_matrix, truncate_q
 
 
@@ -148,7 +148,7 @@ class TestTDFitSlots:
         rng = rng_for(len(S))
         shadow = [rng.normal(size=shape) for shape in layout.sa_shapes]
         for rewards in (list(m.rewards), shadow):
-            got = td_fit(layout, rewards, S, A)
+            got = td_fit(layout, reward_steps(layout, rewards, S, A), S, A)
             for q, (keys, values) in zip(got, td_fit_reference(
                     layout, rewards, S, A)):
                 assert q.keys.dtype == np.int64
@@ -212,7 +212,8 @@ class TestTableRead:
         layout = RunLayout(m, uniform_policy(m), 1,
                            TDConfig(steps=len(S) - 1, h=10.0, k1=20.0))
         cells = layout.q_cells(S, A)
-        for i, q in enumerate(td_fit(layout, list(m.rewards), S, A)):
+        for i, q in enumerate(td_fit(
+                layout, reward_steps(layout, list(m.rewards), S, A), S, A)):
             # every cell stored but the last step's: drop one more, then
             # read the table with every cell stored, and both sparse tables
             full = dataclasses.replace(q, keys=np.arange(q.table.size),
@@ -262,8 +263,9 @@ class TestSparseQTable:
         pol = KHopPolicy.random(m.graph, m.local_state_sizes,
                                 m.local_action_sizes, 1, rng)
         cfg = default_td_config(m.gamma)
-        (S, A), (S_f, A_f), (S_g, A_g) = Simulator(m, pol).rollout([
-            trajectory_draws(m, 5, 125, rng), td_draws(m, cfg, rng),
+        sim = Simulator(m, pol)
+        (S, A), (S_f, A_f), (S_g, A_g) = sim.rollout([
+            trajectory_draws(sim, 5, 125, rng), td_draws(m, cfg, rng),
             td_draws(m, cfg, rng)])
         shadow = [np.ones((s, a)) for s, a in
                   zip(m.local_state_sizes, m.local_action_sizes)]
@@ -271,15 +273,17 @@ class TestSparseQTable:
         tracemalloc.start()
         try:
             layout = RunLayout(m, pol, 1, cfg)
-            q_f = td_fit(layout, list(m.rewards), S_f[0], A_f[0])
-            q_g = td_fit(layout, shadow, S_g[0], A_g[0])
+            q_f = td_fit(layout, reward_steps(layout, list(m.rewards), S_f[0],
+                                              A_f[0]), S_f[0], A_f[0])
+            q_g = td_fit(layout, reward_steps(layout, shadow, S_g[0], A_g[0]),
+                         S_g[0], A_g[0])
             grads = truncated_pg_estimate(layout, S, A, pol, q_f, q_g, mu)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 20e6
         assert all(len(q.keys) <= cfg.steps + 1 for q in q_f + q_g)
-        assert all(np.all(np.isfinite(g)) for g in grads)
+        assert np.all(np.isfinite(grads))
 
 
 class TestExactQ:
@@ -362,11 +366,22 @@ class TestRewardLifting:
     def test_lift_local_reward_matches_value(self):
         m = chain(2)
         table = np.array([[0.0, 1.0], [2.0, 3.0]])
-        flat = lift_local_reward(m, 1, table)
+        flat = lift_local_reward(m, 1, table, np.zeros(m.n_pairs))
         states = np.ndindex(*m.local_state_sizes)
         for si, s in enumerate(states):
             for ai, a in enumerate(np.ndindex(*m.local_action_sizes)):
                 assert flat[si * 4 + ai] == table[s[1], a[1]]
+
+    def test_lift_local_reward_adds_the_gathered_table_in_place(self):
+        m = chain(3)
+        rng = rng_for(8)
+        table, base = rng.normal(size=(2, 2)), rng.normal(size=m.n_pairs)
+        s_dec = indexing.decode_table(m.local_state_sizes)[:, 1]
+        a_dec = indexing.decode_table(m.local_action_sizes)[:, 1]
+        want = base + table[s_dec[:, None], a_dec[None, :]].ravel()
+        out = base.copy()
+        assert lift_local_reward(m, 1, table, out) is out
+        assert out.tobytes() == want.tobytes()
 
     def test_lift_neighborhood_reward_matches_value(self):
         # the line's head reward: 1.0 when s_0 = 1, else 0, whatever the action

@@ -60,8 +60,9 @@ def test_occupancy_bincount_is_the_add_at_loop(B, H, sizes):
     state_sizes, action_sizes = sizes
     S, A = random_batch(rng_for(B * 100 + H), B, H, state_sizes,
                         action_sizes)
-    got = estimate_local_occupancies(
-        PairLayout(0.93, state_sizes, action_sizes), S, A)
+    layout = PairLayout(0.93, state_sizes, action_sizes)
+    got = indexing.split(estimate_local_occupancies(layout, S, A),
+                         layout.sa_shapes)
     assert len(got) == len(state_sizes)
     for i, occ in enumerate(got):
         want = reference_occupancy(S, A, i, 0.93, state_sizes[i],
@@ -74,8 +75,9 @@ def test_occupancy_on_the_grid_mixed_sizes():
     cmdp = model("grid3")
     S, A = random_batch(rng_for(4), 3, 25, cmdp.local_state_sizes,
                         cmdp.local_action_sizes)
-    got = estimate_local_occupancies(
-        RunLayout(cmdp, random_policy(cmdp, 0, 0), 0), S, A)
+    layout = RunLayout(cmdp, random_policy(cmdp, 0, 0), 0)
+    got = indexing.split(estimate_local_occupancies(layout, S, A),
+                         layout.sa_shapes)
     for i, occ in enumerate(got):
         want = reference_occupancy(S, A, i, cmdp.gamma,
                                    cmdp.local_state_sizes[i],
@@ -137,7 +139,8 @@ def test_stacked_score_sums_are_per_agent_bincounts(env, kappa):
     weights = rng.normal(size=S.shape)
     theta = ThetaLayout(policy)
     rows = theta.rows(S)
-    got = theta.split(theta.score_sums(policy, rows, A, weights))
+    got = indexing.split(theta.score_sums(policy, rows, A, weights),
+                         theta.shapes)
     for i, g in enumerate(got):
         assert np.array_equal(rows[..., i], policy.nbhd_rows(i, S))
         want = reference_score_sum(policy, i, rows[..., i].ravel(),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pdmarl import indexing
 from pdmarl.graph import DependenceGraph
 from pdmarl.model import FactoredCMDP, TransitionKernel, LocalReward
 from pdmarl.policy import KHopPolicy
@@ -23,8 +24,9 @@ def local_occupancy(S, A, agent, gamma, state_size, action_size):
     """One agent's slice of the stacked estimate, on a batch whose agents
     all have ``state_size`` states and ``action_size`` actions."""
     n = S.shape[-1]
-    return estimate_local_occupancies(
-        PairLayout(gamma, (state_size,) * n, (action_size,) * n), S, A)[agent]
+    layout = PairLayout(gamma, (state_size,) * n, (action_size,) * n)
+    return indexing.split(estimate_local_occupancies(layout, S, A),
+                          layout.sa_shapes)[agent]
 
 
 def always_one_policy(cmdp, kappa=1):

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from pdmarl import indexing
 from pdmarl.graph import line_graph
 from pdmarl.policy import KHopPolicy, _softmax_rows, load_policy, save_policy
 from pdmarl.layout import ThetaLayout
@@ -37,7 +38,8 @@ def score(pol, i, s_nbhd, a):
                            np.zeros((1, n), dtype=np.int64), np.zeros((1, n)))
     rows[0, i], acts[0, i], weights[0, i] = nbhd_row(pol, i, s_nbhd), a, 1.0
     theta = ThetaLayout(pol)
-    return theta.split(theta.score_sums(pol, rows, acts, weights))[i]
+    return indexing.split(theta.score_sums(pol, rows, acts, weights),
+                          theta.shapes)[i]
 
 
 class TestDistributions:

@@ -12,15 +12,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from pdmarl import indexing, primal_dual, sampling
+from pdmarl import indexing, primal_dual, sampling, utilities
 from pdmarl.critic import TDConfig
 from pdmarl.layout import RunLayout
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
+from pdmarl.model import LocalReward
 from pdmarl.policy import KHopPolicy
 from pdmarl.primal_dual import StepSizes, TrainConfig, _rng, train
 from pdmarl.sampling import InverseCdf, Simulator
-from pdmarl.utilities import ENTROPY, GeneralUtility
+from pdmarl.utilities import ENTROPY, L2_ACTION, GeneralUtility
 
 from helpers import sample_batch, td_tables
 from oracles import as_constraint
@@ -331,8 +332,57 @@ def test_one_simulator_per_run_and_one_rollout_per_iteration(monkeypatch):
         counts["rollout"] += 1
         return rollout(self, groups)
 
+    def counted_cdf(self, *args):
+        counts["cdf"] += 1
+        cdf_init(self, *args)
+
+    counts["cdf"], cdf_init = 0, InverseCdf.__init__
     monkeypatch.setattr(Simulator, "__init__", counted_init)
     monkeypatch.setattr(Simulator, "rollout", counted_rollout)
+    monkeypatch.setattr(InverseCdf, "__init__", counted_cdf)
     train(cmdp, objectives, constraints, cfg, seed=0)
-    # each iteration swaps the policy CDF into the run's one simulator
-    assert counts == {"build": 1, "rollout": 2}
+    # each iteration swaps the policy CDF into the run's one simulator, whose
+    # kernel and initial-state CDFs are built once
+    assert counts == {"build": 1, "rollout": 2, "cdf": 3 + 2}
+
+
+@pytest.mark.parametrize("env", ["line4", "grid3"])
+def test_one_reward_call_per_agent_and_one_utility_pass_per_group(
+        monkeypatch, env):
+    # the side-3 grid's local (S_i, A_i) tables come in three shapes
+    if env == "grid3":
+        cmdp = wireless_grid(WirelessGridSpec(side=3, deadline=1, gamma=0.95))
+        base = GeneralUtility(kind=ENTROPY, gamma=cmdp.gamma)
+        objectives = [base] * cmdp.n_agents
+        groups = 3
+    else:
+        cmdp, objectives, _, _ = train_setup(env, 1, 20, 30)
+        groups = 1
+    constraints = [as_constraint(GeneralUtility(kind=L2_ACTION,
+                                                gamma=cmdp.gamma), 0.1)
+                   ] * cmdp.n_agents
+    cfg = TrainConfig(kappa=1, iterations=3, horizon=20, batch_size=3,
+                      steps=StepSizes(eta_theta=0.05, eta_mu=10.0),
+                      td=TDConfig(steps=30, h=20.0, k1=40.0))
+    assert len(set(zip(cmdp.local_state_sizes,
+                       cmdp.local_action_sizes))) == groups
+    agents, passes = [], []
+    values, evaluate = LocalReward.values, utilities.evaluate
+
+    def counted_values(self, S, A):
+        agents.append(self.agent)
+        return values(self, S, A)
+
+    def counted_evaluate(kind, gamma, reward, occ):
+        passes.append(kind)
+        return evaluate(kind, gamma, reward, occ)
+
+    monkeypatch.setattr(LocalReward, "values", counted_values)
+    monkeypatch.setattr(utilities, "evaluate", counted_evaluate)
+    train(cmdp, objectives, constraints, cfg, seed=0)
+    # per iteration: the env-reward objective reads each agent's reward
+    # once, and each utility list takes one pass per shape group
+    lists = [L2_ACTION] + ([] if objectives is None else [ENTROPY])
+    assert sorted(agents) == ([] if objectives else sorted(
+        list(range(cmdp.n_agents)) * cfg.iterations))
+    assert sorted(passes) == sorted(lists * groups * cfg.iterations)

@@ -12,12 +12,21 @@ dense solve before both, which the new ones match to the relative
 tolerance 1e-9 (absolute 1e-12) of the benchmark's gate.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from pdmarl.cli import run_experiment
 from pdmarl.config import parse_config_dict
 
 from helpers import oracle_rows, oracle_values_close
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads",
+    Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 _COMMON = {
     "schema_version": 1,
@@ -181,14 +190,46 @@ PARENT_XYE = {
 }
 
 
-def run_hashes(tmp_path, name, seed):
-    cfg = parse_config_dict({**_COMMON, **CONFIGS[name], "seed": seed})
-    manifest = run_experiment(cfg, tmp_path)
+# (benchmark workload, seed) -> (metrics.csv SHA-256, policy.csv SHA-256)
+# of the configs of ``perfbench/workloads.py``, so that the benchmark's
+# three workloads keep their bytes at seeds 0 and 3. ``line5_oracle`` has 5
+# agents, whose X, Y and E do not depend on the BLAS thread count.
+WORKLOAD_GOLDEN = {
+    ("line10_k1", 0): (
+        "b6f4d671a0fac73233b78158b417a5c137e4082ef8c65ad20590a91df43bacbd",
+        "befde6e3b8c74036782ee67e4935f6944f855cffd93c5e0aff79587e19d3366d"),
+    ("line10_k1", 3): (
+        "b50a3528a934165cce9427759916bc6592b013d51ed0a96173cd819403c14bb8",
+        "b4669e26879c813281a8d362e456335ce18b0e559f9763aa8cfba2e4c64aed6e"),
+    ("line5_oracle", 0): (
+        "a54b923494a5575e5a1dafc2fcc9059e8d083750ba0f72bf8813ea3172e9622d",
+        "da3364535e2e087de5684e023a67a8b0200d9095197f53a9ad26113637fe77fb"),
+    ("line5_oracle", 3): (
+        "17ebbf06a5e404e21699be485b44e3772c02279e7a892d8260bd3a60a8f30806",
+        "784dca6f0e1ed78a448728f7fe3375911f24f754b9b81fdfbf53f96af83cde52"),
+    ("wireless3", 0): (
+        "893c606a01b1f2d370961561cfde9e9044afe1294dbbb80a836e6b7744518ef7",
+        "50c458bdcd814b5dfc2f107153a27f9dab1ddc34ea2ad7eb5078b686c6c8eebf"),
+    ("wireless3", 3): (
+        "367c7a330c224b5d4522d7a265a3675318ca78751bd13f9654d5fa2c1c85de0d",
+        "eb47dcbc84d5d02596c5ee9e1862fb375bc5db3186aeea5c5f5524392d269521"),
+}
+
+
+def hashes(tmp_path, raw):
+    manifest = run_experiment(parse_config_dict(raw), tmp_path)
     return manifest["metrics_sha256"], manifest["policy_sha256"]
 
 
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
 def test_run_bytes_match_golden(tmp_path, name, seed):
-    assert run_hashes(tmp_path, name, seed) == GOLDEN[(name, seed)]
+    raw = {**_COMMON, **CONFIGS[name], "seed": seed}
+    assert hashes(tmp_path, raw) == GOLDEN[(name, seed)]
     assert oracle_values_close(oracle_rows(tmp_path / "metrics.csv"),
                                PARENT_XYE.get((name, seed), ()))
+
+
+@pytest.mark.parametrize("name,seed", sorted(WORKLOAD_GOLDEN))
+def test_workload_bytes_match_golden(tmp_path, name, seed):
+    raw = workloads.workload_config(name, seed)
+    assert hashes(tmp_path, raw) == WORKLOAD_GOLDEN[(name, seed)]

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from pdmarl import indexing, utilities
 from pdmarl.utilities import (CONSTRAINT, ENTROPY, ENTROPY_FLOOR, L2_ACTION,
-                              LINEAR, GeneralUtility, shadow_reward,
+                              LINEAR, OBJECTIVE, GeneralUtility, UtilityPass,
                               utility_value)
 
-from oracles import as_constraint, fd_gradient
+from oracles import as_constraint, fd_gradient, shadow_reward
 
 
 def occ(table):
@@ -156,3 +157,104 @@ class TestFiniteDifferenceOracle:
         u = GeneralUtility(kind=ENTROPY, gamma=0.5)
         with pytest.raises(ValueError):
             fd_gradient(u, occ([[0.5], [0.5]]), h=0.0)
+
+
+def per_agent(u, occ):
+    """One agent's value and shadow reward, each formula written out for
+    one (S_i, A_i) table."""
+    S, A = occ.shape
+    c = 1.0 - u.gamma
+    if u.kind == LINEAR:
+        value, shadow = float(np.sum(u.reward * occ)), u.reward.copy()
+    elif u.kind == ENTROPY:
+        d = c * occ.sum(axis=1)
+        log = np.log(np.maximum(d, ENTROPY_FLOOR))
+        value = float(-np.sum(np.where(d > 0, d * log, 0.0)))
+        shadow = c * np.repeat(-(log + 1.0)[:, None], A, axis=1)
+    else:
+        m = occ.sum(axis=0)
+        value = float(0.5 * c ** 2 * np.sum(m ** 2))
+        shadow = c ** 2 * np.repeat(m[None, :], S, axis=0)
+    return (value - u.threshold if u.role == CONSTRAINT else value), shadow
+
+
+class TestUtilityPass:
+    """The grouped pass against ``per_agent``, bit for bit: tables of every
+    (S_i, A_i) with S_i in {2, 8, 16} and A_i in {2, 3, 5}, two or three of
+    each, in shuffled agent order."""
+
+    def agents(self, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(s, a) for s in (2, 8, 16) for a in (2, 3, 5)
+                  for _ in range(2 + (s + a) % 2)]
+        shapes = [shapes[i] for i in rng.permutation(len(shapes))]
+        occs = []
+        for s, a in shapes:
+            occ = rng.random((s, a)) * rng.choice([1e-3, 1.0, 30.0])
+            occ[rng.random((s, a)) < 0.2] = 0.0  # some empty states
+            occs.append(occ)
+        return rng, shapes, occs
+
+    def utilities(self, rng, kinds, shapes):
+        return [GeneralUtility(
+            kind=kind, role=(CONSTRAINT, OBJECTIVE)[i % 2],
+            reward=rng.normal(size=shape) if kind == LINEAR else None,
+            threshold=float(rng.normal()), gamma=(0.9, 0.99)[i % 3 == 0])
+            for i, (kind, shape) in enumerate(zip(kinds, shapes))]
+
+    def check(self, utils, shapes, occs):
+        values, shadow = UtilityPass(utils, shapes)(
+            np.concatenate([o.ravel() for o in occs]))
+        want = [per_agent(u, o) for u, o in zip(utils, occs)]
+        assert values.tobytes() == np.array([v for v, _ in want]).tobytes()
+        for got, (_, w) in zip(indexing.split(shadow, shapes), want):
+            assert got.tobytes() == w.tobytes()
+        for u, o, (v, w) in zip(utils, occs, want):
+            assert utility_value(u, o) == v
+            assert shadow_reward(u, o).tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("kind", [LINEAR, ENTROPY, L2_ACTION])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_kind_per_list(self, kind, seed):
+        rng, shapes, occs = self.agents(seed)
+        utils = self.utilities(rng, [kind] * len(shapes), shapes)
+        assert len({(u.threshold, u.role, u.gamma) for u in utils}) > 3
+        self.check(utils, shapes, occs)
+
+    def test_mixed_kinds_in_one_list(self):
+        rng, shapes, occs = self.agents(3)
+        kinds = [(LINEAR, ENTROPY, L2_ACTION)[i % 3] for i in range(len(shapes))]
+        self.check(self.utilities(rng, kinds, shapes), shapes, occs)
+
+    def test_one_pass_per_group(self, monkeypatch):
+        rng, shapes, occs = self.agents(4)
+        calls, evaluate = [], utilities.evaluate
+
+        def counted(kind, gamma, reward, occ):
+            calls.append(occ.shape)
+            return evaluate(kind, gamma, reward, occ)
+
+        monkeypatch.setattr(utilities, "evaluate", counted)
+        u = GeneralUtility(kind=ENTROPY, gamma=0.9)
+        UtilityPass([u] * len(shapes), shapes)(
+            np.concatenate([o.ravel() for o in occs]))
+        assert sorted(calls) == sorted(
+            (shapes.count(s),) + s for s in set(shapes))
+
+    @pytest.mark.parametrize("kind", [LINEAR, ENTROPY, L2_ACTION])
+    @pytest.mark.parametrize("entry, reason", [
+        (-1e-300, "occupancy entries must be nonnegative"),
+        (np.nan, "occupancy table contains NaN")], ids=["negative", "nan"])
+    def test_bad_entry_rejected(self, kind, entry, reason):
+        rng, shapes, occs = self.agents(5)
+        utils = self.utilities(rng, [kind] * len(shapes), shapes)
+        occs[7][-1, 1] = entry
+        with pytest.raises(ValueError, match=reason):
+            UtilityPass(utils, shapes)(
+                np.concatenate([o.ravel() for o in occs]))
+
+    def test_linear_reward_shape_checked(self):
+        u = GeneralUtility(kind=LINEAR, reward=np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"reward table shape \(2, 3\) "
+                           r"does not match occupancy shape \(2, 2\)"):
+            UtilityPass([u], [(2, 2)])
