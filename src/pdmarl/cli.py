@@ -258,7 +258,7 @@ def _verify_checks():
         [(S, A)] = layout.simulator.rollout([td_draws(
             mdp, cfg, default_rng(SeedSequence(1)))])
         q = td_fit(layout, np.ones((1, cfg.steps)), S[0], A[0])
-        return abs(q[0].table[0, 0] - 10.0) < 0.05
+        return abs(q[0].read(np.array([0]))[0] - 10.0) < 0.05
 
     def stationarity_interior():
         g = np.array([0.3, -0.2, 0.1])

@@ -1,13 +1,11 @@
-"""Truncated shadow Q-functions: the TD critic, and local rewards as global
-pair vectors for the exact solve.
+"""Truncated shadow Q-functions: the TD critic.
 
 One TD evaluation is the asynchronous single-trajectory subroutine: the
 uniforms of ``td_draws``, rolled out by the run's ``Simulator`` (``train``
 stacks both critics' trajectories into its one rollout per iteration), then
 ``td_fit`` of every agent's table along the trajectory, with the run's
-``layout.RunLayout``. ``lift_local_reward`` and ``lift_neighborhood_reward``
-give a local reward as the flat pair vector that ``occupancy.ExactSolve.q``
-solves for.
+``layout.RunLayout``. A table stores the visited cells only and is read
+with ``TruncatedQTable.read``.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import RunLayout
-from .model import FactoredCMDP, LocalReward
+from .model import FactoredCMDP
 from . import indexing
 
 
@@ -71,15 +69,6 @@ class TruncatedQTable:
         pos = np.searchsorted(self.keys, cells)
         return np.where(self.keys.take(pos, mode="clip") == cells,
                         self.values.take(pos, mode="clip"), 0.0)
-
-    @property
-    def table(self) -> np.ndarray:
-        """The dense (n_nbhd_states, n_nbhd_actions) array, zero where no
-        cell is stored. Materialized on each access: for tests and checks."""
-        out = np.zeros((indexing.space_size(self.state_sizes),
-                        indexing.space_size(self.action_sizes)))
-        out.flat[self.keys] = self.values
-        return out
 
 
 def td_draws(cmdp: FactoredCMDP, cfg: TDConfig, rng):
@@ -158,23 +147,3 @@ def td_fit(layout: RunLayout, rewards, S, A) -> list:
                             values=values[a:b])
             for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
-
-def lift_local_reward(cmdp: FactoredCMDP, agent: int, table,
-                      into) -> np.ndarray:
-    """Add a (S_i, A_i) reward table in place to the flat global pair vector
-    ``into``, broadcast along the agent's two axes of its (S_0, ...,
-    S_{n-1}, A_0, ..., A_{n-1}) view, and return the vector."""
-    n = cmdp.n_agents
-    shape = [1] * (2 * n)
-    shape[agent], shape[n + agent] = np.shape(table)
-    into.reshape(cmdp.local_state_sizes + cmdp.local_action_sizes)[...] += \
-        np.reshape(table, shape)
-    return into
-
-
-def lift_neighborhood_reward(cmdp: FactoredCMDP,
-                             reward: LocalReward) -> np.ndarray:
-    """Expand a neighborhood reward to the flat global pair vector."""
-    return reward.values(
-        indexing.decode_table(cmdp.local_state_sizes)[:, None, :],
-        indexing.decode_table(cmdp.local_action_sizes)[None, :, :]).ravel()

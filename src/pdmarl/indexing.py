@@ -13,9 +13,10 @@ product with ``radix_weights``. It is the row lookup of kernel tables
 stack the same weights as matrix columns to look up every agent's row in
 one product, and ``offsets`` places per-agent tables end to end in one
 array. ``decode_table`` is the inverse over a whole space; the exact
-oracles build every agent's policy and kernel rows at every state and the
-lifted rewards by broadcasting over it, and ``row_kron`` multiplies
-per-agent factors (the state chain, pi(a|s)) in the same digit order.
+oracles build every agent's policy and kernel rows at every state and each
+reward's action cells by broadcasting over it, and ``row_kron`` multiplies
+per-agent factors (the state chain, a reward's policy weights) in the same
+digit order.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ from .graph import DependenceGraph
 from . import indexing
 
 # Largest model the exact oracles enumerate: the state chain is an
-# |S| x |S| matrix, and a Q column an (|S||A|,) vector.
+# |S| x |S| matrix, and each env reward is read at its |S||A_N| cells, every
+# state with every joint action of the agents whose actions it reads.
 MAX_EXACT_STATES = 1024
 MAX_EXACT_PAIRS = 2 ** 22
 
@@ -187,17 +188,12 @@ class FactoredCMDP:
     def n_states(self):
         return indexing.space_size(self.local_state_sizes)
 
-    @property
-    def n_actions(self):
-        return indexing.space_size(self.local_action_sizes)
-
-    @property
-    def n_pairs(self):
-        return self.n_states * self.n_actions
-
     def check_enumeration_cap(self):
-        for what, size, cap in (("|S|", self.n_states, MAX_EXACT_STATES),
-                                ("|S||A|", self.n_pairs, MAX_EXACT_PAIRS)):
+        checks = [("|S|", self.n_states, MAX_EXACT_STATES)] + [
+            (f"|S||A_N| of agent {rew.agent}'s reward", self.n_states
+             * indexing.space_size(rew.dep_sizes[len(rew.state_deps):]),
+             MAX_EXACT_PAIRS) for rew in self.rewards]
+        for what, size, cap in checks:
             if size > cap:
                 raise EnumerationCapExceeded(
                     f"{what} = {size} exceeds the enumeration cap {cap}")

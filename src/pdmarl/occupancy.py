@@ -1,6 +1,7 @@
 """Discounted occupancy measures as plain arrays: every agent's (S_i, A_i)
 table, estimated from trajectories (mass (1-gamma^H)/(1-gamma) at horizon H)
-or exact (mass 1/(1-gamma)) with the policy's global (|S||A|,) occupancy."""
+or exact (mass 1/(1-gamma)) from the policy's state occupancy d(s), with
+the state-space solves that the exact oracles share (``ExactSolve``)."""
 
 from __future__ import annotations
 
@@ -32,59 +33,81 @@ def estimate_local_occupancies(layout, S, A) -> np.ndarray:
 
 class ExactSolve:
     """One policy's state chain in product form, built once for every
-    exact oracle.
+    exact oracle; nothing it builds is indexed by global state-action pairs.
 
-    Agent i's next state reads (s_{D_i}, a_i) only, so the state chain M_pi
-    (``chain``) is the ``indexing.row_kron`` over agents of the (|S|, S_i)
-    factors sum_{a_i} pi_i(a_i|s_{N_i}) P_i(.|s_{D_i}, a_i). ``lhs`` is
-    I - gamma M_pi: one ``numpy.linalg.solve`` of its transpose gives the
-    state occupancy ``d``, (I - gamma M_pi)^T d = rho, and one solve per
-    ``q`` call the values V (numpy keeps no LU between solves; scipy's
-    would cost every run its import). ``occupancy`` is lambda(s, a) =
-    d(s) pi(a|s) flat over pairs s*|A| + a, and ``local_occupancies`` every
-    agent's (S_i, A_i) marginal of it.
+    At every global state (``s_dec``) it holds each agent's policy row
+    (``rows``), pi_i(.|s) (``pis``, (S, A_i)) and P_i(.|s, a_i) (``kernels``,
+    (S, A_i, S_i)). Agent i's next state reads (s_{D_i}, a_i) only, so the
+    state chain M_pi (``chain``) is the ``indexing.row_kron`` of the (S, S_i)
+    ``factors`` M_i = sum_{a_i} pi_i P_i. ``lhs`` is I - gamma M_pi: one
+    ``numpy.linalg.solve`` of its transpose gives the state occupancy ``d``,
+    (I - gamma M_pi)^T d = rho, and one of ``lhs`` the values of a state
+    reward (numpy keeps no LU between solves; scipy's would cost every run
+    its import). ``local_occupancies`` are the (S_i, A_i) sums of d pi_i.
     """
 
     def __init__(self, cmdp: FactoredCMDP, policy):
         cmdp.check_enumeration_cap()
         self.cmdp = cmdp
         n, sizes = cmdp.n_agents, cmdp.local_state_sizes
-        s_dec = indexing.decode_table(sizes)
-        # at every global state: pi_i(.|s), (S, A_i), and P_i(.|s, a_i),
-        # (S, A_i, S_i), of every agent
-        self.pis = [probs[policy.nbhd_rows(i, s_dec)]
-                    for i, probs in enumerate(policy.prob_tables)]
+        self.s_dec = s_dec = indexing.decode_table(sizes)
+        self.rows = [policy.nbhd_rows(i, s_dec) for i in range(n)]
+        self.pis = [probs[rows]
+                    for probs, rows in zip(policy.prob_tables, self.rows)]
         self.kernels = []
         for i, kern in enumerate(cmdp.kernels):
             acts = np.zeros((cmdp.local_action_sizes[i], n), dtype=np.int64)
             acts[:, i] = np.arange(len(acts))
             self.kernels.append(kern.table[kern.row_indices(s_dec[:, None],
                                                             acts)])
-        self.chain = indexing.row_kron([np.einsum("sa,sat->st", pi, k) for
-                                        pi, k in zip(self.pis, self.kernels)])
+        self.factors = [np.einsum("sa,sat->st", pi, k)
+                        for pi, k in zip(self.pis, self.kernels)]
+        self.chain = indexing.row_kron(self.factors)
         self.lhs = np.eye(len(self.chain)) - cmdp.gamma * self.chain
         self.d = np.maximum(0.0, np.linalg.solve(  # clip solver noise
             self.lhs.T, cmdp.initial_state_distribution()))
-        self.pi = indexing.row_kron(self.pis)  # (S, A)
-        self.occupancy = (self.d[:, None] * self.pi).ravel()
         self.local_occupancies = [
             (self.d[:, None] * pi).reshape(sizes + pi.shape[1:]).sum(
                 axis=tuple(k for k in range(n) if k != i))
             for i, pi in enumerate(self.pis)]
 
-    def q(self, rewards) -> np.ndarray:
-        """Exact Q-function of a flat (|S||A|,) reward vector R: R plus
-        gamma sum_s' P(s'|s, a) V(s'), with (I - gamma M_pi) V = sum_a
-        pi(a|s) R(s, a). The sum over s' swaps one agent's next state for
-        its action at a time, from V(s') to (S, a_<i, s'_>=i) arrays."""
-        S = self.cmdp.n_states
-        R = np.asarray(rewards, dtype=float).reshape(S, -1)
-        V = np.linalg.solve(self.lhs, np.einsum("sa,sa->s", self.pi, R))
-        T = V[None, None]
-        for k in self.kernels:
-            T = np.matmul(k[:, None], T.reshape(*T.shape[:2], k.shape[2], -1))
-            T = T.reshape(S, -1, T.shape[-1])
-        return (R + self.cmdp.gamma * T.reshape(S, -1)).ravel()
+    def next_values(self, V, agent: int) -> np.ndarray:
+        """(S, A_i) expected next value of agent i's actions: sum_s'
+        P_i(s'_i|s, a_i) prod_{j != i} M_j(s'_j|s) V(s'). V's axis of agent i
+        moves last, and the other agents' next states are summed out under
+        their factors one agent at a time."""
+        sizes = self.cmdp.local_state_sizes
+        others = [j for j in range(len(sizes)) if j != agent]
+        X = V.reshape(sizes).transpose(others + [agent])[None]
+        for j in others:
+            X = np.matmul(self.factors[j][:, None],
+                          X.reshape(len(X), sizes[j], -1))[:, 0]
+        return np.einsum("sat,st->sa", self.kernels[agent], X)
+
+    def reward_means(self, reward) -> tuple:
+        """A local reward averaged over the policy's actions: r_bar(s) =
+        sum_a pi(a|s) R(s, a), (S,), and for each agent k of
+        ``reward.action_deps`` its (S, A_k) marginal sum_{a_-k} pi_-k(a_-k|s)
+        R(s, a). R is read once, at every state and every cell of its
+        action dependencies; its action axes are then summed out under
+        their agents' policies, first to last, and the marginal of each
+        weights the axes after its own by their policies' product."""
+        deps = list(reward.action_deps)
+        a_sizes = [self.cmdp.local_action_sizes[k] for k in deps]
+        acts = np.zeros((indexing.space_size(a_sizes), self.cmdp.n_agents),
+                        dtype=np.int64)
+        acts[:, deps] = indexing.decode_table(a_sizes)
+        X = reward.values(self.s_dec[:, None], acts)  # (S, |A_N|)
+        pis = [self.pis[k] for k in deps]
+        after = [np.ones((len(X), 1))]
+        for pi in pis[:0:-1]:
+            after.append(indexing.row_kron([pi, after[-1]]))
+        marginals = []
+        for pi, w in zip(pis, after[::-1]):
+            F = X.reshape(len(X), pi.shape[1], -1)
+            marginals.append(np.matmul(F, w[..., None])[..., 0])
+            X = np.matmul(pi[:, None], F)[:, 0]
+        return X[:, 0], marginals
 
 
 def state_marginal(occ, gamma: float) -> np.ndarray:

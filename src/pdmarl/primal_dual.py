@@ -16,8 +16,7 @@ from .policy import KHopPolicy
 from .sampling import trajectory_draws
 from .occupancy import ExactSolve, estimate_local_occupancies
 from .utilities import UtilityPass, utility_value
-from .critic import (TDConfig, default_td_config, td_draws, td_fit,
-                     lift_local_reward, lift_neighborhood_reward)
+from .critic import TDConfig, default_td_config, td_draws, td_fit
 from . import indexing
 
 
@@ -108,14 +107,17 @@ def policy_ascent(policy: KHopPolicy, grads, eta_theta: float) -> KHopPolicy:
 def exact_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
                               objectives, constraints, mu,
                               solve: ExactSolve = None) -> list:
-    """Exact policy gradient of the Lagrangian by full enumeration.
+    """Exact policy gradient of the Lagrangian by enumeration of the states.
 
-    By linearity one exact Q-function serves every agent: that of the
-    shadow rewards at the exact local occupancies, (1/n) sum_j (r_f,j +
-    mu_j r_g,j). Entry [e, b] of agent i's gradient is the weight
-    W = lambda * Q on the pairs at table row e with a_i = b, minus
-    pi_i(b | e) times the weight on row e. ``solve`` is this policy's
-    ``ExactSolve`` when the caller already has one.
+    By linearity one reward R serves every agent: the shadow rewards at the
+    exact local occupancies, (1/n) sum_j (r_f,j + mu_j r_g,j), the env
+    rewards in place of r_f when they are the objective. Agent i needs its
+    Q averaged over the other agents' actions only: Q_i = R_i + gamma T_i,
+    T_i the ``ExactSolve.next_values`` of V, (I - gamma M_pi) V = sum_a pi R.
+    Entry [e, b] of its gradient sums d(s) pi_i(b|s) (Q_i(s, b) - sum_c
+    pi_i(c|s) Q_i(s, c)) over the states s at table row e, so the terms of
+    R_i that do not read a_i cancel and are left out. ``solve`` is this
+    policy's ``ExactSolve`` when the caller already has one.
     """
     mu = np.asarray(mu, dtype=float)
     solve = solve or ExactSolve(cmdp, policy)
@@ -125,20 +127,23 @@ def exact_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
         solve, constraints)[1]
     if objectives is not None:
         table = table + _exact_utilities(solve, objectives)[1]
-    reward = np.zeros(cmdp.n_pairs)
-    for i, tab in enumerate(indexing.split(table, [o.shape for o in local])):
-        if objectives is None:
-            reward += lift_neighborhood_reward(cmdp, cmdp.rewards[i])
-        lift_local_reward(cmdp, i, tab, reward)
-    W = (solve.occupancy * solve.q(reward / n)).reshape(
-        (cmdp.n_states,) + cmdp.local_action_sizes)
-    s_dec = indexing.decode_table(cmdp.local_state_sizes)
+    q = [tab[solve.s_dec[:, i]] for i, tab in
+         enumerate(indexing.split(table, [o.shape for o in local]))]
+    r_bar = sum((pi * q_i).sum(axis=1) for pi, q_i in zip(solve.pis, q))
+    if objectives is None:
+        for rew in cmdp.rewards:
+            mean, marginals = solve.reward_means(rew)
+            r_bar += mean
+            for k, marginal in zip(rew.action_deps, marginals):
+                q[k] += marginal
+    V = np.linalg.solve(solve.lhs, r_bar / n)
     grads = []
-    for i, probs in enumerate(policy.prob_tables):
+    for i, (probs, pi) in enumerate(zip(policy.prob_tables, solve.pis)):
+        q_i = q[i] / n + cmdp.gamma * solve.next_values(V, i)
         g = np.zeros_like(probs)
-        np.add.at(g, policy.nbhd_rows(i, s_dec),
-                  W.sum(axis=tuple(1 + j for j in range(n) if j != i)))
-        grads.append(g - probs * g.sum(axis=1, keepdims=True))
+        np.add.at(g, solve.rows[i], solve.d[:, None] * pi * (
+            q_i - (pi * q_i).sum(axis=1, keepdims=True)))
+        grads.append(g)
     return grads
 
 
@@ -157,14 +162,14 @@ def exact_dual_gradient(cmdp: FactoredCMDP, policy: KHopPolicy, constraints,
 
 def lagrangian_value(cmdp: FactoredCMDP, policy: KHopPolicy,
                      objectives, constraints, mu) -> float:
-    """Exact Lagrangian through exact occupancies (finite-difference target)."""
+    """Exact Lagrangian through exact occupancies (finite-difference target):
+    an env reward's value is d . r_bar, its ``ExactSolve.reward_means``."""
     solve = ExactSolve(cmdp, policy)
     mu = np.asarray(mu, dtype=float)
     total = 0.0
     for i, loc in enumerate(solve.local_occupancies):
         if objectives is None:
-            f_i = float(lift_neighborhood_reward(cmdp, cmdp.rewards[i])
-                        @ solve.occupancy)
+            f_i = float(solve.d @ solve.reward_means(cmdp.rewards[i])[0])
         else:
             f_i = utility_value(objectives[i], loc)
         total += f_i + mu[i] * utility_value(constraints[i], loc)

@@ -1,9 +1,11 @@
 """Dense reference oracles that only the tests call, each checking a library
-path: the pair-level transition matrix and the dense exact solve over the
-global (S, A, S') kernel (against ``occupancy.ExactSolve``), the exact
-truncated gradient (against the sampled one), one agent's shadow reward
-and finite differences of it, and the policy-truncation bound's narrower policy
-and measured constants."""
+path: local rewards lifted to global (s, a) pair vectors, the pair-level
+transition matrix and the dense exact solve over the global (S, A, S')
+kernel (against ``occupancy.ExactSolve``), the pair-level Q and occupancy in
+product form (``PairExactSolve``, where the dense kernel cannot reach), the
+exact truncated gradient (against the sampled one), dense truncated-Q
+tables, one agent's shadow reward and finite differences of it, and the
+policy-truncation bound's narrower policy and measured constants."""
 
 from dataclasses import replace
 
@@ -11,14 +13,114 @@ import numpy as np
 import scipy.linalg
 
 from pdmarl import indexing
-from pdmarl.critic import (TruncatedQTable, lift_local_reward,
-                           lift_neighborhood_reward)
+from pdmarl.critic import TruncatedQTable
 from pdmarl.graph import khop_neighborhood
 from pdmarl.layout import RunLayout, ThetaLayout, q_table_layout
+from pdmarl.occupancy import ExactSolve
 from pdmarl.policy import KHopPolicy
 from pdmarl.primal_dual import _neighborhood_weights
 from pdmarl.utilities import (CONSTRAINT, ENTROPY, GeneralUtility,
                               UtilityPass, evaluate)
+
+
+# -- global pair vectors -----------------------------------------------------
+
+def n_actions(cmdp) -> int:
+    """|A|, the number of global actions."""
+    return indexing.space_size(cmdp.local_action_sizes)
+
+
+def n_pairs(cmdp) -> int:
+    """|S||A|, the length of a flat global pair vector (pair s*|A| + a)."""
+    return cmdp.n_states * n_actions(cmdp)
+
+
+def lift_local_reward(cmdp, agent: int, table, into) -> np.ndarray:
+    """Add a (S_i, A_i) reward table in place to the flat global pair vector
+    ``into``, broadcast along the agent's two axes of its (S_0, ...,
+    S_{n-1}, A_0, ..., A_{n-1}) view, and return the vector."""
+    n = cmdp.n_agents
+    shape = [1] * (2 * n)
+    shape[agent], shape[n + agent] = np.shape(table)
+    into.reshape(cmdp.local_state_sizes + cmdp.local_action_sizes)[...] += \
+        np.reshape(table, shape)
+    return into
+
+
+def lift_neighborhood_reward(cmdp, reward) -> np.ndarray:
+    """Expand a neighborhood reward to the flat global pair vector."""
+    return reward.values(
+        indexing.decode_table(cmdp.local_state_sizes)[:, None, :],
+        indexing.decode_table(cmdp.local_action_sizes)[None, :, :]).ravel()
+
+
+def dense_table(q: TruncatedQTable) -> np.ndarray:
+    """The dense (n_nbhd_states, n_nbhd_actions) array of a truncated Q
+    table, zero where no cell is stored."""
+    out = np.zeros((indexing.space_size(q.state_sizes),
+                    indexing.space_size(q.action_sizes)))
+    out.flat[q.keys] = q.values
+    return out
+
+
+class PairExactSolve:
+    """The pair-level view of an ``occupancy.ExactSolve``, in product form:
+    pi(a|s) over global pairs (``pi``, (S, A)), the flat (|S||A|,)
+    occupancy lambda(s, a) = d(s) pi(a|s), and the exact Q of a flat reward
+    vector from the solve's ``lhs`` and per-agent kernels. It reaches the
+    10-agent line, where the dense (S, A, S') kernel needs 8 GB."""
+
+    def __init__(self, cmdp, policy):
+        self.cmdp = cmdp
+        self.solve = ExactSolve(cmdp, policy)
+        self.pi = indexing.row_kron(self.solve.pis)
+        self.occupancy = (self.solve.d[:, None] * self.pi).ravel()
+        self.local_occupancies = self.solve.local_occupancies
+
+    def q(self, rewards) -> np.ndarray:
+        """Exact Q-function of a flat (|S||A|,) reward vector R: R plus
+        gamma sum_s' P(s'|s, a) V(s'), with (I - gamma M_pi) V = sum_a
+        pi(a|s) R(s, a). The sum over s' swaps one agent's next state for
+        its action at a time, from V(s') to (S, a_<i, s'_>=i) arrays."""
+        S = self.cmdp.n_states
+        R = np.asarray(rewards, dtype=float).reshape(S, -1)
+        V = np.linalg.solve(self.solve.lhs,
+                            np.einsum("sa,sa->s", self.pi, R))
+        T = V[None, None]
+        for k in self.solve.kernels:
+            T = np.matmul(k[:, None], T.reshape(*T.shape[:2], k.shape[2], -1))
+            T = T.reshape(S, -1, T.shape[-1])
+        return (R + self.cmdp.gamma * T.reshape(S, -1)).ravel()
+
+
+def pair_lagrangian_gradient(cmdp, policy, objectives, constraints, mu):
+    """``primal_dual.exact_lagrangian_gradient`` over global pairs, as the
+    library computed it before it moved to state space: the Lagrangian's
+    shadow and env rewards lifted into one pair vector, its Q from
+    ``PairExactSolve``, and W = lambda * Q summed per table row. Returns the
+    gradient tables and W, flat over pairs. Only one Q column is held, so
+    it reaches the 10-agent line."""
+    solve = PairExactSolve(cmdp, policy)
+    n = cmdp.n_agents
+    reward = np.zeros(n_pairs(cmdp))
+    for i, local in enumerate(solve.local_occupancies):
+        if objectives is None:
+            reward += lift_neighborhood_reward(cmdp, cmdp.rewards[i])
+        else:
+            lift_local_reward(cmdp, i, shadow_reward(objectives[i], local),
+                              reward)
+        lift_local_reward(cmdp, i, mu[i] * shadow_reward(constraints[i],
+                                                         local), reward)
+    W = (solve.occupancy * solve.q(reward / n)).reshape(
+        (cmdp.n_states,) + cmdp.local_action_sizes)
+    grads = []
+    for i, (probs, rows) in enumerate(zip(policy.prob_tables,
+                                          solve.solve.rows)):
+        g = np.zeros_like(probs)
+        np.add.at(g, rows,
+                  W.sum(axis=tuple(1 + j for j in range(n) if j != i)))
+        grads.append(g - probs * g.sum(axis=1, keepdims=True))
+    return grads, W.ravel()
 
 
 # -- dense exact solve --------------------------------------------------------
@@ -45,7 +147,7 @@ def global_transition_matrix(cmdp, policy) -> np.ndarray:
     probability distributions. Pair indices are s_index * |A| + a_index.
     Built C-ordered over ((s, a), (s', a')) and returned as its transpose.
     """
-    S, A = cmdp.n_states, cmdp.n_actions
+    S, A = cmdp.n_states, n_actions(cmdp)
     nxt = next_state_kernel(cmdp)  # (S, A, S')
     pi = joint_action_probabilities(policy)  # (S', A')
     return (nxt[:, :, :, None] * pi).reshape(S * A, S * A).T
@@ -107,10 +209,10 @@ def global_shadow_rewards(solve, objectives, constraints):
         else:
             cols_f.append(lift_local_reward(
                 cmdp, i, shadow_reward(objectives[i], local),
-                np.zeros(cmdp.n_pairs)))
+                np.zeros(n_pairs(cmdp))))
         cols_g.append(lift_local_reward(
             cmdp, i, shadow_reward(constraints[i], local),
-            np.zeros(cmdp.n_pairs)))
+            np.zeros(n_pairs(cmdp))))
     return np.column_stack(cols_f), np.column_stack(cols_g)
 
 
@@ -120,7 +222,7 @@ def _score_accumulate(cmdp, policy, weights):
     theta = ThetaLayout(policy)
     rows = theta.rows(indexing.decode_table(cmdp.local_state_sizes))
     return indexing.split(theta.score_sums(
-        policy, np.repeat(rows, cmdp.n_actions, axis=0),
+        policy, np.repeat(rows, n_actions(cmdp), axis=0),
         np.tile(indexing.decode_table(cmdp.local_action_sizes),
                 (cmdp.n_states, 1)), weights), theta.shapes)
 
@@ -183,7 +285,7 @@ def exact_truncated_pg(cmdp, policy: KHopPolicy, objectives, constraints, mu,
     weights = _neighborhood_weights(
         RunLayout(cmdp, policy, kappa), S, A, q_f, q_g,
         np.asarray(mu, dtype=float),
-        solve.occupancy.reshape(cmdp.n_states, cmdp.n_actions))
+        solve.occupancy.reshape(cmdp.n_states, n_actions(cmdp)))
     return _score_accumulate(cmdp, policy, weights.reshape(-1, n))
 
 

@@ -593,14 +593,15 @@ class TestMainEntryPoint:
 # SHA-256 of (metrics.csv, policy.csv) for wireless_grid side 2 with the env
 # reward as the objective, recorded when the rewards were dense tables; the
 # oracle case's metrics were re-recorded when the exact solve took product
-# form and when its solves moved from scipy to numpy, and its X, Y, E match
-# the dense solve's values before both.
+# form, when its solves moved from scipy to numpy and when the exact
+# gradient moved to state space, and its X, Y, E match the dense solve's
+# values before all three.
 WIRELESS_ENV_REWARD_SHA = {
     "deadline2": (
         "a80a246c2dd7cbd224af4bf250b06339d9a192e540d165bda209883bd2f7db55",
         "010447df9c09f7366d0ad0c5fcc4804ce32aa295971b199bb870551e26d0b249"),
     "deadline1_oracle2": (
-        "74e59bff1844f9ff471b34362fcafd9ac7983eca88f33e091498035411057671",
+        "80e459f363cd2055fe5a1358d29fe97498c2242d16ff4800d654258fb8c0017c",
         "3c4408a252f8dfeb52f435b1fc69704e74c234615524978d3dff52e359e8e170"),
 }
 WIRELESS_ENV_REWARD_XYE = {

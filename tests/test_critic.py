@@ -6,19 +6,19 @@ import pytest
 
 from pdmarl.model import LocalReward, compute_decay_matrix
 from pdmarl.policy import KHopPolicy
-from pdmarl.critic import (TDConfig, default_td_config, lift_local_reward,
-                           lift_neighborhood_reward, td_draws, td_fit)
+from pdmarl.critic import TDConfig, default_td_config, td_draws, td_fit
 from pdmarl.layout import (MAX_Q_CELLS, RunLayout, q_table_layout,
                            q_table_layouts)
 from pdmarl.envs import WirelessGridSpec, wireless_grid
-from pdmarl.occupancy import ExactSolve
 from pdmarl.primal_dual import DualVariable, truncated_pg_estimate
 from pdmarl.sampling import Simulator, trajectory_draws
 from pdmarl import indexing
 
 from helpers import (chain, reward_steps, rng_for, single_cell_mdp,
                      td_tables, uniform_policy)
-from oracles import global_transition_matrix, truncate_q
+from oracles import (PairExactSolve, dense_table, global_transition_matrix,
+                     lift_local_reward, lift_neighborhood_reward, n_pairs,
+                     truncate_q)
 
 
 def env_reward_columns(cmdp):
@@ -53,14 +53,14 @@ class TestTDEvaluate:
         q = td_tables(m, uniform_policy(m), [np.zeros((2, 2))] * 2, 1,
                       TDConfig(steps=300, h=10.0, k1=20.0), rng_for(0))
         for tab in q:
-            np.testing.assert_array_equal(tab.table, 0.0)
+            np.testing.assert_array_equal(dense_table(tab), 0.0)
 
     def test_single_cell_fixed_point(self):
         m = single_cell_mdp(0.5)
         cfg = default_td_config(0.5, steps=10_000)
         q = td_tables(m, uniform_policy(m, kappa=0), [np.ones((1, 1))], 0,
                       cfg, rng_for(1))
-        assert q[0].table[0, 0] == pytest.approx(2.0, abs=0.05)
+        assert dense_table(q[0])[0, 0] == pytest.approx(2.0, abs=0.05)
 
     def test_touches_one_cell_per_step(self):
         m = chain(2)
@@ -71,7 +71,7 @@ class TestTDEvaluate:
         qa = td_tables(m, pol, rewards, 1, cfg_a, rng_for(2))
         qb = td_tables(m, pol, rewards, 1, cfg_b, rng_for(2))
         for a, b in zip(qa, qb):
-            assert np.count_nonzero(a.table != b.table) <= 1
+            assert np.count_nonzero(dense_table(a) != dense_table(b)) <= 1
 
     def test_chain_matches_exact_truncated_q(self):
         m = chain(2)
@@ -80,10 +80,10 @@ class TestTDEvaluate:
         cfg = default_td_config(0.9, steps=100_000)
         q = td_tables(m, pol, [m.rewards[0], m.rewards[1]], 1, cfg,
                       rng_for(3))
-        solve = ExactSolve(m, pol)
+        solve = PairExactSolve(m, pol)
         for i in range(2):
             exact = truncate_q(m, solve.q(cols[:, i]), i, 1)
-            err = np.max(np.abs(q[i].table - exact.table))
+            err = np.max(np.abs(dense_table(q[i]) - dense_table(exact)))
             r_inf = np.max(np.abs(cols[:, i]))
             assert err < 0.1 * r_inf / (1.0 - m.gamma)
 
@@ -91,13 +91,14 @@ class TestTDEvaluate:
         m = chain(2)
         pol = uniform_policy(m)
         cols = env_reward_columns(m)
-        exact = truncate_q(m, ExactSolve(m, pol).q(cols[:, 0]), 0, 1)
+        exact = truncate_q(m, PairExactSolve(m, pol).q(cols[:, 0]), 0, 1)
 
         def run(K, seed):
             cfg = default_td_config(0.9, steps=K)
             q = td_tables(m, pol, [m.rewards[0], m.rewards[1]], 1, cfg,
                           rng_for(seed))
-            return float(np.max(np.abs(q[0].table - exact.table)))
+            return float(np.max(np.abs(dense_table(q[0])
+                                       - dense_table(exact))))
 
         small = np.median([run(2_000, s) for s in range(10)])
         large = np.median([run(20_000, s) for s in range(10)])
@@ -110,7 +111,7 @@ class TestTDEvaluate:
         qa = td_tables(m, pol, list(m.rewards), 1, cfg, rng_for(4))
         qb = td_tables(m, pol, list(m.rewards), 1, cfg, rng_for(4))
         for a, b in zip(qa, qb):
-            np.testing.assert_array_equal(a.table, b.table)
+            np.testing.assert_array_equal(dense_table(a), dense_table(b))
 
 
 def td_fit_reference(layout, rewards, S, A):
@@ -195,7 +196,7 @@ class TestTDFitSlots:
         for kappa in (1, 2):
             got = self.check(m, rng.integers(2, size=(21, 6)),
                              rng.integers(2, size=(21, 6)), kappa)
-            assert all(len(q.keys) < q.table.size for q in got)
+            assert all(len(q.keys) < dense_table(q).size for q in got)
 
     def test_wireless_grid_tables(self):
         m = wireless_grid(WirelessGridSpec(side=3, deadline=1, gamma=0.99))
@@ -216,14 +217,16 @@ class TestTableRead:
                 layout, reward_steps(layout, list(m.rewards), S, A), S, A)):
             # every cell stored but the last step's: drop one more, then
             # read the table with every cell stored, and both sparse tables
-            full = dataclasses.replace(q, keys=np.arange(q.table.size),
-                                       values=q.table.ravel())
+            dense = dense_table(q)
+            full = dataclasses.replace(q, keys=np.arange(dense.size),
+                                       values=dense.ravel())
             sparse = dataclasses.replace(q, keys=q.keys[1:],
                                          values=q.values[1:])
             for tab in (full, q, sparse):
                 got = tab.read(cells[:, i])
                 assert got.dtype == np.float64
-                assert got.tobytes() == tab.table.ravel()[cells[:, i]].tobytes()
+                assert got.tobytes() == \
+                    dense_table(tab).ravel()[cells[:, i]].tobytes()
 
 
 class TestSparseQTable:
@@ -289,12 +292,12 @@ class TestSparseQTable:
 class TestExactQ:
     def test_zero_reward_zero_q(self):
         m = chain(2)
-        q = ExactSolve(m, uniform_policy(m)).q(np.zeros(16))
+        q = PairExactSolve(m, uniform_policy(m)).q(np.zeros(16))
         np.testing.assert_array_equal(q, 0.0)
 
     def test_constant_reward(self):
         m = chain(2, gamma=0.8)
-        q = ExactSolve(m, uniform_policy(m)).q(np.ones(16))
+        q = PairExactSolve(m, uniform_policy(m)).q(np.ones(16))
         np.testing.assert_allclose(q, 5.0, rtol=1e-10)
 
     def test_bellman_residual(self):
@@ -302,7 +305,7 @@ class TestExactQ:
         pol = uniform_policy(m)
         rng = np.random.default_rng(np.random.SeedSequence(41))
         r = rng.normal(size=16)
-        q = ExactSolve(m, pol).q(r)
+        q = PairExactSolve(m, pol).q(r)
         P = global_transition_matrix(m, pol)
         resid = np.max(np.abs(q - r - m.gamma * (P.T @ q)))
         assert resid < 1e-8
@@ -312,7 +315,7 @@ class TestExactQ:
         m = chain(2)
         pol = uniform_policy(m)
         r = env_reward_columns(m)[:, 0]
-        q = ExactSolve(m, pol).q(r)
+        q = PairExactSolve(m, pol).q(r)
         P = global_transition_matrix(m, pol)
         v = np.zeros(16)
         for _ in range(500):
@@ -323,16 +326,16 @@ class TestExactQ:
         m = chain(3)
         pol = uniform_policy(m)
         r = env_reward_columns(m)[:, 1]
-        q = ExactSolve(m, pol).q(r)
+        q = PairExactSolve(m, pol).q(r)
         trunc = truncate_q(m, q, 1, kappa=2)
         np.testing.assert_allclose(
-            trunc.table, q.reshape(8, 8), atol=1e-12)
+            dense_table(trunc), q.reshape(8, 8), atol=1e-12)
 
     def test_truncation_error_nonincreasing_in_kappa(self):
         m = chain(5)
         pol = uniform_policy(m)
         r = env_reward_columns(m)[:, 2]
-        q = ExactSolve(m, pol).q(r)
+        q = PairExactSolve(m, pol).q(r)
         s_dec = indexing.decode_table(m.local_state_sizes)
         a_dec = indexing.decode_table(m.local_action_sizes)
         errs = []
@@ -341,7 +344,7 @@ class TestExactQ:
             nbhd = list(trunc.nbhd)
             se = s_dec[:, nbhd] @ indexing.radix_weights(trunc.state_sizes)
             ae = a_dec[:, nbhd] @ indexing.radix_weights(trunc.action_sizes)
-            approx = trunc.table[se[:, None], ae[None, :]]
+            approx = dense_table(trunc)[se[:, None], ae[None, :]]
             errs.append(float(np.max(np.abs(approx - q.reshape(32, 32)))))
         assert errs[0] >= errs[1] >= errs[2]
         assert errs[2] < errs[0]
@@ -354,11 +357,11 @@ class TestExactQ:
         r = env_reward_columns(m)[:, 0]
         m_r = float(np.max(np.abs(r)))
         c0 = 2 * m.gamma * chi * m_r / (2 - m.gamma * chi)
-        q = ExactSolve(m, pol).q(r)
+        q = PairExactSolve(m, pol).q(r)
         for kappa in (0, 1):
             a = truncate_q(m, q, 0, kappa, anchor=((0, 0), (0, 0)))
             b = truncate_q(m, q, 0, kappa, anchor=((1, 1), (1, 1)))
-            gap = float(np.max(np.abs(a.table - b.table)))
+            gap = float(np.max(np.abs(dense_table(a) - dense_table(b))))
             assert gap <= c0 * prof.phi0 ** kappa + 1e-9
 
 
@@ -366,7 +369,7 @@ class TestRewardLifting:
     def test_lift_local_reward_matches_value(self):
         m = chain(2)
         table = np.array([[0.0, 1.0], [2.0, 3.0]])
-        flat = lift_local_reward(m, 1, table, np.zeros(m.n_pairs))
+        flat = lift_local_reward(m, 1, table, np.zeros(n_pairs(m)))
         states = np.ndindex(*m.local_state_sizes)
         for si, s in enumerate(states):
             for ai, a in enumerate(np.ndindex(*m.local_action_sizes)):
@@ -375,7 +378,7 @@ class TestRewardLifting:
     def test_lift_local_reward_adds_the_gathered_table_in_place(self):
         m = chain(3)
         rng = rng_for(8)
-        table, base = rng.normal(size=(2, 2)), rng.normal(size=m.n_pairs)
+        table, base = rng.normal(size=(2, 2)), rng.normal(size=n_pairs(m))
         s_dec = indexing.decode_table(m.local_state_sizes)[:, 1]
         a_dec = indexing.decode_table(m.local_action_sizes)[:, 1]
         want = base + table[s_dec[:, None], a_dec[None, :]].ravel()

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from pdmarl import indexing
-from pdmarl.critic import lift_neighborhood_reward
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, _grid_access,
                          synthetic_line, wireless_grid)
-from pdmarl.occupancy import ExactSolve
 from pdmarl.policy import KHopPolicy
 
 from helpers import sample_batch, uniform_policy
+from oracles import PairExactSolve, lift_neighborhood_reward
 
 
 def lookup(f, s, a):
@@ -62,7 +61,7 @@ def reference_wireless_kernel(queue, action, p_i, d):
 
 
 def mean_return(cmdp, policy):
-    occ = ExactSolve(cmdp, policy).occupancy
+    occ = PairExactSolve(cmdp, policy).occupancy
     vals = [lift_neighborhood_reward(cmdp, r) @ occ for r in cmdp.rewards]
     return float(np.mean(vals))
 

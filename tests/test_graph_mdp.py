@@ -11,7 +11,7 @@ from pdmarl.sampling import Simulator
 from pdmarl.envs import WirelessGridSpec, wireless_grid
 
 from helpers import chain, uniform_policy
-from oracles import global_transition_matrix
+from oracles import global_transition_matrix, n_actions
 
 
 def lookup(f, s, a):
@@ -264,9 +264,9 @@ class TestGlobalTransitionMatrix:
                 row = np.ravel_multi_index([s2[j] for j in pol.neighborhood(i)],
                                            pol.nbhd_state_sizes(i))
                 want *= pol.prob_tables[i][row][a2[i]]
-            out = (np.ravel_multi_index(s2, ss) * m.n_actions
+            out = (np.ravel_multi_index(s2, ss) * n_actions(m)
                    + np.ravel_multi_index(a2, aa))
-            col = (np.ravel_multi_index(s, ss) * m.n_actions
+            col = (np.ravel_multi_index(s, ss) * n_actions(m)
                    + np.ravel_multi_index(a, aa))
             assert P[out, col] == pytest.approx(want, rel=1e-12, abs=0.0)
             nonzero += want > 0
@@ -280,19 +280,26 @@ class TestGlobalTransitionMatrix:
         with pytest.raises(EnumerationCapExceeded, match=r"\|S\| = 2048 "
                            r"exceeds the enumeration cap 1024"):
             ExactSolve(m, uniform_policy(m))
-        # 2 states, 2^23 actions: the pairs exceed their cap of 2^22
+        # 2 states, 2^23 actions: a reward that reads the action is read at
+        # 2^24 cells, over their cap of 2^22; one that does not, at 2
         wide = DependenceGraph(1, frozenset())
         kern = TransitionKernel.from_function(lambda S, A: (0.5, 0.5), 0,
                                               (0,), (), (2,), (2 ** 23,))
-        rew = LocalReward.from_function(lambda S, A: 0.0, 0, (0,), (), (2,),
-                                        (2 ** 23,))
-        m = FactoredCMDP(graph=wide, local_state_sizes=(2,),
-                         local_action_sizes=(2 ** 23,), kernels=(kern,),
-                         rewards=(rew,), initial_dist=(np.array([1.0, 0.0]),),
-                         gamma=0.9)
-        with pytest.raises(EnumerationCapExceeded, match=r"\|S\|\|A\| = "
-                           r"16777216 exceeds the enumeration cap 4194304"):
-            m.check_enumeration_cap()
+        for action_deps in ((0,), ()):
+            rew = LocalReward.from_function(lambda S, A: 0.0, 0, (0,),
+                                            action_deps, (2,), (2 ** 23,))
+            m = FactoredCMDP(graph=wide, local_state_sizes=(2,),
+                             local_action_sizes=(2 ** 23,), kernels=(kern,),
+                             rewards=(rew,),
+                             initial_dist=(np.array([1.0, 0.0]),), gamma=0.9)
+            if action_deps:
+                with pytest.raises(EnumerationCapExceeded,
+                                   match=r"\|S\|\|A_N\| of agent 0's reward "
+                                   r"= 16777216 exceeds the enumeration cap "
+                                   r"4194304"):
+                    m.check_enumeration_cap()
+            else:
+                m.check_enumeration_cap()
 
 
 class TestDecayMatrix:

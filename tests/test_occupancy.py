@@ -7,17 +7,18 @@ from pdmarl.model import FactoredCMDP, TransitionKernel, LocalReward
 from pdmarl.policy import KHopPolicy
 from pdmarl.occupancy import (ExactSolve, estimate_local_occupancies,
                               state_marginal)
-from pdmarl.critic import lift_neighborhood_reward
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
 from pdmarl.primal_dual import exact_dual_gradient, exact_lagrangian_gradient
-from pdmarl.utilities import ENTROPY, GeneralUtility
+from pdmarl.utilities import ENTROPY, L2_ACTION, GeneralUtility
 
 from helpers import (PairLayout, chain, entropy_constraints, flat, rng_for,
                      sample_batch, single_cell_mdp, uniform_policy)
-from oracles import (DenseExactSolve, dense_lagrangian_gradient,
-                     flow_balance_residual, global_shadow_rewards,
-                     global_transition_matrix, joint_action_probabilities)
+from oracles import (DenseExactSolve, PairExactSolve, as_constraint,
+                     dense_lagrangian_gradient, flow_balance_residual,
+                     global_shadow_rewards, global_transition_matrix,
+                     joint_action_probabilities, lift_neighborhood_reward,
+                     n_pairs, pair_lagrangian_gradient)
 
 
 def local_occupancy(S, A, agent, gamma, state_size, action_size):
@@ -78,7 +79,7 @@ class TestEmpiricalEstimate:
 class TestExactOccupancy:
     def test_single_cell_geometric_series(self):
         m = single_cell_mdp(0.9)
-        occ = ExactSolve(m, uniform_policy(m, kappa=0)).occupancy
+        occ = PairExactSolve(m, uniform_policy(m, kappa=0)).occupancy
         assert occ[0] == pytest.approx(10.0)
 
     def test_absorbing_two_state_chain(self):
@@ -92,7 +93,7 @@ class TestExactOccupancy:
                          local_action_sizes=(1,), kernels=(kern,),
                          rewards=(rew,),
                          initial_dist=(np.array([1.0, 0.0]),), gamma=0.5)
-        occ = ExactSolve(m, uniform_policy(m, kappa=0)).occupancy
+        occ = PairExactSolve(m, uniform_policy(m, kappa=0)).occupancy
         np.testing.assert_allclose(occ, [1.0, 1.0])
 
     def test_mass_and_flow_balance(self):
@@ -100,7 +101,7 @@ class TestExactOccupancy:
         rng = np.random.default_rng(np.random.SeedSequence(5))
         pol = KHopPolicy.random(m.graph, m.local_state_sizes,
                                 m.local_action_sizes, 1, rng, scale=0.7)
-        occ = ExactSolve(m, pol).occupancy
+        occ = PairExactSolve(m, pol).occupancy
         assert occ.sum() == pytest.approx(1.0 / 0.15, rel=1e-10)
         assert flow_balance_residual(m, pol, occ) < 1e-8
 
@@ -108,7 +109,7 @@ class TestExactOccupancy:
         # independent oracle: truncated Neumann series of the same system
         m = chain(2)
         pol = always_one_policy(m)
-        occ = ExactSolve(m, pol).occupancy
+        occ = PairExactSolve(m, pol).occupancy
         P = global_transition_matrix(m, pol)
         rho = m.initial_state_distribution()
         pi = joint_action_probabilities(pol)
@@ -129,14 +130,14 @@ class TestMarginals:
 
     def test_mass_preserved(self):
         m = chain(3)
-        solve = ExactSolve(m, uniform_policy(m))
+        solve = PairExactSolve(m, uniform_policy(m))
         assert len(solve.local_occupancies) == 3
         for loc in solve.local_occupancies:
             assert loc.sum() == pytest.approx(solve.occupancy.sum())
 
     def test_chain_marginal_matches_direct_sum(self):
         m = chain(2)
-        solve = ExactSolve(m, uniform_policy(m))
+        solve = PairExactSolve(m, uniform_policy(m))
         shaped = solve.occupancy.reshape(2, 2, 2, 2)  # (s0, s1, a0, a1)
         np.testing.assert_allclose(solve.local_occupancies[0],
                                    shaped.sum(axis=(1, 3)))
@@ -192,7 +193,7 @@ def close(new, ref):
 def pair_level_reference(cmdp, policy, rewards):
     """Occupancy and Q by dense solves over all (s, a) pairs."""
     P = global_transition_matrix(cmdp, policy)
-    eye = np.eye(cmdp.n_pairs)
+    eye = np.eye(n_pairs(cmdp))
     rho_pi = (cmdp.initial_state_distribution()[:, None]
               * joint_action_probabilities(policy)).ravel()
     lam = np.maximum(np.linalg.solve(eye - cmdp.gamma * P, rho_pi), 0.0)
@@ -222,9 +223,9 @@ class TestStateChainSolve:
             assert joint_action_probabilities(pol).min() < 1e-40
         rewards = np.column_stack(
             [lift_neighborhood_reward(m, r) for r in m.rewards]
-            + [rng.normal(size=m.n_pairs)])
+            + [rng.normal(size=n_pairs(m))])
         lam_ref, q_ref = pair_level_reference(m, pol, rewards)
-        solve = ExactSolve(m, pol)
+        solve = PairExactSolve(m, pol)
         assert close(solve.occupancy, lam_ref)
         for j in range(rewards.shape[1]):
             assert close(solve.q(rewards[:, j]), q_ref[:, j])
@@ -242,7 +243,8 @@ def random_or_boundary_policy(m, kappa, theta, seed):
 
 
 class TestProductForm:
-    """``ExactSolve`` in product form against the dense (S, A, S') solve."""
+    """``ExactSolve`` in product form against the dense (S, A, S') solve:
+    its pair-level view, and the state-space gradient."""
 
     @pytest.mark.parametrize("env, kappa", [
         ("line4", 1), ("line4", 2), ("line5", 1), ("line5", 2), ("line6", 1),
@@ -254,12 +256,12 @@ class TestProductForm:
         else:
             m = wireless_grid(WirelessGridSpec(side=2, deadline=1, gamma=0.95))
         pol = random_or_boundary_policy(m, kappa, theta, 17 + kappa)
-        solve, dense = ExactSolve(m, pol), DenseExactSolve(m, pol)
+        solve, dense = PairExactSolve(m, pol), DenseExactSolve(m, pol)
         assert close(solve.occupancy, dense.occupancy)
         for new, ref in zip(solve.local_occupancies, dense.local_occupancies):
             assert close(new, ref)
         rewards = [lift_neighborhood_reward(m, r) for r in m.rewards]
-        rewards.append(rng_for(kappa).normal(size=m.n_pairs))
+        rewards.append(rng_for(kappa).normal(size=n_pairs(m)))
         for r in rewards:
             assert close(solve.q(r), dense.q(r))
         cons = entropy_constraints(m, 0.2)
@@ -287,3 +289,34 @@ class TestProductForm:
         assert d.sum() == pytest.approx(10.0, rel=1e-12)
         np.testing.assert_allclose(
             d, m.initial_state_distribution() + m.gamma * M.T @ d, atol=1e-12)
+
+
+class TestBeyondDense:
+    """The state-space gradient against the pair-level one in product form
+    (``PairExactSolve``) where the dense (S, A, S') solve cannot reach: it
+    needs 8 GB on the 10-agent line. Same rules as ``TestProductForm``."""
+
+    @pytest.mark.parametrize("env, objective", [
+        ("line10", "env_reward"), ("line10", "entropy"),
+        ("wireless3", "entropy"), ("wireless3", "env_reward")])
+    def test_matches_pair_level_gradient(self, env, objective):
+        if env == "line10":
+            m = synthetic_line(SyntheticLineSpec(n=10, gamma=0.99))
+            cons = entropy_constraints(m, 0.2)
+        else:
+            m = wireless_grid(WirelessGridSpec(side=3, deadline=1,
+                                               gamma=0.95))
+            cons = entropy_constraints(m, 0.2)
+            if objective == "entropy":
+                l2 = GeneralUtility(kind=L2_ACTION, gamma=m.gamma)
+                cons = [as_constraint(l2, 0.1)] * m.n_agents
+        objs = None if objective == "env_reward" else [
+            GeneralUtility(kind=ENTROPY, gamma=m.gamma)] * m.n_agents
+        pol = random_or_boundary_policy(m, 1, "random", 18)
+        mu = np.linspace(0.1, 2.0, m.n_agents)
+        ref, W = pair_lagrangian_gradient(m, pol, objs, cons, mu)
+        new = flat(exact_lagrangian_gradient(m, pol, objs, cons, mu))
+        if objs is None:
+            assert close(new, flat(ref))
+        else:
+            assert np.max(np.abs(new - flat(ref))) <= 1e-12 * np.abs(W).sum()

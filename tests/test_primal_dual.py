@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,10 @@ from pdmarl import indexing
 from pdmarl.graph import DependenceGraph, line_graph
 from pdmarl.model import FactoredCMDP, TransitionKernel, LocalReward
 from pdmarl.policy import KHopPolicy
-from pdmarl.critic import TDConfig, TruncatedQTable, lift_neighborhood_reward
+from pdmarl.critic import TDConfig, TruncatedQTable
 from pdmarl.occupancy import ExactSolve
-from pdmarl.utilities import LINEAR, GeneralUtility
+from pdmarl.envs import WirelessGridSpec, wireless_grid
+from pdmarl.utilities import ENTROPY, L2_ACTION, LINEAR, GeneralUtility
 from pdmarl.layout import RunLayout, ThetaLayout
 from pdmarl.primal_dual import (DualVariable, StepSizes, TrainConfig,
                                 dual_update, exact_dual_gradient,
@@ -18,8 +21,9 @@ from pdmarl.primal_dual import (DualVariable, StepSizes, TrainConfig,
 
 from helpers import (chain, entropy_constraints, flat, rng_for, sample_batch,
                      uniform_policy)
-from oracles import (as_constraint, exact_truncated_pg, global_shadow_rewards,
-                     truncate_q)
+from oracles import (PairExactSolve, as_constraint, dense_table,
+                     exact_truncated_pg, global_shadow_rewards,
+                     lift_neighborhood_reward, n_pairs, truncate_q)
 
 
 def two_state_single_agent(gamma=0.9):
@@ -67,7 +71,7 @@ class TestDualUpdate:
 class TestTruncatedPGEstimate:
     def zero_q(self, cmdp, kappa):
         # the exact Q-function of zero rewards is zero
-        return [truncate_q(cmdp, np.zeros(cmdp.n_pairs), i, kappa)
+        return [truncate_q(cmdp, np.zeros(n_pairs(cmdp)), i, kappa)
                 for i in range(cmdp.n_agents)]
 
     def test_zero_q_zero_gradient(self):
@@ -100,7 +104,7 @@ class TestTruncatedPGEstimate:
         s, a = 1, 0
         grads = truncated_pg_estimate(RunLayout(m, pol, 0), np.array([[[s]]]),
                                       np.array([[[a]]]), pol, [qf], [qg], mu)
-        weight = qf.table[s, a] + 2.0 * qg.table[s, a]
+        weight = dense_table(qf)[s, a] + 2.0 * dense_table(qg)[s, a]
         theta = ThetaLayout(pol)
         expected = weight * theta.score_sums(
             pol, np.array([[s]]), np.array([[a]]), np.array([[1.0]]))
@@ -144,7 +148,7 @@ class TestTruncatedPGEstimate:
         mu = DualVariable(mu=mu_vec, mu_bar=10.0)
         exact = flat(exact_lagrangian_gradient(m, pol, None, cons, mu_vec))
 
-        solve = ExactSolve(m, pol)
+        solve = PairExactSolve(m, pol)
         rf, rg = global_shadow_rewards(solve, None, cons)
         q_f = [truncate_q(m, solve.q(rf[:, j]), j, 1) for j in range(2)]
         q_g = [truncate_q(m, solve.q(rg[:, j]), j, 1) for j in range(2)]
@@ -211,6 +215,36 @@ class TestExactOracles:
         assert len(built) == 1
         assert rhs == [(m.n_states,)] * 2
         assert state.history[0].E is not None
+
+    @pytest.mark.parametrize("env, limit_mb", [("line10", 40),
+                                               ("wireless3", 32)])
+    def test_one_firing_allocates_no_pair_array(self, env, limit_mb):
+        # one (|S||A|,) float array is 8.4 MB on the 10-agent line and
+        # 26.5 MB on the side-3 grid; the state chain, its left-hand side
+        # and numpy's copy of it for the solve are 8.4 and 2.1 MB each
+        if env == "line10":
+            m = chain(10, gamma=0.99)
+            objs, cons = None, entropy_constraints(m, 0.25)
+        else:
+            m = wireless_grid(WirelessGridSpec(side=3, deadline=1,
+                                               gamma=0.99))
+            objs = [GeneralUtility(kind=ENTROPY, gamma=m.gamma)] * m.n_agents
+            cons = [as_constraint(GeneralUtility(kind=L2_ACTION,
+                                                 gamma=m.gamma), 0.1)
+                    ] * m.n_agents
+        pol = KHopPolicy.random(m.graph, m.local_state_sizes,
+                                m.local_action_sizes, 1, rng_for(0),
+                                scale=0.1)
+        mu = np.linspace(0.1, 2.0, m.n_agents)
+        tracemalloc.start()
+        try:
+            solve = ExactSolve(m, pol)
+            exact_lagrangian_gradient(m, pol, objs, cons, mu, solve=solve)
+            exact_dual_gradient(m, pol, cons, solve=solve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6
 
     def test_zero_shadow_rewards_zero_gradient(self):
         m = chain(2)

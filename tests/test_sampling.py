@@ -24,7 +24,7 @@ from pdmarl.sampling import InverseCdf, Simulator
 from pdmarl.utilities import ENTROPY, L2_ACTION, GeneralUtility
 
 from helpers import sample_batch, td_tables
-from oracles import as_constraint
+from oracles import as_constraint, dense_table
 
 
 def rng_for(seed, purpose=0):
@@ -101,7 +101,8 @@ def test_td_evaluate_bytes(env, kappa, kind, seed):
     cmdp, policy = build(env, kappa, seed)
     tables = td_tables(cmdp, policy, rewards_of(cmdp, kind, seed), kappa,
                        TDConfig(steps=300, h=20.0, k1=40.0), rng_for(seed, 2))
-    assert digest(*(q.table for q in tables)) == TD_SHA[(env, kappa, kind, seed)]
+    assert digest(*(dense_table(q) for q in tables)) == \
+        TD_SHA[(env, kappa, kind, seed)]
 
 
 @pytest.mark.parametrize("env,kappa", [("line4", 1), ("line4", 2),
@@ -113,7 +114,7 @@ def test_td_tables_read_as_their_dense_form(env, kappa):
                        TDConfig(steps=12, h=20.0, k1=40.0), rng_for(0, 2))
     layout = RunLayout(cmdp, policy, kappa)
     for q in tables:
-        dense = q.table
+        dense = dense_table(q)
         assert 0 < len(q.keys) < dense.size
         # every neighborhood cell, the agents outside the neighborhood at 0
         S = np.zeros(dense.shape + (cmdp.n_agents,), dtype=np.int64)
@@ -303,7 +304,7 @@ def test_stacked_rollout_is_the_separate_calls(monkeypatch, env, kappa,
             alone = td_tables(cmdp, policy, rewards, kappa, cfg.td,
                               _rng(seed, purpose, t))
             for q, q_alone in zip(tables, alone):
-                assert np.array_equal(q.table, q_alone.table)
+                assert np.array_equal(dense_table(q), dense_table(q_alone))
 
     # the uniforms that pad the shorter rows leave every kept output alone
     for pad in (0.0, 0.999):
@@ -316,7 +317,7 @@ def test_stacked_rollout_is_the_separate_calls(monkeypatch, env, kappa,
             assert np.array_equal(batch[0], b[0])
             assert np.array_equal(batch[1], b[1])
             for q, p in zip(q_f + q_g, p_f + p_g):
-                assert np.array_equal(q.table, p.table)
+                assert np.array_equal(dense_table(q), dense_table(p))
 
 
 def test_one_simulator_per_run_and_one_rollout_per_iteration(monkeypatch):

@@ -6,9 +6,10 @@ the trainer whose per-agent loops the stacked array ops replaced, so any
 change to the draw order, the float expression order of the occupancy,
 TD or score sums, or the policy update shows up here. The exact-oracle
 columns X, Y and E of the configs with ``oracle_every`` were re-recorded
-when the exact solve took product form, and again when its LAPACK solves
-moved from scipy to numpy; ``PARENT_XYE`` holds their values from the
-dense solve before both, which the new ones match to the relative
+when the exact solve took product form, when its LAPACK solves moved from
+scipy to numpy, and when the exact gradient moved from global
+state-action pairs to state space; ``PARENT_XYE`` holds their values from
+the dense solve before all three, which the new ones match to the relative
 tolerance 1e-9 (absolute 1e-12) of the benchmark's gate.
 """
 
@@ -74,40 +75,40 @@ CONFIGS = {
 # (config, seed) -> (metrics.csv SHA-256, policy.csv SHA-256)
 GOLDEN = {
     ("line6_k0", 1): (
-        "f9f6f9aa2cf511e12cb5293afbb1fe2d3fecf0bd9569af4f6255c91ad25c1bb2",
+        "eb6aa1e5491045f414eb5438d392915471b6a0766dbe5d512a84749b219d05ae",
         "fff8a393369df6fbdb0bb334201158623ffef2eb93a5db1ba231f2105ca9b288"),
     ("line6_k0", 3): (
-        "7ac68a90f8db5eea6a50bedcb4b30b35cbec3a147970ff9ce14dfd8307846ab0",
+        "ee26669c6611534c381f2412513cfe46fb4c4e7755e9e3a23785f59cb8c5e782",
         "4a2311c6f8ace67c5de02dd88af845a856b5e367e4e307856401d17714c019bf"),
     ("line6_k1", 1): (
-        "d5c0b5a6a7f0d19871a41b6ec0b9e324fe82305a7536175123f9c84c534c6492",
+        "97e1f9311f84ffc22b99c782b8ce9e4f22e161815bbc91c0cf014f1543a03657",
         "c91ba8655bcf14900c0395446383e0f292608b937082360086c9431f397a3b69"),
     ("line6_k1", 3): (
-        "70486b14fb364128926241487915cd09f86655f02f23449e65dae5893b969a08",
+        "43425a0b4f2e50fbfa7e05bc0b5a12ecdf80102e756468876711752aa0262313",
         "eab70178d124b0645b3347cbcc04dbb840d83492aac06426143658022333955a"),
     ("line6_k2", 1): (
-        "47fbb75131174727325e9c038f213f4be74ce009a188a9a3a9fb7e1890da915f",
+        "79f846ea006f42b8c69777a3b71e6fb554422ad6dd52d98bfc8a214d833ea1cb",
         "a08a0b230e2f9129d358af0a5233bcfdb58e26e27d9c37e1b997cd41f6665019"),
     ("line6_k2", 3): (
-        "246fc55e738a582b44bf60c0f2f1423155d1ea512c225893d8fb6aa0ea7b4fe2",
+        "9c22448ce849d1b74ceac9afe5eb9d9189a28fb7be36a18c286fe39c6dab09cf",
         "dcf515424387987aee7e2a828efb0fe822d2d90e105dddfc6b7b164bb69b4e9c"),
     ("line6_l2", 1): (
-        "2d463dd3303e9b1f25c0132f22977a7c302c387ef403905f7c3447c0f079dbc9",
+        "c92ec218fa238a8d0937f368cee19f7126a12df8d382cfa9119200b4286a2a66",
         "23e4f5730867c9c7a6645ad34a0f6262b565512578cff5ac1f33a508b39033d2"),
     ("line6_l2", 3): (
-        "ec501b67a4a3c7e1f03fa3e89a89af3c0a5ba9f916987a800e9917dba6a75c1c",
+        "8d5046977ce80636a7adeabba70437f89f1d8d66e49b9c66bc89e239490af81a",
         "ec53d6588edcd128970d649d0cf324e60623f51863dce01e8303e736c25508db"),
     ("grid2_env", 1): (
-        "0077aa895a9d41504fe7de93ba0945e0f24c50e4b26181245d56e312f504bd87",
+        "e678a3b802aebd19daa1379d3f6d6f255aa4822e423caf1b129945e909c1a49d",
         "1ebb6db7fc04d265e987339642baade3742255e87734896b025aca072917f56d"),
     ("grid2_env", 3): (
-        "08d26c1796ab7b090453ee4fdaa11316840663d37f27849bfec7aa854622b580",
+        "f21e2376c0b2234f72d970531c264d12d5b3b3086eb5e5d22cc3f62256a25257",
         "b652f81724f80192e9397c9a9877b1c9a2b077968454c9b795427cdda6e9dfac"),
     ("grid2_entropy", 1): (
-        "38011e5d64dc1230ddae8556d9863ac11b92d22403520e40be1466817bf6f6f5",
+        "a61bf8acccb164f0172fbdbe12647b18e009f03c0c4fd0ca64eb98013a9285bf",
         "bd4ba8a213525a700e9b840087067d8b97ab016ef5a0456685c8de778e8d7c9f"),
     ("grid2_entropy", 3): (
-        "14682b33e6c6ebd0bd16518b59422ba9394a078abb1c0e771f7ed30a2b2d2ccc",
+        "fda336f991cb8f01c488c00756485397774c3002dd8a1f6a6539ed1bc98d98ef",
         "a4aca9a89ebe7212b306487bebbc5211d6b485ed7c110e7c49dc22d8256502fb"),
     ("grid2_d2_k0", 1): (
         "10eac986f1ef98d37b030e9b4b643e36427962fd05c0fac8e99d25e76f5322a3",
@@ -193,7 +194,9 @@ PARENT_XYE = {
 # (benchmark workload, seed) -> (metrics.csv SHA-256, policy.csv SHA-256)
 # of the configs of ``perfbench/workloads.py``, so that the benchmark's
 # three workloads keep their bytes at seeds 0 and 3. ``line5_oracle`` has 5
-# agents, whose X, Y and E do not depend on the BLAS thread count.
+# agents, whose X, Y and E do not depend on the BLAS thread count; its
+# metrics.csv hashes were re-recorded when the exact gradient moved to
+# state space.
 WORKLOAD_GOLDEN = {
     ("line10_k1", 0): (
         "b6f4d671a0fac73233b78158b417a5c137e4082ef8c65ad20590a91df43bacbd",
@@ -202,10 +205,10 @@ WORKLOAD_GOLDEN = {
         "b50a3528a934165cce9427759916bc6592b013d51ed0a96173cd819403c14bb8",
         "b4669e26879c813281a8d362e456335ce18b0e559f9763aa8cfba2e4c64aed6e"),
     ("line5_oracle", 0): (
-        "a54b923494a5575e5a1dafc2fcc9059e8d083750ba0f72bf8813ea3172e9622d",
+        "95daac98380e822aa3ca2090010b15c408aba32a7d253933348929dc0aa3bcee",
         "da3364535e2e087de5684e023a67a8b0200d9095197f53a9ad26113637fe77fb"),
     ("line5_oracle", 3): (
-        "17ebbf06a5e404e21699be485b44e3772c02279e7a892d8260bd3a60a8f30806",
+        "9b28f5559b19a3c3bcdf6ca34c7fd3112c6ef9588e51fe14d3018556d6bb7fb1",
         "784dca6f0e1ed78a448728f7fe3375911f24f754b9b81fdfbf53f96af83cde52"),
     ("wireless3", 0): (
         "893c606a01b1f2d370961561cfde9e9044afe1294dbbb80a836e6b7744518ef7",
