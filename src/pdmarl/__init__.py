@@ -12,10 +12,9 @@ from .occupancy import ExactSolve, estimate_local_occupancies, state_marginal
 from .utilities import (GeneralUtility, UtilityPass, utility_value,
                         LINEAR, ENTROPY, L2_ACTION, OBJECTIVE, CONSTRAINT)
 from .critic import TDConfig, TruncatedQTable, default_td_config
-from .primal_dual import (DualVariable, StepSizes, TrainConfig, TrainState,
-                          NumericAbort, dual_update, truncated_pg_estimate,
-                          policy_ascent, exact_lagrangian_gradient,
-                          fosp_metrics, train)
+from .primal_dual import (StepSizes, TrainConfig, TrainState, NumericAbort,
+                          dual_update, truncated_pg_estimate, policy_ascent,
+                          exact_lagrangian_gradient, fosp_metrics, train)
 from .envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                    wireless_grid)
 from .config import ExperimentConfig, ConfigError, parse_config, load_config

@@ -15,7 +15,7 @@ from .policy import table_shapes
 from .envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                    wireless_grid)
 from .utilities import GeneralUtility, ENTROPY, L2_ACTION, CONSTRAINT, OBJECTIVE
-from .critic import TDConfig, default_td_config
+from .critic import TD_STEPS, TDConfig, default_td_config
 from .layout import q_table_layouts
 from .primal_dual import TrainConfig, StepSizes
 
@@ -52,11 +52,11 @@ _REQUIRED = {"schema_version", "env", "gamma", "kappa", "iterations",
              "horizon", "batch_size", "eta_theta", "eta_mu", "objective",
              "constraint", "seed"}
 _DEFAULTS = {
-    "eta_mu_schedule": "constant",
-    "mu_bar": 100.0,
-    "theta_bar": 50.0,
+    "eta_mu_schedule": StepSizes.schedule,
+    "mu_bar": TrainConfig.mu_bar,
+    "theta_bar": TrainConfig.theta_bar,
     "td": None,
-    "oracle_every": 0,
+    "oracle_every": TrainConfig.oracle_every,
     "out": None,
 }
 
@@ -207,9 +207,10 @@ def _td_config(norm):
     """The TDConfig of a normalized config; without a td block, the one
     ``default_td_config`` derives from gamma."""
     td = norm.get("td", {})
+    steps = td.get("steps", TD_STEPS)
     if "h" in td:
-        return TDConfig(steps=td.get("steps", 500), h=td["h"], k1=td["k1"])
-    return default_td_config(norm["gamma"], steps=td.get("steps", 500))
+        return TDConfig(steps=steps, h=td["h"], k1=td["k1"])
+    return default_td_config(norm["gamma"], steps=steps)
 
 
 def parse_config(text: str) -> ExperimentConfig:

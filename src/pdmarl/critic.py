@@ -37,11 +37,14 @@ class TDConfig:
         return self.h / (k + self.k1)
 
 
-def default_td_config(gamma: float, steps: int = 500,
-                      sigma: float = 0.1) -> TDConfig:
-    """Schedule constants from the minimum-visit probability ``sigma``:
+TD_STEPS = 500  # TD steps of a run whose config sets none
+TD_SIGMA = 0.1  # the minimum-visit probability of ``default_td_config``
+
+
+def default_td_config(gamma: float, steps: int = TD_STEPS) -> TDConfig:
+    """Schedule constants from the minimum-visit probability ``TD_SIGMA``:
     h = (1/sigma) * max(2, 1/(1 - sqrt(gamma))), k1 = 2h."""
-    h = round(max(2.0, 1.0 / (1.0 - np.sqrt(gamma))) / sigma)
+    h = round(max(2.0, 1.0 / (1.0 - np.sqrt(gamma))) / TD_SIGMA)
     return TDConfig(steps=steps, h=float(h), k1=float(2 * h))
 
 

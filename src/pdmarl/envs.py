@@ -12,6 +12,11 @@ from numpy.random import SeedSequence, default_rng
 from .graph import DependenceGraph, line_graph
 from .model import DEP_TABLE_CAP, FactoredCMDP, TransitionKernel, LocalReward
 
+# Most agents an env may have, checked before anything is allocated: a run
+# holds the graph's n x n distance table and (2n + 1, n) int64 weight
+# matrices (``indexing.weight_matrix``), 16 MB each at this cap.
+MAX_AGENTS = 1000
+
 
 @dataclass(frozen=True)
 class SyntheticLineSpec:
@@ -23,6 +28,9 @@ class SyntheticLineSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least 2 agents")
+        if self.n > MAX_AGENTS:
+            raise ValueError(f"env.n {self.n} is above the cap of "
+                             f"{MAX_AGENTS} agents")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
 
@@ -94,6 +102,9 @@ class WirelessGridSpec:
     def __post_init__(self):
         if self.side < 2 or self.deadline < 1:
             raise ValueError("need side >= 2 and deadline >= 1")
+        if self.side ** 2 > MAX_AGENTS:
+            raise ValueError(f"env.side {self.side} gives {self.side ** 2} "
+                             f"users, above the cap of {MAX_AGENTS} agents")
         # a user's kernel reads its queue and its action: idle or one of up
         # to four access points, two per grid axis
         cells = 2 ** self.deadline * (1 + min(self.side - 1, 2) ** 2)

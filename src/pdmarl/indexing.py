@@ -4,19 +4,18 @@ Tuples are encoded in ascending agent order with the first (lowest-index)
 agent most significant, i.e. the same convention as numpy's C-order
 ravel_multi_index. This encoding is part of the on-disk checkpoint format.
 
-``encode`` is the one encoder: it maps integer arrays of global states or
-actions ``(..., n)`` to the rows of the cells read at ``positions``, as one
-product with ``radix_weights``. It is the row lookup of kernel tables
-(``model.TransitionKernel.row_indices``) and of policy tables
-(``KHopPolicy.nbhd_rows``); ``sampling.Simulator``,
-``KHopPolicy.row_weights`` and ``layout.RunLayout`` (truncated-Q cells)
-stack the same weights as matrix columns to look up every agent's row in
-one product, and ``offsets`` places per-agent tables end to end in one
-array. ``decode_table`` is the inverse over a whole space; the exact
-oracles build every agent's policy and kernel rows at every state and each
-reward's action cells by broadcasting over it, and ``row_kron`` multiplies
-per-agent factors (the state chain, a reward's policy weights) in the same
-digit order.
+``weight_matrix`` is the one encoder: its column i holds ``radix_weights``
+at the positions of one table's cells, so that ``X @ W`` is every table's
+row at the integer arrays X at once. It builds the policy rows
+(``KHopPolicy.row_weights``), the kernel rows
+(``FactoredCMDP.kernel_weights``) and the truncated-Q cells
+(``layout.RunLayout``), which ``sampling.Simulator`` and
+``occupancy.ExactSolve`` read; ``offsets`` places per-agent tables end to
+end in one array. ``decode_table`` is the inverse over a whole space; the
+exact oracles build every agent's policy and kernel rows at every state and
+each reward's action cells by broadcasting over it, and ``row_kron``
+multiplies per-agent factors (the state chain, a reward's policy weights)
+in the same digit order.
 """
 
 from __future__ import annotations
@@ -35,10 +34,15 @@ def radix_weights(sizes) -> np.ndarray:
     return w
 
 
-def encode(X, positions, sizes) -> np.ndarray:
-    """Rows of the cells ``X[..., positions]`` of integer arrays (..., n),
-    with ``sizes`` the radices of those positions."""
-    return np.asarray(X)[..., list(positions)] @ radix_weights(sizes)
+def weight_matrix(width, columns) -> np.ndarray:
+    """(width, m) int64 weights whose column i holds ``radix_weights(sizes)``
+    at the rows ``positions``, for ``columns[i] = (positions, sizes)``: entry
+    i of ``X @ W`` is the row of the cell ``X[..., positions]`` of integer
+    arrays X (..., width)."""
+    w = np.zeros((width, len(columns)), dtype=np.int64)
+    for i, (positions, sizes) in enumerate(columns):
+        w[list(positions), i] = radix_weights(sizes)
+    return w
 
 
 def space_size(sizes) -> int:
@@ -68,7 +72,7 @@ def row_kron(factors) -> np.ndarray:
 
     ``factors[i]`` has shape (..., m_i); entry (..., c) of the result is the
     product of ``factors[i][..., c_i]`` over the digits c_i of c, multiplied
-    left to right, agent 0 first (the digit order of ``encode``).
+    left to right, agent 0 first (the digit order of ``weight_matrix``).
     """
     out = factors[0]
     for f in factors[1:]:

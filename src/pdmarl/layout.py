@@ -8,8 +8,9 @@ phase is one array op across all agents:
 
 - agent i's (S_i, A_i) table (occupancy, shadow reward) is the slice
   ``sa_off[i]:sa_off[i + 1]`` of one flat array, at cell s * A_i + a;
-- ``[S | A] @ q_w`` is every agent's truncated-Q cell (``q_cells``), and
-  agent i's dense cell ids start at ``q_off[i]`` of one stacked id space;
+- ``[S | A] @ q_w``, with ``q_w`` an ``indexing.weight_matrix``, is every
+  agent's truncated-Q cell (``q_cells``), and agent i's dense cell ids
+  start at ``q_off[i]`` of one stacked id space;
 - ``S @ theta.row_w`` is every agent's policy-table row, and agent i's
   theta table is a slice of one flat array (``ThetaLayout``), so that one
   pair of ``bincount``s gives every agent's score sums.
@@ -143,19 +144,16 @@ class RunLayout:
         width = max(len(nbhd) for nbhd, _, _ in self.q_layouts)
         self.hoods = np.array([list(nbhd) + [n] * (width - len(nbhd))
                                for nbhd, _, _ in self.q_layouts])
-        self.q_w = np.zeros((2 * n, n), dtype=np.int64)
-        for i, (nbhd, s_sizes, a_sizes) in enumerate(self.q_layouts):
-            w = indexing.radix_weights(s_sizes + a_sizes)
-            self.q_w[list(nbhd), i] = w[:len(nbhd)]
-            self.q_w[[n + j for j in nbhd], i] = w[len(nbhd):]
+        self.q_w = indexing.weight_matrix(2 * n, [
+            (nbhd + tuple(n + j for j in nbhd), s_sizes + a_sizes)
+            for nbhd, s_sizes, a_sizes in self.q_layouts])
         self.etas = (None if td is None else
                      td.step_size(np.arange(td.steps)).tolist())
 
     def q_cells(self, S, A) -> np.ndarray:
         """Every agent's truncated-Q cell id at integer global state/action
-        arrays (..., n), which broadcast: column i is agent i's (the
-        neighborhood state's encode times the neighborhood action-space size
-        plus the action's encode)."""
+        arrays (..., n), which broadcast: column i is agent i's cell (s_N,
+        a_N) of its neighborhood N's states then actions, encoded."""
         S, A = np.broadcast_arrays(S, A)
         return np.concatenate([S, A], axis=-1) @ self.q_w
 

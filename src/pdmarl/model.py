@@ -31,6 +31,10 @@ MAX_EXACT_PAIRS = 2 ** 22
 # tables it returns.
 DEP_TABLE_CAP = 200_000
 
+# ``compute_decay_matrix`` bisects the decay exponent in [0, OMEGA_MAX] to
+# a bracket of width OMEGA_TOL.
+OMEGA_MAX, OMEGA_TOL = 50.0, 1e-6
+
 
 class EnumerationCapExceeded(ValueError):
     pass
@@ -112,14 +116,6 @@ class TransitionKernel:
         return cls(agent, state_deps, action_deps, dep_sizes,
                    np.broadcast_to(dist, shape).copy())
 
-    def row_indices(self, S, A):
-        """Rows at integer state/action arrays (..., n); S and A broadcast."""
-        ns = len(self.state_deps)
-        a_sizes = self.dep_sizes[ns:]
-        return (indexing.encode(S, self.state_deps, self.dep_sizes[:ns])
-                * indexing.space_size(a_sizes)
-                + indexing.encode(A, self.action_deps, a_sizes))
-
 
 @dataclass(frozen=True)
 class LocalReward:
@@ -198,6 +194,14 @@ class FactoredCMDP:
                 raise EnumerationCapExceeded(
                     f"{what} = {size} exceeds the enumeration cap {cap}")
 
+    def kernel_weights(self) -> np.ndarray:
+        """(2n, n) int64 weights whose column i is kernel i's row encoding:
+        ``[S | A] @ kernel_weights()`` is every kernel's table row at once."""
+        n = self.n_agents
+        return indexing.weight_matrix(2 * n, [
+            (kern.state_deps + tuple(n + j for j in kern.action_deps),
+             kern.dep_sizes) for kern in self.kernels])
+
     def initial_state_distribution(self):
         """Flat distribution over global states (product of local ones)."""
         return indexing.row_kron([np.asarray(d, dtype=float)
@@ -215,15 +219,13 @@ class DecayProfile:
     contraction_ok: bool  # whether chi < 2 / gamma
 
 
-def compute_decay_matrix(cmdp: FactoredCMDP, chi: float,
-                         omega_max: float = 50.0,
-                         tol: float = 1e-6) -> DecayProfile:
+def compute_decay_matrix(cmdp: FactoredCMDP, chi: float) -> DecayProfile:
     """Brute-force transition-sensitivity matrix and its decay exponent.
 
     M[i, j] is the largest L1 change in agent i's kernel when agent j's
     state/action varies with all other coordinates held fixed. The returned
-    omega is the largest value (up to ``tol``, capped at ``omega_max``) such
-    that max_i sum_j exp(omega * d(i, j)) * M[i, j] <= chi.
+    omega is the largest value (up to ``OMEGA_TOL``, capped at
+    ``OMEGA_MAX``) such that max_i sum_j exp(omega * d(i, j)) * M[i, j] <= chi.
     """
     n = cmdp.n_agents
     M = np.zeros((n, n))
@@ -246,11 +248,11 @@ def compute_decay_matrix(cmdp: FactoredCMDP, chi: float,
             f"no omega > 0 satisfies the decay condition: even omega=0 gives "
             f"{weighted_max(0.0):.6g} > chi={chi:.6g}"
         )
-    lo, hi = 0.0, omega_max
+    lo, hi = 0.0, OMEGA_MAX
     if weighted_max(hi) <= chi:
         omega = hi
     else:
-        while hi - lo > tol:
+        while hi - lo > OMEGA_TOL:
             mid = 0.5 * (lo + hi)
             if weighted_max(mid) <= chi:
                 lo = mid

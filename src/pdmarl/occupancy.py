@@ -35,15 +35,16 @@ class ExactSolve:
     """One policy's state chain in product form, built once for every
     exact oracle; nothing it builds is indexed by global state-action pairs.
 
-    At every global state (``s_dec``) it holds each agent's policy row
-    (``rows``), pi_i(.|s) (``pis``, (S, A_i)) and P_i(.|s, a_i) (``kernels``,
-    (S, A_i, S_i)). Agent i's next state reads (s_{D_i}, a_i) only, so the
-    state chain M_pi (``chain``) is the ``indexing.row_kron`` of the (S, S_i)
-    ``factors`` M_i = sum_{a_i} pi_i P_i. ``lhs`` is I - gamma M_pi: one
-    ``numpy.linalg.solve`` of its transpose gives the state occupancy ``d``,
-    (I - gamma M_pi)^T d = rho, and one of ``lhs`` the values of a state
-    reward (numpy keeps no LU between solves; scipy's would cost every run
-    its import). ``local_occupancies`` are the (S_i, A_i) sums of d pi_i.
+    At every global state (``s_dec``) it holds every agent's policy row
+    (``rows``, (S, n)), pi_i(.|s) (``pis``, (S, A_i)) and P_i(.|s, a_i)
+    (``kernels``, (S, A_i, S_i)). Agent i's next state reads (s_{D_i}, a_i)
+    only, so the state chain M_pi (``chain``) is the ``indexing.row_kron``
+    of the (S, S_i) ``factors`` M_i = sum_{a_i} pi_i P_i. ``lhs`` is
+    I - gamma M_pi: one ``numpy.linalg.solve`` of its transpose gives the
+    state occupancy ``d``, (I - gamma M_pi)^T d = rho, and one of ``lhs``
+    the values of a state reward (numpy keeps no LU between solves; scipy's
+    would cost every run its import). ``local_occupancies`` are the
+    (S_i, A_i) sums of d pi_i.
     """
 
     def __init__(self, cmdp: FactoredCMDP, policy):
@@ -51,15 +52,15 @@ class ExactSolve:
         self.cmdp = cmdp
         n, sizes = cmdp.n_agents, cmdp.local_state_sizes
         self.s_dec = s_dec = indexing.decode_table(sizes)
-        self.rows = [policy.nbhd_rows(i, s_dec) for i in range(n)]
+        self.rows = s_dec @ policy.row_weights()
         self.pis = [probs[rows]
-                    for probs, rows in zip(policy.prob_tables, self.rows)]
-        self.kernels = []
-        for i, kern in enumerate(cmdp.kernels):
-            acts = np.zeros((cmdp.local_action_sizes[i], n), dtype=np.int64)
-            acts[:, i] = np.arange(len(acts))
-            self.kernels.append(kern.table[kern.row_indices(s_dec[:, None],
-                                                            acts)])
+                    for probs, rows in zip(policy.prob_tables, self.rows.T)]
+        # kernel i at (s, a_i): state part + a_i * weight of a_i (0 if unread)
+        w = cmdp.kernel_weights()
+        self.kernels = [
+            kern.table[rows[:, None] + np.arange(a) * w[n + i, i]]
+            for i, (kern, rows, a) in enumerate(zip(
+                cmdp.kernels, (s_dec @ w[:n]).T, cmdp.local_action_sizes))]
         self.factors = [np.einsum("sa,sat->st", pi, k)
                         for pi, k in zip(self.pis, self.kernels)]
         self.chain = indexing.row_kron(self.factors)

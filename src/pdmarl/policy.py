@@ -110,20 +110,12 @@ class KHopPolicy:
     def n_nbhd_states(self, i):
         return indexing.space_size(self.nbhd_state_sizes(i))
 
-    def nbhd_rows(self, i, S):
-        """Table rows of agent i at integer global-state arrays (..., n)."""
-        return indexing.encode(S, self.neighborhood(i),
-                               self.nbhd_state_sizes(i))
-
     def row_weights(self) -> np.ndarray:
         """(n, n) int64 weights whose column i is agent i's row encoding:
         ``S @ row_weights()`` is every agent's table row at once."""
-        n = self.graph.n
-        w = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            w[list(self.neighborhood(i)), i] = indexing.radix_weights(
-                self.nbhd_state_sizes(i))
-        return w
+        return indexing.weight_matrix(self.graph.n, [
+            (self.neighborhood(i), self.nbhd_state_sizes(i))
+            for i in range(self.graph.n)])
 
     # -- distributions -----------------------------------------------------
 

@@ -19,6 +19,9 @@ from .utilities import UtilityPass, utility_value
 from .critic import TDConfig, default_td_config, td_draws, td_fit
 from . import indexing
 
+FD_STEP = 1e-5  # step of ``fd_lagrangian_gradient``'s central differences
+BISECT_TOL = 1e-10  # ``max_linear_over_box_ball`` bisects to this width
+
 
 class NumericAbort(RuntimeError):
     """Raised when a NaN appears during training; carries the iteration and
@@ -30,17 +33,7 @@ class NumericAbort(RuntimeError):
         self.state = state
 
 
-@dataclass(frozen=True)
-class DualVariable:
-    mu: np.ndarray
-    mu_bar: float
-
-    def __post_init__(self):
-        if np.any(self.mu < 0) or np.any(self.mu > self.mu_bar + 1e-12):
-            raise ValueError("dual variable leaves [0, mu_bar]")
-
-
-def dual_update(g_tilde, eta_mu, mu_bar, n) -> DualVariable:
+def dual_update(g_tilde, eta_mu, mu_bar, n) -> np.ndarray:
     """Closed-form regularized dual step: mu_i = clamp(-eta * g_i / n, 0, bar).
 
     Memoryless by construction; the previous multiplier does not enter.
@@ -48,7 +41,7 @@ def dual_update(g_tilde, eta_mu, mu_bar, n) -> DualVariable:
     g = np.asarray(g_tilde, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("constraint values must be finite")
-    return DualVariable(mu=np.clip(-eta_mu * g / n, 0.0, mu_bar), mu_bar=mu_bar)
+    return np.clip(-eta_mu * g / n, 0.0, mu_bar)
 
 
 # -- sampled truncated policy gradient --------------------------------------
@@ -75,16 +68,16 @@ def _neighborhood_weights(layout: RunLayout, S, A, q_f, q_g, mu,
 
 
 def truncated_pg_estimate(layout: RunLayout, S, A, policy: KHopPolicy, q_f,
-                          q_g, mu: DualVariable) -> np.ndarray:
+                          q_g, mu) -> np.ndarray:
     """REINFORCE-style gradient over integer trajectories S, A of shape
     (B, H, n): per step, the score of agent i weighted by the discounted
-    neighborhood-average of truncated Q values (objective plus dual-weighted
-    constraint) of the agents within distance ``layout.kappa``.
+    neighborhood-average of truncated Q values (objective plus constraint
+    weighted by ``mu``, (n,)) of the agents within distance ``layout.kappa``.
 
     Every agent's policy rows come from one product, and every agent's score
     sum from one pair of ``bincount``s (``ThetaLayout.score_sums``): the
     stacked theta-shaped tables are returned."""
-    w = _neighborhood_weights(layout, S, A, q_f, q_g, mu.mu,
+    w = _neighborhood_weights(layout, S, A, q_f, q_g, mu,
                               layout.gamma ** np.arange(S.shape[1]))
     theta = layout.theta
     return theta.score_sums(policy, theta.rows(S), A, w) / len(S)
@@ -141,7 +134,7 @@ def exact_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
     for i, (probs, pi) in enumerate(zip(policy.prob_tables, solve.pis)):
         q_i = q[i] / n + cmdp.gamma * solve.next_values(V, i)
         g = np.zeros_like(probs)
-        np.add.at(g, solve.rows[i], solve.d[:, None] * pi * (
+        np.add.at(g, solve.rows[:, i], solve.d[:, None] * pi * (
             q_i - (pi * q_i).sum(axis=1, keepdims=True)))
         grads.append(g)
     return grads
@@ -177,31 +170,31 @@ def lagrangian_value(cmdp: FactoredCMDP, policy: KHopPolicy,
 
 
 def fd_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
-                           objectives, constraints, mu,
-                           h: float = 1e-5) -> list:
-    """Central finite differences of the Lagrangian over every theta entry."""
+                           objectives, constraints, mu) -> list:
+    """Central finite differences of the Lagrangian over every theta entry,
+    with step ``FD_STEP``."""
     grads = []
     for i, tab in enumerate(policy.theta):
         g = np.zeros_like(tab)
         for idx in np.ndindex(tab.shape):
             for sign in (+1.0, -1.0):
                 theta = [t.copy() for t in policy.theta]
-                theta[i][idx] += sign * h
+                theta[i][idx] += sign * FD_STEP
                 val = lagrangian_value(cmdp, policy.with_theta(theta),
                                        objectives, constraints, mu)
                 g[idx] += sign * val
-        grads.append(g / (2.0 * h))
+        grads.append(g / (2.0 * FD_STEP))
     return grads
 
 
 # -- stationarity metrics ----------------------------------------------------
 
-def max_linear_over_box_ball(g, lower, upper, tol=1e-10) -> float:
+def max_linear_over_box_ball(g, lower, upper) -> float:
     """max <g, v> over {lower <= v <= upper, ||v||_2 <= 1} (0 in the box).
 
     If the box-optimal vertex fits in the unit ball it is optimal; otherwise
     the optimum is v_i = clamp(g_i / nu, l_i, u_i) with nu >= 0 found by
-    bisection on the norm constraint.
+    bisection on the norm constraint, to ``BISECT_TOL``.
     """
     g = np.asarray(g, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -212,7 +205,7 @@ def max_linear_over_box_ball(g, lower, upper, tol=1e-10) -> float:
     if np.linalg.norm(vertex) <= 1.0:
         return float(g @ vertex)
     lo, hi = 0.0, float(np.linalg.norm(g))
-    while hi - lo > tol:
+    while hi - lo > BISECT_TOL:
         nu = 0.5 * (lo + hi)
         v = np.clip(g / max(nu, 1e-300), lower, upper)
         if np.linalg.norm(v) > 1.0:
@@ -317,7 +310,7 @@ class _PhaseClock:
 @dataclass
 class TrainState:
     policy: KHopPolicy
-    mu: DualVariable
+    mu: np.ndarray  # (n,) dual multipliers
     iteration: int
     history: list = field(default_factory=list)
     # "off", "every N", or "skipped: <why the instance cannot be enumerated>"
@@ -368,7 +361,7 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
                                    theta_bound=cfg.theta_bar)
     else:
         policy = initial_policy
-    mu = DualVariable(mu=np.zeros(n), mu_bar=cfg.mu_bar)
+    mu = np.zeros(n)
     oracle = "off"
     if cfg.oracle_every > 0:
         try:
@@ -420,19 +413,19 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
         record = IterationRecord(
             t=t, objective=objective_val, g_tilde=tuple(float(x) for x in g_tilde),
             violation=float(np.sum(np.maximum(0.0, -g_tilde))),
-            mu=tuple(float(x) for x in mu.mu),
+            mu=tuple(float(x) for x in mu),
         )
         clock.lap("grad")
         if oracles_feasible and t % cfg.oracle_every == 0:
             solve = ExactSolve(cmdp, policy)
             exact_g = exact_lagrangian_gradient(
-                cmdp, policy, objectives, constraints, mu.mu, solve=solve)
+                cmdp, policy, objectives, constraints, mu, solve=solve)
             grad_mu = exact_dual_gradient(cmdp, policy, constraints,
                                           solve=solve)
             theta_flat = np.concatenate([t_.ravel() for t_ in policy.theta])
             grad_flat = np.concatenate([g.ravel() for g in exact_g])
             record.X, record.Y, record.E = fosp_metrics(
-                grad_flat, grad_mu, theta_flat, mu.mu,
+                grad_flat, grad_mu, theta_flat, mu,
                 cfg.theta_bar, cfg.mu_bar)
         clock.lap("oracle")
         policy = policy_ascent(policy, indexing.split(

@@ -2,11 +2,12 @@
 
 ``Simulator`` is the one inverse-CDF sampler of the package: per half-step
 it finds every agent's table row with one integer product ``rows = x @ W``
-over the rows ``x = [s | a | 1]`` and draws every agent's action (or next
-state) with one gather from stacked CDF tables. ``Simulator.rollout`` runs
-row groups of different lengths in lockstep: ``train`` rolls out its
-sampling batch (``trajectory_draws``) and both TD trajectories
-(``critic.td_draws``) at once.
+over the rows ``x = [s | a | 1]``, W the policy's or the kernels'
+``indexing.weight_matrix`` above the CDF offsets, and draws every agent's
+action (or next state) with one gather from stacked CDF tables.
+``Simulator.rollout`` runs row groups of different lengths in lockstep:
+``train`` rolls out its sampling batch (``trajectory_draws``) and both TD
+trajectories (``critic.td_draws``) at once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .model import FactoredCMDP
 from .policy import KHopPolicy
-from . import indexing
 
 
 class InverseCdf:
@@ -96,10 +96,10 @@ class Simulator:
 
     A row of the rollout is one integer vector ``x = [s | a | 1]`` of length
     2n+1. Each half-step looks up every agent's stacked CDF row with one
-    product ``x @ W``: column i of ``act_w`` encodes agent i's policy
-    neighborhood, column i of ``trans_w`` kernel i's state and action
-    dependency cell, and the last row of each holds the ``InverseCdf``
-    offsets. ``init_cdf`` draws the initial states of ``trajectory_draws``.
+    product ``x @ W``: ``act_w`` stacks ``KHopPolicy.row_weights`` (the
+    actions weigh nothing), ``trans_w`` ``FactoredCMDP.kernel_weights``,
+    and the last row of each holds the ``InverseCdf`` offsets.
+    ``init_cdf`` draws the initial states of ``trajectory_draws``.
     Only the policy CDF depends on the policy's parameters: ``with_policy``
     swaps it and shares the rest.
     """
@@ -110,16 +110,11 @@ class Simulator:
         self.kernel_cdf = InverseCdf([kern.table for kern in cmdp.kernels])
         self.init_cdf = InverseCdf([np.asarray(d)[None, :]
                                     for d in cmdp.initial_dist])
-        self.act_w, self.trans_w = (np.zeros((2 * n + 1, n), dtype=np.int64)
-                                    for _ in range(2))
-        self.act_w[:n] = policy.row_weights()
-        for i, kern in enumerate(cmdp.kernels):
-            w = indexing.radix_weights(kern.dep_sizes)
-            ns = len(kern.state_deps)
-            self.trans_w[list(kern.state_deps), i] = w[:ns]
-            self.trans_w[[n + j for j in kern.action_deps], i] = w[ns:]
-        self.act_w[-1] = self.policy_cdf.offsets
-        self.trans_w[-1] = self.kernel_cdf.offsets
+        self.act_w = np.vstack([policy.row_weights(),
+                                np.zeros((n, n), dtype=np.int64),
+                                self.policy_cdf.offsets])
+        self.trans_w = np.vstack([cmdp.kernel_weights(),
+                                  self.kernel_cdf.offsets])
 
     def with_policy(self, policy: KHopPolicy) -> "Simulator":
         """This simulator under ``policy``, whose tables have the shapes of

@@ -1,5 +1,6 @@
 """Dense reference oracles that only the tests call, each checking a library
-path: local rewards lifted to global (s, a) pair vectors, the pair-level
+path: one table's mixed-radix rows (against ``indexing.weight_matrix``),
+local rewards lifted to global (s, a) pair vectors, the pair-level
 transition matrix and the dense exact solve over the global (S, A, S')
 kernel (against ``occupancy.ExactSolve``), the pair-level Q and occupancy in
 product form (``PairExactSolve``, where the dense kernel cannot reach), the
@@ -21,6 +22,25 @@ from pdmarl.policy import KHopPolicy
 from pdmarl.primal_dual import _neighborhood_weights
 from pdmarl.utilities import (CONSTRAINT, ENTROPY, GeneralUtility,
                               UtilityPass, evaluate)
+
+
+# -- mixed-radix rows ---------------------------------------------------------
+
+def encode(X, positions, sizes) -> np.ndarray:
+    """Rows of the cells ``X[..., positions]`` of integer arrays (..., n),
+    with ``sizes`` the radices of those positions: one column of
+    ``indexing.weight_matrix``, one table at a time."""
+    return np.asarray(X)[..., list(positions)] @ indexing.radix_weights(sizes)
+
+
+def kernel_rows(kern, S, A) -> np.ndarray:
+    """Rows of a kernel's table at integer state/action arrays (..., n),
+    which broadcast: its states' cell, then its actions' cell."""
+    ns = len(kern.state_deps)
+    a_sizes = kern.dep_sizes[ns:]
+    return (encode(S, kern.state_deps, kern.dep_sizes[:ns])
+            * indexing.space_size(a_sizes)
+            + encode(A, kern.action_deps, a_sizes))
 
 
 # -- global pair vectors -----------------------------------------------------
@@ -115,7 +135,7 @@ def pair_lagrangian_gradient(cmdp, policy, objectives, constraints, mu):
         (cmdp.n_states,) + cmdp.local_action_sizes)
     grads = []
     for i, (probs, rows) in enumerate(zip(policy.prob_tables,
-                                          solve.solve.rows)):
+                                          solve.solve.rows.T)):
         g = np.zeros_like(probs)
         np.add.at(g, rows,
                   W.sum(axis=tuple(1 + j for j in range(n) if j != i)))
@@ -129,15 +149,17 @@ def next_state_kernel(cmdp) -> np.ndarray:
     """Global next-state distributions P(s' | s, a) as an (S, A, S') array."""
     s_dec = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
     a_dec = indexing.decode_table(cmdp.local_action_sizes)[None, :, :]
-    return indexing.row_kron([kern.table[kern.row_indices(s_dec, a_dec)]
+    return indexing.row_kron([kern.table[kernel_rows(kern, s_dec, a_dec)]
                               for kern in cmdp.kernels])
 
 
 def joint_action_probabilities(policy: KHopPolicy) -> np.ndarray:
     """Matrix pi(a | s) over global states/actions."""
     s_dec = indexing.decode_table(policy.state_sizes)
-    return indexing.row_kron([policy.prob_tables[i][policy.nbhd_rows(i, s_dec)]
-                              for i in range(policy.graph.n)])
+    return indexing.row_kron([
+        policy.prob_tables[i][encode(s_dec, policy.neighborhood(i),
+                                     policy.nbhd_state_sizes(i))]
+        for i in range(policy.graph.n)])
 
 
 def global_transition_matrix(cmdp, policy) -> np.ndarray:
@@ -355,7 +377,8 @@ def induced_khop_policy(policy: KHopPolicy, kappa: int, anchor_state) -> KHopPol
         s = np.tile(anchor, (new.n_nbhd_states(i), 1))
         s[:, list(new.neighborhood(i))] = indexing.decode_table(
             new.nbhd_state_sizes(i))
-        tables.append(policy.theta[i][policy.nbhd_rows(i, s)])
+        tables.append(policy.theta[i][encode(s, policy.neighborhood(i),
+                                             policy.nbhd_state_sizes(i))])
     return new.with_theta(tables)
 
 

@@ -261,7 +261,7 @@ def exact_setting_fosp(seed, schedule, threshold, iterations):
     for t in range(iterations):
         solve = ExactSolve(m, pol)
         grad_mu = exact_dual_gradient(m, pol, cons, solve=solve)
-        mu = dual_update(n * grad_mu, steps.dual_step(t), mu_bar, n).mu
+        mu = dual_update(n * grad_mu, steps.dual_step(t), mu_bar, n)
         grads = exact_lagrangian_gradient(m, pol, None, cons, mu, solve=solve)
         E[t] = fosp_metrics(flat(grads), grad_mu, flat(pol.theta), mu,
                             theta_bar, mu_bar)[2]

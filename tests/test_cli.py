@@ -422,6 +422,17 @@ class TestMainEntryPoint:
           "  name: wireless_grid\n  side: 2\n  deadline: 107"},
          "env.deadline 107 gives kernels of " + str(2 ** 108)
          + " dependency cells"),
+        # the agent count is checked before the graph or any O(n^2) array
+        # is built: these once failed with a MemoryError or a traceback
+        ({"  name: synthetic_line\n  n: 3":
+          "  name: wireless_grid\n  side: 100000\n  deadline: 1"},
+         "env.side 100000 gives 10000000000 users, above the cap of 1000 "
+         "agents"),
+        ({"  name: synthetic_line\n  n: 3":
+          "  name: wireless_grid\n  side: 10000000000\n  deadline: 1"},
+         "env.side 10000000000 gives 100000000000000000000 users"),
+        ({"  n: 3": "  n: 100000000000"},
+         "env.n 100000000000 is above the cap of 1000 agents"),
     ], ids=["td_steps_0", "td_h_negative", "line_n_1", "grid_side_1",
             "grid_p_short", "grid_p_not_number", "grid_q_table_over_cap",
             "seed_negative", "env_seed_negative", "threshold_nan",
@@ -431,7 +442,8 @@ class TestMainEntryPoint:
             "iterations_negative", "horizon_0", "batch_size_0", "eta_theta_0",
             "eta_mu_negative", "mu_bar_0", "theta_bar_negative",
             "eta_mu_schedule_unknown", "env_name_list", "env_name_mapping",
-            "grid_deadline_18", "grid_deadline_107"])
+            "grid_deadline_18", "grid_deadline_107", "grid_side_100000",
+            "grid_side_1e10", "line_n_1e11"])
     def test_bad_env_or_td_exit_one(self, tmp_path, capsys, edits, reason):
         text = BASE_YAML
         for old, new in edits.items():

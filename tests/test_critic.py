@@ -10,7 +10,7 @@ from pdmarl.critic import TDConfig, default_td_config, td_draws, td_fit
 from pdmarl.layout import (MAX_Q_CELLS, RunLayout, q_table_layout,
                            q_table_layouts)
 from pdmarl.envs import WirelessGridSpec, wireless_grid
-from pdmarl.primal_dual import DualVariable, truncated_pg_estimate
+from pdmarl.primal_dual import truncated_pg_estimate
 from pdmarl.sampling import Simulator, trajectory_draws
 from pdmarl import indexing
 
@@ -272,7 +272,7 @@ class TestSparseQTable:
             td_draws(m, cfg, rng)])
         shadow = [np.ones((s, a)) for s, a in
                   zip(m.local_state_sizes, m.local_action_sizes)]
-        mu = DualVariable(mu=np.full(m.n_agents, 0.5), mu_bar=1.0)
+        mu = np.full(m.n_agents, 0.5)
         tracemalloc.start()
         try:
             layout = RunLayout(m, pol, 1, cfg)

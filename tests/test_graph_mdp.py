@@ -11,12 +11,12 @@ from pdmarl.sampling import Simulator
 from pdmarl.envs import WirelessGridSpec, wireless_grid
 
 from helpers import chain, uniform_policy
-from oracles import global_transition_matrix, n_actions
+from oracles import global_transition_matrix, kernel_rows, n_actions
 
 
 def lookup(f, s, a):
     """Row of a kernel table at global state/action tuples."""
-    return f.table[f.row_indices(np.array(s), np.array(a))]
+    return f.table[kernel_rows(f, np.array(s), np.array(a))]
 
 
 class TestGraph:

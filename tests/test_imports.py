@@ -1,7 +1,8 @@
 """Every module uses the names it imports, the package or the benchmark
 names every definition of ``src/pdmarl`` (package ``__init__`` aside), a
-test names every reference oracle of ``tests/oracles.py``, and importing
-the command line loads numpy's random module but not scipy."""
+test names every reference oracle of ``tests/oracles.py``, only
+``indexing`` turns digits into rows, and importing the command line loads
+numpy's random module but not scipy."""
 
 import ast
 import json
@@ -88,6 +89,15 @@ def test_every_definition_has_a_caller():
 def test_every_reference_oracle_has_a_test():
     tests = {p: p.read_text() for p in TESTS}
     assert unreferenced({ORACLES: tests[ORACLES]}, tests) == []
+
+
+def test_only_indexing_reads_radix_weights():
+    # every other module takes its rows from ``indexing.weight_matrix``
+    readers = [p.name for p in SRC if p.name != "indexing.py" and any(
+        (node.id if isinstance(node, ast.Name) else node.attr)
+        == "radix_weights" for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute)))]
+    assert readers == []
 
 
 @pytest.mark.parametrize("path", FILES,

@@ -17,7 +17,7 @@ from pdmarl.primal_dual import StepSizes, TrainConfig, train
 from pdmarl.utilities import ENTROPY, GeneralUtility
 
 from helpers import PairLayout, rng_for
-from oracles import as_constraint
+from oracles import as_constraint, encode
 
 
 def random_batch(rng, B, H, state_sizes, action_sizes):
@@ -142,7 +142,8 @@ def test_stacked_score_sums_are_per_agent_bincounts(env, kappa):
     got = indexing.split(theta.score_sums(policy, rows, A, weights),
                          theta.shapes)
     for i, g in enumerate(got):
-        assert np.array_equal(rows[..., i], policy.nbhd_rows(i, S))
+        assert np.array_equal(rows[..., i], encode(
+            S, policy.neighborhood(i), policy.nbhd_state_sizes(i)))
         want = reference_score_sum(policy, i, rows[..., i].ravel(),
                                    A[..., i].ravel(), weights[..., i].ravel())
         assert g.shape == policy.theta[i].shape

@@ -248,13 +248,18 @@ class TestProductForm:
 
     @pytest.mark.parametrize("env, kappa", [
         ("line4", 1), ("line4", 2), ("line5", 1), ("line5", 2), ("line6", 1),
-        ("line6", 2), ("wireless2", 1), ("wireless2", 2)])
+        ("line6", 2), ("wireless2", 1), ("wireless2", 2),
+        ("wireless2_deadline2", 1)])
     @pytest.mark.parametrize("theta", ["random", "boundary"])
     def test_matches_dense_solve(self, env, kappa, theta):
+        # at deadline 1 every grid kernel ignores the action (an unsent
+        # packet expires anyway); at deadline 2 the kernel rows read it
         if env.startswith("line"):
             m = synthetic_line(SyntheticLineSpec(n=int(env[4:]), gamma=0.99))
         else:
-            m = wireless_grid(WirelessGridSpec(side=2, deadline=1, gamma=0.95))
+            m = wireless_grid(WirelessGridSpec(
+                side=2, deadline=2 if env.endswith("deadline2") else 1,
+                gamma=0.95))
         pol = random_or_boundary_policy(m, kappa, theta, 17 + kappa)
         solve, dense = PairExactSolve(m, pol), DenseExactSolve(m, pol)
         assert close(solve.occupancy, dense.occupancy)

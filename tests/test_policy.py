@@ -142,7 +142,7 @@ class TestScore:
 
 def sample_actions(pol, s, u):
     """Joint actions at global state s, one draw per row of uniforms u."""
-    rows = [pol.nbhd_rows(i, np.asarray(s)) for i in range(pol.graph.n)]
+    rows = np.asarray(s) @ pol.row_weights()
     cdf = InverseCdf([pol.prob_tables[i] for i in range(pol.graph.n)])
     return cdf.draw(np.broadcast_to(rows, u.shape), u)
 

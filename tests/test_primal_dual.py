@@ -12,7 +12,7 @@ from pdmarl.occupancy import ExactSolve
 from pdmarl.envs import WirelessGridSpec, wireless_grid
 from pdmarl.utilities import ENTROPY, L2_ACTION, LINEAR, GeneralUtility
 from pdmarl.layout import RunLayout, ThetaLayout
-from pdmarl.primal_dual import (DualVariable, StepSizes, TrainConfig,
+from pdmarl.primal_dual import (StepSizes, TrainConfig,
                                 dual_update, exact_dual_gradient,
                                 exact_lagrangian_gradient,
                                 fd_lagrangian_gradient, fosp_metrics,
@@ -42,30 +42,24 @@ def two_state_single_agent(gamma=0.9):
 class TestDualUpdate:
     def test_satisfied_constraint_zero_multiplier(self):
         mu = dual_update([0.5, 0.01], eta_mu=10.0, mu_bar=100.0, n=2)
-        np.testing.assert_array_equal(mu.mu, [0.0, 0.0])
+        np.testing.assert_array_equal(mu, [0.0, 0.0])
 
     def test_violated_constraint_arithmetic(self):
         mu = dual_update([-2.0], eta_mu=3.0, mu_bar=10.0, n=1)
-        assert mu.mu[0] == pytest.approx(6.0)
+        assert mu[0] == pytest.approx(6.0)
 
     def test_cap_binds(self):
         mu = dual_update([-2.0], eta_mu=3.0, mu_bar=4.0, n=1)
-        assert mu.mu[0] == pytest.approx(4.0)
+        assert mu[0] == pytest.approx(4.0)
 
     def test_memoryless(self):
         a = dual_update([-1.0, 0.3], 5.0, 20.0, 2)
         b = dual_update([-1.0, 0.3], 5.0, 20.0, 2)
-        np.testing.assert_array_equal(a.mu, b.mu)
+        np.testing.assert_array_equal(a, b)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             dual_update([np.nan], 1.0, 1.0, 1)
-
-    def test_dual_variable_box_validated(self):
-        with pytest.raises(ValueError):
-            DualVariable(mu=np.array([-0.1]), mu_bar=1.0)
-        with pytest.raises(ValueError):
-            DualVariable(mu=np.array([1.5]), mu_bar=1.0)
 
 
 class TestTruncatedPGEstimate:
@@ -79,8 +73,8 @@ class TestTruncatedPGEstimate:
         pol = uniform_policy(m)
         S, A = sample_batch(m, pol, 4, 10, np.random.default_rng(0))
         q = self.zero_q(m, 1)
-        mu = DualVariable(mu=np.zeros(2), mu_bar=1.0)
-        grads = truncated_pg_estimate(RunLayout(m, pol, 1), S, A, pol, q, q, mu)
+        grads = truncated_pg_estimate(RunLayout(m, pol, 1), S, A, pol, q, q,
+                                      np.zeros(2))
         np.testing.assert_array_equal(grads, 0.0)
 
     def test_two_state_reward_is_the_state(self):
@@ -100,10 +94,10 @@ class TestTruncatedPGEstimate:
         qg = TruncatedQTable(agent=0, kappa=0, nbhd=(0,), state_sizes=(2,),
                              action_sizes=(2,), keys=np.array([0, 2, 3]),
                              values=np.array([0.2, -1.0, 0.4]))
-        mu = DualVariable(mu=np.array([2.0]), mu_bar=10.0)
         s, a = 1, 0
         grads = truncated_pg_estimate(RunLayout(m, pol, 0), np.array([[[s]]]),
-                                      np.array([[[a]]]), pol, [qf], [qg], mu)
+                                      np.array([[[a]]]), pol, [qf], [qg],
+                                      np.array([2.0]))
         weight = dense_table(qf)[s, a] + 2.0 * dense_table(qg)[s, a]
         theta = ThetaLayout(pol)
         expected = weight * theta.score_sums(
@@ -114,10 +108,10 @@ class TestTruncatedPGEstimate:
         m = chain(3)
         pol = uniform_policy(m)
         S, A = sample_batch(m, pol, 2, 5, np.random.default_rng(2))
-        mu = DualVariable(mu=np.zeros(3), mu_bar=1.0)
         with pytest.raises(ValueError, match="agent 0 differ in neighborhood"):
             truncated_pg_estimate(RunLayout(m, pol, 1), S, A, pol,
-                                  self.zero_q(m, 1), self.zero_q(m, 0), mu)
+                                  self.zero_q(m, 1), self.zero_q(m, 0),
+                                  np.zeros(3))
 
     def test_far_agents_do_not_enter(self):
         m = chain(3)
@@ -128,10 +122,9 @@ class TestTruncatedPGEstimate:
         bumped[2] = TruncatedQTable(agent=2, kappa=0, nbhd=(2,),
                                     state_sizes=(2,), action_sizes=(2,),
                                     keys=np.arange(4), values=np.full(4, 7.0))
-        mu = DualVariable(mu=np.zeros(3), mu_bar=1.0)
         layout = RunLayout(m, pol, 0)
         base, pert = (indexing.split(truncated_pg_estimate(
-            layout, S, A, pol, q_f, q, mu), layout.theta.shapes)
+            layout, S, A, pol, q_f, q, np.zeros(3)), layout.theta.shapes)
             for q_f in (q, bumped))
         np.testing.assert_array_equal(base[0], pert[0])
         assert np.any(pert[2] != base[2])
@@ -144,9 +137,8 @@ class TestTruncatedPGEstimate:
         pol = KHopPolicy.random(m.graph, m.local_state_sizes,
                                 m.local_action_sizes, 1, rng, scale=0.3)
         cons = entropy_constraints(m, 0.3)
-        mu_vec = np.array([0.5, 1.5])
-        mu = DualVariable(mu=mu_vec, mu_bar=10.0)
-        exact = flat(exact_lagrangian_gradient(m, pol, None, cons, mu_vec))
+        mu = np.array([0.5, 1.5])
+        exact = flat(exact_lagrangian_gradient(m, pol, None, cons, mu))
 
         solve = PairExactSolve(m, pol)
         rf, rg = global_shadow_rewards(solve, None, cons)
