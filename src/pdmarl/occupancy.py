@@ -31,6 +31,12 @@ def estimate_local_occupancies(layout, S, A) -> np.ndarray:
                        minlength=layout.sa_off[-1]) / len(S)
 
 
+# ``ExactSolve.reward_means`` reads a reward at about this many (state,
+# joint action) cells per call, so that the reward's own temporaries stay a
+# few MB: at once, the side-3 grid's 512 x 6480 cells peaked near 110 MB.
+REWARD_BLOCK_CELLS = 1 << 18
+
+
 class ExactSolve:
     """One policy's state chain in product form, built once for every
     exact oracle; nothing it builds is indexed by global state-action pairs.
@@ -90,15 +96,20 @@ class ExactSolve:
         sum_a pi(a|s) R(s, a), (S,), and for each agent k of
         ``reward.action_deps`` its (S, A_k) marginal sum_{a_-k} pi_-k(a_-k|s)
         R(s, a). R is read once, at every state and every cell of its
-        action dependencies; its action axes are then summed out under
-        their agents' policies, first to last, and the marginal of each
-        weights the axes after its own by their policies' product."""
+        action dependencies, in blocks of states of about
+        ``REWARD_BLOCK_CELLS`` cells; its action axes are then summed out
+        under their agents' policies, first to last, and the marginal of
+        each weights the axes after its own by their policies' product."""
         deps = list(reward.action_deps)
         a_sizes = [self.cmdp.local_action_sizes[k] for k in deps]
         acts = np.zeros((indexing.space_size(a_sizes), self.cmdp.n_agents),
                         dtype=np.int64)
         acts[:, deps] = indexing.decode_table(a_sizes)
-        X = reward.values(self.s_dec[:, None], acts)  # (S, |A_N|)
+        X = np.empty((len(self.s_dec), len(acts)))  # (S, |A_N|)
+        block = max(1, REWARD_BLOCK_CELLS // len(acts))
+        for b in range(0, len(X), block):
+            X[b:b + block] = reward.values(self.s_dec[b:b + block, None],
+                                           acts)
         pis = [self.pis[k] for k in deps]
         after = [np.ones((len(X), 1))]
         for pi in pis[:0:-1]:

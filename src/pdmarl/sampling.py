@@ -8,6 +8,13 @@ action (or next state) with one gather from stacked CDF tables.
 ``Simulator.rollout`` runs row groups of different lengths in lockstep:
 ``train`` rolls out its sampling batch (``trajectory_draws``) and both TD
 trajectories (``critic.td_draws``) at once.
+
+When every kernel table has all rows equal (``wireless_grid`` at deadline
+1, whose next queue reads neither state nor action), the rollout is open
+loop: no next state reads the trajectory, so each stack of ``STACK_STEPS``
+steps draws all its states with one call, then all its actions with one
+product and one call. Each draw compares the same uniform with the same
+threshold as the stepped loop, so the trajectories are the same.
 """
 
 from __future__ import annotations
@@ -101,7 +108,8 @@ class Simulator:
     and the last row of each holds the ``InverseCdf`` offsets.
     ``init_cdf`` draws the initial states of ``trajectory_draws``.
     Only the policy CDF depends on the policy's parameters: ``with_policy``
-    swaps it and shares the rest.
+    swaps it and shares the rest. ``open_loop`` is set when every kernel
+    table has all rows equal, so that no next state reads the trajectory.
     """
 
     def __init__(self, cmdp: FactoredCMDP, policy: KHopPolicy):
@@ -115,6 +123,8 @@ class Simulator:
                                 self.policy_cdf.offsets])
         self.trans_w = np.vstack([cmdp.kernel_weights(),
                                   self.kernel_cdf.offsets])
+        self.open_loop = all((kern.table == kern.table[0]).all()
+                             for kern in cmdp.kernels)
 
     def with_policy(self, policy: KHopPolicy) -> "Simulator":
         """This simulator under ``policy``, whose tables have the shapes of
@@ -134,7 +144,9 @@ class Simulator:
         ``(states, actions)`` pair per group, each row's trajectory: shape
         (R_i, T_i, n). All groups run for the longest T_i steps; a shorter
         group's extra steps use ``PAD_U`` and are cut off, so each pair
-        equals the rollout of its group alone.
+        equals the rollout of its group alone. An ``open_loop`` simulator
+        draws each stack of ``STACK_STEPS`` steps at once, each agent's
+        states at its first kernel row, to the same trajectories.
         """
         n = self.n
         lengths = [len(u_act) for _, u_act, _ in groups]
@@ -152,6 +164,12 @@ class Simulator:
             k1 = min(k0 + STACK_STEPS, T)
             u_act, u_trans = (_stack_steps(us, ts, starts, k0, k1)
                               for us, ts in uniforms)
+            if self.open_loop:
+                # every state of the stack, then every action
+                trans(self.kernel_cdf.offsets, u_trans,
+                      x[k0 + 1:k1 + 1, :, :n])
+                act(x[k0:k1] @ self.act_w, u_act, x[k0:k1, :, n:2 * n])
+                continue
             # per step: rows, their actions, the next rows' states, uniforms
             for xk, ak, sk, ua, ut in zip(x[k0:k1], x[k0:k1, :, n:2 * n],
                                           x[k0 + 1:k1 + 1, :, :n], u_act,

@@ -190,6 +190,21 @@ def close(new, ref):
     return np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def within_own_terms(err, W, policy, rows):
+    """Whether each entry of a flat gradient error ``err`` is at most 1e-14
+    of the sum of |W| over its own terms: agent i's entry [e, b] sums W =
+    lambda * Q, flat over global pairs, at the states s with ``rows[s, i]``
+    = e, times a score in [-1, 1]. Rounding alone gave at most 1.3e-15 (six
+    ulps) on the models below, with AVX-512 or without; a relative error of
+    1e-9 in one agent's gamma T_i gives 9e-14 on the 10-agent line."""
+    per_state = np.abs(W).reshape(len(rows), -1).sum(axis=1)
+    bound = np.concatenate([
+        np.repeat(np.bincount(r, weights=per_state, minlength=len(probs)),
+                  probs.shape[1])
+        for probs, r in zip(policy.prob_tables, rows.T)])
+    return bool(np.all(np.abs(err) <= 1e-14 * bound))
+
+
 def pair_level_reference(cmdp, policy, rewards):
     """Occupancy and Q by dense solves over all (s, a) pairs."""
     P = global_transition_matrix(cmdp, policy)
@@ -274,15 +289,14 @@ class TestProductForm:
         assert close(flat(exact_lagrangian_gradient(m, pol, None, cons, mu)),
                      flat(dense_lagrangian_gradient(m, pol, None, cons, mu)))
         # an entropy objective's gradient is a small difference of large
-        # terms (rounding noise on the grid), so its error is measured
-        # against the terms: each entry sums W = lambda * Q times a score
-        # in [-1, 1]
+        # terms (rounding noise on the grid), so each entry's error is
+        # measured against its own terms
         objs = [GeneralUtility(kind=ENTROPY, gamma=m.gamma)] * m.n_agents
         rf, rg = global_shadow_rewards(dense, objs, cons)
         W = dense.occupancy * dense.q((rf.sum(axis=1) + rg @ mu) / m.n_agents)
         err = (flat(exact_lagrangian_gradient(m, pol, objs, cons, mu))
                - flat(dense_lagrangian_gradient(m, pol, objs, cons, mu)))
-        assert np.max(np.abs(err)) <= 1e-12 * np.abs(W).sum()
+        assert within_own_terms(err, W, pol, solve.solve.rows)
         assert close(exact_dual_gradient(m, pol, cons),
                      exact_dual_gradient(m, pol, cons, solve=dense))
 
@@ -324,4 +338,5 @@ class TestBeyondDense:
         if objs is None:
             assert close(new, flat(ref))
         else:
-            assert np.max(np.abs(new - flat(ref))) <= 1e-12 * np.abs(W).sum()
+            assert within_own_terms(new - flat(ref), W, pol,
+                                    ExactSolve(m, pol).rows)

@@ -7,6 +7,7 @@ sampling batch and both TD trajectories out together; the last tests check
 that each part equals the separate call with the same generator.
 """
 
+import copy
 import hashlib
 
 import numpy as np
@@ -17,10 +18,11 @@ from pdmarl.critic import TDConfig
 from pdmarl.layout import RunLayout
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
-from pdmarl.model import LocalReward
+from pdmarl.graph import line_graph
+from pdmarl.model import FactoredCMDP, LocalReward, TransitionKernel
 from pdmarl.policy import KHopPolicy
 from pdmarl.primal_dual import StepSizes, TrainConfig, _rng, train
-from pdmarl.sampling import InverseCdf, Simulator
+from pdmarl.sampling import STACK_STEPS, InverseCdf, Simulator
 from pdmarl.utilities import ENTROPY, L2_ACTION, GeneralUtility
 
 from helpers import sample_batch, td_tables
@@ -235,6 +237,83 @@ def test_batch_rows_step_like_single_rows():
         assert np.array_equal(a_b[0], actions[b])
 
 
+# -- open-loop rollouts: kernels whose rows are all equal ---------------------
+
+def equal_rows_model():
+    """Three agents on a line whose kernels declare state and action
+    dependencies but return one distribution at every cell; the middle
+    agent has three states, so its kernel draws by bit count."""
+    state_sizes, action_sizes = (2, 3, 2), (2, 3, 2)
+    dists = ([0.25, 0.75], [0.2, 0.3, 0.5], [0.6, 0.4])
+    kernels = tuple(TransitionKernel.from_function(
+        lambda S, A, d=d: np.tile(d, (len(S), 1)), i,
+        tuple(j for j in (i - 1, i, i + 1) if 0 <= j < 3), (i,),
+        state_sizes, action_sizes) for i, d in enumerate(dists))
+    rewards = tuple(LocalReward.from_function(
+        lambda S, A: np.where(S[..., 0] == 1, 1.0, 0.0), i, (i,), (),
+        state_sizes, action_sizes) for i in range(3))
+    initial = tuple(np.eye(s)[0] for s in state_sizes)
+    return FactoredCMDP(graph=line_graph(3), local_state_sizes=state_sizes,
+                        local_action_sizes=action_sizes, kernels=kernels,
+                        rewards=rewards, initial_dist=initial, gamma=0.95)
+
+
+def model(name):
+    if name == "equal_rows":
+        return equal_rows_model()
+    if name == "line4":
+        return synthetic_line(SyntheticLineSpec(n=4, gamma=0.95))
+    side, deadline = {"grid2": (2, 1), "grid3": (3, 1),
+                      "grid2_d2": (2, 2)}[name]
+    return wireless_grid(WirelessGridSpec(side=side, deadline=deadline,
+                                          gamma=0.95))
+
+
+@pytest.mark.parametrize("name,open_loop", [
+    ("grid2", True), ("grid3", True), ("equal_rows", True), ("line4", False),
+    ("grid2_d2", False)])
+def test_open_loop_when_every_kernel_row_is_equal(name, open_loop):
+    cmdp = model(name)
+    # every kernel declares a state and an action dependency; equal rows
+    # alone say that it reads neither
+    assert not open_loop or all(k.state_deps and k.action_deps
+                                for k in cmdp.kernels)
+    policy = KHopPolicy.random(cmdp.graph, cmdp.local_state_sizes,
+                               cmdp.local_action_sizes, 1, rng_for(0))
+    sim = Simulator(cmdp, policy)
+    assert sim.open_loop is open_loop
+    assert sim.with_policy(policy).open_loop is open_loop
+
+
+@pytest.mark.parametrize("name,kappa", [("grid3", 0), ("grid3", 1),
+                                        ("equal_rows", 1)])
+@pytest.mark.parametrize("pad", [0.5, 0.0, 0.999])
+def test_open_loop_rollout_is_the_stepped_one(monkeypatch, name, kappa, pad):
+    cmdp = model(name)
+    policy = KHopPolicy.random(cmdp.graph, cmdp.local_state_sizes,
+                               cmdp.local_action_sizes, kappa,
+                               rng_for(kappa), scale=1.0)
+    sim = Simulator(cmdp, policy)
+    stepped = copy.copy(sim)
+    stepped.open_loop = False
+    assert sim.open_loop
+    # a 5-row group, and one-row groups ending inside a later stack of
+    # ``STACK_STEPS`` uniforms and at its edge
+    rng, n = rng_for(11), cmdp.n_agents
+    groups = []
+    for rows, T in ((5, 20), (1, STACK_STEPS + 6), (1, 2 * STACK_STEPS)):
+        s = rng.integers(cmdp.local_state_sizes, size=(rows, n))
+        groups.append((s, rng.random((T, rows, n)),
+                       rng.random((T - 1, rows, n))))
+    monkeypatch.setattr(sampling, "PAD_U", pad)
+    got, want = sim.rollout(groups), stepped.rollout(groups)
+    for (S, A), (S_want, A_want), (_, u_act, _) in zip(got, want, groups):
+        assert S.shape == A.shape == u_act.shape[1::-1] + (n,)
+        assert np.array_equal(S, S_want) and np.array_equal(A, A_want)
+    # the draws are not all alike
+    assert len(np.unique(got[1][0])) > 1 and len(np.unique(got[1][1])) > 1
+
+
 # -- one stacked rollout per training iteration -------------------------------
 
 def train_setup(env, kappa, horizon, steps):
@@ -279,12 +358,14 @@ def metrics(state):
             [t.tobytes() for t in state.policy.theta])
 
 
-# (env, kappa, horizon, TD steps): the TD rows outlast the sampling rows in
-# the first three and the fifth, the sampling rows outlast the TD rows in the
-# fourth and the last; the last two cross the rollout's stacks of
-# ``STACK_STEPS`` uniforms, ending inside a later stack and at its edge
+# (env, kappa, horizon, TD steps): the TD rows outlast the sampling rows
+# where there are more TD steps than the horizon, else the sampling rows
+# outlast the TD rows; the last four cross the rollout's stacks of
+# ``STACK_STEPS`` uniforms, ending inside a later stack and at its edge, in
+# the line's stepped rollout and the side-2 grid's open-loop one
 STACKED = [("line4", 1, 20, 30), ("line4", 2, 20, 30), ("wireless2", 1, 20, 30),
-           ("line4", 1, 40, 10), ("line4", 1, 70, 150), ("line4", 1, 129, 63)]
+           ("line4", 1, 40, 10), ("line4", 1, 70, 150), ("line4", 1, 129, 63),
+           ("wireless2", 1, 70, 150), ("wireless2", 1, 129, 63)]
 
 
 @pytest.mark.parametrize("env,kappa,horizon,steps", STACKED)

@@ -62,6 +62,9 @@ CONFIGS = {
                     "iterations": 4, "objective": {"kind": "entropy"},
                     "td": {"steps": 200}},
     "grid3_env": {"env": {**_GRID2, "side": 3}, "kappa": 1, "iterations": 3},
+    # the largest documented config that runs: its kernels, like every
+    # deadline-1 grid's, read neither state nor action (an open-loop rollout)
+    "grid4_env": {"env": {**_GRID2, "side": 4}, "kappa": 1, "iterations": 3},
     # kernels of more than 2 next states draw with one bit count of a
     # padded comparison row: 7 thresholds fit one word, 15 take two
     "grid2_d3_k1": {"env": {**_GRID2, "deadline": 3}, "kappa": 1,
@@ -122,6 +125,12 @@ GOLDEN = {
     ("grid3_env", 3): (
         "8b232cad53d6d19047593c6891b8db96329d0cdbdf34cb844638592863b76ce0",
         "490b7176a87b6512e5b5489e44869706fed9d385c0b18a7b9a45bec94374a18b"),
+    ("grid4_env", 0): (
+        "3999407cf4121243714baa9b9bd5bd21ac88ebe74476c969525b480e0101952b",
+        "59f13f5ab4e0928d41bb8530e9b63c2baef623c9a1262cd1a30b41abcabec584"),
+    ("grid4_env", 3): (
+        "36eacb4b859d1c1ded1efc37438fe5fab81d08ae972fe858d7b1eee661f2cf9c",
+        "548034eb0440371ad1c3fe4c0d9fb681a56cd7bfef1b20340650f3c080d0fae6"),
     ("grid2_d3_k1", 1): (
         "1b659e2190bef1ac340d38ccecd77bb1cb6288cae1fc6fb3ff0a9460a815eb2b",
         "38da01b074a3c7ce7b18838332f3af628f0b07270dad3940d71c97e03f0d7b2d"),
