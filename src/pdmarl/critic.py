@@ -4,20 +4,22 @@ One TD evaluation is the asynchronous single-trajectory subroutine: the
 uniforms of ``td_draws``, rolled out by the run's ``Simulator`` (``train``
 stacks both critics' trajectories into its one rollout per iteration), then
 ``td_fit`` of every agent's table along the trajectory, with the run's
-``layout.RunLayout``. A table stores the visited cells only and is read
-with ``TruncatedQTable.read``.
+``layout.RunLayout``. A critic stores the visited cells only, every
+agent's in one sorted table over the stacked id space (``QTables``), and
+is read with ``read_critics``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .layout import RunLayout
 from .model import FactoredCMDP
-from . import indexing
 
 
 @dataclass(frozen=True)
@@ -65,13 +67,78 @@ class TruncatedQTable:
 
     def read(self, cells):
         """Values at flat cell ids; 0.0 where a cell is not stored."""
-        if len(self.keys) == (indexing.space_size(self.state_sizes)
-                              * indexing.space_size(self.action_sizes)):
-            # every cell is stored, so the keys are 0, 1, 2, ...
-            return self.values.take(cells)
         pos = np.searchsorted(self.keys, cells)
         return np.where(self.keys.take(pos, mode="clip") == cells,
                         self.values.take(pos, mode="clip"), 0.0)
+
+
+class QTables(Sequence):
+    """Every agent's truncated Q table of one critic as one sorted sparse
+    table over the stacked id space of ``layout.q_off``: agent i's cell c
+    has id c + q_off[i]. ``keys`` are the sorted stored ids, ``values``
+    their values. Item i is agent i's ``TruncatedQTable``, a view of its
+    slice, for tests and checks; ``read_critics`` reads the stacked form."""
+
+    def __init__(self, layout: RunLayout, keys, values):
+        self.layout, self.keys, self.values = layout, keys, values
+
+    def __len__(self):
+        return self.layout.n
+
+    def __getitem__(self, i):
+        return self.tables[i]
+
+    @cached_property
+    def tables(self) -> tuple:
+        layout = self.layout
+        bounds = self.keys.searchsorted(layout.q_off)
+        return tuple(TruncatedQTable(i, layout.kappa, *layout.q_layouts[i],
+                                     keys=self.keys[a:b] - layout.q_off[i],
+                                     values=self.values[a:b])
+                     for i, (a, b) in enumerate(zip(bounds, bounds[1:])))
+
+    @classmethod
+    def of(cls, layout: RunLayout, tables) -> "QTables":
+        """``tables`` over ``layout``: a ``QTables`` of this layout as it is,
+        one ``TruncatedQTable`` per agent (built by hand, or by
+        ``truncate_q``) checked against the layout's neighborhoods and
+        stacked."""
+        if isinstance(tables, cls) and tables.layout is layout:
+            return tables
+        if len(tables) != layout.n:
+            raise ValueError("need one Q table per agent")
+        for j, q in enumerate(tables):
+            if q.nbhd != layout.q_layouts[j][0]:
+                raise ValueError(f"Q tables of agent {j} differ in "
+                                 f"neighborhood from the layout")
+        return cls(layout, np.concatenate([
+            q.keys + off for q, off in zip(tables, layout.q_off)]),
+            np.concatenate([q.values for q in tables]))
+
+
+def read_critics(critics, ids) -> list:
+    """Each ``QTables``' values at stacked cell ids ``ids``; 0.0 where a
+    cell is not stored. When the stacked id space has no more cells than
+    ``ids`` (the line's tables), each critic is laid into a zero-filled
+    dense table and read with one ``take``. Otherwise the critics share one
+    ``np.unique`` of the ids and take one ``searchsorted`` of those sorted
+    distinct ids each: half the time of a ``searchsorted`` of the raw ids
+    on the side-3 grid."""
+    size = critics[0].layout.q_off[-1]
+    if size <= ids.size:
+        out = []
+        for q in critics:
+            dense = np.zeros(size)
+            dense[q.keys] = q.values
+            out.append(dense.take(ids))
+        return out
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    out = []
+    for q in critics:
+        pos = q.keys.searchsorted(distinct)
+        out.append(np.where(q.keys.take(pos, mode="clip") == distinct,
+                            q.values.take(pos, mode="clip"), 0.0)[inverse])
+    return out
 
 
 def td_draws(cmdp: FactoredCMDP, cfg: TDConfig, rng):
@@ -104,7 +171,7 @@ def _sorted_slots(ids):
     return srt[first], slots.tolist()
 
 
-def td_fit(layout: RunLayout, rewards, S, A) -> list:
+def td_fit(layout: RunLayout, rewards, S, A) -> QTables:
     """Asynchronous TD evaluation of every agent's truncated Q-function
     along one trajectory of K + 1 global states S and actions A, (K+1, n),
     K = len(layout.etas), given every agent's reward at steps 0..K-1,
@@ -117,9 +184,9 @@ def td_fit(layout: RunLayout, rewards, S, A) -> list:
     (``layout.q_off``), gives the sorted keys of all tables and each step's
     slot among them. Only the scalar recursion runs step by step, over one
     list of slot values, agent after agent; the list ends in one 0.0, which
-    a last cell that is never written reads. Each table is its agent's
-    slice of the sorted keys and values, so it stores the visited cells only
-    and nothing of the dense table's size is allocated.
+    a last cell that is never written reads. The sorted keys and their
+    values are returned as one ``QTables``: the visited cells only, nothing
+    of the dense tables' size allocated.
     """
     n, K, gamma = layout.n, len(layout.etas), layout.gamma
     if np.shape(rewards) != (n, K):
@@ -143,10 +210,5 @@ def td_fit(layout: RunLayout, rewards, S, A) -> list:
                                      itertools.repeat(layout.etas, n))):
         qc = q[c]
         q[c] = qc + eta * (r + gamma * q[c_next] - qc)
-    values = np.fromiter(q, np.float64, m)
-    bounds = keys.searchsorted(layout.q_off)
-    return [TruncatedQTable(i, layout.kappa, *layout.q_layouts[i],
-                            keys=keys[a:b] - layout.q_off[i],
-                            values=values[a:b])
-            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    return QTables(layout, keys, np.fromiter(q, np.float64, m))
 

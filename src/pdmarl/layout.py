@@ -81,13 +81,13 @@ def q_table_layouts(cmdp: FactoredCMDP, kappa: int, steps=None):
 
 class ThetaLayout:
     """Where every agent's theta table sits in one stacked array, for
-    policies shaped like ``policy``: agent i's table is the slice
-    ``off[i]:off[i + 1]`` and its rows start at ``row_off[i]``; ``rows(S)``
-    is every agent's table row at global states S, one product."""
+    policies shaped like ``policy``: ``KHopPolicy.stack``'s order, agent
+    i's table the slice ``off[i]:off[i + 1]``, its rows starting at
+    ``row_off[i]``; ``rows(S)`` is every agent's table row at global states
+    S, one product."""
 
     def __init__(self, policy: KHopPolicy):
-        self.shapes = [t.shape for t in policy.theta]
-        self.off = indexing.offsets([r * a for r, a in self.shapes])
+        self.shapes, self.off = policy.stack.shapes, policy.stack.off
         self.row_off = indexing.offsets([r for r, _ in self.shapes])
         self.action_sizes = np.array(policy.action_sizes, dtype=np.int64)
         # the column count of each stacked row
@@ -116,8 +116,7 @@ class ThetaLayout:
             weights=w, minlength=self.off[-1])
         row_tot = np.bincount((self.row_off[:-1] + rows).ravel(), weights=w,
                               minlength=self.row_off[-1])
-        return flat - (np.concatenate([p.ravel() for p in policy.prob_tables])
-                       * np.repeat(row_tot, self.row_actions))
+        return flat - policy.probs * np.repeat(row_tot, self.row_actions)
 
 
 class RunLayout:

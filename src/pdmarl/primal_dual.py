@@ -16,7 +16,8 @@ from .policy import KHopPolicy
 from .sampling import trajectory_draws
 from .occupancy import ExactSolve, estimate_local_occupancies
 from .utilities import UtilityPass, utility_value
-from .critic import TDConfig, default_td_config, td_draws, td_fit
+from .critic import (QTables, TDConfig, default_td_config, read_critics,
+                     td_draws, td_fit)
 from . import indexing
 
 FD_STEP = 1e-5  # step of ``fd_lagrangian_gradient``'s central differences
@@ -52,18 +53,15 @@ def _neighborhood_weights(layout: RunLayout, S, A, q_f, q_g, mu,
     which broadcast: column i is ``scale`` times the average over n of
     v_j = Q_f,j + mu_j Q_g,j at the sample's cells, summed over the agents j
     within distance ``layout.kappa`` of i. Every agent's Q cells come from
-    one product and the Q reads are per agent; the neighborhood sums are one
-    gather of ``layout.hoods`` from v padded with a zero row."""
+    one product, as ids of the stacked id space, and both critics are read
+    there at once (``read_critics``); the neighborhood sums are one gather
+    of ``layout.hoods`` from v padded with a zero row."""
     n = layout.n
-    if len(q_f) != n or len(q_g) != n:
-        raise ValueError("need one Q table per agent for both utilities")
-    cells = np.moveaxis(layout.q_cells(S, A), -1, 0)
-    v = np.zeros((n + 1,) + cells.shape[1:])
-    for j in range(n):
-        if not q_f[j].nbhd == q_g[j].nbhd == layout.q_layouts[j][0]:
-            raise ValueError(f"Q tables of agent {j} differ in neighborhood "
-                             f"from each other or from the layout")
-        v[j] = q_f[j].read(cells[j]) + mu[j] * q_g[j].read(cells[j])
+    ids = np.moveaxis(layout.q_cells(S, A) + layout.q_off[:-1], -1, 0)
+    f, g = read_critics([QTables.of(layout, q_f), QTables.of(layout, q_g)],
+                        ids)
+    v = np.zeros((n + 1,) + ids.shape[1:])
+    v[:n] = f + np.reshape(mu, (n,) + (1,) * (ids.ndim - 1)) * g
     return np.moveaxis(scale * v[layout.hoods].sum(axis=1) / n, 0, -1)
 
 
@@ -84,15 +82,15 @@ def truncated_pg_estimate(layout: RunLayout, S, A, policy: KHopPolicy, q_f,
 
 
 def policy_ascent(policy: KHopPolicy, grads, eta_theta: float) -> KHopPolicy:
-    """Projected gradient ascent: clamp each updated table to the box."""
-    if len(grads) != policy.graph.n:
-        raise ValueError("need one gradient table per agent")
-    new = []
-    for t, g in zip(policy.theta, grads):
-        if g.shape != t.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match {t.shape}")
-        new.append(t + eta_theta * g)
-    return policy.with_theta(new)
+    """Projected gradient ascent: one step on the stacked parameters,
+    clamped to the box. ``grads`` is stacked as ``policy.theta_flat`` (as
+    ``truncated_pg_estimate`` returns it) or one table per agent."""
+    if not isinstance(grads, np.ndarray):
+        grads = policy.stack.join(grads)
+    if grads.shape != policy.theta_flat.shape:
+        raise ValueError(f"gradient shape {grads.shape} does not match "
+                         f"{policy.theta_flat.shape}")
+    return policy.with_flat(policy.theta_flat + eta_theta * grads)
 
 
 # -- exact oracles -----------------------------------------------------------
@@ -170,21 +168,17 @@ def lagrangian_value(cmdp: FactoredCMDP, policy: KHopPolicy,
 
 
 def fd_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
-                           objectives, constraints, mu) -> list:
+                           objectives, constraints, mu) -> tuple:
     """Central finite differences of the Lagrangian over every theta entry,
-    with step ``FD_STEP``."""
-    grads = []
-    for i, tab in enumerate(policy.theta):
-        g = np.zeros_like(tab)
-        for idx in np.ndindex(tab.shape):
-            for sign in (+1.0, -1.0):
-                theta = [t.copy() for t in policy.theta]
-                theta[i][idx] += sign * FD_STEP
-                val = lagrangian_value(cmdp, policy.with_theta(theta),
-                                       objectives, constraints, mu)
-                g[idx] += sign * val
-        grads.append(g / (2.0 * FD_STEP))
-    return grads
+    with step ``FD_STEP``; one table per agent."""
+    grad = np.zeros_like(policy.theta_flat)
+    for k in range(grad.size):
+        for sign in (+1.0, -1.0):
+            theta = policy.theta_flat.copy()
+            theta[k] += sign * FD_STEP
+            grad[k] += sign * lagrangian_value(
+                cmdp, policy.with_flat(theta), objectives, constraints, mu)
+    return policy.stack.split(grad / (2.0 * FD_STEP))
 
 
 # -- stationarity metrics ----------------------------------------------------
@@ -422,14 +416,11 @@ def train(cmdp: FactoredCMDP, objectives, constraints, cfg: TrainConfig,
                 cmdp, policy, objectives, constraints, mu, solve=solve)
             grad_mu = exact_dual_gradient(cmdp, policy, constraints,
                                           solve=solve)
-            theta_flat = np.concatenate([t_.ravel() for t_ in policy.theta])
-            grad_flat = np.concatenate([g.ravel() for g in exact_g])
             record.X, record.Y, record.E = fosp_metrics(
-                grad_flat, grad_mu, theta_flat, mu,
+                policy.stack.join(exact_g), grad_mu, policy.theta_flat, mu,
                 cfg.theta_bar, cfg.mu_bar)
         clock.lap("oracle")
-        policy = policy_ascent(policy, indexing.split(
-            grads, layout.theta.shapes), cfg.steps.eta_theta)
+        policy = policy_ascent(policy, grads, cfg.steps.eta_theta)
         clock.lap("grad")
         record.phase_ms = clock.ms
         record.elapsed_ms = (time.perf_counter() - clock.started) * 1e3

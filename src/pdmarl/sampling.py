@@ -34,7 +34,9 @@ class InverseCdf:
     ``u[..., i] < cumsum(tables[i][rows[..., i]])[c]``, else the last index
     (also when a row's cumsum ends below 1.0). The cumsums without their last
     column are stacked into one array, padded with 2.0 so that padding is
-    never counted; agent i's rows start at ``offsets[i]``.
+    never counted; agent i's rows start at ``offsets[i]``. The stacked rows
+    are one ``cumsum`` of the tables laid into zero-padded rows: zeros after
+    a row's entries leave its running sums alone.
 
     A draw counts the thresholds at or below u. With one threshold column
     (every table on the line is binary) that is one comparison. Wider stacks
@@ -46,17 +48,34 @@ class InverseCdf:
     def __init__(self, tables):
         tables = [np.asarray(t) for t in tables]
         self.offsets = np.cumsum([0] + [len(t) for t in tables[:-1]])
-        width = max(t.shape[1] for t in tables) - 1
-        word = None
+        widths = np.repeat([t.shape[1] for t in tables],
+                           [len(t) for t in tables])[:, None]
+        width = widths.max() - 1
+        self.word = None
         if width != 1:
             size = 2 if width <= 2 else 4 if width <= 4 else 8
-            word = np.dtype(f"u{size}")
+            self.word = np.dtype(f"u{size}")
             width = -(-width // size) * size
-        self.cdf = cdf = np.full((sum(len(t) for t in tables), width), 2.0)
-        for t, off in zip(tables, self.offsets):
-            cdf[off: off + len(t), : t.shape[1] - 1] = \
-                np.cumsum(t, axis=1)[:, :-1]
-        self.col = col = cdf[:, 0].copy() if width == 1 else None
+        # where each entry of the flat tables goes, in rows of width + 1
+        # columns, and the thresholds that are padding
+        self.entries = np.flatnonzero(np.arange(width + 1) < widths)
+        self.padding = np.arange(width) >= widths - 1
+        self._build(np.concatenate([t.ravel() for t in tables]))
+
+    def with_probs(self, probs) -> "InverseCdf":
+        """These draws from other tables of the same shapes, given as one
+        flat array, agent after agent and row-major (``KHopPolicy.probs``)."""
+        cdf = copy.copy(self)
+        cdf._build(probs)
+        return cdf
+
+    def _build(self, probs):
+        padded = np.zeros((len(self.padding), self.padding.shape[1] + 1))
+        padded.ravel()[self.entries] = probs
+        self.cdf = cdf = np.cumsum(padded[:, :-1], axis=1)
+        cdf[self.padding] = 2.0
+        self.col = col = cdf[:, 0].copy() if cdf.shape[1] == 1 else None
+        word = self.word
 
         # ``draw_stacked(rows, u, out)``, bound once: the draws at stacked
         # rows (``offsets`` added) and uniforms u, into the int64 ``out``
@@ -108,8 +127,9 @@ class Simulator:
     and the last row of each holds the ``InverseCdf`` offsets.
     ``init_cdf`` draws the initial states of ``trajectory_draws``.
     Only the policy CDF depends on the policy's parameters: ``with_policy``
-    swaps it and shares the rest. ``open_loop`` is set when every kernel
-    table has all rows equal, so that no next state reads the trajectory.
+    rebuilds it from the policy's stacked probabilities and shares the
+    rest. ``open_loop`` is set when every kernel table has all rows equal,
+    so that no next state reads the trajectory.
     """
 
     def __init__(self, cmdp: FactoredCMDP, policy: KHopPolicy):
@@ -121,6 +141,12 @@ class Simulator:
         self.act_w = np.vstack([policy.row_weights(),
                                 np.zeros((n, n), dtype=np.int64),
                                 self.policy_cdf.offsets])
+        # Every policy CDF row id is below the policy tables' total row
+        # count, at most n times ``policy.MAX_TABLE_ENTRIES`` (10^9 at
+        # ``envs.MAX_AGENTS``), far below 2^53; every term and partial sum of
+        # ``x @ act_w`` is a nonnegative integer no larger, so the float64
+        # product (BLAS) is exact.
+        self.act_wf = self.act_w.astype(np.float64)
         self.trans_w = np.vstack([cmdp.kernel_weights(),
                                   self.kernel_cdf.offsets])
         self.open_loop = all((kern.table == kern.table[0]).all()
@@ -131,8 +157,16 @@ class Simulator:
         the policy it was built with: the kernel CDF and the weight
         matrices are shared, the policy CDF is built anew."""
         sim = copy.copy(self)
-        sim.policy_cdf = InverseCdf(policy.prob_tables)
+        sim.policy_cdf = self.policy_cdf.with_probs(policy.probs)
         return sim
+
+    def policy_rows(self, x) -> np.ndarray:
+        """Stacked policy CDF rows ``x @ act_w`` of rollout rows x
+        (..., 2n+1), as one exact float64 product of x's rows (see
+        ``act_wf``) cast back to int64."""
+        flat = x.reshape(-1, x.shape[-1]).astype(np.float64)
+        return (flat @ self.act_wf).astype(np.int64).reshape(
+            x.shape[:-1] + (self.n,))
 
     def rollout(self, groups):
         """One lockstep rollout of row groups of different lengths.
@@ -168,7 +202,7 @@ class Simulator:
                 # every state of the stack, then every action
                 trans(self.kernel_cdf.offsets, u_trans,
                       x[k0 + 1:k1 + 1, :, :n])
-                act(x[k0:k1] @ self.act_w, u_act, x[k0:k1, :, n:2 * n])
+                act(self.policy_rows(x[k0:k1]), u_act, x[k0:k1, :, n:2 * n])
                 continue
             # per step: rows, their actions, the next rows' states, uniforms
             for xk, ak, sk, ua, ut in zip(x[k0:k1], x[k0:k1, :, n:2 * n],

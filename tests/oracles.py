@@ -374,7 +374,7 @@ def induced_khop_policy(policy: KHopPolicy, kappa: int, anchor_state) -> KHopPol
     tables = []
     for i in range(policy.graph.n):
         # the new neighborhood enumerated, every other agent at the anchor
-        s = np.tile(anchor, (new.n_nbhd_states(i), 1))
+        s = np.tile(anchor, (len(new.theta[i]), 1))
         s[:, list(new.neighborhood(i))] = indexing.decode_table(
             new.nbhd_state_sizes(i))
         tables.append(policy.theta[i][encode(s, policy.neighborhood(i),

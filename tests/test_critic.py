@@ -6,10 +6,12 @@ import pytest
 
 from pdmarl.model import LocalReward, compute_decay_matrix
 from pdmarl.policy import KHopPolicy
-from pdmarl.critic import TDConfig, default_td_config, td_draws, td_fit
+from pdmarl.critic import (TDConfig, default_td_config, read_critics,
+                           td_draws, td_fit)
 from pdmarl.layout import (MAX_Q_CELLS, RunLayout, q_table_layout,
                            q_table_layouts)
-from pdmarl.envs import WirelessGridSpec, wireless_grid
+from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
+                         wireless_grid)
 from pdmarl.primal_dual import truncated_pg_estimate
 from pdmarl.sampling import Simulator, trajectory_draws
 from pdmarl import indexing
@@ -229,6 +231,45 @@ class TestTableRead:
                     dense_table(tab).ravel()[cells[:, i]].tobytes()
 
 
+class TestStackedRead:
+    @pytest.mark.parametrize("env", ["line10", "grid3"])
+    def test_stacked_read_is_the_per_agent_read(self, env):
+        m = (synthetic_line(SyntheticLineSpec(n=10, gamma=0.99))
+             if env == "line10" else
+             wireless_grid(WirelessGridSpec(side=3, deadline=1, gamma=0.99)))
+        rng = rng_for(7)
+        pol = KHopPolicy.random(m.graph, m.local_state_sizes,
+                                m.local_action_sizes, 1, rng, scale=0.1)
+        # few TD steps, so that the batch reads many cells no step stored
+        td = TDConfig(steps=60, h=20.0, k1=40.0)
+        layout = RunLayout(m, pol, 1, td)
+        sim = layout.simulator
+        (S, A), *fits = sim.rollout([trajectory_draws(sim, 5, 125, rng),
+                                     td_draws(m, td, rng),
+                                     td_draws(m, td, rng)])
+        critics = [td_fit(layout, rng.normal(size=(m.n_agents, td.steps)),
+                          S_td[0], A_td[0]) for S_td, A_td in fits]
+        cells = layout.q_cells(S, A)
+        ids = np.moveaxis(cells + layout.q_off[:-1], -1, 0)
+        # the line's whole batch reads dense copies of its stacked tables
+        # (no more cells than reads); two steps of it, and the grid, read
+        # through one np.unique
+        dense = layout.q_off[-1] <= ids.size
+        assert dense == (env == "line10")
+        assert layout.q_off[-1] > ids[:, :, :2].size
+        for steps in (slice(None), slice(0, 2)):
+            got = read_critics(critics, ids[:, :, steps])
+            for q_all, values in zip(critics, got):
+                assert np.isin(ids[:, :, steps], q_all.keys,
+                               invert=True).any()
+                assert values.shape == ids[:, :, steps].shape
+                for j, q in enumerate(q_all):
+                    want = q.read(cells[:, steps, j])
+                    assert values[j].tobytes() == want.tobytes()
+                assert np.all(values[~np.isin(ids[:, :, steps],
+                                              q_all.keys)] == 0.0)
+
+
 class TestSparseQTable:
     def grid4(self):
         return wireless_grid(WirelessGridSpec(side=4, deadline=1, gamma=0.99))
@@ -285,7 +326,7 @@ class TestSparseQTable:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
-        assert all(len(q.keys) <= cfg.steps + 1 for q in q_f + q_g)
+        assert all(len(q.keys) <= cfg.steps + 1 for q in [*q_f, *q_g])
         assert np.all(np.isfinite(grads))
 
 

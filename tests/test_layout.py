@@ -121,7 +121,7 @@ def test_stacked_q_cells_are_ravel_multi_index(env, kappa):
 def reference_score_sum(policy, i, rows, acts, weights):
     """One agent's score sum with one bincount pair of its own."""
     A_i = policy.action_sizes[i]
-    n_rows = policy.n_nbhd_states(i)
+    n_rows = len(policy.theta[i])
     flat = np.bincount(rows * A_i + acts, weights=weights,
                        minlength=n_rows * A_i)
     row_tot = np.bincount(rows, weights=weights, minlength=n_rows)

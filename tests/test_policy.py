@@ -80,6 +80,26 @@ class TestDistributions:
             assert probs.tobytes() == _softmax_rows(t).tobytes()
             assert not probs.flags.writeable
 
+    def test_stacked_probs_and_cdf_equal_per_agent_ops(self):
+        # widths 2, 5 and 9, each shared by two agents that are not
+        # adjacent, with 16 to 64 rows each: a softmax over rows padded to
+        # one width moves some row sums in their last bit
+        g = line_graph(6)
+        widths = (2, 5, 9, 5, 2, 9)
+        rng = np.random.default_rng(11)
+        pol, other = (KHopPolicy.random(g, (4,) * 6, widths, 1, rng,
+                                        scale=3.0) for _ in range(2))
+        assert [len(t) for t in pol.theta] == [16, 64, 64, 64, 64, 16]
+        cdf = InverseCdf(other.prob_tables).with_probs(pol.probs)
+        assert cdf.cdf.shape == (288, 8)
+        for i, (t, probs) in enumerate(zip(pol.theta, pol.prob_tables)):
+            assert probs.tobytes() == _softmax_rows(t).tobytes()
+            rows = cdf.cdf[cdf.offsets[i]:cdf.offsets[i] + len(t)]
+            want = np.cumsum(_softmax_rows(t), axis=1)[:, :-1]
+            assert rows[:, :widths[i] - 1].tobytes() == want.tobytes()
+            assert np.all(rows[:, widths[i] - 1:] == 2.0)
+        assert not pol.probs.flags.writeable
+
     def test_joint_table_consistent_with_factors(self):
         pol = random_policy(n=2, kappa=1, seed=7)
         joint = joint_action_probabilities(pol)

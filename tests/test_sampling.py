@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from pdmarl import indexing, primal_dual, sampling, utilities
-from pdmarl.critic import TDConfig
+from pdmarl import policy as policy_module
+from pdmarl.critic import TDConfig, TruncatedQTable
 from pdmarl.layout import RunLayout
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
@@ -285,6 +286,30 @@ def test_open_loop_when_every_kernel_row_is_equal(name, open_loop):
     assert sim.with_policy(policy).open_loop is open_loop
 
 
+@pytest.mark.parametrize("side,kappa", [(3, 1), (3, 2), (4, 1)])
+def test_float_policy_rows_are_the_int64_product(side, kappa):
+    cmdp = wireless_grid(WirelessGridSpec(side=side, deadline=1, gamma=0.95))
+    policy = KHopPolicy.random(cmdp.graph, cmdp.local_state_sizes,
+                               cmdp.local_action_sizes, kappa, rng_for(side))
+    sim = Simulator(cmdp, policy)
+    n = cmdp.n_agents
+    # rollout rows [s | a | 1]: random ones, and every state at its largest
+    # value, which gives every agent its last policy row
+    rng = rng_for(kappa)
+    x = np.ones((STACK_STEPS, 7, 2 * n + 1), dtype=np.int64)
+    x[..., :n] = rng.integers(np.array(cmdp.local_state_sizes), size=(
+        STACK_STEPS, 7, n))
+    x[..., n:2 * n] = rng.integers(np.array(cmdp.local_action_sizes),
+                                   size=(STACK_STEPS, 7, n))
+    x[0, 0, :n] = np.array(cmdp.local_state_sizes) - 1
+    got = sim.policy_rows(x)
+    want = x @ sim.act_w
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert np.array_equal(want[0, 0], sim.policy_cdf.offsets + [
+        len(t) - 1 for t in policy.theta])
+
+
 @pytest.mark.parametrize("name,kappa", [("grid3", 0), ("grid3", 1),
                                         ("equal_rows", 1)])
 @pytest.mark.parametrize("pad", [0.5, 0.0, 0.999])
@@ -397,7 +422,7 @@ def test_stacked_rollout_is_the_separate_calls(monkeypatch, env, kappa,
                 calls, padded):
             assert np.array_equal(batch[0], b[0])
             assert np.array_equal(batch[1], b[1])
-            for q, p in zip(q_f + q_g, p_f + p_g):
+            for q, p in zip([*q_f, *q_g], [*p_f, *p_g]):
                 assert np.array_equal(dense_table(q), dense_table(p))
 
 
@@ -418,14 +443,21 @@ def test_one_simulator_per_run_and_one_rollout_per_iteration(monkeypatch):
         counts["cdf"] += 1
         cdf_init(self, *args)
 
+    def counted_probs(self, probs):
+        counts["policy_cdf"] += 1
+        return with_probs(self, probs)
+
     counts["cdf"], cdf_init = 0, InverseCdf.__init__
+    counts["policy_cdf"], with_probs = 0, InverseCdf.with_probs
     monkeypatch.setattr(Simulator, "__init__", counted_init)
     monkeypatch.setattr(Simulator, "rollout", counted_rollout)
     monkeypatch.setattr(InverseCdf, "__init__", counted_cdf)
+    monkeypatch.setattr(InverseCdf, "with_probs", counted_probs)
     train(cmdp, objectives, constraints, cfg, seed=0)
-    # each iteration swaps the policy CDF into the run's one simulator, whose
-    # kernel and initial-state CDFs are built once
-    assert counts == {"build": 1, "rollout": 2, "cdf": 3 + 2}
+    # the run's one simulator builds its policy, kernel and initial-state
+    # CDFs once; each iteration rebuilds the policy CDF's stacked rows once
+    # from the policy's stacked probabilities
+    assert counts == {"build": 1, "rollout": 2, "cdf": 3, "policy_cdf": 2}
 
 
 @pytest.mark.parametrize("env", ["line4", "grid3"])
@@ -468,3 +500,38 @@ def test_one_reward_call_per_agent_and_one_utility_pass_per_group(
     assert sorted(agents) == ([] if objectives else sorted(
         list(range(cmdp.n_agents)) * cfg.iterations))
     assert sorted(passes) == sorted(lists * groups * cfg.iterations)
+
+
+@pytest.mark.parametrize("env,widths", [("line4", 1), ("grid3", 3)])
+def test_critics_read_stacked_and_policy_cdf_built_once(monkeypatch, env,
+                                                        widths):
+    cmdp = model(env)
+    base = GeneralUtility(kind=ENTROPY, gamma=cmdp.gamma)
+    constraints = [as_constraint(base, 0.25)] * cmdp.n_agents
+    cfg = TrainConfig(kappa=1, iterations=2, horizon=20, batch_size=3,
+                      steps=StepSizes(eta_theta=0.05, eta_mu=10.0),
+                      td=TDConfig(steps=30, h=20.0, k1=40.0))
+    assert len(set(cmdp.local_action_sizes)) == widths
+    counts = dict.fromkeys(["q_read", "q_table", "softmax", "policy_cdf"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(TruncatedQTable, "read",
+                        counted("q_read", TruncatedQTable.read))
+    monkeypatch.setattr(TruncatedQTable, "__init__",
+                        counted("q_table", TruncatedQTable.__init__))
+    monkeypatch.setattr(policy_module, "_softmax_rows",
+                        counted("softmax", policy_module._softmax_rows))
+    monkeypatch.setattr(InverseCdf, "with_probs",
+                        counted("policy_cdf", InverseCdf.with_probs))
+    train(cmdp, [base] * cmdp.n_agents, constraints, cfg, seed=0)
+    # per iteration: no per-agent Q table is built or read, the policy's
+    # probabilities take one softmax per action-space width, and its CDF is
+    # built once
+    assert counts == {"q_read": 0, "q_table": 0,
+                      "softmax": widths * cfg.iterations,
+                      "policy_cdf": cfg.iterations}
