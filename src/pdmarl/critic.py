@@ -97,41 +97,12 @@ class QTables(Sequence):
                                      values=self.values[a:b])
                      for i, (a, b) in enumerate(zip(bounds, bounds[1:])))
 
-    @classmethod
-    def of(cls, layout: RunLayout, tables) -> "QTables":
-        """``tables`` over ``layout``: a ``QTables`` of this layout as it is,
-        one ``TruncatedQTable`` per agent (built by hand, or by
-        ``truncate_q``) checked against the layout's neighborhoods and
-        stacked."""
-        if isinstance(tables, cls) and tables.layout is layout:
-            return tables
-        if len(tables) != layout.n:
-            raise ValueError("need one Q table per agent")
-        for j, q in enumerate(tables):
-            if q.nbhd != layout.q_layouts[j][0]:
-                raise ValueError(f"Q tables of agent {j} differ in "
-                                 f"neighborhood from the layout")
-        return cls(layout, np.concatenate([
-            q.keys + off for q, off in zip(tables, layout.q_off)]),
-            np.concatenate([q.values for q in tables]))
-
 
 def read_critics(critics, ids) -> list:
     """Each ``QTables``' values at stacked cell ids ``ids``; 0.0 where a
-    cell is not stored. When the stacked id space has no more cells than
-    ``ids`` (the line's tables), each critic is laid into a zero-filled
-    dense table and read with one ``take``. Otherwise the critics share one
-    ``np.unique`` of the ids and take one ``searchsorted`` of those sorted
-    distinct ids each: half the time of a ``searchsorted`` of the raw ids
-    on the side-3 grid."""
-    size = critics[0].layout.q_off[-1]
-    if size <= ids.size:
-        out = []
-        for q in critics:
-            dense = np.zeros(size)
-            dense[q.keys] = q.values
-            out.append(dense.take(ids))
-        return out
+    cell is not stored. The critics share one ``np.unique`` of the ids and
+    take one ``searchsorted`` of those sorted distinct ids each: half the
+    time of a ``searchsorted`` of the raw ids on the side-3 grid."""
     distinct, inverse = np.unique(ids, return_inverse=True)
     out = []
     for q in critics:

@@ -11,9 +11,10 @@ phase is one array op across all agents:
 - ``[S | A] @ q_w``, with ``q_w`` an ``indexing.weight_matrix``, is every
   agent's truncated-Q cell (``q_cells``), and agent i's dense cell ids
   start at ``q_off[i]`` of one stacked id space;
-- ``S @ theta.row_w`` is every agent's policy-table row, and agent i's
-  theta table is a slice of one flat array (``ThetaLayout``), so that one
-  pair of ``bincount``s gives every agent's score sums.
+- ``S @ theta.row_w`` is every agent's policy-table row (``ThetaLayout``),
+  and agent i's theta table is a slice of one flat array
+  (``KHopPolicy.stack``), so that one pair of ``bincount``s gives every
+  agent's score sums.
 
 ``RunLayout`` also holds the run's ``Simulator`` and the TD step sizes, so
 one TD evaluation is ``critic.td_fit`` of the layout along a rollout of
@@ -80,19 +81,18 @@ def q_table_layouts(cmdp: FactoredCMDP, kappa: int, steps=None):
 
 
 class ThetaLayout:
-    """Where every agent's theta table sits in one stacked array, for
-    policies shaped like ``policy``: ``KHopPolicy.stack``'s order, agent
-    i's table the slice ``off[i]:off[i + 1]``, its rows starting at
-    ``row_off[i]``; ``rows(S)`` is every agent's table row at global states
-    S, one product."""
+    """The rows of every agent's theta table, for policies shaped like
+    ``policy``: the tables sit in one flat array as ``policy.stack`` places
+    them, and agent i's rows, stacked, start at ``row_off[i]``;
+    ``rows(S)`` is every agent's table row at global states S, one
+    product."""
 
     def __init__(self, policy: KHopPolicy):
-        self.shapes, self.off = policy.stack.shapes, policy.stack.off
-        self.row_off = indexing.offsets([r for r, _ in self.shapes])
+        n_rows = [r for r, _ in policy.stack.shapes]
+        self.row_off = indexing.offsets(n_rows)
         self.action_sizes = np.array(policy.action_sizes, dtype=np.int64)
         # the column count of each stacked row
-        self.row_actions = np.repeat(policy.action_sizes,
-                                     [r for r, _ in self.shapes])
+        self.row_actions = np.repeat(policy.action_sizes, n_rows)
         self.row_w = policy.row_weights()
 
     def rows(self, S) -> np.ndarray:
@@ -101,7 +101,8 @@ class ThetaLayout:
 
     def score_sums(self, policy: KHopPolicy, rows, acts,
                    weights) -> np.ndarray:
-        """Stacked theta-shaped sums over samples of weight times score.
+        """Theta-shaped sums over samples of weight times score, stacked as
+        ``policy.theta_flat``.
 
         ``rows``, ``acts`` and ``weights`` are (..., n): column i holds agent
         i's table rows, actions and weights. Entry [e, b] of agent i's table
@@ -110,10 +111,10 @@ class ThetaLayout:
         which adds a bin's samples in their order, as one ``bincount`` per
         agent would.
         """
-        w = weights.ravel()
+        w, off = weights.ravel(), policy.stack.off
         flat = np.bincount(
-            (self.off[:-1] + rows * self.action_sizes + acts).ravel(),
-            weights=w, minlength=self.off[-1])
+            (off[:-1] + rows * self.action_sizes + acts).ravel(),
+            weights=w, minlength=off[-1])
         row_tot = np.bincount((self.row_off[:-1] + rows).ravel(), weights=w,
                               minlength=self.row_off[-1])
         return flat - policy.probs * np.repeat(row_tot, self.row_actions)

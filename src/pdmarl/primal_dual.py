@@ -16,8 +16,8 @@ from .policy import KHopPolicy
 from .sampling import trajectory_draws
 from .occupancy import ExactSolve, estimate_local_occupancies
 from .utilities import UtilityPass, utility_value
-from .critic import (QTables, TDConfig, default_td_config, read_critics,
-                     td_draws, td_fit)
+from .critic import (TDConfig, default_td_config, read_critics, td_draws,
+                     td_fit)
 from . import indexing
 
 FD_STEP = 1e-5  # step of ``fd_lagrangian_gradient``'s central differences
@@ -52,14 +52,14 @@ def _neighborhood_weights(layout: RunLayout, S, A, q_f, q_g, mu,
     """Score weights of every agent at integer state/action arrays (..., n),
     which broadcast: column i is ``scale`` times the average over n of
     v_j = Q_f,j + mu_j Q_g,j at the sample's cells, summed over the agents j
-    within distance ``layout.kappa`` of i. Every agent's Q cells come from
-    one product, as ids of the stacked id space, and both critics are read
-    there at once (``read_critics``); the neighborhood sums are one gather
-    of ``layout.hoods`` from v padded with a zero row."""
+    within distance ``layout.kappa`` of i. ``q_f`` and ``q_g`` are
+    ``QTables`` of ``layout``. Every agent's Q cells come from one product,
+    as ids of the stacked id space, and both critics are read there at once
+    (``read_critics``); the neighborhood sums are one gather of
+    ``layout.hoods`` from v padded with a zero row."""
     n = layout.n
     ids = np.moveaxis(layout.q_cells(S, A) + layout.q_off[:-1], -1, 0)
-    f, g = read_critics([QTables.of(layout, q_f), QTables.of(layout, q_g)],
-                        ids)
+    f, g = read_critics([q_f, q_g], ids)
     v = np.zeros((n + 1,) + ids.shape[1:])
     v[:n] = f + np.reshape(mu, (n,) + (1,) * (ids.ndim - 1)) * g
     return np.moveaxis(scale * v[layout.hoods].sum(axis=1) / n, 0, -1)
@@ -70,7 +70,8 @@ def truncated_pg_estimate(layout: RunLayout, S, A, policy: KHopPolicy, q_f,
     """REINFORCE-style gradient over integer trajectories S, A of shape
     (B, H, n): per step, the score of agent i weighted by the discounted
     neighborhood-average of truncated Q values (objective plus constraint
-    weighted by ``mu``, (n,)) of the agents within distance ``layout.kappa``.
+    weighted by ``mu``, (n,)) of the agents within distance ``layout.kappa``;
+    ``q_f`` and ``q_g`` are ``QTables`` of ``layout``, as ``td_fit`` returns.
 
     Every agent's policy rows come from one product, and every agent's score
     sum from one pair of ``bincount``s (``ThetaLayout.score_sums``): the
@@ -83,12 +84,10 @@ def truncated_pg_estimate(layout: RunLayout, S, A, policy: KHopPolicy, q_f,
 
 def policy_ascent(policy: KHopPolicy, grads, eta_theta: float) -> KHopPolicy:
     """Projected gradient ascent: one step on the stacked parameters,
-    clamped to the box. ``grads`` is stacked as ``policy.theta_flat`` (as
-    ``truncated_pg_estimate`` returns it) or one table per agent."""
-    if not isinstance(grads, np.ndarray):
-        grads = policy.stack.join(grads)
-    if grads.shape != policy.theta_flat.shape:
-        raise ValueError(f"gradient shape {grads.shape} does not match "
+    clamped to the box. ``grads`` is stacked as ``policy.theta_flat``, as
+    ``truncated_pg_estimate`` returns it."""
+    if np.shape(grads) != policy.theta_flat.shape:
+        raise ValueError(f"gradient shape {np.shape(grads)} does not match "
                          f"{policy.theta_flat.shape}")
     return policy.with_flat(policy.theta_flat + eta_theta * grads)
 

@@ -27,29 +27,22 @@ from .model import FactoredCMDP
 from .policy import KHopPolicy
 
 
-class InverseCdf:
-    """Inverse-CDF draws from n row-stochastic tables, one per agent, at once.
+class CdfLayout:
+    """Where the rows of n row-stochastic tables of ``shapes`` sit in one
+    stacked array of thresholds: agent i's rows start at ``offsets[i]``.
 
-    ``draw(rows, u)[..., i]`` is the first index c with
-    ``u[..., i] < cumsum(tables[i][rows[..., i]])[c]``, else the last index
-    (also when a row's cumsum ends below 1.0). The cumsums without their last
-    column are stacked into one array, padded with 2.0 so that padding is
-    never counted; agent i's rows start at ``offsets[i]``. The stacked rows
-    are one ``cumsum`` of the tables laid into zero-padded rows: zeros after
-    a row's entries leave its running sums alone.
-
-    A draw counts the thresholds at or below u. With one threshold column
-    (every table on the line is binary) that is one comparison. Wider stacks
-    are padded to 2, 4 or 8 columns, or to a multiple of 8, so that a row's
-    comparison is one uint16, uint32 or uint64 word, or several uint64 words,
-    whose set bits ``np.bitwise_count`` counts.
+    A row keeps the cumsum of its table row without the last column,
+    padded with 2.0 so that padding is never counted. With one threshold
+    column (every table on the line is binary) a draw is one comparison.
+    Wider stacks are padded to 2, 4 or 8 columns, or to a multiple of 8,
+    so that a row's comparison is one uint16, uint32 or uint64 ``word``, or
+    several uint64 words, whose set bits ``np.bitwise_count`` counts.
     """
 
-    def __init__(self, tables):
-        tables = [np.asarray(t) for t in tables]
-        self.offsets = np.cumsum([0] + [len(t) for t in tables[:-1]])
-        widths = np.repeat([t.shape[1] for t in tables],
-                           [len(t) for t in tables])[:, None]
+    def __init__(self, shapes):
+        rows = [r for r, _ in shapes]
+        self.offsets = np.cumsum([0] + rows[:-1])
+        widths = np.repeat([w for _, w in shapes], rows)[:, None]
         width = widths.max() - 1
         self.word = None
         if width != 1:
@@ -60,22 +53,28 @@ class InverseCdf:
         # columns, and the thresholds that are padding
         self.entries = np.flatnonzero(np.arange(width + 1) < widths)
         self.padding = np.arange(width) >= widths - 1
-        self._build(np.concatenate([t.ravel() for t in tables]))
 
-    def with_probs(self, probs) -> "InverseCdf":
-        """These draws from other tables of the same shapes, given as one
-        flat array, agent after agent and row-major (``KHopPolicy.probs``)."""
-        cdf = copy.copy(self)
-        cdf._build(probs)
-        return cdf
 
-    def _build(self, probs):
-        padded = np.zeros((len(self.padding), self.padding.shape[1] + 1))
-        padded.ravel()[self.entries] = probs
+class InverseCdf:
+    """Inverse-CDF draws from n row-stochastic tables, one per agent, at once.
+
+    The tables are given as one flat array ``probs``, agent after agent and
+    row-major (as ``KHopPolicy.probs``), placed by a ``CdfLayout``.
+    ``draw(rows, u)[..., i]`` is the first index c with
+    ``u[..., i] < cumsum(tables[i][rows[..., i]])[c]``, else the last index
+    (also when a row's cumsum ends below 1.0). The stacked thresholds
+    ``cdf`` are one ``cumsum`` of the tables laid into zero-padded rows:
+    zeros after a row's entries leave its running sums alone.
+    """
+
+    def __init__(self, layout: CdfLayout, probs):
+        self.offsets, word = layout.offsets, layout.word
+        padded = np.zeros((len(layout.padding),
+                           layout.padding.shape[1] + 1))
+        padded.ravel()[layout.entries] = probs
         self.cdf = cdf = np.cumsum(padded[:, :-1], axis=1)
-        cdf[self.padding] = 2.0
+        cdf[layout.padding] = 2.0
         self.col = col = cdf[:, 0].copy() if cdf.shape[1] == 1 else None
-        word = self.word
 
         # ``draw_stacked(rows, u, out)``, bound once: the draws at stacked
         # rows (``offsets`` added) and uniforms u, into the int64 ``out``
@@ -89,6 +88,13 @@ class InverseCdf:
             out[...] = u >= col.take(rows)
             return out
         self.draw_stacked = draw_stacked if col is None else draw_column
+
+    @staticmethod
+    def of_tables(tables) -> "InverseCdf":
+        """Draws from a list of (rows, A_i) tables."""
+        tables = [np.asarray(t) for t in tables]
+        return InverseCdf(CdfLayout([t.shape for t in tables]),
+                          np.concatenate([t.ravel() for t in tables]))
 
     def draw(self, rows, u):
         """Draws at integer rows and uniforms u of shape (..., n)."""
@@ -126,18 +132,20 @@ class Simulator:
     actions weigh nothing), ``trans_w`` ``FactoredCMDP.kernel_weights``,
     and the last row of each holds the ``InverseCdf`` offsets.
     ``init_cdf`` draws the initial states of ``trajectory_draws``.
-    Only the policy CDF depends on the policy's parameters: ``with_policy``
-    rebuilds it from the policy's stacked probabilities and shares the
-    rest. ``open_loop`` is set when every kernel table has all rows equal,
+    Only the policy CDF depends on the policy's parameters: it is built
+    from the policy's stacked probabilities in ``policy_layout``, and
+    ``with_policy`` builds it anew and shares the rest. ``open_loop`` is set when every kernel table has all rows equal,
     so that no next state reads the trajectory.
     """
 
     def __init__(self, cmdp: FactoredCMDP, policy: KHopPolicy):
         n = self.n = cmdp.n_agents
-        self.policy_cdf = InverseCdf(policy.prob_tables)
-        self.kernel_cdf = InverseCdf([kern.table for kern in cmdp.kernels])
-        self.init_cdf = InverseCdf([np.asarray(d)[None, :]
-                                    for d in cmdp.initial_dist])
+        self.policy_layout = CdfLayout(policy.stack.shapes)
+        self.policy_cdf = InverseCdf(self.policy_layout, policy.probs)
+        self.kernel_cdf = InverseCdf.of_tables(
+            [kern.table for kern in cmdp.kernels])
+        self.init_cdf = InverseCdf.of_tables(
+            [np.asarray(d)[None, :] for d in cmdp.initial_dist])
         self.act_w = np.vstack([policy.row_weights(),
                                 np.zeros((n, n), dtype=np.int64),
                                 self.policy_cdf.offsets])
@@ -157,7 +165,7 @@ class Simulator:
         the policy it was built with: the kernel CDF and the weight
         matrices are shared, the policy CDF is built anew."""
         sim = copy.copy(self)
-        sim.policy_cdf = self.policy_cdf.with_probs(policy.probs)
+        sim.policy_cdf = InverseCdf(self.policy_layout, policy.probs)
         return sim
 
     def policy_rows(self, x) -> np.ndarray:

@@ -5,8 +5,9 @@ transition matrix and the dense exact solve over the global (S, A, S')
 kernel (against ``occupancy.ExactSolve``), the pair-level Q and occupancy in
 product form (``PairExactSolve``, where the dense kernel cannot reach), the
 exact truncated gradient (against the sampled one), dense truncated-Q
-tables, one agent's shadow reward and finite differences of it, and the
-policy-truncation bound's narrower policy and measured constants."""
+tables and per-agent ones stacked as ``td_fit`` returns them, one agent's
+shadow reward and finite differences of it, and the policy-truncation
+bound's narrower policy and measured constants."""
 
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from pdmarl import indexing
-from pdmarl.critic import TruncatedQTable
+from pdmarl.critic import QTables, TruncatedQTable
 from pdmarl.graph import khop_neighborhood
 from pdmarl.layout import RunLayout, ThetaLayout, q_table_layout
 from pdmarl.occupancy import ExactSolve
@@ -243,10 +244,10 @@ def _score_accumulate(cmdp, policy, weights):
     theta-shaped gradients."""
     theta = ThetaLayout(policy)
     rows = theta.rows(indexing.decode_table(cmdp.local_state_sizes))
-    return indexing.split(theta.score_sums(
+    return policy.stack.split(theta.score_sums(
         policy, np.repeat(rows, n_actions(cmdp), axis=0),
         np.tile(indexing.decode_table(cmdp.local_action_sizes),
-                (cmdp.n_states, 1)), weights), theta.shapes)
+                (cmdp.n_states, 1)), weights))
 
 
 def dense_lagrangian_gradient(cmdp, policy, objectives, constraints, mu):
@@ -288,6 +289,21 @@ def truncate_q(cmdp, q, agent: int, kappa: int,
                            values=values.ravel())
 
 
+def stack_q(layout, tables) -> QTables:
+    """One ``TruncatedQTable`` per agent (built by hand, or by
+    ``truncate_q``), checked against the neighborhoods of ``layout`` and
+    stacked into the ``QTables`` that ``td_fit`` would return."""
+    if len(tables) != layout.n:
+        raise ValueError("need one Q table per agent")
+    for j, q in enumerate(tables):
+        if q.nbhd != layout.q_layouts[j][0]:
+            raise ValueError(f"Q tables of agent {j} differ in "
+                             f"neighborhood from the layout")
+    return QTables(layout, np.concatenate([
+        q.keys + off for q, off in zip(tables, layout.q_off)]),
+        np.concatenate([q.values for q in tables]))
+
+
 def exact_truncated_pg(cmdp, policy: KHopPolicy, objectives, constraints, mu,
                        kappa: int, anchor=None) -> list:
     """Exact value of the kappa-truncated policy gradient estimator.
@@ -304,8 +320,9 @@ def exact_truncated_pg(cmdp, policy: KHopPolicy, objectives, constraints, mu,
                  for j in range(n)] for off in (0, n))
     S = indexing.decode_table(cmdp.local_state_sizes)[:, None, :]
     A = indexing.decode_table(cmdp.local_action_sizes)[None, :, :]
+    layout = RunLayout(cmdp, policy, kappa)
     weights = _neighborhood_weights(
-        RunLayout(cmdp, policy, kappa), S, A, q_f, q_g,
+        layout, S, A, stack_q(layout, q_f), stack_q(layout, q_g),
         np.asarray(mu, dtype=float),
         solve.occupancy.reshape(cmdp.n_states, n_actions(cmdp)))
     return _score_accumulate(cmdp, policy, weights.reshape(-1, n))

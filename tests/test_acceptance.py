@@ -265,7 +265,7 @@ def exact_setting_fosp(seed, schedule, threshold, iterations):
         grads = exact_lagrangian_gradient(m, pol, None, cons, mu, solve=solve)
         E[t] = fosp_metrics(flat(grads), grad_mu, flat(pol.theta), mu,
                             theta_bar, mu_bar)[2]
-        pol = policy_ascent(pol, grads, steps.eta_theta)
+        pol = policy_ascent(pol, pol.stack.join(grads), steps.eta_theta)
     return E
 
 

@@ -251,12 +251,6 @@ class TestStackedRead:
                           S_td[0], A_td[0]) for S_td, A_td in fits]
         cells = layout.q_cells(S, A)
         ids = np.moveaxis(cells + layout.q_off[:-1], -1, 0)
-        # the line's whole batch reads dense copies of its stacked tables
-        # (no more cells than reads); two steps of it, and the grid, read
-        # through one np.unique
-        dense = layout.q_off[-1] <= ids.size
-        assert dense == (env == "line10")
-        assert layout.q_off[-1] > ids[:, :, :2].size
         for steps in (slice(None), slice(0, 2)):
             got = read_critics(critics, ids[:, :, steps])
             for q_all, values in zip(critics, got):

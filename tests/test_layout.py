@@ -139,8 +139,7 @@ def test_stacked_score_sums_are_per_agent_bincounts(env, kappa):
     weights = rng.normal(size=S.shape)
     theta = ThetaLayout(policy)
     rows = theta.rows(S)
-    got = indexing.split(theta.score_sums(policy, rows, A, weights),
-                         theta.shapes)
+    got = policy.stack.split(theta.score_sums(policy, rows, A, weights))
     for i, g in enumerate(got):
         assert np.array_equal(rows[..., i], encode(
             S, policy.neighborhood(i), policy.nbhd_state_sizes(i)))
@@ -185,15 +184,15 @@ def counted_train(monkeypatch, iterations):
     for module in vars(pdmarl).values():
         if getattr(module, "khop_neighborhood", None) is khop_neighborhood:
             monkeypatch.setattr(module, "khop_neighborhood", khop)
-    init = sampling.InverseCdf.__init__
+    of_tables = sampling.InverseCdf.of_tables
 
-    def counted_init(self, tables):
+    def counted_of_tables(tables):
         tables = list(tables)
         if tables[0] is cmdp.kernels[0].table:
             counts["kernel_cdf"] += 1
-        init(self, tables)
+        return of_tables(tables)
 
-    monkeypatch.setattr(sampling.InverseCdf, "__init__", counted_init)
+    monkeypatch.setattr(sampling.InverseCdf, "of_tables", counted_of_tables)
     base = GeneralUtility(kind=ENTROPY, gamma=cmdp.gamma)
     cfg = TrainConfig(kappa=1, iterations=iterations, horizon=20,
                       batch_size=3, steps=StepSizes(eta_theta=0.05,

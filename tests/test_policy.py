@@ -3,11 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from pdmarl import indexing
 from pdmarl.graph import line_graph
 from pdmarl.policy import KHopPolicy, _softmax_rows, load_policy, save_policy
 from pdmarl.layout import ThetaLayout
-from pdmarl.sampling import InverseCdf
+from pdmarl.sampling import CdfLayout, InverseCdf
 
 from oracles import (induced_khop_policy, joint_action_probabilities,
                      policy_state_sensitivity)
@@ -38,8 +37,7 @@ def score(pol, i, s_nbhd, a):
                            np.zeros((1, n), dtype=np.int64), np.zeros((1, n)))
     rows[0, i], acts[0, i], weights[0, i] = nbhd_row(pol, i, s_nbhd), a, 1.0
     theta = ThetaLayout(pol)
-    return indexing.split(theta.score_sums(pol, rows, acts, weights),
-                          theta.shapes)[i]
+    return pol.stack.split(theta.score_sums(pol, rows, acts, weights))[i]
 
 
 class TestDistributions:
@@ -87,10 +85,9 @@ class TestDistributions:
         g = line_graph(6)
         widths = (2, 5, 9, 5, 2, 9)
         rng = np.random.default_rng(11)
-        pol, other = (KHopPolicy.random(g, (4,) * 6, widths, 1, rng,
-                                        scale=3.0) for _ in range(2))
+        pol = KHopPolicy.random(g, (4,) * 6, widths, 1, rng, scale=3.0)
         assert [len(t) for t in pol.theta] == [16, 64, 64, 64, 64, 16]
-        cdf = InverseCdf(other.prob_tables).with_probs(pol.probs)
+        cdf = InverseCdf(CdfLayout(pol.stack.shapes), pol.probs)
         assert cdf.cdf.shape == (288, 8)
         for i, (t, probs) in enumerate(zip(pol.theta, pol.prob_tables)):
             assert probs.tobytes() == _softmax_rows(t).tobytes()
@@ -163,7 +160,7 @@ class TestScore:
 def sample_actions(pol, s, u):
     """Joint actions at global state s, one draw per row of uniforms u."""
     rows = np.asarray(s) @ pol.row_weights()
-    cdf = InverseCdf([pol.prob_tables[i] for i in range(pol.graph.n)])
+    cdf = InverseCdf.of_tables(pol.prob_tables)
     return cdf.draw(np.broadcast_to(rows, u.shape), u)
 
 

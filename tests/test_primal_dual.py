@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pdmarl import indexing
 from pdmarl.graph import DependenceGraph, line_graph
 from pdmarl.model import FactoredCMDP, TransitionKernel, LocalReward
 from pdmarl.policy import KHopPolicy
@@ -23,7 +22,8 @@ from helpers import (chain, entropy_constraints, flat, rng_for, sample_batch,
                      uniform_policy)
 from oracles import (PairExactSolve, as_constraint, dense_table,
                      exact_truncated_pg, global_shadow_rewards,
-                     lift_neighborhood_reward, n_pairs, truncate_q)
+                     lift_neighborhood_reward, n_pairs, stack_q,
+                     truncate_q)
 
 
 def two_state_single_agent(gamma=0.9):
@@ -68,13 +68,19 @@ class TestTruncatedPGEstimate:
         return [truncate_q(cmdp, np.zeros(n_pairs(cmdp)), i, kappa)
                 for i in range(cmdp.n_agents)]
 
+    @staticmethod
+    def estimate(layout, S, A, pol, q_f, q_g, mu):
+        """``truncated_pg_estimate`` of per-agent Q tables."""
+        return truncated_pg_estimate(layout, S, A, pol, stack_q(layout, q_f),
+                                     stack_q(layout, q_g), mu)
+
     def test_zero_q_zero_gradient(self):
         m = chain(2)
         pol = uniform_policy(m)
         S, A = sample_batch(m, pol, 4, 10, np.random.default_rng(0))
         q = self.zero_q(m, 1)
-        grads = truncated_pg_estimate(RunLayout(m, pol, 1), S, A, pol, q, q,
-                                      np.zeros(2))
+        grads = self.estimate(RunLayout(m, pol, 1), S, A, pol, q, q,
+                              np.zeros(2))
         np.testing.assert_array_equal(grads, 0.0)
 
     def test_two_state_reward_is_the_state(self):
@@ -95,9 +101,9 @@ class TestTruncatedPGEstimate:
                              action_sizes=(2,), keys=np.array([0, 2, 3]),
                              values=np.array([0.2, -1.0, 0.4]))
         s, a = 1, 0
-        grads = truncated_pg_estimate(RunLayout(m, pol, 0), np.array([[[s]]]),
-                                      np.array([[[a]]]), pol, [qf], [qg],
-                                      np.array([2.0]))
+        grads = self.estimate(RunLayout(m, pol, 0), np.array([[[s]]]),
+                              np.array([[[a]]]), pol, [qf], [qg],
+                              np.array([2.0]))
         weight = dense_table(qf)[s, a] + 2.0 * dense_table(qg)[s, a]
         theta = ThetaLayout(pol)
         expected = weight * theta.score_sums(
@@ -109,9 +115,8 @@ class TestTruncatedPGEstimate:
         pol = uniform_policy(m)
         S, A = sample_batch(m, pol, 2, 5, np.random.default_rng(2))
         with pytest.raises(ValueError, match="agent 0 differ in neighborhood"):
-            truncated_pg_estimate(RunLayout(m, pol, 1), S, A, pol,
-                                  self.zero_q(m, 1), self.zero_q(m, 0),
-                                  np.zeros(3))
+            self.estimate(RunLayout(m, pol, 1), S, A, pol,
+                          self.zero_q(m, 1), self.zero_q(m, 0), np.zeros(3))
 
     def test_far_agents_do_not_enter(self):
         m = chain(3)
@@ -123,8 +128,8 @@ class TestTruncatedPGEstimate:
                                     state_sizes=(2,), action_sizes=(2,),
                                     keys=np.arange(4), values=np.full(4, 7.0))
         layout = RunLayout(m, pol, 0)
-        base, pert = (indexing.split(truncated_pg_estimate(
-            layout, S, A, pol, q_f, q, np.zeros(3)), layout.theta.shapes)
+        base, pert = (pol.stack.split(self.estimate(
+            layout, S, A, pol, q_f, q, np.zeros(3)))
             for q_f in (q, bumped))
         np.testing.assert_array_equal(base[0], pert[0])
         assert np.any(pert[2] != base[2])
@@ -147,8 +152,7 @@ class TestTruncatedPGEstimate:
 
         B = 40_000
         S, A = sample_batch(m, pol, B, 200, rng_for(7))
-        est = truncated_pg_estimate(RunLayout(m, pol, 1), S, A, pol, q_f, q_g,
-                                    mu)
+        est = self.estimate(RunLayout(m, pol, 1), S, A, pol, q_f, q_g, mu)
         err = np.linalg.norm(est - exact)
         assert err < 0.05
         # concentration envelope at failure probability 0.1
@@ -288,20 +292,20 @@ class TestPolicyAscent:
     def test_zero_gradient_identity(self):
         m = chain(2)
         pol = uniform_policy(m)
-        out = policy_ascent(pol, [np.zeros_like(t) for t in pol.theta], 0.1)
+        out = policy_ascent(pol, np.zeros_like(pol.theta_flat), 0.1)
         for a, b in zip(pol.theta, out.theta):
             np.testing.assert_array_equal(a, b)
 
     def test_step_then_clamp(self):
         pol = KHopPolicy.zeros(line_graph(1), (1,), (2,), 0)
         pol = pol.with_theta([np.array([[49.9, 0.0]])])
-        out = policy_ascent(pol, [np.array([[10.0, -1.0]])], 1.0)
+        out = policy_ascent(pol, np.array([10.0, -1.0]), 1.0)
         np.testing.assert_allclose(out.theta[0], [[50.0, -1.0]])
 
     def test_zero_step_size_identity(self):
         m = chain(2)
         pol = uniform_policy(m)
-        out = policy_ascent(pol, [np.ones_like(t) for t in pol.theta], 0.0)
+        out = policy_ascent(pol, np.ones_like(pol.theta_flat), 0.0)
         for a, b in zip(pol.theta, out.theta):
             np.testing.assert_array_equal(a, b)
 
@@ -309,7 +313,7 @@ class TestPolicyAscent:
         m = chain(2)
         pol = uniform_policy(m)
         with pytest.raises(ValueError):
-            policy_ascent(pol, [np.zeros((1, 1))] * 2, 0.1)
+            policy_ascent(pol, np.zeros(pol.theta_flat.size - 1), 0.1)
 
 
 class TestStationarityMetrics:

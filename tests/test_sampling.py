@@ -23,7 +23,7 @@ from pdmarl.graph import line_graph
 from pdmarl.model import FactoredCMDP, LocalReward, TransitionKernel
 from pdmarl.policy import KHopPolicy
 from pdmarl.primal_dual import StepSizes, TrainConfig, _rng, train
-from pdmarl.sampling import STACK_STEPS, InverseCdf, Simulator
+from pdmarl.sampling import STACK_STEPS, CdfLayout, InverseCdf, Simulator
 from pdmarl.utilities import ENTROPY, L2_ACTION, GeneralUtility
 
 from helpers import sample_batch, td_tables
@@ -140,7 +140,7 @@ def reference_pick(row, u):
 
 
 def check_against_reference(tables, rows, u):
-    got = InverseCdf(tables).draw(rows, u)
+    got = InverseCdf.of_tables(tables).draw(rows, u)
     want = [[reference_pick(tables[i][r[i]], v[i]) for i in range(len(tables))]
             for r, v in zip(rows, u)]
     np.testing.assert_array_equal(got, want)
@@ -188,7 +188,7 @@ class TestInverseCdf:
         rows = np.column_stack([rng.integers(len(t), size=400) for t in tables])
         u = rng.random((400, 3))
         u[:40, 2] = tables[2][rows[:40, 2], 0]  # exactly on the CDF value
-        cdf = InverseCdf(tables)
+        cdf = InverseCdf.of_tables(tables)
         assert cdf.cdf.shape == (10, 1) and cdf.col is not None
         got = check_against_reference(tables, rows, u)
         assert got.dtype == np.int64
@@ -211,7 +211,7 @@ class TestInverseCdf:
         u[:30, 0] = np.cumsum(tables[0], axis=1)[
             rows[:30, 0], rng.integers(width, size=30)]  # on a threshold
         u[30:40, 1] = 0.95
-        cdf = InverseCdf(tables)
+        cdf = InverseCdf.of_tables(tables)
         t = width - 1
         assert cdf.cdf.shape[1] == (t if t < 3 else 4 if t < 5 else
                                     8 if t < 9 else 16)
@@ -439,25 +439,25 @@ def test_one_simulator_per_run_and_one_rollout_per_iteration(monkeypatch):
         counts["rollout"] += 1
         return rollout(self, groups)
 
+    def counted_layout(self, *args):
+        counts["cdf_layout"] += 1
+        layout_init(self, *args)
+
     def counted_cdf(self, *args):
         counts["cdf"] += 1
         cdf_init(self, *args)
 
-    def counted_probs(self, probs):
-        counts["policy_cdf"] += 1
-        return with_probs(self, probs)
-
+    counts["cdf_layout"], layout_init = 0, CdfLayout.__init__
     counts["cdf"], cdf_init = 0, InverseCdf.__init__
-    counts["policy_cdf"], with_probs = 0, InverseCdf.with_probs
     monkeypatch.setattr(Simulator, "__init__", counted_init)
     monkeypatch.setattr(Simulator, "rollout", counted_rollout)
+    monkeypatch.setattr(CdfLayout, "__init__", counted_layout)
     monkeypatch.setattr(InverseCdf, "__init__", counted_cdf)
-    monkeypatch.setattr(InverseCdf, "with_probs", counted_probs)
     train(cmdp, objectives, constraints, cfg, seed=0)
-    # the run's one simulator builds its policy, kernel and initial-state
-    # CDFs once; each iteration rebuilds the policy CDF's stacked rows once
-    # from the policy's stacked probabilities
-    assert counts == {"build": 1, "rollout": 2, "cdf": 3, "policy_cdf": 2}
+    # the run's one simulator lays out its policy, kernel and initial-state
+    # CDFs once and builds each once; each iteration builds its policy's CDF
+    # once more, in the simulator's policy layout
+    assert counts == {"build": 1, "rollout": 2, "cdf_layout": 3, "cdf": 5}
 
 
 @pytest.mark.parametrize("env", ["line4", "grid3"])
@@ -526,12 +526,13 @@ def test_critics_read_stacked_and_policy_cdf_built_once(monkeypatch, env,
                         counted("q_table", TruncatedQTable.__init__))
     monkeypatch.setattr(policy_module, "_softmax_rows",
                         counted("softmax", policy_module._softmax_rows))
-    monkeypatch.setattr(InverseCdf, "with_probs",
-                        counted("policy_cdf", InverseCdf.with_probs))
+    monkeypatch.setattr(InverseCdf, "__init__",
+                        counted("policy_cdf", InverseCdf.__init__))
     train(cmdp, [base] * cmdp.n_agents, constraints, cfg, seed=0)
     # per iteration: no per-agent Q table is built or read, the policy's
     # probabilities take one softmax per action-space width, and its CDF is
-    # built once
+    # built once; the run's simulator builds the initial policy's, the
+    # kernel's and the initial states' CDFs once
     assert counts == {"q_read": 0, "q_table": 0,
                       "softmax": widths * cfg.iterations,
-                      "policy_cdf": cfg.iterations}
+                      "policy_cdf": 3 + cfg.iterations}
