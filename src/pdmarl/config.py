@@ -230,8 +230,14 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text)
 
 
+# libyaml's emitter where PyYAML was built with it: the same text as the
+# pure-Python one in a third of the time
+YAML_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
-    return yaml.safe_dump(cfg.raw, sort_keys=True, default_flow_style=False)
+    return yaml.dump(cfg.raw, Dumper=YAML_DUMPER, sort_keys=True,
+                     default_flow_style=False)
 
 
 def build_env(cfg: ExperimentConfig) -> FactoredCMDP:

@@ -193,9 +193,11 @@ def save_policy(policy: KHopPolicy, path):
         # the rows csv.writer wrote, CRLF-terminated: no field needs quoting
         fh.write("agent,state,action,value\r\n")
         for i, tab in enumerate(policy.theta):
-            rows, acts = np.indices(tab.shape).reshape(2, -1).tolist()
-            fh.write("".join([f"{i},{e},{b},{v!r}\r\n" for e, b, v in zip(
-                rows, acts, tab.ravel().tolist())]))
+            # each row's "agent,state," head formatted once
+            fh.write("".join([f"{head}{b},{v!r}\r\n"
+                              for e, row in enumerate(tab.tolist())
+                              for head in [f"{i},{e},"]
+                              for b, v in enumerate(row)]))
 
 
 def load_policy(path) -> KHopPolicy:

@@ -5,7 +5,8 @@ transition matrix and the dense exact solve over the global (S, A, S')
 kernel (against ``occupancy.ExactSolve``), the pair-level Q and occupancy in
 product form (``PairExactSolve``, where the dense kernel cannot reach), the
 exact truncated gradient (against the sampled one), dense truncated-Q
-tables and per-agent ones stacked as ``td_fit`` returns them, one agent's
+tables and per-agent ones stacked as ``td_fit`` returns them, the TD
+recursion over one dict per agent (against both ``td_fit`` paths), one agent's
 shadow reward and finite differences of it, and the policy-truncation
 bound's narrower policy and measured constants."""
 
@@ -18,6 +19,7 @@ from pdmarl import indexing
 from pdmarl.critic import QTables, TruncatedQTable
 from pdmarl.graph import khop_neighborhood
 from pdmarl.layout import RunLayout, ThetaLayout, q_table_layout
+from pdmarl.model import LocalReward
 from pdmarl.occupancy import ExactSolve
 from pdmarl.policy import KHopPolicy
 from pdmarl.primal_dual import _neighborhood_weights
@@ -302,6 +304,26 @@ def stack_q(layout, tables) -> QTables:
     return QTables(layout, np.concatenate([
         q.keys + off for q, off in zip(tables, layout.q_off)]),
         np.concatenate([q.values for q in tables]))
+
+
+def td_fit_reference(layout, rewards, S, A):
+    """The TD recursion of ``td_fit`` over one dict of visited cells per
+    agent, from one reward per agent (a ``LocalReward`` or an (S_i, A_i)
+    table): each agent's (sorted keys, values)."""
+    K, cells, out = len(layout.etas), layout.q_cells(S, A), []
+    for i, r in enumerate(rewards):
+        rew = (r.values(S, A) if isinstance(r, LocalReward)
+               else np.asarray(r)[S[:, i], A[:, i]])
+        q = {}
+        for k in range(K):
+            c, c_next = int(cells[k, i]), int(cells[k + 1, i])
+            qc = q.get(c, 0.0)
+            q[c] = qc + layout.etas[k] * (float(rew[k]) + layout.gamma
+                                          * q.get(c_next, 0.0) - qc)
+        keys = sorted(q)
+        out.append((np.array(keys, dtype=np.int64),
+                    np.array([q[c] for c in keys])))
+    return out
 
 
 def exact_truncated_pg(cmdp, policy: KHopPolicy, objectives, constraints, mu,

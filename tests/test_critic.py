@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pdmarl.model import LocalReward, compute_decay_matrix
+from pdmarl.model import compute_decay_matrix
 from pdmarl.policy import KHopPolicy
 from pdmarl.critic import (TDConfig, default_td_config, read_critics,
                            td_draws, td_fit)
@@ -14,13 +14,13 @@ from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
 from pdmarl.primal_dual import truncated_pg_estimate
 from pdmarl.sampling import Simulator, trajectory_draws
-from pdmarl import indexing
+from pdmarl import critic, indexing
 
-from helpers import (chain, reward_steps, rng_for, single_cell_mdp,
-                     td_tables, uniform_policy)
+from helpers import (TD_PATHS, chain, reward_steps, rng_for, single_cell_mdp,
+                     td_fit_by, td_tables, uniform_policy)
 from oracles import (PairExactSolve, dense_table, global_transition_matrix,
                      lift_local_reward, lift_neighborhood_reward, n_pairs,
-                     truncate_q)
+                     td_fit_reference, truncate_q)
 
 
 def env_reward_columns(cmdp):
@@ -116,25 +116,6 @@ class TestTDEvaluate:
             np.testing.assert_array_equal(dense_table(a), dense_table(b))
 
 
-def td_fit_reference(layout, rewards, S, A):
-    """The TD recursion of ``td_fit`` over one dict of visited cells per
-    agent: each agent's (sorted keys, values)."""
-    K, cells, out = len(layout.etas), layout.q_cells(S, A), []
-    for i, r in enumerate(rewards):
-        rew = (r.values(S, A) if isinstance(r, LocalReward)
-               else np.asarray(r)[S[:, i], A[:, i]])
-        q = {}
-        for k in range(K):
-            c, c_next = int(cells[k, i]), int(cells[k + 1, i])
-            qc = q.get(c, 0.0)
-            q[c] = qc + layout.etas[k] * (float(rew[k]) + layout.gamma
-                                          * q.get(c_next, 0.0) - qc)
-        keys = sorted(q)
-        out.append((np.array(keys, dtype=np.int64),
-                    np.array([q[c] for c in keys])))
-    return out
-
-
 def all_pairs(n):
     """Every global (state, action) of n binary agents, one per step."""
     sa = indexing.decode_table((2,) * (2 * n))
@@ -142,7 +123,7 @@ def all_pairs(n):
 
 
 class TestTDFitSlots:
-    """``td_fit``'s one sorted slot list against the dict recursion."""
+    """``td_fit`` and each of its two paths against the dict recursion."""
 
     def check(self, m, S, A, kappa=1):
         S, A = np.asarray(S, dtype=np.int64), np.asarray(A, dtype=np.int64)
@@ -151,12 +132,15 @@ class TestTDFitSlots:
         rng = rng_for(len(S))
         shadow = [rng.normal(size=shape) for shape in layout.sa_shapes]
         for rewards in (list(m.rewards), shadow):
-            got = td_fit(layout, reward_steps(layout, rewards, S, A), S, A)
-            for q, (keys, values) in zip(got, td_fit_reference(
-                    layout, rewards, S, A)):
-                assert q.keys.dtype == np.int64
-                assert q.keys.tobytes() == keys.tobytes()
-                assert q.values.tobytes() == values.tobytes()
+            want = td_fit_reference(layout, rewards, S, A)
+            for got in [td_fit(layout, reward_steps(layout, rewards, S, A),
+                               S, A),
+                        *(td_fit_by(path, layout, rewards, S, A)
+                          for path in TD_PATHS)]:
+                for q, (keys, values) in zip(got, want, strict=True):
+                    assert q.keys.dtype == np.int64
+                    assert q.keys.tobytes() == keys.tobytes()
+                    assert q.values.tobytes() == values.tobytes()
         return got
 
     def test_every_step_revisits_its_cell(self):
@@ -175,6 +159,15 @@ class TestTDFitSlots:
         S = [[0, 0, 0], [1, 0, 1], [1, 1, 0], [0, 0, 0]]
         A = [[1, 1, 0], [0, 0, 0], [1, 0, 1], [1, 1, 0]]
         self.check(chain(3), S, A)
+
+    def test_revisit_before_a_first_visit(self):
+        # step 1 revisits step 0's cell and reads step 2's, which step 2
+        # first writes: 0.0 at step 1, though the sparse path writes step
+        # 2's lone update before its loop runs step 1
+        S = [[0, 0, 0], [0, 0, 0], [1, 1, 1], [1, 1, 1]]
+        A = [[0, 0, 0], [0, 0, 0], [0, 0, 0], [1, 1, 1]]
+        got = self.check(chain(3), S, A)
+        assert [len(q.keys) for q in got] == [2, 2, 2]
 
     def test_one_step(self):
         got = self.check(chain(3), [[0, 1, 0], [1, 1, 1]],
@@ -206,6 +199,25 @@ class TestTDFitSlots:
         S = rng.integers(2, size=(41, m.n_agents))
         A = rng.integers(np.array(m.local_action_sizes), size=(41, m.n_agents))
         self.check(m, S, A)
+
+
+class TestTDPath:
+    """``td_fit`` runs the sparse path where the stacked id space is larger
+    than the fit's n * K updates, and the dense one elsewhere."""
+
+    @pytest.mark.parametrize("env,n_ids,path", [
+        (SyntheticLineSpec(n=10, gamma=0.99), 544, "dense"),
+        (SyntheticLineSpec(n=5, gamma=0.99), 224, "dense"),
+        (WirelessGridSpec(side=3, deadline=1, gamma=0.99), 3_461_760,
+         "sparse"),
+        (WirelessGridSpec(side=4, deadline=1, gamma=0.99), None, "sparse")],
+        ids=["line10_k1", "line5_oracle", "wireless3", "grid4_k1"])
+    def test_path_of_the_benchmark_layouts(self, env, n_ids, path):
+        m = (synthetic_line(env) if isinstance(env, SyntheticLineSpec)
+             else wireless_grid(env))
+        layout = RunLayout(m, uniform_policy(m), 1, default_td_config(0.99))
+        assert n_ids in (None, layout.q_off[-1])
+        assert critic._td_path(layout) is getattr(critic, f"_td_fit_{path}")
 
 
 class TestTableRead:

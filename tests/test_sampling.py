@@ -26,8 +26,9 @@ from pdmarl.primal_dual import StepSizes, TrainConfig, _rng, train
 from pdmarl.sampling import STACK_STEPS, CdfLayout, InverseCdf, Simulator
 from pdmarl.utilities import ENTROPY, L2_ACTION, GeneralUtility
 
-from helpers import sample_batch, td_tables
-from oracles import as_constraint, dense_table
+from helpers import (TD_PATHS, sample_batch, td_fit_by, td_rollout,
+                     td_tables)
+from oracles import as_constraint, dense_table, td_fit_reference
 
 
 def rng_for(seed, purpose=0):
@@ -106,6 +107,24 @@ def test_td_evaluate_bytes(env, kappa, kind, seed):
                        TDConfig(steps=300, h=20.0, k1=40.0), rng_for(seed, 2))
     assert digest(*(dense_table(q) for q in tables)) == \
         TD_SHA[(env, kappa, kind, seed)]
+
+
+@pytest.mark.parametrize("env,kappa,kind,seed", CASES)
+def test_td_paths_bytes(env, kappa, kind, seed):
+    # each of td_fit's two paths, whichever one td_fit picks here
+    cmdp, policy = build(env, kappa, seed)
+    layout, S, A = td_rollout(cmdp, policy, kappa,
+                              TDConfig(steps=300, h=20.0, k1=40.0),
+                              rng_for(seed, 2))
+    rewards = rewards_of(cmdp, kind, seed)
+    want = td_fit_reference(layout, rewards, S, A)
+    for path in TD_PATHS:
+        tables = td_fit_by(path, layout, rewards, S, A)
+        assert digest(*(dense_table(q) for q in tables)) == \
+            TD_SHA[(env, kappa, kind, seed)]
+        for q, (keys, values) in zip(tables, want, strict=True):
+            assert q.keys.tobytes() == keys.tobytes()
+            assert q.values.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("env,kappa", [("line4", 1), ("line4", 2),

@@ -17,9 +17,11 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+import yaml
 
+from pdmarl import config
 from pdmarl.cli import run_experiment
-from pdmarl.config import parse_config_dict
+from pdmarl.config import parse_config_dict, serialize_config
 
 from helpers import oracle_rows, oracle_values_close
 
@@ -245,3 +247,16 @@ def test_run_bytes_match_golden(tmp_path, name, seed):
 def test_workload_bytes_match_golden(tmp_path, name, seed):
     raw = workloads.workload_config(name, seed)
     assert hashes(tmp_path, raw) == WORKLOAD_GOLDEN[(name, seed)]
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+@pytest.mark.parametrize("name", sorted(CONFIGS) + sorted(workloads.WORKLOADS))
+def test_config_yaml_same_with_either_dumper(monkeypatch, name):
+    raw = ({**_COMMON, **CONFIGS[name], "seed": 1} if name in CONFIGS
+           else workloads.workload_config(name, 1))
+    cfg = parse_config_dict(raw)
+    texts = []
+    for dumper in (yaml.SafeDumper, yaml.CSafeDumper):
+        monkeypatch.setattr(config, "YAML_DUMPER", dumper)
+        texts.append(serialize_config(cfg).encode())
+    assert texts[0] == texts[1]
