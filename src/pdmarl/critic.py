@@ -11,7 +11,6 @@ is read with ``read_critics``.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -144,15 +143,6 @@ def _sorted_slots(ids):
     return srt.take(starts), slots, order, starts
 
 
-def _td_recursion(q, slots, slots_next, rewards, etas, gamma):
-    """The scalar TD recursion over a list of slot values ``q``, in place:
-    update j sets q[slots[j]] from its reward, step size and the value at
-    slots_next[j]."""
-    for c, c_next, r, eta in zip(slots, slots_next, rewards, etas):
-        qc = q[c]
-        q[c] = qc + eta * (r + gamma * q[c_next] - qc)
-
-
 def td_fit(layout: RunLayout, rewards, S, A) -> QTables:
     """Asynchronous TD evaluation of every agent's truncated Q-function
     along one trajectory of K + 1 global states S and actions A, (K+1, n),
@@ -163,70 +153,27 @@ def td_fit(layout: RunLayout, rewards, S, A) -> QTables:
     h/(k-1+k1); tables are zero-initialized. The Q cells of all agents
     along the trajectory are encoded with one array op, as ids of the
     stacked id space (``layout.q_off``). One sort of the written ids gives
-    the sorted keys of all tables and each update's slot among them; the
-    updates run agent after agent. The sorted keys and their values are
-    returned as one ``QTables``: the visited cells only, nothing of the
-    dense tables' size allocated.
+    the sorted keys of all tables and each update's slot among them. The
+    sorted keys and their values are returned as one ``QTables``: the
+    visited cells only, nothing of the dense tables' size allocated.
 
-    Two paths give the same bytes (``_td_path``): where the stacked id
-    space is larger than the fit's n * K updates, most updates are a cell's
-    first visit whose next read is still unwritten, and ``_td_fit_sparse``
-    computes those in one vector op; otherwise ``_td_fit_dense`` runs the
-    scalar recursion over every update.
+    A lone update, a cell's first visit whose next read is still unwritten,
+    reads 0.0 twice, so all of them are one vector op; the scalar
+    recursion runs over the other updates only, agent after agent. On the
+    wireless grids most updates are lone, on the lines' dense tables few.
     """
-    n, K = layout.n, len(layout.etas)
+    n, K, gamma = layout.n, len(layout.etas), layout.gamma
     if np.shape(rewards) != (n, K):
         raise ValueError(f"rewards must be ({n}, {K}), not {np.shape(rewards)}")
     cells = layout.q_cells(S, A) + layout.q_off[:-1]
-    return _td_path(layout)(layout, rewards, cells)
-
-
-def _td_path(layout: RunLayout):
-    """``td_fit``'s path for ``layout``: the sparse one where the stacked
-    id space is larger than the fit's n * K updates (the wireless grids),
-    the dense one where it is not (the lines)."""
-    if layout.q_off[-1] > layout.n * len(layout.etas):
-        return _td_fit_sparse
-    return _td_fit_dense
-
-
-def _td_fit_dense(layout: RunLayout, rewards, cells) -> QTables:
-    """``td_fit`` at stacked cell ids ``cells`` (K+1, n), the scalar
-    recursion over every update, over one list of slot values that ends in
-    one 0.0, which a last cell that is never written reads."""
-    n, K = layout.n, len(layout.etas)
-    keys, slots, _, _ = _sorted_slots(cells[:K].T.ravel())
-    slots, m = slots.tolist(), len(keys)
-    # the slot step k reads: step k+1's, and after an agent's last step its
-    # last cell's if that was written, else the sentinel m
-    pos = keys.searchsorted(cells[K])
-    slots_next = slots[1:] + [m]
-    slots_next[K - 1::K] = np.where(keys.take(pos, mode="clip") == cells[K],
-                                    pos, m).tolist()
-    # agent-major, as the slots; made after the sort, so that the sort's
-    # arrays and these floats are not held at once (0.12 MB of peak heap on
-    # the 10-agent line, by tracemalloc)
-    r_all = np.ravel(rewards).tolist()
-    q = [0.0] * (m + 1)
-    _td_recursion(q, slots, slots_next, r_all, itertools.chain.from_iterable(
-        itertools.repeat(layout.etas, n)), layout.gamma)
-    return QTables(layout, keys, np.fromiter(q, np.float64, m))
-
-
-def _td_fit_sparse(layout: RunLayout, rewards, cells) -> QTables:
-    """``td_fit`` at stacked cell ids ``cells`` (K+1, n), with every lone
-    update in one vector op: a lone update is a cell's first visit whose
-    next read is still unwritten, so it reads 0.0 twice. The scalar
-    recursion runs over the other updates only."""
-    n, K, gamma = layout.n, len(layout.etas), layout.gamma
     keys, slots, order, starts = _sorted_slots(cells[:K].T.ravel())
     m = len(keys)
     # each slot's first visit: the smallest update in its run of the sort
     first = np.minimum.reduceat(order, starts)
-    # the slot update j reads, as in the dense path, but the update before
-    # a first visit reads the sentinel m, 0.0 as that slot is until then
-    # (first == 0 marks index -1, an agent's last step, whose read the
-    # next line sets)
+    # the slot update j reads: update j+1's, but the sentinel m (0.0) where
+    # update j+1 is a first visit, as that slot is 0.0 until then; after an
+    # agent's last update its last cell's slot if that was written, else m
+    # (first == 0 marks index -1, which the last-update line sets)
     slots_next = np.empty(n * K, dtype=np.int64)
     slots_next[:-1] = slots[1:]
     slots_next[first - 1] = m
@@ -236,12 +183,14 @@ def _td_fit_sparse(layout: RunLayout, rewards, cells) -> QTables:
     lone = np.zeros(n * K, dtype=bool)
     lone[first] = True
     lone &= slots_next == m
-    r = np.asarray(rewards, dtype=np.float64).ravel()
+    r = np.asarray(rewards, dtype=np.float64).ravel()  # agent-major, as slots
     etas = np.tile(layout.etas, n)
     q = np.zeros(m + 1)
     # the recursion's own order of operations, at qc = q[c_next] = 0.0
     q[slots[lone]] = 0.0 + etas[lone] * (r[lone] + gamma * 0.0 - 0.0)
-    # the recursion runs over the slots it writes or reads, renumbered
+    # the recursion runs over the other updates, on a list of just the
+    # slots they write or read, renumbered: on the side-3 grid faster than
+    # a list of every slot's value
     rest = np.flatnonzero(~lone)
     c_rest, next_rest = slots.take(rest), slots_next.take(rest)
     used = np.zeros(m + 1, dtype=bool)
@@ -250,8 +199,11 @@ def _td_fit_sparse(layout: RunLayout, rewards, cells) -> QTables:
     renum = np.cumsum(used) - 1
     used = np.flatnonzero(used)
     q_used = q.take(used).tolist()
-    _td_recursion(q_used, renum.take(c_rest).tolist(),
-                  renum.take(next_rest).tolist(), r.take(rest).tolist(),
-                  etas.take(rest).tolist(), gamma)
+    for c, c_next, rk, eta in zip(renum.take(c_rest).tolist(),
+                                  renum.take(next_rest).tolist(),
+                                  r.take(rest).tolist(),
+                                  etas.take(rest).tolist()):
+        qc = q_used[c]
+        q_used[c] = qc + eta * (rk + gamma * q_used[c_next] - qc)
     q[used] = q_used
     return QTables(layout, keys, q[:m])

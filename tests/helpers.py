@@ -1,7 +1,6 @@
 """Shared test helpers: small models, policies and constraints, one solo
 rollout along the path ``train`` takes: ``Simulator.rollout`` of
-``trajectory_draws`` or ``critic.td_draws``, then ``critic.td_fit``, and
-each of ``td_fit``'s two paths called alone."""
+``trajectory_draws`` or ``critic.td_draws``, then ``critic.td_fit``."""
 
 import csv
 import math
@@ -9,7 +8,6 @@ import math
 import numpy as np
 
 from pdmarl import indexing
-from pdmarl import critic
 from pdmarl.critic import td_draws, td_fit
 from pdmarl.envs import SyntheticLineSpec, synthetic_line
 from pdmarl.graph import DependenceGraph
@@ -105,17 +103,6 @@ def td_tables(cmdp, policy, rewards, kappa, td, rng):
     ``rewards`` as ``reward_steps`` takes them."""
     layout, S, A = td_rollout(cmdp, policy, kappa, td, rng)
     return td_fit(layout, reward_steps(layout, rewards, S, A), S, A)
-
-
-# both paths of ``td_fit``, whichever one it picks for a layout
-TD_PATHS = (critic._td_fit_dense, critic._td_fit_sparse)
-
-
-def td_fit_by(path, layout, rewards, S, A):
-    """``td_fit`` along one of ``TD_PATHS``; ``rewards`` as
-    ``reward_steps`` takes them."""
-    return path(layout, reward_steps(layout, rewards, S, A),
-                layout.q_cells(S, A) + layout.q_off[:-1])
 
 
 def oracle_rows(metrics_path):

@@ -14,10 +14,10 @@ from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
 from pdmarl.primal_dual import truncated_pg_estimate
 from pdmarl.sampling import Simulator, trajectory_draws
-from pdmarl import critic, indexing
+from pdmarl import indexing
 
-from helpers import (TD_PATHS, chain, reward_steps, rng_for, single_cell_mdp,
-                     td_fit_by, td_tables, uniform_policy)
+from helpers import (chain, reward_steps, rng_for, single_cell_mdp,
+                     td_tables, uniform_policy)
 from oracles import (PairExactSolve, dense_table, global_transition_matrix,
                      lift_local_reward, lift_neighborhood_reward, n_pairs,
                      td_fit_reference, truncate_q)
@@ -123,7 +123,8 @@ def all_pairs(n):
 
 
 class TestTDFitSlots:
-    """``td_fit`` and each of its two paths against the dict recursion."""
+    """``td_fit``'s sorted slots and lone updates against the dict
+    recursion."""
 
     def check(self, m, S, A, kappa=1):
         S, A = np.asarray(S, dtype=np.int64), np.asarray(A, dtype=np.int64)
@@ -132,15 +133,12 @@ class TestTDFitSlots:
         rng = rng_for(len(S))
         shadow = [rng.normal(size=shape) for shape in layout.sa_shapes]
         for rewards in (list(m.rewards), shadow):
-            want = td_fit_reference(layout, rewards, S, A)
-            for got in [td_fit(layout, reward_steps(layout, rewards, S, A),
-                               S, A),
-                        *(td_fit_by(path, layout, rewards, S, A)
-                          for path in TD_PATHS)]:
-                for q, (keys, values) in zip(got, want, strict=True):
-                    assert q.keys.dtype == np.int64
-                    assert q.keys.tobytes() == keys.tobytes()
-                    assert q.values.tobytes() == values.tobytes()
+            got = td_fit(layout, reward_steps(layout, rewards, S, A), S, A)
+            for q, (keys, values) in zip(got, td_fit_reference(
+                    layout, rewards, S, A), strict=True):
+                assert q.keys.dtype == np.int64
+                assert q.keys.tobytes() == keys.tobytes()
+                assert q.values.tobytes() == values.tobytes()
         return got
 
     def test_every_step_revisits_its_cell(self):
@@ -162,8 +160,8 @@ class TestTDFitSlots:
 
     def test_revisit_before_a_first_visit(self):
         # step 1 revisits step 0's cell and reads step 2's, which step 2
-        # first writes: 0.0 at step 1, though the sparse path writes step
-        # 2's lone update before its loop runs step 1
+        # first writes: 0.0 at step 1, though td_fit writes step 2's lone
+        # update before its loop runs step 1
         S = [[0, 0, 0], [0, 0, 0], [1, 1, 1], [1, 1, 1]]
         A = [[0, 0, 0], [0, 0, 0], [0, 0, 0], [1, 1, 1]]
         got = self.check(chain(3), S, A)
@@ -199,25 +197,6 @@ class TestTDFitSlots:
         S = rng.integers(2, size=(41, m.n_agents))
         A = rng.integers(np.array(m.local_action_sizes), size=(41, m.n_agents))
         self.check(m, S, A)
-
-
-class TestTDPath:
-    """``td_fit`` runs the sparse path where the stacked id space is larger
-    than the fit's n * K updates, and the dense one elsewhere."""
-
-    @pytest.mark.parametrize("env,n_ids,path", [
-        (SyntheticLineSpec(n=10, gamma=0.99), 544, "dense"),
-        (SyntheticLineSpec(n=5, gamma=0.99), 224, "dense"),
-        (WirelessGridSpec(side=3, deadline=1, gamma=0.99), 3_461_760,
-         "sparse"),
-        (WirelessGridSpec(side=4, deadline=1, gamma=0.99), None, "sparse")],
-        ids=["line10_k1", "line5_oracle", "wireless3", "grid4_k1"])
-    def test_path_of_the_benchmark_layouts(self, env, n_ids, path):
-        m = (synthetic_line(env) if isinstance(env, SyntheticLineSpec)
-             else wireless_grid(env))
-        layout = RunLayout(m, uniform_policy(m), 1, default_td_config(0.99))
-        assert n_ids in (None, layout.q_off[-1])
-        assert critic._td_path(layout) is getattr(critic, f"_td_fit_{path}")
 
 
 class TestTableRead:

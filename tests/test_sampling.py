@@ -15,7 +15,7 @@ import pytest
 
 from pdmarl import indexing, primal_dual, sampling, utilities
 from pdmarl import policy as policy_module
-from pdmarl.critic import TDConfig, TruncatedQTable
+from pdmarl.critic import TDConfig, TruncatedQTable, td_fit
 from pdmarl.layout import RunLayout
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
                          wireless_grid)
@@ -26,8 +26,7 @@ from pdmarl.primal_dual import StepSizes, TrainConfig, _rng, train
 from pdmarl.sampling import STACK_STEPS, CdfLayout, InverseCdf, Simulator
 from pdmarl.utilities import ENTROPY, L2_ACTION, GeneralUtility
 
-from helpers import (TD_PATHS, sample_batch, td_fit_by, td_rollout,
-                     td_tables)
+from helpers import reward_steps, sample_batch, td_rollout, td_tables
 from oracles import as_constraint, dense_table, td_fit_reference
 
 
@@ -102,29 +101,19 @@ def test_sample_trajectories_bytes(env, kappa, seed):
 
 @pytest.mark.parametrize("env,kappa,kind,seed", CASES)
 def test_td_evaluate_bytes(env, kappa, kind, seed):
-    cmdp, policy = build(env, kappa, seed)
-    tables = td_tables(cmdp, policy, rewards_of(cmdp, kind, seed), kappa,
-                       TDConfig(steps=300, h=20.0, k1=40.0), rng_for(seed, 2))
-    assert digest(*(dense_table(q) for q in tables)) == \
-        TD_SHA[(env, kappa, kind, seed)]
-
-
-@pytest.mark.parametrize("env,kappa,kind,seed", CASES)
-def test_td_paths_bytes(env, kappa, kind, seed):
-    # each of td_fit's two paths, whichever one td_fit picks here
+    # the hash, and the recursion over one dict per agent
     cmdp, policy = build(env, kappa, seed)
     layout, S, A = td_rollout(cmdp, policy, kappa,
                               TDConfig(steps=300, h=20.0, k1=40.0),
                               rng_for(seed, 2))
     rewards = rewards_of(cmdp, kind, seed)
-    want = td_fit_reference(layout, rewards, S, A)
-    for path in TD_PATHS:
-        tables = td_fit_by(path, layout, rewards, S, A)
-        assert digest(*(dense_table(q) for q in tables)) == \
-            TD_SHA[(env, kappa, kind, seed)]
-        for q, (keys, values) in zip(tables, want, strict=True):
-            assert q.keys.tobytes() == keys.tobytes()
-            assert q.values.tobytes() == values.tobytes()
+    tables = td_fit(layout, reward_steps(layout, rewards, S, A), S, A)
+    assert digest(*(dense_table(q) for q in tables)) == \
+        TD_SHA[(env, kappa, kind, seed)]
+    for q, (keys, values) in zip(tables, td_fit_reference(
+            layout, rewards, S, A), strict=True):
+        assert q.keys.tobytes() == keys.tobytes()
+        assert q.values.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("env,kappa", [("line4", 1), ("line4", 2),
