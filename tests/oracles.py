@@ -6,8 +6,8 @@ kernel (against ``occupancy.ExactSolve``), the pair-level Q and occupancy in
 product form (``PairExactSolve``, where the dense kernel cannot reach), the
 exact truncated gradient (against the sampled one), dense truncated-Q
 tables and per-agent ones stacked as ``td_fit`` returns them, the TD
-recursion over one dict per agent (against both ``td_fit`` paths), one agent's
-shadow reward and finite differences of it, and the policy-truncation
+recursion over one dict per agent (against ``td_fit``), one agent's shadow
+reward and finite differences of it, and the policy-truncation
 bound's narrower policy and measured constants."""
 
 from dataclasses import replace
