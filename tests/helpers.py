@@ -3,7 +3,9 @@ rollout along the path ``train`` takes: ``Simulator.rollout`` of
 ``trajectory_draws`` or ``critic.td_draws``, then ``critic.td_fit``."""
 
 import csv
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +20,17 @@ from pdmarl.sampling import Simulator, trajectory_draws
 from pdmarl.utilities import ENTROPY, GeneralUtility
 
 from oracles import as_constraint
+
+
+def perfbench_workloads():
+    """The benchmark's ``perfbench/workloads.py`` module, whose
+    ``workload_config(name, seed)`` is each workload's config dict."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rng_for(seed):

@@ -6,16 +6,17 @@ kernel (against ``occupancy.ExactSolve``), the pair-level Q and occupancy in
 product form (``PairExactSolve``, where the dense kernel cannot reach), the
 exact truncated gradient (against the sampled one), dense truncated-Q
 tables and per-agent ones stacked as ``td_fit`` returns them, the TD
-recursion over one dict per agent (against ``td_fit``), one agent's shadow
-reward and finite differences of it, and the policy-truncation
-bound's narrower policy and measured constants."""
+recursion over one dict per agent (against ``td_fit``), the stepped rollout
+(against ``Simulator.rollout``), one agent's shadow reward and finite
+differences of it, and the policy-truncation bound's narrower policy and
+measured constants."""
 
 from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 
-from pdmarl import indexing
+from pdmarl import indexing, sampling
 from pdmarl.critic import QTables, TruncatedQTable
 from pdmarl.graph import khop_neighborhood
 from pdmarl.layout import RunLayout, ThetaLayout, q_table_layout
@@ -348,6 +349,35 @@ def exact_truncated_pg(cmdp, policy: KHopPolicy, objectives, constraints, mu,
         np.asarray(mu, dtype=float),
         solve.occupancy.reshape(cmdp.n_states, n_actions(cmdp)))
     return _score_accumulate(cmdp, policy, weights.reshape(-1, n))
+
+
+# -- rollouts -----------------------------------------------------------------
+
+def stepped_rollout(sim, groups):
+    """``Simulator.rollout`` one step at a time: every row of every group at
+    every step of the longest, a group's uniforms padded with
+    ``sampling.PAD_U`` past its own (``u_trans`` past its length - 1), each
+    step's rows read with the int64 products ``x @ sim.act_w`` and
+    ``x @ sim.trans_w``; each group's (states, actions), (R_i, T_i, n)."""
+    n = sim.n
+    lengths = [len(u_act) for _, u_act, _ in groups]
+    T = max(lengths)
+    starts = np.cumsum([0] + [len(s) for s, _, _ in groups])
+    x = np.zeros((T + 1, starts[-1], 2 * n + 1), dtype=np.int64)
+    x[..., -1] = 1
+    u_act = np.full((T, starts[-1], n), sampling.PAD_U)
+    u_trans = u_act.copy()
+    for (s, ua, ut), r0, r1, t in zip(groups, starts, starts[1:], lengths):
+        x[0, r0:r1, :n] = s
+        u_act[:t, r0:r1] = ua[:t]
+        u_trans[:t - 1, r0:r1] = ut[:t - 1]
+    act, trans = sim.policy_cdf.draw_stacked, sim.kernel_cdf.draw_stacked
+    for k in range(T):
+        act(x[k] @ sim.act_w, u_act[k], x[k, :, n:2 * n])
+        trans(x[k] @ sim.trans_w, u_trans[k], x[k + 1, :, :n])
+    by_row = x.swapaxes(0, 1)
+    return [(by_row[r0:r1, :t, :n], by_row[r0:r1, :t, n:2 * n])
+            for r0, r1, t in zip(starts, starts[1:], lengths)]
 
 
 # -- utilities ----------------------------------------------------------------

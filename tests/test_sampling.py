@@ -2,12 +2,13 @@
 
 The golden SHA-256 values were recorded from the per-agent Python loops that
 the array simulator replaced; any change to the draw order, the inverse-CDF
-rule or the TD float expression order shows up here. ``train`` rolls its
-sampling batch and both TD trajectories out together; the last tests check
-that each part equals the separate call with the same generator.
+rule or the TD float expression order shows up here. The windowed rollout
+is checked against the stepped one (``oracles.stepped_rollout``), and the
+draw calls of a rollout are counted. ``train`` rolls its sampling batch and
+both TD trajectories out together; the last tests check that each part
+equals the separate call with the same generator.
 """
 
-import copy
 import hashlib
 
 import numpy as np
@@ -15,6 +16,8 @@ import pytest
 
 from pdmarl import indexing, primal_dual, sampling, utilities
 from pdmarl import policy as policy_module
+from pdmarl.config import (build_env, build_train_config, build_utilities,
+                           parse_config_dict)
 from pdmarl.critic import TDConfig, TruncatedQTable, td_fit
 from pdmarl.layout import RunLayout
 from pdmarl.envs import (SyntheticLineSpec, WirelessGridSpec, synthetic_line,
@@ -23,11 +26,17 @@ from pdmarl.graph import line_graph
 from pdmarl.model import FactoredCMDP, LocalReward, TransitionKernel
 from pdmarl.policy import KHopPolicy
 from pdmarl.primal_dual import StepSizes, TrainConfig, _rng, train
-from pdmarl.sampling import STACK_STEPS, CdfLayout, InverseCdf, Simulator
+from pdmarl.sampling import (STACK_STEPS, CdfLayout, InverseCdf, Simulator,
+                             trajectory_draws)
 from pdmarl.utilities import ENTROPY, L2_ACTION, GeneralUtility
 
-from helpers import reward_steps, sample_batch, td_rollout, td_tables
-from oracles import as_constraint, dense_table, td_fit_reference
+from helpers import (perfbench_workloads, reward_steps, sample_batch,
+                     td_rollout, td_tables)
+from oracles import (as_constraint, dense_table, stepped_rollout,
+                     td_fit_reference)
+
+
+workloads = perfbench_workloads()
 
 
 def rng_for(seed, purpose=0):
@@ -310,10 +319,12 @@ def test_float_policy_rows_are_the_int64_product(side, kappa):
     x[..., n:2 * n] = rng.integers(np.array(cmdp.local_action_sizes),
                                    size=(STACK_STEPS, 7, n))
     x[0, 0, :n] = np.array(cmdp.local_state_sizes) - 1
-    got = sim.policy_rows(x)
     want = x @ sim.act_w
-    assert got.dtype == np.int64
-    assert np.array_equal(got, want)
+    for weights, exact in ((sim.act_wf, sim.act_w), (sim.trans_wf,
+                                                     sim.trans_w)):
+        got = sim.rows(x, weights)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, x @ exact)
     assert np.array_equal(want[0, 0], sim.policy_cdf.offsets + [
         len(t) - 1 for t in policy.theta])
 
@@ -327,24 +338,182 @@ def test_open_loop_rollout_is_the_stepped_one(monkeypatch, name, kappa, pad):
                                cmdp.local_action_sizes, kappa,
                                rng_for(kappa), scale=1.0)
     sim = Simulator(cmdp, policy)
-    stepped = copy.copy(sim)
-    stepped.open_loop = False
     assert sim.open_loop
     # a 5-row group, and one-row groups ending inside a later stack of
     # ``STACK_STEPS`` uniforms and at its edge
-    rng, n = rng_for(11), cmdp.n_agents
-    groups = []
-    for rows, T in ((5, 20), (1, STACK_STEPS + 6), (1, 2 * STACK_STEPS)):
+    rng = rng_for(11)
+    groups = random_groups(cmdp, rng, ((5, 20), (1, STACK_STEPS + 6),
+                                       (1, 2 * STACK_STEPS)))
+    monkeypatch.setattr(sampling, "PAD_U", pad)
+    got = assert_rollout_is_the_stepped_one(sim, groups)
+    # the draws are not all alike
+    assert len(np.unique(got[1][0])) > 1 and len(np.unique(got[1][1])) > 1
+
+
+# -- closed-loop rollouts: windows of speculative sweeps ----------------------
+
+def copying_model(n=4):
+    """Agents in pairs (0, 1), (2, 3), ... on a line, each of which takes
+    its partner's state as its next state: no next state depends on a
+    draw, and two trajectories from different states never merge."""
+    sizes = (2,) * n
+    kernels = tuple(TransitionKernel.from_function(
+        lambda S, A: np.eye(2)[S[:, 0]], i, (i ^ 1,), (), sizes, sizes)
+        for i in range(n))
+    rewards = tuple(LocalReward.from_function(
+        lambda S, A: np.where(S[..., 0] == 1, 1.0, 0.0), i, (i,), (),
+        sizes, sizes) for i in range(n))
+    initial = tuple(np.full(2, 0.5) for _ in range(n))
+    return FactoredCMDP(graph=line_graph(n), local_state_sizes=sizes,
+                        local_action_sizes=sizes, kernels=kernels,
+                        rewards=rewards, initial_dist=initial, gamma=0.95)
+
+
+def random_groups(cmdp, rng, shapes):
+    """Rollout groups of (rows, steps) ``shapes`` from random initial
+    states and uniforms."""
+    n, groups = cmdp.n_agents, []
+    for rows, T in shapes:
         s = rng.integers(cmdp.local_state_sizes, size=(rows, n))
         groups.append((s, rng.random((T, rows, n)),
                        rng.random((T - 1, rows, n))))
-    monkeypatch.setattr(sampling, "PAD_U", pad)
-    got, want = sim.rollout(groups), stepped.rollout(groups)
-    for (S, A), (S_want, A_want), (_, u_act, _) in zip(got, want, groups):
-        assert S.shape == A.shape == u_act.shape[1::-1] + (n,)
+    return groups
+
+
+def assert_rollout_is_the_stepped_one(sim, groups):
+    """``sim.rollout(groups)``, checked against ``stepped_rollout``."""
+    got = sim.rollout(groups)
+    for (S, A), (S_want, A_want), (s, u_act, _) in zip(
+            got, stepped_rollout(sim, groups), groups, strict=True):
+        assert S.shape == A.shape == u_act.shape[1::-1] + (sim.n,)
+        assert S.dtype == A.dtype == np.int64
+        assert S.flags.c_contiguous and A.flags.c_contiguous
+        assert np.array_equal(S[:, 0], s)
         assert np.array_equal(S, S_want) and np.array_equal(A, A_want)
-    # the draws are not all alike
-    assert len(np.unique(got[1][0])) > 1 and len(np.unique(got[1][1])) > 1
+    return got
+
+
+def count_draws(monkeypatch):
+    """Per ``Simulator.rollout`` call from now on, the ``draw_stacked``
+    calls of its policy and kernel CDFs and the uniforms they read."""
+    counts, rollout = [], Simulator.rollout
+
+    def counted_rollout(self, groups):
+        count = {"calls": 0, "uniforms": 0}
+
+        def counted(draw):
+            def wrapper(rows, u, out):
+                count["calls"] += 1
+                count["uniforms"] += u.size
+                return draw(rows, u, out)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for cdf in (self.policy_cdf, self.kernel_cdf):
+                patch.setattr(cdf, "draw_stacked", counted(cdf.draw_stacked))
+            out = rollout(self, groups)
+        counts.append(count)
+        return out
+
+    monkeypatch.setattr(Simulator, "rollout", counted_rollout)
+    return counts
+
+
+# groups of unequal lengths: several windows long, ending inside a window,
+# two of equal length, and one of a single step
+UNEQUAL = ((5, 20), (1, 300), (2, 150), (1, 300), (3, 1))
+
+
+@pytest.mark.parametrize("name,kappa", [
+    ("line4", 0), ("line4", 1), ("line4", 2), ("grid2_d2", 0),
+    ("grid2_d2", 1), ("copying", 1)])
+@pytest.mark.parametrize("pad", [0.5, 0.0, 0.999])
+def test_rollout_is_the_stepped_one(monkeypatch, name, kappa, pad):
+    cmdp = copying_model() if name == "copying" else model(name)
+    policy = KHopPolicy.random(cmdp.graph, cmdp.local_state_sizes,
+                               cmdp.local_action_sizes, kappa,
+                               rng_for(kappa), scale=1.0)
+    sim = Simulator(cmdp, policy)
+    assert not sim.open_loop
+    groups = random_groups(cmdp, rng_for(12), UNEQUAL)
+    monkeypatch.setattr(sampling, "PAD_U", pad)
+    assert_rollout_is_the_stepped_one(sim, groups)
+
+
+def test_rollout_that_never_merges_takes_at_most_one_sweep_a_step(
+        monkeypatch):
+    # every agent copies its partner's state, and no state of these rows
+    # is ever all 0, the guess of a step not yet drawn: each sweep keeps
+    # only the step it draws from an exact state, T sweeps in all
+    cmdp = copying_model()
+    policy = KHopPolicy.random(cmdp.graph, cmdp.local_state_sizes,
+                               cmdp.local_action_sizes, 1, rng_for(0))
+    sim = Simulator(cmdp, policy)
+    T = 400
+    s = np.array([[1, 0, 0, 1], [1, 1, 1, 1]])
+    groups = [(s, rng_for(1).random((T, 2, 4)),
+               rng_for(2).random((T - 1, 2, 4)))]
+    counts = count_draws(monkeypatch)
+    [(S, _)] = assert_rollout_is_the_stepped_one(sim, groups)
+    assert np.array_equal(S[:, 1::2],
+                          s[:, None, [1, 0, 3, 2]].repeat(T // 2, axis=1))
+    assert counts[0]["calls"] == 2 * T
+
+
+@pytest.mark.parametrize("rows,steps", [(1500, 30), (300, 60)])
+def test_rollout_of_many_rows_is_the_stepped_one(rows, steps):
+    cmdp = model("line4")
+    policy = KHopPolicy.random(cmdp.graph, cmdp.local_state_sizes,
+                               cmdp.local_action_sizes, 1, rng_for(4),
+                               scale=1.0)
+    sim = Simulator(cmdp, policy)
+    assert_rollout_is_the_stepped_one(sim, random_groups(
+        cmdp, rng_for(13), ((rows, steps), (7, 2 * steps))))
+
+
+# draw calls of the first line10 rollout, 2 per sweep: 24-26 sweeps
+# measured at seeds 0 to 5
+LINE10_DRAW_CALLS = 2 * 40
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_first_line10_rollout_takes_few_sweeps(monkeypatch, seed):
+    # the benchmark's headline line: 10 agents at kappa 1, a batch of 5
+    # rows of 125 steps and two TD rows of 501; the stepped loop makes
+    # 2 * 501 draw calls
+    cfg = parse_config_dict({**workloads.workload_config("line10_k1", seed),
+                             "iterations": 1})
+    cmdp = build_env(cfg)
+    objectives, constraints = build_utilities(cfg, cmdp)
+    counts = count_draws(monkeypatch)
+    train(cmdp, objectives, constraints, build_train_config(cfg), seed)
+    assert len(counts) == 1
+    assert counts[0]["calls"] <= LINE10_DRAW_CALLS
+
+
+# uniforms the 1000-row rollout may read beyond the stepped loop's: four
+# steps' worth, two draws each (measured: two steps' worth at six seeds)
+MANY_ROWS_EXTRA = 4 * 2 * 1000 * 2
+
+
+def test_rollout_of_many_rows_steps_as_the_stepped_loop(monkeypatch):
+    # 2048 rows of 2 agents hold ``WINDOW_CELLS`` cells a step: the rollout
+    # steps from the start; 1000 rows start in windows of 2 steps and fall
+    # back to stepping within a few sweeps
+    cmdp = synthetic_line(SyntheticLineSpec(n=2, gamma=0.9))
+    policy = KHopPolicy.random(cmdp.graph, cmdp.local_state_sizes,
+                               cmdp.local_action_sizes, 1, rng_for(5),
+                               scale=0.3)
+    sim = Simulator(cmdp, policy)
+    T = 50
+    counts = count_draws(monkeypatch)
+    for rows in (2048, 1000):
+        sim.rollout([trajectory_draws(sim, rows, T, rng_for(rows))])
+    stepped = [{"calls": 2 * T, "uniforms": 2 * T * rows * 2}
+               for rows in (2048, 1000)]
+    assert counts[0] == stepped[0]
+    assert counts[1]["calls"] <= stepped[1]["calls"]
+    assert counts[1]["uniforms"] <= stepped[1]["uniforms"] + MANY_ROWS_EXTRA
 
 
 # -- one stacked rollout per training iteration -------------------------------

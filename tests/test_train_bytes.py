@@ -13,9 +13,6 @@ the dense solve before all three, which the new ones match to the relative
 tolerance 1e-9 (absolute 1e-12) of the benchmark's gate.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 import yaml
 
@@ -23,13 +20,9 @@ from pdmarl import config
 from pdmarl.cli import run_experiment
 from pdmarl.config import parse_config_dict, serialize_config
 
-from helpers import oracle_rows, oracle_values_close
+from helpers import oracle_rows, oracle_values_close, perfbench_workloads
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_workloads",
-    Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+workloads = perfbench_workloads()
 
 _COMMON = {
     "schema_version": 1,
