@@ -13,7 +13,7 @@ from .graph import DependenceGraph, line_graph
 from .model import DEP_TABLE_CAP, FactoredCMDP, TransitionKernel, LocalReward
 
 # Most agents an env may have, checked before anything is allocated: a run
-# holds the graph's n x n distance table and (2n + 1, n) int64 weight
+# holds the graph's n x n distance table and (2n + 1, n) float64 weight
 # matrices (``indexing.weight_matrix``), 16 MB each at this cap.
 MAX_AGENTS = 1000
 

@@ -9,9 +9,11 @@ at the positions of one table's cells, so that ``X @ W`` is every table's
 row at the integer arrays X at once. It builds the policy rows
 (``KHopPolicy.row_weights``), the kernel rows
 (``FactoredCMDP.kernel_weights``) and the truncated-Q cells
-(``layout.RunLayout``), which ``sampling.Simulator`` and
-``occupancy.ExactSolve`` read; ``offsets`` places per-agent tables end to
-end in one array. ``decode_table`` is the inverse over a whole space; the
+(``layout.RunLayout``). ``table_rows`` is the one read of them: every
+reader (``sampling.Simulator``, ``layout.RunLayout`` and ``ThetaLayout``,
+``occupancy.ExactSolve``) stores its W once as float64 and takes the exact
+float64 product; ``offsets`` places per-agent tables end to end in one
+array. ``decode_table`` is the inverse over a whole space; the
 exact oracles build every agent's policy and kernel rows at every state and
 each reward's action cells by broadcasting over it, and ``row_kron``
 multiplies per-agent factors (the state chain, a reward's policy weights)
@@ -43,6 +45,27 @@ def weight_matrix(width, columns) -> np.ndarray:
     for i, (positions, sizes) in enumerate(columns):
         w[list(positions), i] = radix_weights(sizes)
     return w
+
+
+# Row ids below this are exact in float64 (``table_rows``).
+EXACT_ROWS = 2 ** 53
+
+
+def table_rows(X, W) -> np.ndarray:
+    """Every table's row ``X @ W`` at integer arrays X (..., width), for a
+    ``weight_matrix`` W stored as float64: one BLAS product over X's rows
+    flattened, cast back to int64, shape (..., m).
+
+    Exact below ``EXACT_ROWS``: X and W hold nonnegative integers, so every
+    term and partial sum of a row's product is a nonnegative integer no
+    larger than the row id, and float64 holds every integer below 2^53.
+    Every reader's ids stay below it: policy and kernel rows, stacked over
+    agents, through ``policy.MAX_TABLE_ENTRIES`` and ``model.DEP_TABLE_CAP``
+    (at most 10^9 and 2 * 10^8 rows at ``envs.MAX_AGENTS``), and
+    truncated-Q cells, stacked too, through ``layout.q_table_layouts``.
+    """
+    flat = X.reshape(-1, X.shape[-1])
+    return (flat @ W).astype(np.int64).reshape(X.shape[:-1] + W.shape[1:])
 
 
 def space_size(sizes) -> int:

@@ -8,7 +8,7 @@ phase is one array op across all agents:
 
 - agent i's (S_i, A_i) table (occupancy, shadow reward) is the slice
   ``sa_off[i]:sa_off[i + 1]`` of one flat array, at cell s * A_i + a;
-- ``[S | A] @ q_w``, with ``q_w`` an ``indexing.weight_matrix``, is every
+- ``[S | A] @ q_w``, ``q_w`` a float64 ``indexing.weight_matrix``, is every
   agent's truncated-Q cell (``q_cells``), and agent i's dense cell ids
   start at ``q_off[i]`` of one stacked id space;
 - ``S @ theta.row_w`` is every agent's policy-table row (``ThetaLayout``),
@@ -18,9 +18,10 @@ phase is one array op across all agents:
 
 ``RunLayout`` also holds the run's ``Simulator`` and the TD step sizes, so
 one TD evaluation is ``critic.td_fit`` of the layout along a rollout of
-``critic.td_draws``. ``q_table_layout`` is the one truncated-Q shape rule,
-and ``q_table_layouts`` applies it to every agent and stacks their ids;
-``config`` checks it at parse time.
+``critic.td_draws``. Both products are ``indexing.table_rows``.
+``q_table_layout`` is the one truncated-Q shape rule, and
+``q_table_layouts`` applies it to every agent and stacks their ids below
+2^53, where that read is exact; ``config`` checks it at parse time.
 """
 
 from __future__ import annotations
@@ -44,16 +45,16 @@ def q_table_layout(cmdp: FactoredCMDP, agent: int, kappa: int, steps=None):
     A TD fit of ``steps`` steps stores at most min(dense cells, steps + 1)
     cells; ``steps=None`` is a table that stores every cell. Raises
     ValueError above MAX_Q_CELLS stored cells, or when a flat cell id would
-    not fit in int64.
+    reach ``indexing.EXACT_ROWS`` (2^53).
     """
     nbhd = khop_neighborhood(cmdp.graph, agent, kappa)
     s_sizes = tuple(cmdp.local_state_sizes[j] for j in nbhd)
     a_sizes = tuple(cmdp.local_action_sizes[j] for j in nbhd)
     dense = indexing.space_size(s_sizes + a_sizes)
-    if dense - 1 > np.iinfo(np.int64).max:
+    if dense > indexing.EXACT_ROWS:
         raise ValueError(
             f"truncated Q table of agent {agent} has {dense} cells, whose "
-            f"flat ids do not fit in int64")
+            f"flat ids reach 2^53, the float64-exact bound")
     stored = dense if steps is None else min(dense, steps + 1)
     if stored > MAX_Q_CELLS:
         raise ValueError(
@@ -67,16 +68,16 @@ def q_table_layouts(cmdp: FactoredCMDP, kappa: int, steps=None):
     ids in one stacked id space: agent i's ids start at ``off[i]``.
 
     Raises ValueError as ``q_table_layout`` does, or when the stacked ids
-    would not fit in int64.
+    would reach ``indexing.EXACT_ROWS``.
     """
     layouts = tuple(q_table_layout(cmdp, i, kappa, steps)
                     for i in range(cmdp.n_agents))
     sizes = [indexing.space_size(s + a) for _, s, a in layouts]
-    if sum(sizes) - 1 > np.iinfo(np.int64).max:
+    if sum(sizes) > indexing.EXACT_ROWS:
         raise ValueError(
             f"the truncated Q tables of all {cmdp.n_agents} agents have "
-            f"{sum(sizes)} cells together, whose stacked ids do not fit in "
-            f"int64")
+            f"{sum(sizes)} cells together, whose stacked ids reach 2^53, the "
+            f"float64-exact bound")
     return layouts, indexing.offsets(sizes)
 
 
@@ -93,11 +94,11 @@ class ThetaLayout:
         self.action_sizes = np.array(policy.action_sizes, dtype=np.int64)
         # the column count of each stacked row
         self.row_actions = np.repeat(policy.action_sizes, n_rows)
-        self.row_w = policy.row_weights()
+        self.row_w = policy.row_weights().astype(np.float64)
 
     def rows(self, S) -> np.ndarray:
         """Every agent's table row at integer global states (..., n)."""
-        return S @ self.row_w
+        return indexing.table_rows(S, self.row_w)
 
     def score_sums(self, policy: KHopPolicy, rows, acts,
                    weights) -> np.ndarray:
@@ -146,7 +147,7 @@ class RunLayout:
                                for nbhd, _, _ in self.q_layouts])
         self.q_w = indexing.weight_matrix(2 * n, [
             (nbhd + tuple(n + j for j in nbhd), s_sizes + a_sizes)
-            for nbhd, s_sizes, a_sizes in self.q_layouts])
+            for nbhd, s_sizes, a_sizes in self.q_layouts]).astype(np.float64)
         self.etas = (None if td is None else
                      td.step_size(np.arange(td.steps)).tolist())
 
@@ -155,7 +156,7 @@ class RunLayout:
         arrays (..., n), which broadcast: column i is agent i's cell (s_N,
         a_N) of its neighborhood N's states then actions, encoded."""
         S, A = np.broadcast_arrays(S, A)
-        return np.concatenate([S, A], axis=-1) @ self.q_w
+        return indexing.table_rows(np.concatenate([S, A], axis=-1), self.q_w)
 
     def sa_cells(self, S, A) -> np.ndarray:
         """Every agent's local pair (S_i, A_i) as a cell of the stacked

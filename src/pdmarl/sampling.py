@@ -3,9 +3,9 @@
 ``Simulator`` is the one inverse-CDF sampler of the package: it finds every
 agent's table row with one product ``rows = x @ W`` over the rows
 ``x = [s | a | 1]``, W the policy's or the kernels'
-``indexing.weight_matrix`` above the CDF offsets (an exact float64
-product), and draws every agent's action (or next state) with one gather
-from stacked CDF tables. ``Simulator.rollout`` runs row groups of
+``indexing.weight_matrix`` above the CDF offsets (``indexing.table_rows``),
+and draws every agent's action (or next state) with one gather from
+stacked CDF tables. ``Simulator.rollout`` runs row groups of
 different lengths together: ``train`` rolls out its sampling batch
 (``trajectory_draws``) and both TD trajectories (``critic.td_draws``) at
 once. Rows of longer groups come first, so the rows still running at any
@@ -46,6 +46,7 @@ import numpy as np
 
 from .model import FactoredCMDP
 from .policy import KHopPolicy
+from . import indexing
 
 
 class CdfLayout:
@@ -194,10 +195,10 @@ class Simulator:
 
     A row of the rollout is one integer vector ``x = [s | a | 1]`` of length
     2n+1. Each half-step looks up every agent's stacked CDF row with one
-    product ``x @ W``: ``act_w`` stacks ``KHopPolicy.row_weights`` (the
-    actions weigh nothing), ``trans_w`` ``FactoredCMDP.kernel_weights``,
-    and the last row of each holds the ``InverseCdf`` offsets; ``rows``
-    takes the product in float64 (``act_wf``, ``trans_wf``).
+    ``indexing.table_rows`` of the float64 weights: ``act_wf`` stacks
+    ``KHopPolicy.row_weights`` (the actions weigh nothing), ``trans_wf``
+    ``FactoredCMDP.kernel_weights``, and the last row of each holds the
+    ``InverseCdf`` offsets.
     ``init_cdf`` draws the initial states of ``trajectory_draws``.
     Only the policy CDF depends on the policy's parameters: it is built
     from the policy's stacked probabilities in ``policy_layout``, and
@@ -214,20 +215,11 @@ class Simulator:
             [kern.table for kern in cmdp.kernels])
         self.init_cdf = InverseCdf.of_tables(
             [np.asarray(d)[None, :] for d in cmdp.initial_dist])
-        self.act_w = np.vstack([policy.row_weights(),
-                                np.zeros((n, n), dtype=np.int64),
-                                self.policy_cdf.offsets])
-        self.trans_w = np.vstack([cmdp.kernel_weights(),
-                                  self.kernel_cdf.offsets])
-        # Every CDF row id is below its stacked tables' total row count: at
-        # most n times ``policy.MAX_TABLE_ENTRIES`` (10^9 at
-        # ``envs.MAX_AGENTS``) for the policy, and the kernel tables' rows,
-        # which are held in memory. Both are far below 2^53, and every term
-        # and partial sum of ``x @ act_w`` or ``x @ trans_w`` is a
-        # nonnegative integer no larger, so the float64 product (BLAS) is
-        # exact.
-        self.act_wf = self.act_w.astype(np.float64)
-        self.trans_wf = self.trans_w.astype(np.float64)
+        self.act_wf = np.zeros((2 * n + 1, n))
+        self.act_wf[:n] = policy.row_weights()
+        self.act_wf[-1] = self.policy_cdf.offsets
+        self.trans_wf = np.vstack([cmdp.kernel_weights(),
+                                   self.kernel_cdf.offsets], dtype=np.float64)
         self.open_loop = all((kern.table == kern.table[0]).all()
                              for kern in cmdp.kernels)
 
@@ -238,14 +230,6 @@ class Simulator:
         sim = copy.copy(self)
         sim.policy_cdf = InverseCdf(self.policy_layout, policy.probs)
         return sim
-
-    def rows(self, x, weights) -> np.ndarray:
-        """Stacked CDF rows ``x @ weights`` of integer rollout rows x
-        (..., 2n+1), ``weights`` ``act_wf`` or ``trans_wf``: one exact
-        float64 product of x's rows cast back to int64."""
-        flat = x.reshape(-1, x.shape[-1])
-        return (flat @ weights).astype(np.int64).reshape(
-            x.shape[:-1] + (self.n,))
 
     def _sweep(self, x, u_act, u_trans) -> int:
         """One sweep over the W steps of rollout rows x (W+1, r, 2n+1), whose
@@ -258,23 +242,22 @@ class Simulator:
         stepped loop; an ``open_loop`` window is exact after one sweep."""
         n, W = self.n, len(u_act)
         act, trans = self.policy_cdf.draw_stacked, self.kernel_cdf.draw_stacked
+        rows = indexing.table_rows
         if W == 1 and not self.open_loop:
-            # the stepped loop: one step needs no check, and its 2-D rows
-            # need no reshapes
+            # the stepped loop: one step needs no check
             xk = x[0]
-            act((xk @ self.act_wf).astype(np.int64), u_act[0], xk[:, n:2 * n])
-            trans((xk @ self.trans_wf).astype(np.int64), u_trans[0],
-                  x[1, :, :n])
+            act(rows(xk, self.act_wf), u_act[0], xk[:, n:2 * n])
+            trans(rows(xk, self.trans_wf), u_trans[0], x[1, :, :n])
             return 1
         xs, nxt = x[:-1], x[1:, :, :n]
         if self.open_loop:
             # no next state reads the trajectory: every state, then every
             # action
             trans(self.kernel_cdf.offsets, u_trans, nxt)
-            act(self.rows(xs, self.act_wf), u_act, xs[..., n:2 * n])
+            act(rows(xs, self.act_wf), u_act, xs[..., n:2 * n])
             return W
-        act(self.rows(xs, self.act_wf), u_act, xs[..., n:2 * n])
-        new = trans(self.rows(xs, self.trans_wf), u_trans,
+        act(rows(xs, self.act_wf), u_act, xs[..., n:2 * n])
+        new = trans(rows(xs, self.trans_wf), u_trans,
                     np.empty(nxt.shape, np.int64))
         changed = (new[:-1] != nxt[:-1]).any(axis=(1, 2))
         nxt[...] = new

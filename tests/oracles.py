@@ -353,13 +353,27 @@ def exact_truncated_pg(cmdp, policy: KHopPolicy, objectives, constraints, mu,
 
 # -- rollouts -----------------------------------------------------------------
 
-def stepped_rollout(sim, groups):
+def simulator_weights(cmdp, policy):
+    """The (2n+1, n) int64 weights of ``Simulator``'s two half-steps, taken
+    from the encoder: the policy's ``row_weights()`` above zeros for the
+    actions, and ``kernel_weights()``, each above the offsets of its stacked
+    tables' rows. Rows ``[s | a | 1] @ W`` are the stacked CDF rows."""
+    n = cmdp.n_agents
+    act_w = np.vstack([policy.row_weights(), np.zeros((n, n), np.int64),
+                       indexing.offsets([len(t) for t in policy.theta])[:-1]])
+    trans_w = np.vstack([cmdp.kernel_weights(), indexing.offsets(
+        [len(kern.table) for kern in cmdp.kernels])[:-1]])
+    return act_w, trans_w
+
+
+def stepped_rollout(sim, weights, groups):
     """``Simulator.rollout`` one step at a time: every row of every group at
     every step of the longest, a group's uniforms padded with
     ``sampling.PAD_U`` past its own (``u_trans`` past its length - 1), each
-    step's rows read with the int64 products ``x @ sim.act_w`` and
-    ``x @ sim.trans_w``; each group's (states, actions), (R_i, T_i, n)."""
-    n = sim.n
+    step's rows read with the int64 products ``x @ act_w`` and
+    ``x @ trans_w`` of ``weights``, as ``simulator_weights`` returns them;
+    each group's (states, actions), (R_i, T_i, n)."""
+    n, (act_w, trans_w) = sim.n, weights
     lengths = [len(u_act) for _, u_act, _ in groups]
     T = max(lengths)
     starts = np.cumsum([0] + [len(s) for s, _, _ in groups])
@@ -373,8 +387,8 @@ def stepped_rollout(sim, groups):
         u_trans[:t - 1, r0:r1] = ut[:t - 1]
     act, trans = sim.policy_cdf.draw_stacked, sim.kernel_cdf.draw_stacked
     for k in range(T):
-        act(x[k] @ sim.act_w, u_act[k], x[k, :, n:2 * n])
-        trans(x[k] @ sim.trans_w, u_trans[k], x[k + 1, :, :n])
+        act(x[k] @ act_w, u_act[k], x[k, :, n:2 * n])
+        trans(x[k] @ trans_w, u_trans[k], x[k + 1, :, :n])
     by_row = x.swapaxes(0, 1)
     return [(by_row[r0:r1, :t, :n], by_row[r0:r1, :t, n:2 * n])
             for r0, r1, t in zip(starts, starts[1:], lengths)]

@@ -515,27 +515,29 @@ class TestMainEntryPoint:
         assert err.startswith("config error: kappa 1 is too large")
         assert not out.exists()
 
-    def test_stacked_q_ids_beyond_int64_exit_one(self, tmp_path, capsys,
-                                                 monkeypatch):
-        # the 32-agent line at kappa 15: agents 15 and 16 have 2^62 Q cells
-        # each, so each table's ids fit int64 and the stacked ids do not. The
-        # policy-table cap rejects this config first (2^31-row tables), and
-        # every config it admits stacks far below int64; lifted here so that
-        # the stacked-id rule is what fails
+    def test_stacked_q_ids_at_2_53_exit_one(self, tmp_path, capsys,
+                                            monkeypatch):
+        # the 32-agent line at kappa 12: agents 12 to 19 have 2^50 Q cells
+        # each, so each table's ids are below 2^53 and the stacked ids are
+        # not. The policy-table cap rejects this config first (2^25-row
+        # tables), and every config it admits stacks far below 2^53; lifted
+        # here so that the stacked-id rule is what fails
         monkeypatch.setattr(policy, "MAX_TABLE_ENTRIES", 2**40)
 
         def no_training(*args):
             raise AssertionError("the 32-agent config reached train")
         monkeypatch.setattr(pdmarl.cli, "train", no_training)
         cfg_path = self.write_config(tmp_path, BASE_YAML.replace(
-            "  n: 3", "  n: 32").replace("kappa: 1", "kappa: 15"))
+            "  n: 3", "  n: 32").replace("kappa: 1", "kappa: 12"))
         out = tmp_path / "out"
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: kappa 15 with 100 TD steps is "
+        assert err.startswith("config error: kappa 12 with 100 TD steps is "
                               "too large: the truncated Q tables of all 32 "
                               "agents have ")
-        assert "stacked ids do not fit in int64" in err
+        assert err.endswith("stacked ids reach 2^53, the float64-exact "
+                            "bound\n")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_numeric_abort_writes_partial_artifacts(self, tmp_path, capsys,

@@ -1,9 +1,11 @@
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from pdmarl.graph import line_graph
 from pdmarl.model import compute_decay_matrix
 from pdmarl.policy import KHopPolicy
 from pdmarl.critic import (TDConfig, default_td_config, read_critics,
@@ -271,19 +273,31 @@ class TestSparseQTable:
                            "51840000 cells"):
             q_table_layout(m, 5, 1)
 
-    def test_layout_rejects_cell_ids_beyond_int64(self):
+    def test_layout_rejects_cell_ids_at_2_53(self):
+        # one agent with 2^26 states: 2^27 actions give 2^53 cells, the last
+        # id 2^53 - 1; one action more gives ids past 2^53
+        def one_agent(actions):
+            return SimpleNamespace(graph=line_graph(1),
+                                   local_state_sizes=(2**26,),
+                                   local_action_sizes=(actions,))
+        q_table_layout(one_agent(2**27), 0, 0, 500)
+        with pytest.raises(ValueError, match=f"agent 0 has {2**53 + 2**26} "
+                           "cells, whose flat ids reach 2\\^53, the "
+                           "float64-exact bound"):
+            q_table_layout(one_agent(2**27 + 1), 0, 0, 500)
         m = chain(32)
-        q_table_layout(m, 16, 15, 500)  # 2^62 cells
-        with pytest.raises(ValueError, match="do not fit in int64"):
-            q_table_layout(m, 16, 16, 500)  # 2^64 cells
-        # agents 15 and 16 each fit at 2^62 cells, but not all 32 agents'
-        # stacked ids
+        q_table_layout(m, 16, 12, 500)  # 2^50 cells
+        with pytest.raises(ValueError, match="ids reach 2\\^53"):
+            q_table_layout(m, 16, 13, 500)  # 2^54 cells
+        # each agent has at most 2^50 cells at kappa 12, but the stacked ids
+        # of all 32 agents reach 2^53
         with pytest.raises(ValueError, match="all 32 agents have .* cells "
-                           "together, whose stacked ids do not fit in int64"):
-            q_table_layouts(m, 15, 500)
-        layouts, off = q_table_layouts(m, 14, 500)
+                           "together, whose stacked ids reach 2\\^53, the "
+                           "float64-exact bound"):
+            q_table_layouts(m, 12, 500)
+        layouts, off = q_table_layouts(m, 11, 500)
         assert off[-1] == sum(indexing.space_size(s + a)
-                              for _, s, a in layouts) < 2**63
+                              for _, s, a in layouts) < 2**53
 
     def test_train_path_allocates_no_dense_table(self):
         # agent 5's dense table would take 415 MB

@@ -32,6 +32,23 @@ def test_encode_matches_ravel_multi_index(seed):
         np.testing.assert_array_equal(encode(X, positions, sizes), want)
 
 
+def test_table_rows_are_exact_below_2_53():
+    """One table of 2^26 x 2^27 cells, whose last row is 2^53 - 1, and
+    one of 2 x 2^53 cells, whose row 2^53 + 1 float64 cannot hold."""
+    W = indexing.weight_matrix(3, [((0, 1), (2**26, 2**27)),
+                                   ((2, 1), (2, 2**53))])
+    rng = np.random.default_rng(np.random.SeedSequence(7))
+    X = rng.integers(0, [2**26, 2**27, 1], size=(4, 5, 3))
+    X[0, 0] = [2**26 - 1, 2**27 - 1, 0]
+    got = indexing.table_rows(X, W.astype(np.float64))
+    assert got.dtype == np.int64 and got.shape == (4, 5, 2)
+    assert np.array_equal(got, X @ W)
+    assert got[0, 0, 0] == 2**53 - 1 == indexing.EXACT_ROWS - 1
+    past = np.array([[0, 1, 1]])
+    assert (past @ W)[0, 1] == 2**53 + 1
+    assert indexing.table_rows(past, W.astype(np.float64))[0, 1] == 2**53
+
+
 @pytest.mark.parametrize("env", ["line4", "grid2"])
 def test_dependency_rows_on_broadcast_grids(env):
     """Kernel rows ``[S | A] @ kernel_weights()`` at every state with every

@@ -1,6 +1,8 @@
 """The stacked array ops of a training iteration against plain per-agent
 references, byte for byte, and the run layout built once per run."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,53 @@ def test_stacked_score_sums_are_per_agent_bincounts(env, kappa):
                                    A[..., i].ravel(), weights[..., i].ravel())
         assert g.shape == policy.theta[i].shape
         assert g.tobytes() == want.tobytes()
+
+
+# -- exact float64 row reads --------------------------------------------------
+
+@pytest.mark.parametrize("env,kappa", [("line5", 2), ("grid3", 1)])
+def test_row_reads_are_the_int64_products(env, kappa):
+    """``q_cells`` and ``ThetaLayout.rows``, each an ``indexing.table_rows``
+    of float64 weights, against the int64 products with the encoder's
+    weights, at random cells and at the last cell of every table."""
+    cmdp = model(env)
+    policy = random_policy(cmdp, kappa, 4)
+    layout = RunLayout(cmdp, policy, kappa)
+    n = cmdp.n_agents
+    S, A = random_batch(rng_for(5), 3, 11, cmdp.local_state_sizes,
+                        cmdp.local_action_sizes)
+    S[0, 0] = np.array(cmdp.local_state_sizes) - 1
+    A[0, 0] = np.array(cmdp.local_action_sizes) - 1
+    q_w = indexing.weight_matrix(2 * n, [
+        (nbhd + tuple(n + j for j in nbhd), s + a)
+        for nbhd, s, a in layout.q_layouts])
+    cells, rows = layout.q_cells(S, A), layout.theta.rows(S)
+    for got, want in ((cells, np.concatenate([S, A], axis=-1) @ q_w),
+                      (rows, S @ policy.row_weights())):
+        assert got.dtype == np.int64 and got.shape == S.shape
+        assert np.array_equal(got, want)
+    assert np.array_equal(cells[0, 0] + 1, np.diff(layout.q_off))
+    assert np.array_equal(rows[0, 0] + 1, [len(t) for t in policy.theta])
+
+
+# What building ``RunLayout`` for the 1000-agent line at kappa 1 may hold:
+# its float64 weight matrices, the simulator's two (2n+1, n), the Q cells'
+# (2n, n) and the policy rows' (n, n), take 53.4 MiB of it.
+LAYOUT_1000_BYTES = 60 * 2**20
+
+
+def test_layout_of_the_1000_agent_line_holds_its_weights_once():
+    cmdp = synthetic_line(SyntheticLineSpec(n=1000, gamma=0.99))
+    policy = KHopPolicy.zeros(cmdp.graph, cmdp.local_state_sizes,
+                              cmdp.local_action_sizes, 1)
+    tracemalloc.start()
+    try:
+        layout = RunLayout(cmdp, policy, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert layout.q_w.dtype == layout.theta.row_w.dtype == np.float64
+    assert held <= LAYOUT_1000_BYTES
 
 
 # -- TD step sizes ------------------------------------------------------------

@@ -310,6 +310,25 @@ class TestProductForm:
             d, m.initial_state_distribution() + m.gamma * M.T @ d, atol=1e-12)
 
 
+@pytest.mark.parametrize("side,deadline", [(2, 2), (3, 1)])
+def test_exact_solve_rows_are_the_int64_products(side, deadline):
+    # deadline-2 kernels read their agent's action; the side-3 grid's action
+    # sizes are (2, 3, 2, 3, 5, 3, 2, 3, 2)
+    m = wireless_grid(WirelessGridSpec(side=side, deadline=deadline,
+                                       gamma=0.95))
+    pol = random_or_boundary_policy(m, 1, "random", side)
+    solve = ExactSolve(m, pol)
+    s_dec, n = solve.s_dec, m.n_agents
+    assert solve.rows.dtype == np.int64
+    assert np.array_equal(solve.rows, s_dec @ pol.row_weights())
+    for i, (kern, a) in enumerate(zip(m.kernels, m.local_action_sizes)):
+        for c in range(a):
+            x = np.concatenate([s_dec, np.zeros_like(s_dec)], axis=-1)
+            x[:, n + i] = c
+            want = kern.table[(x @ m.kernel_weights())[:, i]]
+            assert solve.kernels[i][:, c].tobytes() == want.tobytes()
+
+
 class TestBeyondDense:
     """The state-space gradient against the pair-level one in product form
     (``PairExactSolve``) where the dense (S, A, S') solve cannot reach: it

@@ -32,8 +32,8 @@ from pdmarl.utilities import ENTROPY, L2_ACTION, GeneralUtility
 
 from helpers import (perfbench_workloads, reward_steps, sample_batch,
                      td_rollout, td_tables)
-from oracles import (as_constraint, dense_table, stepped_rollout,
-                     td_fit_reference)
+from oracles import (as_constraint, dense_table, simulator_weights,
+                     stepped_rollout, td_fit_reference)
 
 
 workloads = perfbench_workloads()
@@ -319,10 +319,12 @@ def test_float_policy_rows_are_the_int64_product(side, kappa):
     x[..., n:2 * n] = rng.integers(np.array(cmdp.local_action_sizes),
                                    size=(STACK_STEPS, 7, n))
     x[0, 0, :n] = np.array(cmdp.local_state_sizes) - 1
-    want = x @ sim.act_w
-    for weights, exact in ((sim.act_wf, sim.act_w), (sim.trans_wf,
-                                                     sim.trans_w)):
-        got = sim.rows(x, weights)
+    act_w, trans_w = simulator_weights(cmdp, policy)
+    want = x @ act_w
+    for weights, exact in ((sim.act_wf, act_w), (sim.trans_wf, trans_w)):
+        assert weights.dtype == np.float64
+        assert np.array_equal(weights, exact)
+        got = indexing.table_rows(x, weights)
         assert got.dtype == np.int64
         assert np.array_equal(got, x @ exact)
     assert np.array_equal(want[0, 0], sim.policy_cdf.offsets + [
@@ -345,7 +347,7 @@ def test_open_loop_rollout_is_the_stepped_one(monkeypatch, name, kappa, pad):
     groups = random_groups(cmdp, rng, ((5, 20), (1, STACK_STEPS + 6),
                                        (1, 2 * STACK_STEPS)))
     monkeypatch.setattr(sampling, "PAD_U", pad)
-    got = assert_rollout_is_the_stepped_one(sim, groups)
+    got = assert_rollout_is_the_stepped_one(sim, cmdp, policy, groups)
     # the draws are not all alike
     assert len(np.unique(got[1][0])) > 1 and len(np.unique(got[1][1])) > 1
 
@@ -380,11 +382,13 @@ def random_groups(cmdp, rng, shapes):
     return groups
 
 
-def assert_rollout_is_the_stepped_one(sim, groups):
-    """``sim.rollout(groups)``, checked against ``stepped_rollout``."""
+def assert_rollout_is_the_stepped_one(sim, cmdp, policy, groups):
+    """``sim.rollout(groups)``, checked against ``stepped_rollout`` with the
+    int64 weights of ``cmdp`` and ``policy``."""
     got = sim.rollout(groups)
+    weights = simulator_weights(cmdp, policy)
     for (S, A), (S_want, A_want), (s, u_act, _) in zip(
-            got, stepped_rollout(sim, groups), groups, strict=True):
+            got, stepped_rollout(sim, weights, groups), groups, strict=True):
         assert S.shape == A.shape == u_act.shape[1::-1] + (sim.n,)
         assert S.dtype == A.dtype == np.int64
         assert S.flags.c_contiguous and A.flags.c_contiguous
@@ -437,7 +441,7 @@ def test_rollout_is_the_stepped_one(monkeypatch, name, kappa, pad):
     assert not sim.open_loop
     groups = random_groups(cmdp, rng_for(12), UNEQUAL)
     monkeypatch.setattr(sampling, "PAD_U", pad)
-    assert_rollout_is_the_stepped_one(sim, groups)
+    assert_rollout_is_the_stepped_one(sim, cmdp, policy, groups)
 
 
 def test_rollout_that_never_merges_takes_at_most_one_sweep_a_step(
@@ -454,7 +458,7 @@ def test_rollout_that_never_merges_takes_at_most_one_sweep_a_step(
     groups = [(s, rng_for(1).random((T, 2, 4)),
                rng_for(2).random((T - 1, 2, 4)))]
     counts = count_draws(monkeypatch)
-    [(S, _)] = assert_rollout_is_the_stepped_one(sim, groups)
+    [(S, _)] = assert_rollout_is_the_stepped_one(sim, cmdp, policy, groups)
     assert np.array_equal(S[:, 1::2],
                           s[:, None, [1, 0, 3, 2]].repeat(T // 2, axis=1))
     assert counts[0]["calls"] == 2 * T
@@ -467,7 +471,7 @@ def test_rollout_of_many_rows_is_the_stepped_one(rows, steps):
                                cmdp.local_action_sizes, 1, rng_for(4),
                                scale=1.0)
     sim = Simulator(cmdp, policy)
-    assert_rollout_is_the_stepped_one(sim, random_groups(
+    assert_rollout_is_the_stepped_one(sim, cmdp, policy, random_groups(
         cmdp, rng_for(13), ((rows, steps), (7, 2 * steps))))
 
 
