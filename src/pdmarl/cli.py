@@ -1,8 +1,7 @@
 """Command line harness: `run` executes one training job and writes its
-artifacts, `sweep` repeats it along one axis, `verify` checks the built-in
-invariants on small instances.
+artifacts, `sweep` repeats it along one axis.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric abort.
+Exit codes: 0 success, 1 configuration or usage error, 2 numeric abort.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
 
 from . import __version__
 from .config import (ConfigError, ExperimentConfig, build_env,
@@ -188,119 +186,6 @@ def _run_job(job):
     return run_experiment(run_cfg, run_dir)
 
 
-# -- verify ------------------------------------------------------------------
-
-def _verify_checks():
-    """Yield (name, callable) invariant checks on built-in small instances."""
-    from .envs import SyntheticLineSpec, synthetic_line
-    from .model import (TransitionKernel, LocalReward, FactoredCMDP,
-                        compute_decay_matrix)
-    from .graph import DependenceGraph
-    from .policy import KHopPolicy
-    from .occupancy import ExactSolve
-    from .utilities import GeneralUtility, ENTROPY, CONSTRAINT
-    from .critic import default_td_config, td_draws, td_fit
-    from .layout import RunLayout
-    from .primal_dual import (exact_lagrangian_gradient, fd_lagrangian_gradient,
-                              max_linear_over_box_ball)
-
-    chain = synthetic_line(SyntheticLineSpec(n=2, gamma=0.9))
-    rng = default_rng(SeedSequence(7))
-    policy = KHopPolicy.random(chain.graph, chain.local_state_sizes,
-                               chain.local_action_sizes, kappa=1, rng=rng,
-                               scale=0.5)
-
-    def transition_rows():
-        M = ExactSolve(chain, policy).chain
-        return bool(np.allclose(M.sum(axis=1), 1.0, atol=1e-12))
-
-    def occupancy_flow():
-        solve = ExactSolve(chain, policy)
-        d, M = solve.d, solve.chain
-        mass_ok = abs(d.sum() - 1.0 / (1.0 - chain.gamma)) < 1e-8
-        residual = (d - chain.initial_state_distribution()
-                    - chain.gamma * M.T @ d)
-        return mass_ok and float(np.max(np.abs(residual))) < 1e-10
-
-    def score_bound():
-        worst = 0.0
-        for i in range(chain.n_agents):
-            probs = policy.prob_tables[i]
-            A = probs.shape[1]
-            sc = np.eye(A)[None, :, :] - probs[:, None, :]
-            worst = max(worst, float(np.max(np.linalg.norm(sc, axis=-1))))
-        return worst <= np.sqrt(2.0) + 1e-15
-
-    def gradient_oracle():
-        cons = [GeneralUtility(kind=ENTROPY, role=CONSTRAINT, threshold=0.1,
-                               gamma=chain.gamma) for _ in range(2)]
-        mu = np.array([0.3, 0.7])
-        exact = exact_lagrangian_gradient(chain, policy, None, cons, mu)
-        fd = fd_lagrangian_gradient(chain, policy, None, cons, mu)
-        num = np.linalg.norm(np.concatenate(
-            [(e - f).ravel() for e, f in zip(exact, fd)]))
-        den = np.linalg.norm(np.concatenate([f.ravel() for f in fd]))
-        return num / max(den, 1e-12) < 1e-4
-
-    def td_fixed_point():
-        graph = DependenceGraph(n=1, edges=())
-        kern = TransitionKernel.from_function(
-            lambda S, A: [1.0], 0, (0,), (0,), (1,), (1,))
-        rew = LocalReward.from_function(lambda cs, ca: 1.0, 0, (0,), (),
-                                        (1,), (1,))
-        mdp = FactoredCMDP(graph=graph, local_state_sizes=(1,),
-                           local_action_sizes=(1,), kernels=(kern,),
-                           rewards=(rew,), initial_dist=(np.array([1.0]),),
-                           gamma=0.9)
-        pol = KHopPolicy.zeros(graph, (1,), (1,), kappa=0)
-        cfg = default_td_config(0.9, steps=10_000)
-        layout = RunLayout(mdp, pol, 0, cfg)
-        [(S, A)] = layout.simulator.rollout([td_draws(
-            mdp, cfg, default_rng(SeedSequence(1)))])
-        q = td_fit(layout, np.ones((1, cfg.steps)), S[0], A[0])
-        return abs(q[0].read(np.array([0]))[0] - 10.0) < 0.05
-
-    def stationarity_interior():
-        g = np.array([0.3, -0.2, 0.1])
-        x = max_linear_over_box_ball(g, -10 * np.ones(3), 10 * np.ones(3))
-        return abs(x - np.linalg.norm(g)) < 1e-9
-
-    def decay_locality():
-        prof = compute_decay_matrix(synthetic_line(
-            SyntheticLineSpec(n=3, gamma=0.9)), chi=3.0)
-        M = prof.M
-        off = sum(M[i, j] for i in range(3) for j in range(3)
-                  if j not in (i, i + 1))
-        return off == 0.0
-
-    return [
-        ("state chain rows are distributions", transition_rows),
-        ("exact occupancy satisfies flow balance and mass", occupancy_flow),
-        ("softmax score norm bounded by sqrt(2)", score_bound),
-        ("exact gradient matches finite differences", gradient_oracle),
-        ("td evaluation reaches the known fixed point", td_fixed_point),
-        ("stationarity measure equals gradient norm in the interior",
-         stationarity_interior),
-        ("transition sensitivity vanishes outside the neighborhood",
-         decay_locality),
-    ]
-
-
-def cmd_verify(_args) -> int:
-    failures = 0
-    for name, check in _verify_checks():
-        try:
-            ok = check()
-        except Exception as exc:  # report, keep checking the rest
-            ok = False
-            print(f"FAIL {name}: {exc}")
-            failures += 1
-            continue
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        failures += 0 if ok else 1
-    return 0 if failures == 0 else 1
-
-
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -323,7 +208,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdmarl",
         description="Primal-dual multi-agent trainer for networked "
@@ -344,11 +229,15 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--parallel", action="store_true")
     p_sweep.set_defaults(fn=cmd_sweep)
+    return parser
 
-    p_verify = sub.add_parser("verify", help="check built-in invariants")
-    p_verify.set_defaults(fn=cmd_verify)
 
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a numeric abort
+        return 0 if exc.code == 0 else 1
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -51,11 +51,6 @@ class DependenceGraph:
                     queue.append(v)
         return dist
 
-    def distance(self, i, j):
-        self._check_agent(i)
-        self._check_agent(j)
-        return self._dist[i][j]
-
     def neighbors(self, i):
         self._check_agent(i)
         return tuple(j for j in range(self.n) if self._dist[i][j] == 1)

@@ -5,14 +5,14 @@ agent most significant, i.e. the same convention as numpy's C-order
 ravel_multi_index. This encoding is part of the on-disk checkpoint format.
 
 ``weight_matrix`` is the one encoder: its column i holds ``radix_weights``
-at the positions of one table's cells, so that ``X @ W`` is every table's
-row at the integer arrays X at once. It builds the policy rows
+at the positions of one table's cells, as float64, so that ``X @ W`` is
+every table's row at the integer arrays X at once. It builds the policy rows
 (``KHopPolicy.row_weights``), the kernel rows
 (``FactoredCMDP.kernel_weights``) and the truncated-Q cells
 (``layout.RunLayout``). ``table_rows`` is the one read of them: every
 reader (``sampling.Simulator``, ``layout.RunLayout`` and ``ThetaLayout``,
-``occupancy.ExactSolve``) stores its W once as float64 and takes the exact
-float64 product; ``offsets`` places per-agent tables end to end in one
+``occupancy.ExactSolve``) stores its W once and takes the exact float64
+product; ``offsets`` places per-agent tables end to end in one
 array. ``decode_table`` is the inverse over a whole space; the
 exact oracles build every agent's policy and kernel rows at every state and
 each reward's action cells by broadcasting over it, and ``row_kron``
@@ -37,11 +37,11 @@ def radix_weights(sizes) -> np.ndarray:
 
 
 def weight_matrix(width, columns) -> np.ndarray:
-    """(width, m) int64 weights whose column i holds ``radix_weights(sizes)``
-    at the rows ``positions``, for ``columns[i] = (positions, sizes)``: entry
-    i of ``X @ W`` is the row of the cell ``X[..., positions]`` of integer
-    arrays X (..., width)."""
-    w = np.zeros((width, len(columns)), dtype=np.int64)
+    """(width, m) float64 weights whose column i holds
+    ``radix_weights(sizes)`` at the rows ``positions``, for ``columns[i] =
+    (positions, sizes)``: entry i of ``table_rows(X, W)`` is the row of the
+    cell ``X[..., positions]`` of integer arrays X (..., width)."""
+    w = np.zeros((width, len(columns)))
     for i, (positions, sizes) in enumerate(columns):
         w[list(positions), i] = radix_weights(sizes)
     return w
@@ -53,8 +53,8 @@ EXACT_ROWS = 2 ** 53
 
 def table_rows(X, W) -> np.ndarray:
     """Every table's row ``X @ W`` at integer arrays X (..., width), for a
-    ``weight_matrix`` W stored as float64: one BLAS product over X's rows
-    flattened, cast back to int64, shape (..., m).
+    float64 ``weight_matrix`` W: one BLAS product over X's rows flattened,
+    cast back to int64, shape (..., m).
 
     Exact below ``EXACT_ROWS``: X and W hold nonnegative integers, so every
     term and partial sum of a row's product is a nonnegative integer no
@@ -102,17 +102,3 @@ def row_kron(factors) -> np.ndarray:
         out = (out[..., :, None] * f[..., None, :]).reshape(
             out.shape[:-1] + (-1,))
     return out
-
-
-def max_pairwise_l1(table, sizes, vary) -> float:
-    """Largest L1 distance between two rows of ``table`` whose cells differ
-    only at the positions ``vary``.
-
-    Rows are indexed by the encoding of cells of ``sizes``; 0.0 if no two
-    such rows exist.
-    """
-    k = len(sizes)
-    t = np.moveaxis(table.reshape(tuple(sizes) + (-1,)), list(vary),
-                    list(range(k - len(vary), k)))
-    rows = t.reshape(-1, space_size(sizes[p] for p in vary), t.shape[-1])
-    return float(np.abs(rows[:, :, None] - rows[:, None, :]).sum(axis=-1).max())

@@ -94,7 +94,7 @@ class ThetaLayout:
         self.action_sizes = np.array(policy.action_sizes, dtype=np.int64)
         # the column count of each stacked row
         self.row_actions = np.repeat(policy.action_sizes, n_rows)
-        self.row_w = policy.row_weights().astype(np.float64)
+        self.row_w = policy.row_weights()
 
     def rows(self, S) -> np.ndarray:
         """Every agent's table row at integer global states (..., n)."""
@@ -147,7 +147,7 @@ class RunLayout:
                                for nbhd, _, _ in self.q_layouts])
         self.q_w = indexing.weight_matrix(2 * n, [
             (nbhd + tuple(n + j for j in nbhd), s_sizes + a_sizes)
-            for nbhd, s_sizes, a_sizes in self.q_layouts]).astype(np.float64)
+            for nbhd, s_sizes, a_sizes in self.q_layouts])
         self.etas = (None if td is None else
                      td.step_size(np.arange(td.steps)).tolist())
 

@@ -5,14 +5,13 @@ declared subset of agents' states and its own action, so the state chain
 under a policy factors per agent. Kernels and local rewards are both array
 functions of their dependency cells, so neither can read an undeclared
 agent. A kernel's function is called once, on all its cells, and its table
-kept, which makes sampling cheap and lets the transition-sensitivity matrix
-be computed exactly by brute force on small instances. A reward's function
-is evaluated wherever it is read.
+kept, which makes sampling cheap and lets the tests compute the
+transition-sensitivity matrix by brute force on small instances. A reward's
+function is evaluated wherever it is read.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +29,6 @@ MAX_EXACT_PAIRS = 2 ** 22
 # kernel's function in one call; the simulator draws next states from the
 # tables it returns.
 DEP_TABLE_CAP = 200_000
-
-# ``compute_decay_matrix`` bisects the decay exponent in [0, OMEGA_MAX] to
-# a bracket of width OMEGA_TOL.
-OMEGA_MAX, OMEGA_TOL = 50.0, 1e-6
 
 
 class EnumerationCapExceeded(ValueError):
@@ -195,8 +190,9 @@ class FactoredCMDP:
                     f"{what} = {size} exceeds the enumeration cap {cap}")
 
     def kernel_weights(self) -> np.ndarray:
-        """(2n, n) int64 weights whose column i is kernel i's row encoding:
-        ``[S | A] @ kernel_weights()`` is every kernel's table row at once."""
+        """(2n, n) float64 weights whose column i is kernel i's row
+        encoding: ``indexing.table_rows([S | A], kernel_weights())`` is every
+        kernel's table row at once."""
         n = self.n_agents
         return indexing.weight_matrix(2 * n, [
             (kern.state_deps + tuple(n + j for j in kern.action_deps),
@@ -206,65 +202,3 @@ class FactoredCMDP:
         """Flat distribution over global states (product of local ones)."""
         return indexing.row_kron([np.asarray(d, dtype=float)
                                   for d in self.initial_dist])
-
-
-@dataclass(frozen=True)
-class DecayProfile:
-    """Transition-sensitivity matrix with its exponential decay certificate."""
-
-    M: np.ndarray
-    omega: float
-    chi: float
-    phi0: float
-    contraction_ok: bool  # whether chi < 2 / gamma
-
-
-def compute_decay_matrix(cmdp: FactoredCMDP, chi: float) -> DecayProfile:
-    """Brute-force transition-sensitivity matrix and its decay exponent.
-
-    M[i, j] is the largest L1 change in agent i's kernel when agent j's
-    state/action varies with all other coordinates held fixed. The returned
-    omega is the largest value (up to ``OMEGA_TOL``, capped at
-    ``OMEGA_MAX``) such that max_i sum_j exp(omega * d(i, j)) * M[i, j] <= chi.
-    """
-    n = cmdp.n_agents
-    M = np.zeros((n, n))
-    for i, kern in enumerate(cmdp.kernels):
-        deps = kern.state_deps + kern.action_deps
-        for j in set(deps):
-            M[i, j] = indexing.max_pairwise_l1(
-                kern.table, kern.dep_sizes,
-                [p for p, dep in enumerate(deps) if dep == j])
-
-    dist = np.array([[cmdp.graph.distance(i, j) for j in range(n)] for i in range(n)],
-                    dtype=float)
-
-    def weighted_max(omega):
-        expo = np.where(M > 0, np.minimum(omega * dist, 700.0), 0.0)
-        return float(np.max(np.sum(np.exp(expo) * M, axis=1)))
-
-    if weighted_max(0.0) > chi:
-        raise ValueError(
-            f"no omega > 0 satisfies the decay condition: even omega=0 gives "
-            f"{weighted_max(0.0):.6g} > chi={chi:.6g}"
-        )
-    lo, hi = 0.0, OMEGA_MAX
-    if weighted_max(hi) <= chi:
-        omega = hi
-    else:
-        while hi - lo > OMEGA_TOL:
-            mid = 0.5 * (lo + hi)
-            if weighted_max(mid) <= chi:
-                lo = mid
-            else:
-                hi = mid
-        omega = lo
-    if omega <= 0.0:
-        raise ValueError("decay exponent collapsed to zero; chi is too tight")
-    return DecayProfile(
-        M=M,
-        omega=omega,
-        chi=chi,
-        phi0=math.exp(-omega),
-        contraction_ok=chi < 2.0 / cmdp.gamma if cmdp.gamma > 0 else True,
-    )

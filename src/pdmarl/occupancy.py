@@ -58,14 +58,13 @@ class ExactSolve:
         self.cmdp = cmdp
         n, sizes = cmdp.n_agents, cmdp.local_state_sizes
         self.s_dec = s_dec = indexing.decode_table(sizes)
-        self.rows = indexing.table_rows(s_dec,
-                                        policy.row_weights().astype(float))
+        self.rows = indexing.table_rows(s_dec, policy.row_weights())
         self.pis = [probs[rows]
                     for probs, rows in zip(policy.prob_tables, self.rows.T)]
         # kernel i at (s, a_i): rows at every agent's action c, c < max A_i
         sa = np.concatenate(np.broadcast_arrays(s_dec[:, None], np.arange(
             max(cmdp.local_action_sizes))[None, :, None]), axis=-1)
-        k_rows = indexing.table_rows(sa, cmdp.kernel_weights().astype(float))
+        k_rows = indexing.table_rows(sa, cmdp.kernel_weights())
         self.kernels = [kern.table[k_rows[:, :a, i]] for i, (kern, a) in
                         enumerate(zip(cmdp.kernels, cmdp.local_action_sizes))]
         self.factors = [np.einsum("sa,sat->st", pi, k)

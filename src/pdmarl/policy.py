@@ -142,8 +142,9 @@ class KHopPolicy:
         return tuple(self.state_sizes[j] for j in self.neighborhood(i))
 
     def row_weights(self) -> np.ndarray:
-        """(n, n) int64 weights whose column i is agent i's row encoding:
-        ``S @ row_weights()`` is every agent's table row at once."""
+        """(n, n) float64 weights whose column i is agent i's row encoding:
+        ``indexing.table_rows(S, row_weights())`` is every agent's table row
+        at once."""
         return indexing.weight_matrix(self.graph.n, [
             (self.neighborhood(i), self.nbhd_state_sizes(i))
             for i in range(self.graph.n)])

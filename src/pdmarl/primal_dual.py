@@ -15,12 +15,11 @@ from .model import FactoredCMDP, EnumerationCapExceeded
 from .policy import KHopPolicy
 from .sampling import trajectory_draws
 from .occupancy import ExactSolve, estimate_local_occupancies
-from .utilities import UtilityPass, utility_value
+from .utilities import UtilityPass
 from .critic import (TDConfig, default_td_config, read_critics, td_draws,
                      td_fit)
 from . import indexing
 
-FD_STEP = 1e-5  # step of ``fd_lagrangian_gradient``'s central differences
 BISECT_TOL = 1e-10  # ``max_linear_over_box_ball`` bisects to this width
 
 
@@ -30,8 +29,11 @@ class NumericAbort(RuntimeError):
 
     def __init__(self, iteration, what, state=None):
         super().__init__(f"NaN in {what} at iteration {iteration}")
-        self.iteration = iteration
-        self.state = state
+        self.iteration, self.what, self.state = iteration, what, state
+
+    def __reduce__(self):
+        # pickled by its arguments, so that it crosses a process pool
+        return NumericAbort, (self.iteration, self.what, self.state)
 
 
 def dual_update(g_tilde, eta_mu, mu_bar, n) -> np.ndarray:
@@ -148,36 +150,6 @@ def exact_dual_gradient(cmdp: FactoredCMDP, policy: KHopPolicy, constraints,
                         solve: ExactSolve = None) -> np.ndarray:
     solve = solve or ExactSolve(cmdp, policy)
     return _exact_utilities(solve, constraints)[0] / cmdp.n_agents
-
-
-def lagrangian_value(cmdp: FactoredCMDP, policy: KHopPolicy,
-                     objectives, constraints, mu) -> float:
-    """Exact Lagrangian through exact occupancies (finite-difference target):
-    an env reward's value is d . r_bar, its ``ExactSolve.reward_means``."""
-    solve = ExactSolve(cmdp, policy)
-    mu = np.asarray(mu, dtype=float)
-    total = 0.0
-    for i, loc in enumerate(solve.local_occupancies):
-        if objectives is None:
-            f_i = float(solve.d @ solve.reward_means(cmdp.rewards[i])[0])
-        else:
-            f_i = utility_value(objectives[i], loc)
-        total += f_i + mu[i] * utility_value(constraints[i], loc)
-    return total / cmdp.n_agents
-
-
-def fd_lagrangian_gradient(cmdp: FactoredCMDP, policy: KHopPolicy,
-                           objectives, constraints, mu) -> tuple:
-    """Central finite differences of the Lagrangian over every theta entry,
-    with step ``FD_STEP``; one table per agent."""
-    grad = np.zeros_like(policy.theta_flat)
-    for k in range(grad.size):
-        for sign in (+1.0, -1.0):
-            theta = policy.theta_flat.copy()
-            theta[k] += sign * FD_STEP
-            grad[k] += sign * lagrangian_value(
-                cmdp, policy.with_flat(theta), objectives, constraints, mu)
-    return policy.stack.split(grad / (2.0 * FD_STEP))
 
 
 # -- stationarity metrics ----------------------------------------------------

@@ -219,7 +219,7 @@ class Simulator:
         self.act_wf[:n] = policy.row_weights()
         self.act_wf[-1] = self.policy_cdf.offsets
         self.trans_wf = np.vstack([cmdp.kernel_weights(),
-                                   self.kernel_cdf.offsets], dtype=np.float64)
+                                   self.kernel_cdf.offsets])
         self.open_loop = all((kern.table == kern.table[0]).all()
                              for kern in cmdp.kernels)
 

@@ -108,8 +108,3 @@ class UtilityPass:
             values[agents] = v
             shadow[cells] = r.reshape(len(agents), -1)
         return values - self.shift, shadow
-
-
-def utility_value(u: GeneralUtility, occ) -> float:
-    """Utility value at an (S_i, A_i) occupancy table (``UtilityPass``)."""
-    return float(UtilityPass([u], [np.shape(occ)])(np.ravel(occ))[0][0])

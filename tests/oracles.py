@@ -7,11 +7,14 @@ product form (``PairExactSolve``, where the dense kernel cannot reach), the
 exact truncated gradient (against the sampled one), dense truncated-Q
 tables and per-agent ones stacked as ``td_fit`` returns them, the TD
 recursion over one dict per agent (against ``td_fit``), the stepped rollout
-(against ``Simulator.rollout``), one agent's shadow reward and finite
-differences of it, and the policy-truncation bound's narrower policy and
-measured constants."""
+(against ``Simulator.rollout``), one agent's utility value and shadow
+reward and finite differences of it, the exact Lagrangian and its finite
+differences (against ``primal_dual.exact_lagrangian_gradient``), the
+transition-sensitivity matrix with its decay certificate, and the
+policy-truncation bound's narrower policy and measured constants."""
 
-from dataclasses import replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -355,14 +358,17 @@ def exact_truncated_pg(cmdp, policy: KHopPolicy, objectives, constraints, mu,
 
 def simulator_weights(cmdp, policy):
     """The (2n+1, n) int64 weights of ``Simulator``'s two half-steps, taken
-    from the encoder: the policy's ``row_weights()`` above zeros for the
-    actions, and ``kernel_weights()``, each above the offsets of its stacked
-    tables' rows. Rows ``[s | a | 1] @ W`` are the stacked CDF rows."""
+    from the encoder and cast to int64: the policy's ``row_weights()`` above
+    zeros for the actions, and ``kernel_weights()``, each above the offsets
+    of its stacked tables' rows. Rows ``[s | a | 1] @ W`` are the stacked
+    CDF rows."""
     n = cmdp.n_agents
-    act_w = np.vstack([policy.row_weights(), np.zeros((n, n), np.int64),
+    act_w = np.vstack([policy.row_weights().astype(np.int64),
+                       np.zeros((n, n), np.int64),
                        indexing.offsets([len(t) for t in policy.theta])[:-1]])
-    trans_w = np.vstack([cmdp.kernel_weights(), indexing.offsets(
-        [len(kern.table) for kern in cmdp.kernels])[:-1]])
+    trans_w = np.vstack([cmdp.kernel_weights().astype(np.int64),
+                         indexing.offsets([len(kern.table)
+                                           for kern in cmdp.kernels])[:-1]])
     return act_w, trans_w
 
 
@@ -403,6 +409,12 @@ def shadow_reward(u: GeneralUtility, occ) -> np.ndarray:
         np.shape(occ))
 
 
+def utility_value(u: GeneralUtility, occ) -> float:
+    """Utility value at an (S_i, A_i) occupancy table: the ``UtilityPass``
+    of one agent."""
+    return float(UtilityPass([u], [np.shape(occ)])(np.ravel(occ))[0][0])
+
+
 def as_constraint(u: GeneralUtility, threshold) -> GeneralUtility:
     """The utility ``u`` as a constraint with the given threshold."""
     return replace(u, role=CONSTRAINT, threshold=float(threshold))
@@ -436,6 +448,131 @@ def fd_gradient(u: GeneralUtility, occ, h: float = 1e-6) -> np.ndarray:
         lo = occ[idx] - minus[idx]
         grad[idx] = (raw(plus) - raw(minus)) / (h + lo)
     return grad
+
+
+# -- finite differences of the Lagrangian -------------------------------------
+
+FD_STEP = 1e-5  # step of ``fd_lagrangian_gradient``'s central differences
+
+
+def lagrangian_value(cmdp, policy: KHopPolicy, objectives, constraints,
+                     mu) -> float:
+    """Exact Lagrangian through exact occupancies (finite-difference target):
+    an env reward's value is d . r_bar, its ``ExactSolve.reward_means``."""
+    solve = ExactSolve(cmdp, policy)
+    mu = np.asarray(mu, dtype=float)
+    total = 0.0
+    for i, loc in enumerate(solve.local_occupancies):
+        if objectives is None:
+            f_i = float(solve.d @ solve.reward_means(cmdp.rewards[i])[0])
+        else:
+            f_i = utility_value(objectives[i], loc)
+        total += f_i + mu[i] * utility_value(constraints[i], loc)
+    return total / cmdp.n_agents
+
+
+def fd_lagrangian_gradient(cmdp, policy: KHopPolicy, objectives,
+                           constraints, mu) -> tuple:
+    """Central finite differences of the Lagrangian over every theta entry,
+    with step ``FD_STEP``; one table per agent."""
+    grad = np.zeros_like(policy.theta_flat)
+    for k in range(grad.size):
+        for sign in (+1.0, -1.0):
+            theta = policy.theta_flat.copy()
+            theta[k] += sign * FD_STEP
+            grad[k] += sign * lagrangian_value(
+                cmdp, policy.with_flat(theta), objectives, constraints, mu)
+    return policy.stack.split(grad / (2.0 * FD_STEP))
+
+
+# -- correlation decay --------------------------------------------------------
+
+# ``compute_decay_matrix`` bisects the decay exponent in [0, OMEGA_MAX] to
+# a bracket of width OMEGA_TOL.
+OMEGA_MAX, OMEGA_TOL = 50.0, 1e-6
+
+
+def distance(graph, i, j) -> int:
+    """Graph distance between agents i and j (``graph.UNREACHABLE`` if
+    disconnected), read as ``khop_neighborhood`` reads it."""
+    return graph._dist[i][j]
+
+
+def max_pairwise_l1(table, sizes, vary) -> float:
+    """Largest L1 distance between two rows of ``table`` whose cells differ
+    only at the positions ``vary``.
+
+    Rows are indexed by the encoding of cells of ``sizes``; 0.0 if no two
+    such rows exist.
+    """
+    k = len(sizes)
+    t = np.moveaxis(table.reshape(tuple(sizes) + (-1,)), list(vary),
+                    list(range(k - len(vary), k)))
+    rows = t.reshape(-1, indexing.space_size(sizes[p] for p in vary),
+                     t.shape[-1])
+    return float(np.abs(rows[:, :, None] - rows[:, None, :]).sum(axis=-1).max())
+
+
+@dataclass(frozen=True)
+class DecayProfile:
+    """Transition-sensitivity matrix with its exponential decay certificate."""
+
+    M: np.ndarray
+    omega: float
+    chi: float
+    phi0: float
+    contraction_ok: bool  # whether chi < 2 / gamma
+
+
+def compute_decay_matrix(cmdp, chi: float) -> DecayProfile:
+    """Brute-force transition-sensitivity matrix and its decay exponent.
+
+    M[i, j] is the largest L1 change in agent i's kernel when agent j's
+    state/action varies with all other coordinates held fixed. The returned
+    omega is the largest value (up to ``OMEGA_TOL``, capped at
+    ``OMEGA_MAX``) such that max_i sum_j exp(omega * d(i, j)) * M[i, j] <= chi.
+    """
+    n = cmdp.n_agents
+    M = np.zeros((n, n))
+    for i, kern in enumerate(cmdp.kernels):
+        deps = kern.state_deps + kern.action_deps
+        for j in set(deps):
+            M[i, j] = max_pairwise_l1(
+                kern.table, kern.dep_sizes,
+                [p for p, dep in enumerate(deps) if dep == j])
+
+    dist = np.array([[distance(cmdp.graph, i, j) for j in range(n)]
+                     for i in range(n)], dtype=float)
+
+    def weighted_max(omega):
+        expo = np.where(M > 0, np.minimum(omega * dist, 700.0), 0.0)
+        return float(np.max(np.sum(np.exp(expo) * M, axis=1)))
+
+    if weighted_max(0.0) > chi:
+        raise ValueError(
+            f"no omega > 0 satisfies the decay condition: even omega=0 gives "
+            f"{weighted_max(0.0):.6g} > chi={chi:.6g}"
+        )
+    lo, hi = 0.0, OMEGA_MAX
+    if weighted_max(hi) <= chi:
+        omega = hi
+    else:
+        while hi - lo > OMEGA_TOL:
+            mid = 0.5 * (lo + hi)
+            if weighted_max(mid) <= chi:
+                lo = mid
+            else:
+                hi = mid
+        omega = lo
+    if omega <= 0.0:
+        raise ValueError("decay exponent collapsed to zero; chi is too tight")
+    return DecayProfile(
+        M=M,
+        omega=omega,
+        chi=chi,
+        phi0=math.exp(-omega),
+        contraction_ok=chi < 2.0 / cmdp.gamma if cmdp.gamma > 0 else True,
+    )
 
 
 # -- policy truncation ----------------------------------------------------------
@@ -472,6 +609,6 @@ def policy_state_sensitivity(policy: KHopPolicy, kappa: int) -> float:
     for i in range(policy.graph.n):
         inner = set(khop_neighborhood(policy.graph, i, kappa))
         outer = [p for p, j in enumerate(policy.neighborhood(i)) if j not in inner]
-        worst = max(worst, indexing.max_pairwise_l1(
+        worst = max(worst, max_pairwise_l1(
             policy.prob_tables[i], policy.nbhd_state_sizes(i), outer))
     return worst

@@ -20,8 +20,7 @@ from pdmarl.occupancy import ExactSolve, estimate_local_occupancies
 from pdmarl.critic import default_td_config
 from pdmarl.primal_dual import (StepSizes, TrainConfig, _rng, dual_update,
                                 exact_dual_gradient,
-                                exact_lagrangian_gradient,
-                                fd_lagrangian_gradient, fosp_metrics,
+                                exact_lagrangian_gradient, fosp_metrics,
                                 max_linear_over_box_ball, policy_ascent,
                                 train)
 from pdmarl.cli import run_experiment
@@ -29,7 +28,8 @@ from pdmarl.config import parse_config_dict
 
 from helpers import (chain, entropy_constraints, flat, rng_for, sample_batch,
                      single_cell_mdp, td_tables, uniform_policy)
-from oracles import (PairExactSolve, dense_table, exact_truncated_pg,
+from oracles import (PairExactSolve, dense_table, distance,
+                     exact_truncated_pg, fd_lagrangian_gradient,
                      induced_khop_policy, lift_neighborhood_reward,
                      policy_state_sensitivity, truncate_q)
 
@@ -107,7 +107,7 @@ def test_criterion_4_induced_policy_occupancy_bound():
         tab = np.zeros_like(base.theta[i])
         for row, s in enumerate(np.ndindex(*[2] * len(nbhd))):
             for pos, j in enumerate(nbhd):
-                w = 0.4 ** g.distance(i, j)
+                w = 0.4 ** distance(g, i, j)
                 tab[row] += w * (2 * s[pos] - 1) * np.array([1.0, -1.0])
         tables.append(tab + 0.05 * rng.normal(size=tab.shape))
     pol = base.with_theta(tables)

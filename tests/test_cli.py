@@ -1,6 +1,8 @@
+import argparse
 import csv
 import errno
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,7 +16,8 @@ from pdmarl import policy, primal_dual
 from pdmarl.config import (ConfigError, build_env, build_train_config,
                            build_utilities, derived_seed, load_config,
                            parse_config, parse_config_dict, serialize_config)
-from pdmarl.cli import (final_quarter_means, main, run_experiment, run_sweep)
+from pdmarl.cli import (build_parser, final_quarter_means, main,
+                        run_experiment, run_sweep)
 from pdmarl.policy import load_policy
 from pdmarl.primal_dual import IterationRecord
 from pdmarl.utilities import CONSTRAINT, ENTROPY
@@ -598,10 +601,50 @@ class TestMainEntryPoint:
         assert (out / "summary.csv").exists()
         assert "summary" in capsys.readouterr().out
 
-    def test_verify_exit_zero(self, capsys):
-        assert main(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 7 and "FAIL" not in out
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers see the patched gradient")
+    def test_parallel_sweep_numeric_abort_exit_two(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a NaN policy gradient at iteration 0 of every run, in the workers
+        estimate = primal_dual.truncated_pg_estimate
+
+        def nan_gradient(*args):
+            return np.full_like(estimate(*args), np.nan)
+
+        monkeypatch.setattr(primal_dual, "truncated_pg_estimate", nan_gradient)
+        cfg_path = self.write_config(tmp_path)
+        assert main(["sweep", "--config", cfg_path, "--axis", "kappa",
+                     "--values", "0,1", "--out", str(tmp_path / "sweep"),
+                     "--parallel"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("numeric abort:") == 1
+        assert "numeric abort: NaN in policy gradient at iteration 0" in err
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["verify"], "invalid choice: 'verify'"),
+        (["run"], "the following arguments are required: --config"),
+        (["run", "--config", "c.yaml", "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+    ], ids=["removed_verify", "missing_config", "bad_seed"])
+    def test_usage_error_exit_one(self, capsys, argv, reason):
+        # argparse's own code for a usage error is 2, a numeric abort's
+        assert main(argv) == 1
+        assert reason in capsys.readouterr().err
+
+    def test_help_exit_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "{run,sweep}" in capsys.readouterr().out
+
+    def test_readme_quick_start_lists_every_subcommand(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        readme = readme.read_text()
+        block = readme.split("## Quick start\n", 1)[1].split("```sh\n", 1)[1]
+        documented = {line.split()[1]
+                      for line in block.split("```", 1)[0].splitlines()
+                      if line.startswith("pdmarl ")}
+        [sub] = [action for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+        assert documented == set(sub.choices)
 
 
 # SHA-256 of (metrics.csv, policy.csv) for wireless_grid side 2 with the env

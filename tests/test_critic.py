@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pdmarl.graph import line_graph
-from pdmarl.model import compute_decay_matrix
 from pdmarl.policy import KHopPolicy
 from pdmarl.critic import (TDConfig, default_td_config, read_critics,
                            td_draws, td_fit)
@@ -20,9 +19,10 @@ from pdmarl import indexing
 
 from helpers import (chain, reward_steps, rng_for, single_cell_mdp,
                      td_tables, uniform_policy)
-from oracles import (PairExactSolve, dense_table, global_transition_matrix,
-                     lift_local_reward, lift_neighborhood_reward, n_pairs,
-                     td_fit_reference, truncate_q)
+from oracles import (PairExactSolve, compute_decay_matrix, dense_table,
+                     global_transition_matrix, lift_local_reward,
+                     lift_neighborhood_reward, n_pairs, td_fit_reference,
+                     truncate_q)
 
 
 def env_reward_columns(cmdp):

@@ -4,14 +4,15 @@ import pytest
 from pdmarl import indexing
 from pdmarl.graph import DependenceGraph, khop_neighborhood, line_graph
 from pdmarl.model import (FactoredCMDP, TransitionKernel, LocalReward,
-                          EnumerationCapExceeded, compute_decay_matrix)
+                          EnumerationCapExceeded)
 from pdmarl.occupancy import ExactSolve
 from pdmarl.policy import KHopPolicy
 from pdmarl.sampling import Simulator
 from pdmarl.envs import WirelessGridSpec, wireless_grid
 
 from helpers import chain, uniform_policy
-from oracles import global_transition_matrix, kernel_rows, n_actions
+from oracles import (compute_decay_matrix, distance, global_transition_matrix,
+                     kernel_rows, n_actions)
 
 
 def lookup(f, s, a):
@@ -48,9 +49,9 @@ class TestGraph:
     def test_distance_symmetric_zero_diagonal(self):
         g = line_graph(5)
         for i in range(5):
-            assert g.distance(i, i) == 0
+            assert distance(g, i, i) == 0
             for j in range(5):
-                assert g.distance(i, j) == g.distance(j, i)
+                assert distance(g, i, j) == distance(g, j, i)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):

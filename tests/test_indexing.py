@@ -23,7 +23,7 @@ def test_encode_matches_ravel_multi_index(seed):
         k = int(rng.integers(0, n + 1))
         positions = rng.choice(n, size=k, replace=False)  # any order
         columns.append((positions, radices[positions]))
-    got = X @ indexing.weight_matrix(n, columns)
+    got = X @ indexing.weight_matrix(n, columns).astype(np.int64)
     assert got.shape == (3, 4, len(columns))
     for i, (positions, sizes) in enumerate(columns):
         want = np.ravel_multi_index(tuple(X[..., p] for p in positions),
@@ -37,16 +37,18 @@ def test_table_rows_are_exact_below_2_53():
     one of 2 x 2^53 cells, whose row 2^53 + 1 float64 cannot hold."""
     W = indexing.weight_matrix(3, [((0, 1), (2**26, 2**27)),
                                    ((2, 1), (2, 2**53))])
+    assert W.dtype == np.float64
+    W64 = W.astype(np.int64)  # the int64 products are the reference
     rng = np.random.default_rng(np.random.SeedSequence(7))
     X = rng.integers(0, [2**26, 2**27, 1], size=(4, 5, 3))
     X[0, 0] = [2**26 - 1, 2**27 - 1, 0]
-    got = indexing.table_rows(X, W.astype(np.float64))
+    got = indexing.table_rows(X, W)
     assert got.dtype == np.int64 and got.shape == (4, 5, 2)
-    assert np.array_equal(got, X @ W)
+    assert np.array_equal(got, X @ W64)
     assert got[0, 0, 0] == 2**53 - 1 == indexing.EXACT_ROWS - 1
     past = np.array([[0, 1, 1]])
-    assert (past @ W)[0, 1] == 2**53 + 1
-    assert indexing.table_rows(past, W.astype(np.float64))[0, 1] == 2**53
+    assert (past @ W64)[0, 1] == 2**53 + 1
+    assert indexing.table_rows(past, W)[0, 1] == 2**53
 
 
 @pytest.mark.parametrize("env", ["line4", "grid2"])
@@ -60,7 +62,8 @@ def test_dependency_rows_on_broadcast_grids(env):
     S, A = np.broadcast_arrays(
         indexing.decode_table(cmdp.local_state_sizes)[:, None, :],
         indexing.decode_table(cmdp.local_action_sizes)[None, :, :])
-    rows = np.concatenate([S, A], axis=-1) @ cmdp.kernel_weights()
+    rows = (np.concatenate([S, A], axis=-1)
+            @ cmdp.kernel_weights().astype(np.int64))
     for i, f in enumerate(cmdp.kernels):
         cells = ([S[..., j] for j in f.state_deps]
                  + [A[..., j] for j in f.action_deps])

@@ -168,19 +168,20 @@ def test_row_reads_are_the_int64_products(env, kappa):
     A[0, 0] = np.array(cmdp.local_action_sizes) - 1
     q_w = indexing.weight_matrix(2 * n, [
         (nbhd + tuple(n + j for j in nbhd), s + a)
-        for nbhd, s, a in layout.q_layouts])
+        for nbhd, s, a in layout.q_layouts]).astype(np.int64)
     cells, rows = layout.q_cells(S, A), layout.theta.rows(S)
     for got, want in ((cells, np.concatenate([S, A], axis=-1) @ q_w),
-                      (rows, S @ policy.row_weights())):
+                      (rows, S @ policy.row_weights().astype(np.int64))):
         assert got.dtype == np.int64 and got.shape == S.shape
         assert np.array_equal(got, want)
     assert np.array_equal(cells[0, 0] + 1, np.diff(layout.q_off))
     assert np.array_equal(rows[0, 0] + 1, [len(t) for t in policy.theta])
 
 
-# What building ``RunLayout`` for the 1000-agent line at kappa 1 may hold:
-# its float64 weight matrices, the simulator's two (2n+1, n), the Q cells'
-# (2n, n) and the policy rows' (n, n), take 53.4 MiB of it.
+# What building ``RunLayout`` for the 1000-agent line at kappa 1 may hold,
+# and its peak: its float64 weight matrices, the simulator's two (2n+1, n),
+# the Q cells' (2n, n) and the policy rows' (n, n), take 53.4 MiB of it. The
+# encoder writes float64, so no int64 copy of one is alive beside it.
 LAYOUT_1000_BYTES = 60 * 2**20
 
 
@@ -191,11 +192,12 @@ def test_layout_of_the_1000_agent_line_holds_its_weights_once():
     tracemalloc.start()
     try:
         layout = RunLayout(cmdp, policy, 1)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert layout.q_w.dtype == layout.theta.row_w.dtype == np.float64
     assert held <= LAYOUT_1000_BYTES
+    assert peak <= LAYOUT_1000_BYTES
 
 
 # -- TD step sizes ------------------------------------------------------------

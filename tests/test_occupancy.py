@@ -320,12 +320,13 @@ def test_exact_solve_rows_are_the_int64_products(side, deadline):
     solve = ExactSolve(m, pol)
     s_dec, n = solve.s_dec, m.n_agents
     assert solve.rows.dtype == np.int64
-    assert np.array_equal(solve.rows, s_dec @ pol.row_weights())
+    assert np.array_equal(solve.rows,
+                          s_dec @ pol.row_weights().astype(np.int64))
     for i, (kern, a) in enumerate(zip(m.kernels, m.local_action_sizes)):
         for c in range(a):
             x = np.concatenate([s_dec, np.zeros_like(s_dec)], axis=-1)
             x[:, n + i] = c
-            want = kern.table[(x @ m.kernel_weights())[:, i]]
+            want = kern.table[(x @ m.kernel_weights().astype(np.int64))[:, i]]
             assert solve.kernels[i][:, c].tobytes() == want.tobytes()
 
 

@@ -8,8 +8,8 @@ from pdmarl.policy import KHopPolicy, _softmax_rows, load_policy, save_policy
 from pdmarl.layout import ThetaLayout
 from pdmarl.sampling import CdfLayout, InverseCdf
 
-from oracles import (induced_khop_policy, joint_action_probabilities,
-                     policy_state_sensitivity)
+from oracles import (distance, induced_khop_policy,
+                     joint_action_probabilities, policy_state_sensitivity)
 
 
 def random_policy(n=3, kappa=1, seed=0, scale=1.0, sizes=2, asizes=2):
@@ -159,7 +159,7 @@ class TestScore:
 
 def sample_actions(pol, s, u):
     """Joint actions at global state s, one draw per row of uniforms u."""
-    rows = np.asarray(s) @ pol.row_weights()
+    rows = np.asarray(s) @ pol.row_weights().astype(np.int64)
     cdf = InverseCdf.of_tables(pol.prob_tables)
     return cdf.draw(np.broadcast_to(rows, u.shape), u)
 
@@ -245,7 +245,7 @@ class TestInducedPolicy:
             for row, s in enumerate(
                     np.ndindex(*[2] * len(nbhd))):
                 for pos, j in enumerate(nbhd):
-                    w = 0.4 ** g.distance(i, j)
+                    w = 0.4 ** distance(g, i, j)
                     tab[row] += w * (2 * s[pos] - 1) * np.array([1.0, -1.0])
             tables.append(tab + 0.1 * rng.normal(size=tab.shape))
         pol = base.with_theta(tables)

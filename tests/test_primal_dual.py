@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -11,19 +12,18 @@ from pdmarl.occupancy import ExactSolve
 from pdmarl.envs import WirelessGridSpec, wireless_grid
 from pdmarl.utilities import ENTROPY, L2_ACTION, LINEAR, GeneralUtility
 from pdmarl.layout import RunLayout, ThetaLayout
-from pdmarl.primal_dual import (StepSizes, TrainConfig,
+from pdmarl.primal_dual import (NumericAbort, StepSizes, TrainConfig,
                                 dual_update, exact_dual_gradient,
-                                exact_lagrangian_gradient,
-                                fd_lagrangian_gradient, fosp_metrics,
+                                exact_lagrangian_gradient, fosp_metrics,
                                 max_linear_over_box_ball, policy_ascent,
                                 train, truncated_pg_estimate)
 
 from helpers import (chain, entropy_constraints, flat, rng_for, sample_batch,
                      uniform_policy)
 from oracles import (PairExactSolve, as_constraint, dense_table,
-                     exact_truncated_pg, global_shadow_rewards,
-                     lift_neighborhood_reward, n_pairs, stack_q,
-                     truncate_q)
+                     exact_truncated_pg, fd_lagrangian_gradient,
+                     global_shadow_rewards, lift_neighborhood_reward,
+                     n_pairs, stack_q, truncate_q, utility_value)
 
 
 def two_state_single_agent(gamma=0.9):
@@ -281,7 +281,6 @@ class TestExactOracles:
         m = chain(2)
         pol = uniform_policy(m)
         cons = entropy_constraints(m, 0.1)
-        from pdmarl.utilities import utility_value
         occ = ExactSolve(m, pol).local_occupancies
         want = np.array([utility_value(cons[i], occ[i])
                          for i in range(2)]) / 2
@@ -455,6 +454,19 @@ class TestTrain:
                       initial_policy=pol)
         for a, b in zip(state.policy.theta, pol.theta):
             np.testing.assert_array_equal(a, b)
+
+    def test_numeric_abort_pickles_with_its_state(self):
+        # ``sweep --parallel`` hands a worker's abort back through pickle
+        m, cons = small_train_setup(n=2)
+        state = train(m, None, cons, self.cfg(iterations=2), seed=0)
+        exc = pickle.loads(pickle.dumps(
+            NumericAbort(2, "policy gradient", state)))
+        assert str(exc) == "NaN in policy gradient at iteration 2"
+        assert (exc.iteration, exc.what) == (2, "policy gradient")
+        assert exc.state.iteration == 2
+        assert exc.state.history == state.history
+        assert (exc.state.policy.theta_flat.tobytes()
+                == state.policy.theta_flat.tobytes())
 
     def test_constraint_list_length_checked(self):
         m, cons = small_train_setup(n=3)

@@ -3,10 +3,9 @@ import pytest
 
 from pdmarl import indexing, utilities
 from pdmarl.utilities import (CONSTRAINT, ENTROPY, ENTROPY_FLOOR, L2_ACTION,
-                              LINEAR, OBJECTIVE, GeneralUtility, UtilityPass,
-                              utility_value)
+                              LINEAR, OBJECTIVE, GeneralUtility, UtilityPass)
 
-from oracles import as_constraint, fd_gradient, shadow_reward
+from oracles import as_constraint, fd_gradient, shadow_reward, utility_value
 
 
 def occ(table):
